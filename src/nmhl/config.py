@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
+from .presets import exit_epsilons
 
 SECTIONS = ("operator", "grid", "experiment", "output")
 OPERATOR_VARIANTS = ("pure_power", "quadratic_form", "levy", "fractional", "perturbed")
@@ -103,17 +104,32 @@ def _format_scalar(v) -> str:
     return str(v)
 
 
+def _finite(what: str, v) -> float:
+    """float(v), or ValidationError when v is not a finite number."""
+    try:
+        out = float(v)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number (got {v!r})") from None
+    if not math.isfinite(out):
+        raise ValidationError(f"{what} must be finite (got {v!r})")
+    return out
+
+
+def _q_entry(e, c) -> tuple:
+    try:
+        exponent = int(e)
+    except (TypeError, ValueError):
+        raise ValidationError(f"q exponent must be an integer (got {e!r})") from None
+    return exponent, _finite("q coefficient", c)
+
+
 def _parse_q(text: str) -> tuple:
     """Perturbation coefficients: 'exponent:coeff' pairs, comma-separated."""
     out = []
     for part in str(text).split(","):
         if ":" not in part:
             raise ValidationError(f"q entry {part!r} is not exponent:coeff")
-        e_str, c_str = part.split(":", 1)
-        try:
-            out.append((int(e_str), float(c_str)))
-        except ValueError as exc:
-            raise ValidationError(f"bad q entry {part!r}: {exc}") from None
+        out.append(_q_entry(*part.split(":", 1)))
     return tuple(sorted(out))
 
 
@@ -123,15 +139,18 @@ def _format_q(q: tuple) -> str:
 
 def _parse_matrix(text: str) -> tuple:
     """Rows split by ';', entries by ','."""
-    rows = []
-    for row in str(text).split(";"):
-        try:
-            rows.append(tuple(float(v) for v in row.split(",")))
-        except ValueError as exc:
-            raise ValidationError(f"bad a_matrix row {row!r}: {exc}") from None
-    if len({len(r) for r in rows}) != 1:
+    return _matrix_rows(row.split(",") for row in str(text).split(";"))
+
+
+def _matrix_rows(rows) -> tuple:
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValidationError(f"a_matrix row {row!r} is not a list")
+        out.append(tuple(_finite("a_matrix entry", v) for v in row))
+    if len({len(r) for r in out}) != 1:
         raise ValidationError("a_matrix rows have unequal lengths")
-    return tuple(rows)
+    return tuple(out)
 
 
 def _format_matrix(m: tuple) -> str:
@@ -222,7 +241,7 @@ def _as_float(section: str, key: str, v) -> float:
         v = _parse_scalar(v)
     if not isinstance(v, (int, float)):
         raise ValidationError(f"{key} in [{section}] must be a number (got {v!r})")
-    return float(v)
+    return _finite(f"{key} in [{section}]", v)
 
 
 def _as_bool(section: str, key: str, v) -> bool:
@@ -259,8 +278,7 @@ def _build_operator(body: dict) -> OperatorConfig:
     if "a_matrix" in body:
         v = body["a_matrix"]
         cfg.a_matrix = (
-            tuple(tuple(float(x) for x in row) for row in v)
-            if isinstance(v, (list, tuple)) else _parse_matrix(v)
+            _matrix_rows(v) if isinstance(v, (list, tuple)) else _parse_matrix(v)
         )
     if "l" in body:
         cfg.l = _as_int("operator", "l", body["l"])
@@ -282,7 +300,7 @@ def _build_operator(body: dict) -> OperatorConfig:
     if "q" in body:
         v = body["q"]
         if isinstance(v, dict):
-            cfg.q = tuple(sorted((int(e), float(c)) for e, c in v.items()))
+            cfg.q = tuple(sorted(_q_entry(e, c) for e, c in v.items()))
         else:
             cfg.q = _parse_q(v)
         for e, _ in cfg.q:
@@ -325,7 +343,7 @@ _EXPERIMENT_DEFAULTS = {
     "ibp": {"t": 1.0, "moment_path": "analytic"},
     "rate": {"x": 0.0, "y": 1.0, "nodes": 64, "winding_max": 2, "perturb": 0.0},
     "varadhan": {"x": 0.0, "y": 1.0, "t_factor": 0.5, "t_count": 8},
-    "exit": {"delta": 0.5, "s": 0.1, "eps_count": 6},
+    "exit": {"delta": 0.5, "s": 0.1},
     "report": {"fast": True},
 }
 
@@ -372,9 +390,11 @@ def _build_experiment(body: dict, operator: OperatorConfig) -> ExperimentConfig:
     if kind == "varadhan":
         params.setdefault("t_start", 0.1 if params["k"] == 1 else 0.2)
     if kind == "exit":
+        # together these three defaults give the preset grid exit_epsilons(k)
         params.setdefault("eps_start", 0.25 if params["k"] == 1 else 0.2)
         params.setdefault("eps_factor",
                           0.2 ** 0.2 if params["k"] == 1 else 0.1 ** (1.0 / 9.0))
+        params.setdefault("eps_count", len(exit_epsilons(params["k"])))
     # range checks
     if kind == "kernel":
         _require("t" in params, "experiment.t is required for kernel")

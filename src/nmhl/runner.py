@@ -3,10 +3,10 @@ operations, emit CSV tables with stable schemas, and collect a summary.
 
 CSV format: first line `# schema=1`, then sorted `# key=value` metadata
 comments (never timestamps, so identical configs give byte-identical files),
-then the header row and data rows.  Floats are rendered with the configured
-number of significant digits.  Each file is written to a temp path and
-renamed into place; on any failure every file this run already produced is
-removed.
+then the header row and data rows.  Floats are rendered as
+`%.{precision}g`, integers in decimal, booleans as `true`/`false`.  Each file
+is written to a temp path and renamed into place; on any failure every file
+this run already produced is removed.
 """
 
 from __future__ import annotations
@@ -96,13 +96,38 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _write_csv(path: str, meta: dict, header, rows, precision: int):
+def _column_text(column, precision: int):
+    """A `%` field for one column and the values to fill it with.
+
+    A numpy column picks its field once, from its dtype; any other sequence
+    (the small mixed tables) is rendered value by value with `_fmt`.
+    """
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return "%s", np.where(column, "true", "false").tolist()
+        if kind in "iu":
+            return "%d", column.tolist()
+        if kind == "f":
+            # lattice and grid columns repeat values many times over, so each
+            # distinct bit pattern (which keeps -0.0 apart from 0.0) is
+            # formatted once
+            bits = np.asarray(column, dtype=np.float64).view(np.int64)
+            distinct, where = np.unique(bits, return_inverse=True)
+            text = [f"%.{precision}g" % v
+                    for v in distinct.view(np.float64).tolist()]
+            return "%s", np.array(text, dtype=object)[where].tolist()
+    return "%s", [_fmt(v, precision) for v in column]
+
+
+def _write_csv(path: str, meta: dict, columns: dict, precision: int):
+    """Write `columns` (header name -> column, in order) under the metadata."""
+    fields, values = zip(*(_column_text(c, precision) for c in columns.values()))
+    template = ",".join(fields)
     lines = ["# schema=1"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={_fmt(meta[key], precision)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+    lines.extend(f"# {key}={_fmt(meta[key], precision)}" for key in sorted(meta))
+    lines.append(",".join(columns))
+    lines.extend(template % row for row in zip(*values, strict=True))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -159,34 +184,28 @@ def _run_kernel(config: RunConfig, ctx: dict) -> ReportSummary:
     params = config.experiment.params
     t, x = params["t"], params["x"]
     spec, symbol, resolution = _symbol_of(config, t)
-    point = x if config.grid.d == 1 else (x, x)
-    kernel = heat_kernel(symbol, t, x=point, resolution=resolution)
+    kernel = heat_kernel(symbol, t, x=x, resolution=resolution)
 
-    sym_rows = []
-    for pt, a in zip(symbol.grid.points, symbol.values):
-        sym_rows.append(tuple(int(v) for v in pt) + (a.real, a.imag))
-    sym_header = [f"xi_{i + 1}" for i in range(config.grid.d)] + ["re_a", "im_a"]
+    sym_columns = {f"xi_{i + 1}": symbol.grid.points[:, i]
+                   for i in range(config.grid.d)}
+    sym_columns["re_a"] = np.real(symbol.values)
+    sym_columns["im_a"] = np.imag(symbol.values)
     meta = _base_meta(config, {
         "grid.cutoff_used": symbol.grid.cutoff,
         "grid.resolution_used": resolution,
     })
     sym_path = os.path.join(ctx["outdir"], "symbol.csv")
-    _write_csv(sym_path, meta, sym_header, sym_rows, ctx["precision"])
+    _write_csv(sym_path, meta, sym_columns, ctx["precision"])
     ctx["written"].append(sym_path)
 
     pts = kernel.points
     if config.grid.d == 1:
-        header = ["y", "p_t"]
-        rows = list(zip(pts, kernel.values))
+        columns = {"y": pts, "p_t": kernel.values}
     else:
-        header = ["y1", "y2", "p_t"]
-        rows = [
-            (pts[i, j, 0], pts[i, j, 1], kernel.values[i, j])
-            for i in range(resolution)
-            for j in range(resolution)
-        ]
+        columns = {"y1": pts[..., 0].ravel(), "y2": pts[..., 1].ravel(),
+                   "p_t": kernel.values.ravel()}
     path = os.path.join(ctx["outdir"], "kernel.csv")
-    _write_csv(path, meta, header, rows, ctx["precision"])
+    _write_csv(path, meta, columns, ctx["precision"])
     ctx["written"].append(path)
 
     # the zero mode is first on the lattice, so mass has a closed form
@@ -207,7 +226,7 @@ def _run_kernel(config: RunConfig, ctx: dict) -> ReportSummary:
     )
 
 
-def _ibp_rows(t: float, moment_path: str, threads: int):
+def _ibp_columns(t: float, moment_path: str, threads: int) -> dict:
     grid = FrequencyGrid(1, IBP_CUTOFF)
     f = np.cos(spatial_grid(IBP_RESOLUTION))
 
@@ -221,22 +240,25 @@ def _ibp_rows(t: float, moment_path: str, threads: int):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, IBP_PRESETS))
-    return [one(p) for p in IBP_PRESETS]
+            results = list(pool.map(one, IBP_PRESETS))
+    else:
+        results = [one(p) for p in IBP_PRESETS]
+    tags, lhs, rhs, rel = zip(*results)
+    return {"preset": tags, "lhs": np.array(lhs), "rhs": np.array(rhs),
+            "rel_error": np.array(rel)}
 
 
 def _run_ibp(config: RunConfig, ctx: dict) -> ReportSummary:
     params = config.experiment.params
-    rows = _ibp_rows(params["t"], params["moment_path"], ctx["threads"])
+    columns = _ibp_columns(params["t"], params["moment_path"], ctx["threads"])
     path = os.path.join(ctx["outdir"], "ibp.csv")
-    _write_csv(path, _base_meta(config), ["preset", "lhs", "rhs", "rel_error"],
-               rows, ctx["precision"])
+    _write_csv(path, _base_meta(config), columns, ctx["precision"])
     ctx["written"].append(path)
-    max_rel = max(r[3] for r in rows)
+    max_rel = float(np.max(columns["rel_error"]))
     return ReportSummary(
         experiment="ibp",
         passed=max_rel < IBP_TOL,
-        measured={"max_rel_error": max_rel, "presets": len(rows)},
+        measured={"max_rel_error": max_rel, "presets": len(columns["preset"])},
         csv_paths=[path],
     )
 
@@ -254,11 +276,10 @@ def _run_rate(config: RunConfig, ctx: dict) -> ReportSummary:
         winding_max=params["winding_max"],
         perturb=params["perturb"],
     )
-    rows = [(x, y, result.l_value, result.winding, result.residual)]
+    columns = {"x": [x], "y": [y], "l_value": [result.l_value],
+               "winding": [result.winding], "residual": [result.residual]}
     path = os.path.join(ctx["outdir"], "rate.csv")
-    _write_csv(path, _base_meta(config),
-               ["x", "y", "l_value", "winding", "residual"],
-               rows, ctx["precision"])
+    _write_csv(path, _base_meta(config), columns, ctx["precision"])
     ctx["written"].append(path)
     return ReportSummary(
         experiment="rate",
@@ -281,8 +302,7 @@ def _run_varadhan(config: RunConfig, ctx: dict) -> ReportSummary:
     curve = varadhan_curve(symbol, params["k"], params["x"], params["y"], t_list)
     path = os.path.join(ctx["outdir"], "varadhan.csv")
     _write_csv(path, _base_meta(config, {"grid.cutoff_used": symbol.grid.cutoff}),
-               ["t", "v_t", "target", "slack", "pass"],
-               list(curve.rows()), ctx["precision"])
+               curve.columns(), ctx["precision"])
     ctx["written"].append(path)
     return ReportSummary(
         experiment="varadhan",
@@ -306,7 +326,7 @@ def _run_exit(config: RunConfig, ctx: dict) -> ReportSummary:
     fit = exit_bound_check(symbol, k, params["delta"], params["s"], eps_list)
     path = os.path.join(ctx["outdir"], "exit.csv")
     _write_csv(path, _base_meta(config, {"grid.cutoff_used": symbol.grid.cutoff}),
-               ["eps", "log_mass", "fit_C"], list(fit.rows()), ctx["precision"])
+               fit.columns(), ctx["precision"])
     ctx["written"].append(path)
     tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
     ratio_ok = abs(fit.ratio - 1.0) <= tol
@@ -337,34 +357,37 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
     sym4 = build_symbol(spec4, FrequencyGrid(1, auto_cutoff(spec4, 0.01)))
     kern = heat_kernel(sym4, 0.01, resolution=max(256, 2 * sym4.grid.cutoff + 2))
     path = os.path.join(outdir, "report_kernel.csv")
-    _write_csv(path, _base_meta(config), ["y", "p_t"],
-               list(zip(kern.points, kern.values)), precision)
+    _write_csv(path, _base_meta(config), {"y": kern.points, "p_t": kern.values},
+               precision)
     ctx["written"].append(path)
     entries.append(("kernel", "min_value", float(np.min(kern.values)),
                     float(np.min(kern.values)) < 0.0, path))
 
-    rows = _ibp_rows(IBP_TIME, "analytic", ctx["threads"])
+    columns = _ibp_columns(IBP_TIME, "analytic", ctx["threads"])
     path = os.path.join(outdir, "report_ibp.csv")
-    _write_csv(path, _base_meta(config), ["preset", "lhs", "rhs", "rel_error"],
-               rows, precision)
+    _write_csv(path, _base_meta(config), columns, precision)
     ctx["written"].append(path)
-    max_rel = max(r[3] for r in rows)
+    max_rel = float(np.max(columns["rel_error"]))
     entries.append(("ibp", "max_rel_error", max_rel, max_rel < IBP_TOL, path))
 
     h = hamiltonian_for(PurePower(k=1))
-    rate_rows = []
-    rate_ok = True
-    for x, y in rate_endpoints():
+    endpoints = rate_endpoints()
+    results = []
+    for x, y in endpoints:
         p_max = max(8.0, 2.0 * (abs(y - x) + TWO_PI * 2))
-        res = rate_function(x, y, lagrangian_table(h, p_max))
-        rate_rows.append((x, y, res.l_value, res.winding, res.residual))
-        rate_ok = rate_ok and res.residual <= RESIDUAL_TOL
+        results.append(rate_function(x, y, lagrangian_table(h, p_max)))
+    residuals = [r.residual for r in results]
     path = os.path.join(outdir, "report_rate.csv")
-    _write_csv(path, _base_meta(config),
-               ["x", "y", "l_value", "winding", "residual"], rate_rows, precision)
+    _write_csv(path, _base_meta(config), {
+        "x": [x for x, _ in endpoints],
+        "y": [y for _, y in endpoints],
+        "l_value": [r.l_value for r in results],
+        "winding": [r.winding for r in results],
+        "residual": residuals,
+    }, precision)
     ctx["written"].append(path)
-    entries.append(("rate", "max_residual", max(r[4] for r in rate_rows),
-                    rate_ok, path))
+    entries.append(("rate", "max_residual", max(residuals),
+                    all(r <= RESIDUAL_TOL for r in residuals), path))
 
     k_grid = (1,) if fast else (1, 2)
     for k in k_grid:
@@ -373,9 +396,7 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
         sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, min(times))))
         curve = varadhan_curve(sym, k, 0.0, 1.0, times)
         path = os.path.join(outdir, f"report_varadhan_k{k}.csv")
-        _write_csv(path, _base_meta(config),
-                   ["t", "v_t", "target", "slack", "pass"],
-                   list(curve.rows()), precision)
+        _write_csv(path, _base_meta(config), curve.columns(), precision)
         ctx["written"].append(path)
         entries.append((f"varadhan_k{k}", "extrapolated", curve.extrapolated,
                         curve.passed, path))
@@ -383,38 +404,36 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
         sym_exit = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, 0.1)))
         fit = exit_bound_check(sym_exit, k, EXIT_DELTA, 0.1, exit_epsilons(k))
         path = os.path.join(outdir, f"report_exit_k{k}.csv")
-        _write_csv(path, _base_meta(config), ["eps", "log_mass", "fit_C"],
-                   list(fit.rows()), precision)
+        _write_csv(path, _base_meta(config), fit.columns(), precision)
         ctx["written"].append(path)
         tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
         exit_ok = fit.r_squared >= EXIT_R2_MIN and abs(fit.ratio - 1.0) <= tol
         entries.append((f"exit_k{k}", "fit_c", fit.fit_c, exit_ok, path))
 
-    tilt_rows = []
-    tilt_ok = True
+    bounds = []
     for k, tilt, s in TILT_PRESETS:
         spec = PurePower(k=k)
         sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, s)))
-        bound = tilted_bound_check(sym, k, tilt, s)
-        tilt_rows.append((k, tilt, s, bound.measured, bound.predicted,
-                          bound.bound, bound.passed))
-        tilt_ok = tilt_ok and bound.passed
+        bounds.append(tilted_bound_check(sym, k, tilt, s))
+    k_col, tilt_col, s_col = zip(*TILT_PRESETS)
+    passes = [b.passed for b in bounds]
     path = os.path.join(outdir, "report_tilted.csv")
-    _write_csv(path, _base_meta(config),
-               ["k", "xi_tilt", "s", "measured", "predicted", "bound", "pass"],
-               tilt_rows, precision)
+    _write_csv(path, _base_meta(config), {
+        "k": k_col, "xi_tilt": tilt_col, "s": s_col,
+        "measured": [b.measured for b in bounds],
+        "predicted": [b.predicted for b in bounds],
+        "bound": [b.bound for b in bounds],
+        "pass": passes,
+    }, precision)
     ctx["written"].append(path)
-    entries.append(("tilted", "presets", len(tilt_rows), tilt_ok, path))
+    entries.append(("tilted", "presets", len(bounds), all(passes), path))
 
     passed = all(e[3] for e in entries)
-    summary_rows = [
-        (exp, metric, value, ok, os.path.basename(csv))
-        for exp, metric, value, ok, csv in entries
-    ]
+    exps, metrics, values, oks, csvs = zip(*entries)
+    summary = {"experiment": exps, "metric": metrics, "value": values,
+               "passed": oks, "csv_path": [os.path.basename(c) for c in csvs]}
     path = os.path.join(outdir, "report.csv")
-    _write_csv(path, _base_meta(config),
-               ["experiment", "metric", "value", "passed", "csv_path"],
-               summary_rows, precision)
+    _write_csv(path, _base_meta(config), summary, precision)
     ctx["written"].append(path)
     measured = {f"{exp}.{metric}": value for exp, metric, value, _, _ in entries}
     return ReportSummary(

@@ -135,19 +135,35 @@ def _real_part(values: np.ndarray, context: str) -> np.ndarray:
     return values.real
 
 
+def _source_point(x, d: int) -> np.ndarray:
+    """x as a finite point of T^d; a scalar is broadcast to every axis."""
+    try:
+        xv = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"source point must be numeric, got {x!r}") from None
+    if xv.ndim == 0:
+        xv = np.full(d, xv)
+    if xv.shape != (d,):
+        raise ValidationError(
+            f"source point must be a scalar or have shape ({d},), got shape {xv.shape}")
+    if not np.all(np.isfinite(xv)):
+        raise ValidationError(f"source point must be finite, got {x!r}")
+    return xv
+
+
 def heat_kernel(symbol: Symbol, t: float, x=0.0, resolution: int = 256,
                 threshold: float = 1e-12) -> KernelField:
     """Kernel p_t(x, y_j) on the uniform grid, via the inverse transform of
-    exp(-t a(xi)) exp(-i xi x)."""
+    exp(-t a(xi)) exp(-i xi x).  In 2-D a scalar x stands for (x, x)."""
     _require_time(t)
     _require_dissipative(symbol)
+    xv = _source_point(x, symbol.grid.dimension)
     diag = _check_truncation(symbol, t, threshold)
     pts = symbol.grid.points.astype(float)
     mult = np.exp(-t * symbol.values)
     if symbol.grid.dimension == 1:
-        phase = np.exp(-1j * pts[:, 0] * float(x))
+        phase = np.exp(-1j * pts[:, 0] * xv[0])
     else:
-        xv = np.asarray(x, dtype=float).reshape(2)
         phase = np.exp(-1j * (pts @ xv))
     vals = _ifft_field(symbol.grid, mult * phase, resolution)
     out = _real_part(vals, "heat_kernel")

@@ -476,8 +476,12 @@ class Symbol:
 
 
 def _negation_permutation(grid: FrequencyGrid) -> np.ndarray:
-    index = {tuple(p): i for i, p in enumerate(grid.points)}
-    return np.array([index[tuple(-p)] for p in grid.points])
+    """Lattice index of -p for every point p, looked up in the dense box
+    [-N, N]^d that the lattice fills."""
+    n, pts = grid.cutoff, grid.points
+    box = np.empty((2 * n + 1,) * grid.dimension, dtype=np.intp)
+    box[tuple((pts + n).T)] = np.arange(grid.size)
+    return box[tuple((n - pts).T)]
 
 
 def _probe_nonnegative(spec: OperatorSpec, n: int) -> bool:

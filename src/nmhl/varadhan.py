@@ -118,12 +118,14 @@ class ScalingCurve:
     def power(self) -> float:
         return 1.0 / (2 * self.k - 1)
 
-    def rows(self):
-        for i in range(self.t.size):
-            yield (
-                float(self.t[i]), float(self.values[i]), self.target,
-                float(self.slack[i]), bool(self.pointwise_pass[i]),
-            )
+    def columns(self) -> dict:
+        return {
+            "t": np.asarray(self.t, dtype=float),
+            "v_t": np.asarray(self.values, dtype=float),
+            "target": np.full(self.t.size, self.target, dtype=float),
+            "slack": np.asarray(self.slack, dtype=float),
+            "pass": np.asarray(self.pointwise_pass, dtype=bool),
+        }
 
 
 def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
@@ -314,9 +316,12 @@ class ExitBoundFit:
     def ratio(self) -> float:
         return self.fit_c / self.chernoff_c if self.chernoff_c else math.inf
 
-    def rows(self):
-        for i in range(self.eps.size):
-            yield float(self.eps[i]), float(self.log_mass[i]), self.fit_c
+    def columns(self) -> dict:
+        return {
+            "eps": np.asarray(self.eps, dtype=float),
+            "log_mass": np.asarray(self.log_mass, dtype=float),
+            "fit_C": np.full(self.eps.size, self.fit_c, dtype=float),
+        }
 
 
 def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,

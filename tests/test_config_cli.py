@@ -1,13 +1,18 @@
 """Config parsing/serialization, the experiment runner's CSV contract, and the
 command-line front-end."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmhl
 from nmhl import (
     ParseError,
     ValidationError,
@@ -17,6 +22,7 @@ from nmhl import (
     serialize_config,
 )
 from nmhl.cli import main
+from nmhl.presets import exit_epsilons
 from nmhl.runner import resolve_threads
 
 KERNEL_TEXT = """\
@@ -227,6 +233,96 @@ def test_matrix_and_q_parsing_errors():
                      "[experiment]\nkind = kernel\nt = 1\n")
 
 
+NONFINITE_SECTIONED = [
+    # (section body, experiment body): one non-finite float in each place
+    ("variant = levy\nl = 1\nalpha_levy = nan", "kind = kernel\nt = 1"),
+    ("variant = levy\nl = 1\nalpha_levy = -0.5\nsupport = inf",
+     "kind = kernel\nt = 1"),
+    ("variant = levy\nl = 1\nalpha_levy = -0.5\ntol = NaN", "kind = kernel\nt = 1"),
+    ("variant = fractional\nk = 1\nalpha_frac = nan", "kind = kernel\nt = 1"),
+    ("variant = quadratic_form\nk = 1\na_matrix = 1,nan;0,1",
+     "kind = kernel\nt = 1"),
+    ("variant = perturbed\nk = 2\nq = 2:inf", "kind = kernel\nt = 1"),
+    ("variant = pure_power\nk = 1", "kind = kernel\nt = inf"),
+    ("variant = pure_power\nk = 1", "kind = rate\nx = nan"),
+    ("variant = pure_power\nk = 1", "kind = rate\ny = -inf"),
+    ("variant = pure_power\nk = 1", "kind = exit\neps_factor = nan"),
+]
+
+
+@pytest.mark.parametrize("operator, experiment", NONFINITE_SECTIONED)
+def test_nonfinite_numbers_are_rejected_at_parse_time(operator, experiment):
+    text = f"[operator]\n{operator}\n\n[experiment]\n{experiment}\n"
+    with pytest.raises(ValidationError, match="finite"):
+        parse_config(text)
+
+
+def test_nonfinite_numbers_are_rejected_in_every_front_end():
+    grid = ("[operator]\nvariant = pure_power\nk = 1\n[grid]\naux_extent = inf\n"
+            "[experiment]\nkind = kernel\nt = 1\n")
+    with pytest.raises(ValidationError, match="finite"):
+        parse_config(grid)
+    with pytest.raises(ValidationError, match="integer"):
+        parse_config(KERNEL_TEXT.replace("precision = 12", "precision = nan"))
+    for body in (
+        '{"operator": {"variant": "pure_power", "k": 1},'
+        ' "experiment": {"kind": "kernel", "t": NaN}}',
+        '{"operator": {"variant": "pure_power", "k": 1},'
+        ' "experiment": {"kind": "rate", "x": -Infinity}}',
+        '{"operator": {"variant": "quadratic_form", "k": 1,'
+        ' "a_matrix": [[1, 0], [0, Infinity]]}, "experiment": {"kind": "kernel", "t": 1}}',
+        '{"operator": {"variant": "perturbed", "k": 2, "q": {"2": NaN}},'
+        ' "experiment": {"kind": "kernel", "t": 1}}',
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_config(body)
+    # malformed JSON matrix rows and q exponents are typed errors as well
+    with pytest.raises(ValidationError, match="not a list"):
+        parse_config('{"operator": {"variant": "quadratic_form", "k": 1,'
+                     ' "a_matrix": [1, 2]}, "experiment": {"kind": "kernel", "t": 1}}')
+    with pytest.raises(ValidationError, match="q exponent"):
+        parse_config('{"operator": {"variant": "perturbed", "k": 2, "q": {"x": 0.1}},'
+                     ' "experiment": {"kind": "kernel", "t": 1}}')
+    with pytest.raises(ValidationError, match="finite"):
+        apply_overrides(kernel_config(), ["experiment.x=nan"])
+    with pytest.raises(ValidationError, match="finite"):
+        apply_overrides(kernel_config(), ["experiment.t=inf"])
+
+
+def test_cli_rejects_a_nan_endpoint_quickly(tmp_path):
+    # a NaN endpoint once sent the action descent into a run of many minutes
+    path = write_config(tmp_path, "[operator]\nvariant = pure_power\nk = 1\n\n"
+                                  "[experiment]\nkind = rate\nx = nan\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nmhl.__file__)))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmhl", "rate", "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "ValidationError" in proc.stderr and "finite" in proc.stderr
+    assert time.monotonic() - start < 15.0
+
+
+def test_exit_default_grid_matches_the_preset_for_every_k(tmp_path):
+    text = ("[operator]\nvariant = pure_power\nk = {k}\n\n"
+            "[experiment]\nkind = exit\n")
+    for k in (1, 2, 3):
+        params = parse_config(text.format(k=k)).experiment.params
+        eps = [params["eps_start"] * params["eps_factor"] ** j
+               for j in range(params["eps_count"])]
+        assert eps == pytest.approx(exit_epsilons(k), rel=1e-12)
+    # k=2 with every default once raised FitUnstable (R^2 = 0.9737 on 6 points)
+    summary = run(parse_config(text.format(k=2)), out_dir=str(tmp_path / "k2"))
+    assert summary.measured["r_squared"] >= 0.99
+    # the k=1 default grid did not change: same bytes as before
+    run(parse_config(text.format(k=1)), out_dir=str(tmp_path / "k1"))
+    digest = hashlib.sha256((tmp_path / "k1" / "exit.csv").read_bytes()).hexdigest()
+    assert digest == "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88"
+
+
 def test_overrides_apply_and_revalidate():
     cfg = kernel_config()
     changed = apply_overrides(cfg, ["experiment.t=0.5", "output.precision=8"])
@@ -293,7 +389,7 @@ def test_failed_runs_remove_partial_outputs(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise NmhlError("injected failure")
 
-    monkeypatch.setattr("nmhl.runner._ibp_rows", boom)
+    monkeypatch.setattr("nmhl.runner._ibp_columns", boom)
     text = ("[operator]\nvariant = pure_power\nk = 2\n\n"
             "[experiment]\nkind = report\n")
     with pytest.raises(NmhlError, match="injected"):

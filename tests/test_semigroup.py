@@ -22,7 +22,7 @@ from nmhl import (
     spatial_grid,
     tilted_semigroup,
 )
-from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged
+from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
 from nmhl.presets import duhamel_pair
 from nmhl.semigroup import DuhamelConfig
 
@@ -65,6 +65,26 @@ def test_drift_term_translates_the_kernel():
     np.testing.assert_allclose(
         kern.values, oracles.wrapped_gaussian(t, kern.points - c * t), atol=1e-12
     )
+
+
+def test_2d_kernel_takes_a_scalar_source_point():
+    # a scalar x in 2-D stands for (x, x); the Gaussian kernel factorizes
+    sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 24))
+    t, x = 0.1, 0.7
+    assert np.array_equal(heat_kernel(sym, t).values,
+                          heat_kernel(sym, t, x=(0.0, 0.0)).values)
+    kern = heat_kernel(sym, t, x=x, resolution=64)
+    assert np.array_equal(kern.values,
+                          heat_kernel(sym, t, x=np.array([x, x]), resolution=64).values)
+    pts = kern.points
+    expected = (oracles.wrapped_gaussian(t, pts[..., 0] - x)
+                * oracles.wrapped_gaussian(t, pts[..., 1] - x))
+    np.testing.assert_allclose(kern.values, expected, atol=1e-12)
+    for bad in [(0.0, 1.0, 2.0), [[0.0, 1.0]], math.nan, (0.0, math.inf), "origin"]:
+        with pytest.raises(ValidationError, match="source point"):
+            heat_kernel(sym, t, x=bad)
+    with pytest.raises(ValidationError, match="source point"):
+        heat_kernel(gaussian_symbol(), t, x=math.nan)
 
 
 def test_kernel_values_agree_with_dense_grid():

@@ -27,6 +27,7 @@ from nmhl.errors import (
     NonPositiveDefiniteForm,
     ValidationError,
 )
+from nmhl.spectral import _negation_permutation
 
 # frozen from tests/oracles.py (midpoint Riemann + Richardson, flat density
 # on (0,1], l=1, alpha=-0.5)
@@ -64,6 +65,14 @@ def test_symbol_even_under_frequency_negation(k, n):
     by_freq = dict(zip(xi.tolist(), sym.values))
     for f in xi.tolist():
         assert by_freq[f] == pytest.approx(np.conj(by_freq[-f]))
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 7), (2, 1), (2, 9)])
+def test_negation_permutation_maps_each_point_to_its_negative(d, n):
+    grid = FrequencyGrid(d, n)
+    neg = _negation_permutation(grid)
+    np.testing.assert_array_equal(grid.points[neg], -grid.points)
+    np.testing.assert_array_equal(np.sort(neg), np.arange(grid.size))
 
 
 def test_quadratic_form_identity_matches_pure_power():
