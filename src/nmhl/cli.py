@@ -66,6 +66,12 @@ def main(argv=None) -> int:
     except NmhlError as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input: still exit 2, never the
+        # "pass rule failed" code 1 an uncaught exception would give
+        print(f"{args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
     for key in sorted(summary.measured):
         print(f"{key} = {summary.measured[key]}")

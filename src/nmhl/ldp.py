@@ -3,7 +3,7 @@ the control function l(x, y) by path optimization on the circle.
 
 For the x-independent Lagrangians all presets use, the constant-speed
 straight line is the exact minimizer (Jensen); the optimizer exists to verify
-that from perturbed starts and to serve x-dependent extensions.
+that from perturbed starts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import solve_banded
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI
@@ -151,10 +152,11 @@ class Lagrangian:
     slopes: np.ndarray
     growth_order: float   # 2k/(2k-1) exponent of the sandwich
     hamiltonian: Hamiltonian
-    x_dependent: bool = False
 
     def __post_init__(self):
         self._spline = CubicHermiteSpline(self.p_grid, self.values, self.slopes)
+        self._slope = self._spline.derivative()
+        self._curvature = self._slope.derivative()
 
     def __call__(self, p):
         arr = np.atleast_1d(np.asarray(p, dtype=float))
@@ -166,14 +168,27 @@ class Lagrangian:
             out[~inside] = [legendre(self.hamiltonian, float(v)) for v in arr[~inside]]
         return out.reshape(np.shape(p)) if np.ndim(p) else float(out[0])
 
-    def value_at(self, x, p):
-        # x-independent: position is ignored
-        return self(p)
+    def derivatives(self, p: np.ndarray):
+        """(L'(p), L''(p)) of the spline at an array of momenta.  Off the
+        table L' is the exact maximizer xi*(p) and L'' is unknown (nan)."""
+        inside = (p >= self.p_grid[0]) & (p <= self.p_grid[-1])
+        d1 = np.empty(p.shape)
+        d2 = np.full(p.shape, np.nan)
+        d1[inside] = self._slope(p[inside])
+        d2[inside] = self._curvature(p[inside])
+        if (~inside).any():
+            d1[~inside] = [_legendre_full(self.hamiltonian, float(v))[1]
+                           for v in p[~inside]]
+        return d1, d2
 
 
 def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
     """Tabulate the conjugate on a symmetric grid clustered near p = 0 (the
     sandwich exponent makes L flat there and steep at the ends)."""
+    if not math.isfinite(p_max):
+        raise ValidationError(f"p_max must be finite, got {p_max}")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValidationError(f"the node count must be an integer, got {n!r}")
     if p_max <= 0:
         raise ValidationError(f"p_max must be > 0, got {p_max}")
     if n < 9:
@@ -275,13 +290,7 @@ def straight_path(x: float, y: float, winding: int, m: int = 64) -> PathPL:
 def action(path: PathPL, lagrangian) -> float:
     """Midpoint-rule action; exact for x-independent L on PL paths since the
     velocity is constant per segment."""
-    m = path.segments
-    v = np.diff(path.nodes) * m
-    if getattr(lagrangian, "x_dependent", False):
-        mids = 0.5 * (path.nodes[1:] + path.nodes[:-1])
-        vals = np.array([lagrangian.value_at(float(xm), float(vv)) for xm, vv in zip(mids, v)])
-        return float(np.sum(vals) / m)
-    return float(np.sum(np.asarray(lagrangian(v))) / m)
+    return _action_of_nodes(path.nodes, lagrangian)
 
 
 @dataclass
@@ -294,22 +303,21 @@ class RateResult:
     residual: float
 
 
+def _action_of_nodes(nodes: np.ndarray, lagrangian) -> float:
+    m = nodes.size - 1
+    v = np.diff(nodes) * m
+    return float(np.sum(np.asarray(lagrangian(v))) / m)
+
+
 def _fd_gradient(nodes: np.ndarray, lagrangian) -> np.ndarray:
     """Central finite differences in the interior nodes, vectorized through the
-    segment velocities (a node only touches its two segments)."""
+    segment velocities (a node only touches its two segments).  This is the
+    first-order check the descent stops on and reports, independent of the
+    spline derivatives the Newton steps use."""
     m = nodes.size - 1
     v = np.diff(nodes) * m
     delta = 1e-6 * (1.0 + np.abs(nodes[1:-1]))
     dv = delta * m
-    if getattr(lagrangian, "x_dependent", False):
-        grad = np.empty(m - 1)
-        for j in range(1, m):
-            up = nodes.copy(); up[j] += delta[j - 1]
-            dn = nodes.copy(); dn[j] -= delta[j - 1]
-            su = _action_of_nodes(up, lagrangian)
-            sd = _action_of_nodes(dn, lagrangian)
-            grad[j - 1] = (su - sd) / (2.0 * delta[j - 1])
-        return grad
     # moving node j by +d changes v_{j-1} by +d*m and v_j by -d*m, so the
     # whole gradient needs only four vectorized table lookups
     l_left_up = np.asarray(lagrangian(v[:-1] + dv))
@@ -319,52 +327,90 @@ def _fd_gradient(nodes: np.ndarray, lagrangian) -> np.ndarray:
     return (l_left_up - l_left_dn + l_right_dn - l_right_up) / (2.0 * delta * m)
 
 
-def _descend(nodes: np.ndarray, lagrangian, max_iter: int,
+def _residual(nodes: np.ndarray, lagrangian) -> float:
+    grad = _fd_gradient(nodes, lagrangian)
+    return float(np.max(np.abs(grad))) if grad.size else 0.0
+
+
+def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
+    """Exact gradient of the action in the interior nodes and the descent
+    directions to try, Newton's first when the Hessian is positive definite.
+
+    With v_j = m (x_{j+1} - x_j), dS/dx_j = L'(v_{j-1}) - L'(v_j) and the
+    Hessian is tridiagonal, m (L''(v_{j-1}) + L''(v_j)) on the diagonal and
+    -m L''(v_j) off it.  It equals m B^T diag(L''(v)) B for the full-rank
+    difference matrix B, so L'' > 0 on every segment makes it positive
+    definite.
+    """
+    m = nodes.size - 1
+    d1, d2 = lagrangian.derivatives(np.diff(nodes) * m)
+    grad = d1[:-1] - d1[1:]
+    if not np.all(np.isfinite(grad)):
+        raise OptimizerStalled("the action gradient is not finite")
+    steepest = (-grad, 0.1 / (1.0 + float(np.max(np.abs(grad)))))
+    if not np.all(d2 > 0):   # nan off the table, or a non-convex piece
+        return grad, [steepest]
+    bands = np.zeros((3, m - 1))
+    bands[0, 1:] = -m * d2[1:-1]
+    bands[1] = m * (d2[:-1] + d2[1:])
+    bands[2, :-1] = -m * d2[1:-1]
+    newton = -solve_banded((1, 1), bands, grad)
+    if not np.all(np.isfinite(newton)):
+        raise OptimizerStalled("the Newton step is not finite")
+    return grad, [(newton, 1.0), steepest]
+
+
+def _line_search(phi: np.ndarray, s_val: float, lagrangian, grad: np.ndarray,
+                 direction: np.ndarray, alpha: float):
+    """Armijo backtracking; an increase within a few ulps of S counts as
+    no increase, since near the minimum the decrease is below rounding."""
+    slope = float(grad @ direction)
+    slack = 4.0 * np.finfo(float).eps * abs(s_val)
+    for _ in range(60):
+        trial = phi.copy()
+        trial[1:-1] = phi[1:-1] + alpha * direction
+        s_trial = _action_of_nodes(trial, lagrangian)
+        if not math.isfinite(s_trial):
+            raise OptimizerStalled(f"the action is not finite ({s_trial})")
+        if s_trial <= s_val + 1e-4 * alpha * slope + slack:
+            return trial, s_trial
+        alpha *= 0.5
+    return None
+
+
+def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
              residual_target: float, stall_tol: float):
-    """Gradient descent with backtracking; Barzilai-Borwein step proposal."""
+    """Safeguarded Newton descent on the interior nodes.
+
+    Stops once the central-difference residual meets the target; a start
+    that already meets it (the straight line) returns at iteration 0.  A
+    step that no direction can make, or one that leaves the path unchanged,
+    ends the descent early: later iterations would repeat it.
+    """
     phi = nodes.copy()
     s_val = _action_of_nodes(phi, lagrangian)
-    grad = _fd_gradient(phi, lagrangian)
-    step = 0.1 / (1.0 + float(np.max(np.abs(grad))))
+    res = _residual(phi, lagrangian)
     it = 0
-    for it in range(1, max_iter + 1):
-        res = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if res <= residual_target:
-            return phi, s_val, it - 1, res
-        gnorm2 = float(grad @ grad)
-        trial_step = step
-        for _ in range(60):
-            trial = phi.copy()
-            trial[1:-1] = phi[1:-1] - trial_step * grad
-            s_trial = _action_of_nodes(trial, lagrangian)
-            if s_trial <= s_val - 1e-4 * trial_step * gnorm2:
+    while it < max_iter and not res <= residual_target:
+        if not math.isfinite(s_val):
+            raise OptimizerStalled(f"the action is not finite ({s_val})")
+        grad, directions = _search_directions(phi, lagrangian)
+        step = None
+        for direction, alpha in directions:
+            step = _line_search(phi, s_val, lagrangian, grad, direction, alpha)
+            if step is not None:
                 break
-            trial_step *= 0.5
-        grad_new = _fd_gradient(trial, lagrangian)
-        d_phi = trial[1:-1] - phi[1:-1]
-        d_grad = grad_new - grad
-        denom = float(d_phi @ d_grad)
-        step = float(d_phi @ d_phi) / denom if denom > 1e-300 else trial_step * 2.0
-        step = min(max(step, 1e-12), 1e3)
-        phi, s_val, grad = trial, s_trial, grad_new
-    res = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if res > stall_tol:
+        if step is None or np.array_equal(step[0], phi):
+            break
+        phi, s_val = step
+        res = _residual(phi, lagrangian)
+        it += 1
+    if res > stall_tol or not math.isfinite(res):
         raise OptimizerStalled(
             f"first-order residual {res:.3e} above {stall_tol:.1e} "
-            f"after {max_iter} iterations"
+            f"after {it} iterations"
         )
     return phi, s_val, it, res
-
-
-def _action_of_nodes(nodes: np.ndarray, lagrangian) -> float:
-    m = nodes.size - 1
-    v = np.diff(nodes) * m
-    if getattr(lagrangian, "x_dependent", False):
-        mids = 0.5 * (nodes[1:] + nodes[:-1])
-        return float(
-            sum(lagrangian.value_at(float(a), float(b)) for a, b in zip(mids, v)) / m
-        )
-    return float(np.sum(np.asarray(lagrangian(v))) / m)
 
 
 def rate_function(x: float, y: float, lagrangian, m: int = 64,
@@ -376,6 +422,9 @@ def rate_function(x: float, y: float, lagrangian, m: int = 64,
     `perturb` bends the straight initial path by a deterministic sinusoid so
     tests can exercise the descent; the production default starts straight.
     """
+    for name, value in (("x", x), ("y", y), ("perturb", perturb)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if m < 2:
         raise ValidationError(f"need at least 2 segments, got {m}")
     if winding_max < 0:

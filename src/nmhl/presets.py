@@ -79,13 +79,6 @@ def make_operator(variant: str, *, k: int | None = None, d: int = 1,
     raise ValidationError(f"unknown operator variant {variant!r}")
 
 
-def standard_symbol(spec: OperatorSpec, t_min: float,
-                    cutoff: int | None = None) -> Symbol:
-    """Symbol on a lattice sized by the cutoff rule at the smallest time."""
-    n = cutoff if cutoff is not None else auto_cutoff(spec, t_min)
-    return build_symbol(spec, FrequencyGrid(spec.dimension, max(4, n)))
-
-
 # ---------------------------------------------------------------------------
 # experiment presets
 
@@ -104,7 +97,6 @@ def exit_epsilons(k: int) -> np.ndarray:
 
 
 EXIT_DELTA = 0.5
-EXIT_TIME = 0.1
 
 #: (k, xi_tilt, s) with eps = 1; the k = 2 grid stays in the regime where the
 #: quartic tilt is dominated by the dissipation on the unit lattice.  The

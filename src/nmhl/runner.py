@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, _to_mapping
-from .errors import NmhlError, ValidationError
+from .errors import ValidationError
 from .grids import TWO_PI, FrequencyGrid, spatial_grid
 from .ldp import hamiltonian_for, lagrangian_table, rate_function
 from .malliavin import AugmentedOperator, ibp_check
@@ -471,7 +471,7 @@ def run(config: RunConfig, out_dir: str | None = None,
         raise ValidationError(f"unknown experiment {config.experiment.kind!r}")
     try:
         return handler(config, ctx)
-    except NmhlError:
+    except BaseException:
         for p in ctx["written"]:
             if os.path.exists(p):
                 os.remove(p)

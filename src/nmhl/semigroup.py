@@ -10,6 +10,7 @@ interface wraps this.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -224,38 +225,83 @@ def _mp_symbol(spec: OperatorSpec, n: int):
     )
 
 
-def log_abs_kernel(spec: OperatorSpec, t: float, z: float, guard: float = 40.0) -> float:
-    """log |p_t(0, z)| for a 1-d polynomial symbol, at whatever precision the
-    cancellation demands.
+def _mp_degree(spec: OperatorSpec) -> int | None:
+    """Degree of the symbol as a polynomial in n; None for fractional powers."""
+    if isinstance(spec, (Rescaled, Perturbed)):
+        return _mp_degree(spec.base)   # a perturbation has a lower degree
+    if isinstance(spec, (PurePower, QuadraticForm)):
+        return 2 * spec.k
+    return None
 
-    The Fourier sum is recomputed with cutoff and working precision driven by
-    the current estimate of log p until the estimate stabilizes; double
-    precision dies once |log p| approaches ~30.
+
+def _mp_damping(spec: OperatorSpec, t: float):
+    """exp(-t a(n)) for n = 0, 1, 2, ... at the working precision.
+
+    For a polynomial a of degree D the forward differences of f = -t a obey
+    exp(D^j f(n+1)) = exp(D^j f(n)) exp(D^(j+1) f(n)), and D^D f is constant:
+    D products per term and no exponential after the first D + 1.
     """
-    _require_time(t)
+    degree = _mp_degree(spec)
+    mt = -mp.mpf(t)
+    if degree is None:
+        for n in itertools.count():
+            yield mp.exp(mt * _mp_symbol(spec, n))
+    diffs = [_mp_symbol(spec, n) for n in range(degree + 1)]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    factors = [mp.exp(mt * d) for d in diffs]
+    while True:
+        yield factors[0]
+        for j in range(degree):
+            factors[j] *= factors[j + 1]
+
+
+def _mp_log_fourier(spec: OperatorSpec, t: float, est: float, waves, weight,
+                    guard: float = 40.0):
+    """(log |S|, sign of S) for S = (1/2 pi) sum_{|n| <= N} exp(-t a(n)) w(n),
+    an even 1-d symbol a, at whatever precision the cancellation demands.
+
+    Each wave (f, theta), f being mp.cos or mp.sin, is the sequence
+    f(n theta), run by the three-term recurrence
+    x(n+1) = 2 cos(theta) x(n) - x(n-1); ``weight(n, x)`` combines the
+    waves' values at n into w(n) = w(-n).  The sum is recomputed with cutoff
+    N and working precision driven by the current estimate of log |S|,
+    starting from ``est``, until the estimate stabilizes; double precision
+    dies once |log S| approaches ~30.
+    """
     if isinstance(spec, Rescaled) and spec.freq_scale != 1.0:
         raise ValidationError("frequency-rescaled specs are not supported here")
-    m_order = spec.order
-    est = 0.0
     for _ in range(10):
         need = abs(est) + guard
-        n_cut = int(math.ceil((need / t) ** (1.0 / m_order))) + 4
+        n_cut = int(math.ceil((need / t) ** (1.0 / spec.order))) + 4
         dps = 30 + int(need / math.log(10.0))
         with mp.workdps(dps):
-            zz = mp.mpf(z)
-            a0 = _mp_symbol(spec, 0)
-            total = mp.e ** (-mp.mpf(t) * a0)
+            thetas = [mp.mpf(theta) for _, theta in waves]
+            twice_cos = [2 * mp.cos(theta) for theta in thetas]
+            prev = [f(-theta) for (f, _), theta in zip(waves, thetas)]
+            x = [f(mp.mpf(0)) for f, _ in waves]
+            damping = _mp_damping(spec, t)
+            total = next(damping) * weight(0, x)
             for n in range(1, n_cut + 1):
-                an = _mp_symbol(spec, n)
-                total += 2 * mp.e ** (-mp.mpf(t) * an) * mp.cos(n * zz)
+                x, prev = [c * xn - xp for c, xn, xp in zip(twice_cos, x, prev)], x
+                total += 2 * next(damping) * weight(n, x)
             total = total / (2 * mp.pi)
             if total == 0:
-                return float("-inf")
+                return -math.inf, 0
             logp = float(mp.log(abs(total)))
         if abs(logp) <= abs(est) + 5.0:
-            return logp
+            break
         est = logp
-    return logp
+    return logp, (1 if total > 0 else -1)
+
+
+def log_abs_kernel(spec: OperatorSpec, t: float, z: float, guard: float = 40.0) -> float:
+    """log |p_t(0, z)| for a 1-d polynomial symbol, at whatever precision the
+    cancellation demands (see `_mp_log_fourier`)."""
+    _require_time(t)
+    return _mp_log_fourier(spec, t, 0.0, ((mp.cos, z),),
+                           lambda n, x: x[0], guard)[0]
 
 
 def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,

@@ -21,7 +21,7 @@ from .ldp import Hamiltonian, hamiltonian_for, legendre, maslov_scaled_symbol
 from .malliavin import exponent_fit
 from .semigroup import (
     TiltSpec,
-    _mp_symbol,
+    _mp_log_fourier,
     heat_kernel,
     kernel_values,
     log_abs_kernel,
@@ -194,27 +194,13 @@ def _mp_interval_mass(spec, t: float, lo: float, hi: float, l_floor: float,
                       power: float, guard: float = 40.0) -> float:
     """log of integral_lo^hi p_t(0, y) dy for a positive-kernel polynomial
     symbol, via the exact Fourier antiderivative at adaptive precision."""
-    est = l_floor / t**power
-    for _ in range(10):
-        need = abs(est) + guard
-        n_cut = int(math.ceil((need / t) ** (1.0 / spec.order))) + 4
-        dps = 30 + int(need / math.log(10.0))
-        with mp.workdps(dps):
-            a, b = mp.mpf(lo), mp.mpf(hi)
-            total = mp.e ** (-mp.mpf(t) * _mp_symbol(spec, 0)) * (b - a)
-            for n in range(1, n_cut + 1):
-                an = _mp_symbol(spec, n)
-                damp = mp.e ** (-mp.mpf(t) * an)
-                # int_a^b 2 cos(n y) dy = 2 (sin(n b) - sin(n a)) / n
-                total += 2 * damp * (mp.sin(n * b) - mp.sin(n * a)) / n
-            total = total / (2 * mp.pi)
-            if total <= 0:
-                return -math.inf
-            logm = float(mp.log(total))
-        if abs(logm) <= abs(est) + 5.0:
-            return logm
-        est = logm
-    return logm
+    def weight(n, x):
+        # int_lo^hi cos(n y) dy = (sin(n hi) - sin(n lo)) / n
+        return (x[1] - x[0]) / n if n else mp.mpf(hi) - mp.mpf(lo)
+
+    logm, sign = _mp_log_fourier(spec, t, l_floor / t**power,
+                                 ((mp.sin, lo), (mp.sin, hi)), weight, guard)
+    return logm if sign > 0 else -math.inf
 
 
 def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,

@@ -113,6 +113,20 @@ def quartic_diag(t: float, dps: int = 30) -> float:
         return float(total / (2 * mp.pi))
 
 
+def mp_fourier_log(symbol, weight, t: float, n_cut: int, dps: int = 80) -> float:
+    """log |(1/2pi) sum_{|n| <= n_cut} exp(-t a(n)) w(n)| for even a and w,
+    summed term by term: one exp and one weight evaluation per n, at a fixed
+    precision and cutoff the caller chooses with room to spare.  ``symbol``
+    and ``weight`` take an mpf n and return mpf values."""
+    with mp.workdps(dps):
+        mt = -mp.mpf(t)
+        total = mp.exp(mt * symbol(mp.mpf(0))) * weight(mp.mpf(0))
+        for n in range(1, n_cut + 1):
+            nn = mp.mpf(n)
+            total += 2 * mp.exp(mt * symbol(nn)) * weight(nn)
+        return float(mp.log(abs(total / (2 * mp.pi))))
+
+
 # ---------------------------------------------------------------------------
 # compensated jump generator, flat density on (0, 1]
 

@@ -495,3 +495,25 @@ def test_cli_bad_override_exits_two(tmp_path, capsys):
     code = main(["kernel", "--config", path, "--override", "nonsense"])
     assert code == 2
     assert "not section.key=value" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_two_and_leaves_no_csv(tmp_path, capsys,
+                                                         monkeypatch):
+    # a fault of the program (not an NmhlError) after the CSVs are written
+    from nmhl import runner
+
+    real = runner._HANDLERS["kernel"]
+
+    def broken(config, ctx):
+        real(config, ctx)
+        assert ctx["written"]
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setitem(runner._HANDLERS, "kernel", broken)
+    path = write_config(tmp_path, KERNEL_TEXT)
+    out_dir = tmp_path / "o"
+    code = main(["kernel", "--config", path, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "kernel: internal error: RuntimeError: injected fault"
+    assert list(out_dir.glob("*.csv")) == []

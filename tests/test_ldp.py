@@ -26,7 +26,7 @@ from nmhl import (
     scaling_identity_check,
     straight_path,
 )
-from nmhl.errors import SupUnbounded, ValidationError
+from nmhl.errors import OptimizerStalled, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.presets import flat_density
 from nmhl.spectral import levy_symbol
@@ -220,6 +220,44 @@ def test_rate_function_validates_inputs():
         rate_function(0.0, 1.0, table, m=1)
     with pytest.raises(ValidationError):
         rate_function(0.0, 1.0, table, winding_max=-1)
+
+
+def test_newton_descent_converges_in_a_few_steps():
+    # the perturbed quartic run of the benchmark: five winding classes, a
+    # table out to p = 2 (5 + 4 pi)
+    table = lagrangian_table(h_power(2), p_max=2.0 * (5.0 + 2.0 * TWO_PI))
+    bent = rate_function(0.0, 5.0, table, perturb=0.3)
+    straight = rate_function(0.0, 5.0, table)
+    assert straight.iterations == 0
+    assert 0 < bent.iterations <= 25
+    assert bent.winding == straight.winding == -1
+    assert abs(bent.l_value - straight.l_value) <= 1e-10
+    assert bent.residual <= 1e-8
+
+
+def test_non_finite_action_stalls_at_once():
+    # velocity 3 is off a table that ends at p = 2, where the conjugate
+    # falls back to a Hamiltonian that returns nan
+    table = lagrangian_table(h_power(1), p_max=2.0)
+    table.hamiltonian = Hamiltonian(fun=lambda xi: xi * np.nan, order=2.0)
+    with pytest.raises(OptimizerStalled, match="not finite"):
+        rate_function(0.0, 3.0, table, winding_max=0)
+
+
+@pytest.mark.parametrize("name", ["x", "y", "perturb"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rate_function_rejects_non_finite_inputs(name, bad):
+    table = lagrangian_table(h_power(1), p_max=4.0)
+    args = {"x": 0.0, "y": 1.0, "perturb": 0.0, name: bad}
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        rate_function(args["x"], args["y"], table, perturb=args["perturb"])
+
+
+@pytest.mark.parametrize("p_max, n", [(np.nan, 513), (np.inf, 513),
+                                      (4.0, np.nan), (4.0, np.inf), (4.0, 33.0)])
+def test_lagrangian_table_rejects_non_finite_arguments(p_max, n):
+    with pytest.raises(ValidationError):
+        lagrangian_table(h_power(1), p_max, n=n)
 
 
 @given(y=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))

@@ -114,6 +114,17 @@ REPORT_FAST_SHA256 = {
     "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
 }
 
+VARADHAN_K1 = ("[operator]\nvariant = pure_power\nk = 1\n\n"
+               "[experiment]\nkind = varadhan\n")
+VARADHAN_K1_SHA256 = {
+    "varadhan.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
+}
+RATE_K1 = ("[operator]\nvariant = pure_power\nk = 1\n\n"
+           "[experiment]\nkind = rate\ny = 5.0\n")
+RATE_K1_SHA256 = {
+    "rate.csv": "2354760092ea1af0f8a8a7f4e6b39254eb240d4470444bdc51a9d3e5c65ac776",
+}
+
 
 def csv_hashes(text, out_dir: Path) -> dict:
     run(parse_config(text), out_dir=str(out_dir))
@@ -127,3 +138,11 @@ def test_quadratic_form_2d_kernel_csvs_keep_their_bytes(tmp_path):
 
 def test_fast_report_csvs_keep_their_bytes(tmp_path):
     assert csv_hashes(REPORT_FAST, tmp_path) == REPORT_FAST_SHA256
+
+
+def test_default_k1_varadhan_csv_keeps_its_bytes(tmp_path):
+    assert csv_hashes(VARADHAN_K1, tmp_path) == VARADHAN_K1_SHA256
+
+
+def test_k1_rate_csv_keeps_its_bytes(tmp_path):
+    assert csv_hashes(RATE_K1, tmp_path) == RATE_K1_SHA256

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oracles
 from nmhl import (
+    FractionalPower,
     FrequencyGrid,
     Perturbed,
     PurePower,
@@ -188,6 +190,24 @@ def test_log_abs_kernel_matches_dense_evaluation():
     assert log_abs_kernel(spec, 0.05, z) == pytest.approx(
         math.log(abs(float(dense.values[64]))), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("t, z", [(0.01, 2.0), (0.002, 1.0), (0.002, 3.0)])
+def test_log_abs_kernel_of_a_perturbed_quartic_matches_termwise_sum(t, z):
+    # q = 0.5 (i xi)^2 + 1: a(n) = n^4 - 0.5 n^2 + 1
+    spec = Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.5, (0,): 1.0})
+    ref = oracles.mp_fourier_log(lambda n: n**4 - 0.5 * n**2 + 1,
+                                 lambda n: mp.cos(n * z), t, n_cut=80)
+    assert log_abs_kernel(spec, t, z) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("t, z", [(0.05, 1.0), (0.01, 2.5)])
+def test_log_abs_kernel_of_a_fractional_power_matches_termwise_sum(t, z):
+    # a(n) = (n^2)^(3/4) = |n|^(3/2)
+    spec = FractionalPower(base=PurePower(k=1), alpha_frac=0.75)
+    ref = oracles.mp_fourier_log(lambda n: n**1.5, lambda n: mp.cos(n * z),
+                                 t, n_cut=4000)
+    assert log_abs_kernel(spec, t, z) == pytest.approx(ref, rel=1e-12)
 
 
 def test_derivative_seminorm_grows_as_t_shrinks():

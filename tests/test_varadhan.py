@@ -3,6 +3,7 @@ localized derivative bounds."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from nmhl import (
 from nmhl.errors import FitUnstable, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.spectral import auto_cutoff
-from nmhl.varadhan import C_SLACK
+from nmhl.varadhan import C_SLACK, _mp_interval_mass
 
 
 def power_symbol(k, t_min):
@@ -189,6 +190,20 @@ def test_set_estimate_interior_point_has_zero_target():
     assert curve.passed
     assert curve.target == 0.0
     assert abs(curve.extrapolated) <= 1e-3
+
+
+@pytest.mark.parametrize("t, lo, hi", [(0.01, 0.5, 1.5), (0.002, 2.0, 3.0),
+                                       (0.1 * 0.5**7, -1.1, -0.9)])
+def test_mp_interval_mass_matches_termwise_sum(t, lo, hi):
+    l_floor = min(lo * lo, hi * hi) / 4.0      # nearest endpoint, k = 1
+    need = l_floor / t + 100.0                 # |log mass| with room to spare
+    ref = oracles.mp_fourier_log(
+        lambda n: n**2,
+        lambda n: (mp.sin(n * hi) - mp.sin(n * lo)) / n if n else mp.mpf(hi - lo),
+        t, n_cut=int(math.sqrt(need / t)), dps=30 + int(need / math.log(10.0)),
+    )
+    got = _mp_interval_mass(PurePower(k=1), t, lo, hi, l_floor, 1.0)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_set_estimate_validates_intervals():
