@@ -47,7 +47,9 @@ class ComplexResidue(NmhlError):
 
 
 class SeriesDiverged(NmhlError):
-    """Perturbation series remainder bound stopped decreasing."""
+    """A series failed to converge: the perturbation series remainder bound
+    stopped decreasing, or a multiprecision Fourier sum did not settle
+    within its refinement rounds."""
 
 
 class TiltOutOfDomain(NmhlError):

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
-from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import solve_banded
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI
@@ -101,7 +98,16 @@ def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
 
 
 def _legendre_full(h: Hamiltonian, p: float, xatol: float = 1e-12):
-    """sup_xi (p xi - H(xi)) with the maximizer; bracketing + bounded search."""
+    """sup_xi (p xi - H(xi)) with the maximizer; bracketing + bounded search.
+
+    The maximizer is only as accurate as scipy's bounded method, which stops
+    at sqrt(eps)|xi| + xatol/3, so ``xatol`` is a floor and not the error: on
+    the default 513-node k = 1 table to p = 2(5 + 4 pi) the slopes miss the
+    exact p/2 by up to 2.6e-7 (2.2e-8 from (p/4)^(1/3) at k = 2).  The value
+    is stationary in xi and agrees with the closed form to ~5e-16 relative.
+    """
+    from scipy import optimize  # runtime import: scipy is slow to load
+
     phi = lambda xi: p * xi - float(h(np.array(xi)))
     direction = 1.0 if p >= 0 else -1.0
     hi = direction
@@ -154,6 +160,8 @@ class Lagrangian:
     hamiltonian: Hamiltonian
 
     def __post_init__(self):
+        from scipy.interpolate import CubicHermiteSpline  # runtime import: scipy is slow to load
+
         self._spline = CubicHermiteSpline(self.p_grid, self.values, self.slopes)
         self._slope = self._spline.derivative()
         self._curvature = self._slope.derivative()
@@ -342,6 +350,8 @@ def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
     difference matrix B, so L'' > 0 on every segment makes it positive
     definite.
     """
+    from scipy.linalg import solve_banded  # runtime import: scipy is slow to load
+
     m = nodes.size - 1
     d1, d2 = lagrangian.derivatives(np.diff(nodes) * m)
     grad = d1[:-1] - d1[1:]

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     AuxDomainTooSmall,
@@ -70,6 +69,8 @@ class AugmentedOperator:
         """int_0^t alpha_s ds; closed form for the default s^r."""
         if self.weights is None:
             return t ** (self.r + 1.0) / (self.r + 1.0)
+        from scipy import integrate  # runtime import: scipy is slow to load
+
         val, err = integrate.quad(self.weights, 0.0, t, limit=200)
         if err > 1e-10 * (1.0 + abs(val)):
             raise QuadratureNonConverged(
@@ -264,6 +265,8 @@ def elementary_ibp_check(base: Symbol, direction: int,
     LHS by Gauss-Legendre in s on the two-sided multiplier product; RHS by the
     analytic moment (int_0^t alpha_s ds) (i xi_i) per mode.
     """
+    from scipy import integrate  # runtime import: scipy is slow to load
+
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
     if nodes < 32:
@@ -337,6 +340,8 @@ class GaugePotential:
 
 def _refined_sup(fun, grid: np.ndarray, values: np.ndarray) -> float:
     """Sup of |fun| :  coarse grid argmax polished by bounded scalar search."""
+    from scipy import optimize  # runtime import: scipy is slow to load
+
     i = int(np.argmax(np.abs(values)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -257,6 +257,9 @@ def _mp_damping(spec: OperatorSpec, t: float):
             factors[j] *= factors[j + 1]
 
 
+_MP_ROUNDS = 10   # precision refinements before `_mp_log_fourier` gives up
+
+
 def _mp_log_fourier(spec: OperatorSpec, t: float, est: float, waves, weight,
                     guard: float = 40.0):
     """(log |S|, sign of S) for S = (1/2 pi) sum_{|n| <= N} exp(-t a(n)) w(n),
@@ -268,11 +271,12 @@ def _mp_log_fourier(spec: OperatorSpec, t: float, est: float, waves, weight,
     waves' values at n into w(n) = w(-n).  The sum is recomputed with cutoff
     N and working precision driven by the current estimate of log |S|,
     starting from ``est``, until the estimate stabilizes; double precision
-    dies once |log S| approaches ~30.
+    dies once |log S| approaches ~30.  Raises `SeriesDiverged` when the
+    estimate has not settled after ``_MP_ROUNDS`` rounds.
     """
     if isinstance(spec, Rescaled) and spec.freq_scale != 1.0:
         raise ValidationError("frequency-rescaled specs are not supported here")
-    for _ in range(10):
+    for _ in range(_MP_ROUNDS):
         need = abs(est) + guard
         n_cut = int(math.ceil((need / t) ** (1.0 / spec.order))) + 4
         dps = 30 + int(need / math.log(10.0))
@@ -293,6 +297,11 @@ def _mp_log_fourier(spec: OperatorSpec, t: float, est: float, waves, weight,
         if abs(logp) <= abs(est) + 5.0:
             break
         est = logp
+    else:
+        raise SeriesDiverged(
+            f"multiprecision Fourier sum at t = {t:g} did not settle: last "
+            f"estimate log|S| = {logp:.6g} after {_MP_ROUNDS} rounds"
+        )
     return logp, (1 if total > 0 else -1)
 
 

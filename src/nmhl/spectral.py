@@ -15,7 +15,6 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BranchCut,
@@ -304,6 +303,8 @@ def _exp_comp(w: complex, n: int) -> complex:
 
 
 def _quad_checked(f, a: float, b: float, tol: float) -> float:
+    from scipy import integrate  # runtime import: scipy is slow to load
+
     val, err = integrate.quad(f, a, b, epsabs=tol * 1e-3, epsrel=1e-10, limit=400)
     if err > _QUAD_SLACK * tol * (1.0 + abs(val)):
         raise QuadratureNonConverged(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import optimize
 
 from .errors import FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, wrap_angle
@@ -280,6 +279,8 @@ def chernoff_extremize(h: Hamiltonian, delta: float, s: float,
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError("Chernoff objective does not turn over")
+    from scipy import optimize  # runtime import: scipy is slow to load
+
     res = optimize.minimize_scalar(
         f, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12}
     )

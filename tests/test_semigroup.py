@@ -210,6 +210,18 @@ def test_log_abs_kernel_of_a_fractional_power_matches_termwise_sum(t, z):
     assert log_abs_kernel(spec, t, z) == pytest.approx(ref, rel=1e-12)
 
 
+
+def test_log_abs_kernel_never_returns_an_unsettled_estimate():
+    # |log p| ~ 1000 needs more refinement rounds than the cap allows; the
+    # periodized Gaussian is dominated by its m = 0 image at this t
+    t, z = 0.1 * 0.5**6, 2.5
+    exact = -z * z / (4 * t) - 0.5 * math.log(4 * math.pi * t)
+    try:
+        value = log_abs_kernel(PurePower(k=1), t, z)
+    except SeriesDiverged:
+        return
+    assert value == pytest.approx(exact, rel=1e-9)
+
 def test_derivative_seminorm_grows_as_t_shrinks():
     sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 128))
     c_small = derivative_seminorm(sym, 0.5, 1, 0.01)

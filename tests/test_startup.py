@@ -1,0 +1,69 @@
+"""Cold start: importing nmhl and running experiments that never call scipy
+must not load it.  Each check runs in a fresh interpreter, because this test
+process has long since imported scipy through the oracles and other tests."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nmhl
+
+SRC = Path(nmhl.__file__).resolve().parent.parent
+CONFIGS = sorted((SRC.parent / "perfbench" / "configs").glob("*/*.cfg"))
+
+LOADED_SCIPY = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def child(code: str, cwd: Path):
+    """Run ``code`` in a fresh interpreter and return the scipy modules it
+    left loaded (the JSON list on its last stdout line)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code + LOADED_SCIPY],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_and_config_parsing_load_no_scipy(tmp_path):
+    assert CONFIGS
+    code = (
+        "import nmhl\nimport nmhl.cli\n"
+        f"for path in {[str(p) for p in CONFIGS]!r}:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        nmhl.parse_config(fh.read())\n"
+    )
+    assert child(code, tmp_path) == []
+
+
+def cli_run(tmp_path: Path, kind: str, k: int, params: str):
+    """Run one ``kind`` experiment on ``pure_power`` through
+    ``nmhl.cli.main`` in a child; return the scipy modules it left loaded."""
+    (tmp_path / "run.cfg").write_text(
+        f"[operator]\nvariant = pure_power\nk = {k}\n\n"
+        f"[experiment]\nkind = {kind}\n{params}\n"
+    )
+    code = (
+        "import nmhl.cli\n"
+        f"assert nmhl.cli.main([{kind!r}, '--config', 'run.cfg', "
+        "'--out', 'out']) == 0\n"
+    )
+    loaded = child(code, tmp_path)
+    assert (tmp_path / "out" / f"{kind}.csv").is_file()
+    return loaded
+
+
+def test_a_polynomial_kernel_run_loads_no_scipy(tmp_path):
+    assert cli_run(tmp_path, "kernel", 2, "t = 0.01") == []
+
+
+def test_the_deferred_imports_resolve_as_first_scipy_user(tmp_path):
+    # a rate run needs the Legendre search, the spline and the banded solve
+    loaded = cli_run(tmp_path, "rate", 1, "y = 1.0")
+    assert {"scipy.optimize", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
