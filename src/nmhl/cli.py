@@ -38,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output] directory)")
         p.add_argument("--threads", type=int, default=None,
-                       help="sweep-point parallelism (falls back to "
-                            "NMHL_THREADS, then 1)")
+                       help="accepted and validated (falls back to "
+                            "NMHL_THREADS, then 1); runs are single-threaded")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="config assignment applied before validation "

@@ -26,7 +26,7 @@ class BranchCut(NmhlError):
 
 
 class QuadratureNonConverged(NmhlError):
-    """Adaptive quadrature error estimate stayed above tolerance."""
+    """Quadrature error estimate stayed above tolerance."""
 
 
 # ---- kernel / semigroup evaluation ----

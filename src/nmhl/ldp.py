@@ -80,14 +80,11 @@ def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
             tag="fractional",
         )
     if isinstance(spec, Levy):
-        def f(xi):
-            arr = np.atleast_1d(np.asarray(xi, dtype=float))
-            out = np.array(
-                [levy_hamiltonian(spec.density, spec.l, spec.alpha_levy, float(v)) for v in arr]
-            )
-            return out.reshape(np.shape(xi))
-
-        return Hamiltonian(fun=f, order=2 * spec.l, tag="jump")
+        return Hamiltonian(
+            fun=lambda xi: levy_hamiltonian(spec.density, spec.l, spec.alpha_levy, xi),
+            order=2 * spec.l,
+            tag="jump",
+        )
     raise ValidationError(
         f"no real-phase Hamiltonian for {type(spec).__name__}"
     )

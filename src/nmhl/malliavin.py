@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -119,28 +118,27 @@ def augmented_multiplier(op: AugmentedOperator, t: float, xi, eta) -> complex:
 # auxiliary kernel machinery (quadrature moment path)
 
 
-@lru_cache(maxsize=8)
-def _aux_kernel_table(t: float, aux_order: int, z_max: float,
-                      n_z: int = 32769, n_eta: int = 2048):
+def _aux_kernel_table(t: float, aux_order: int, z_max: float, n_z: int = 32769):
     """kappa(z) = (1/pi) int_0^inf exp(-t eta^2k) cos(eta z) d eta on a dense
     grid over [-z_max, z_max].
 
     kappa is the centered auxiliary kernel; the coupled kernel at shift c is
     kappa(c - u).  kappa lives on the scale t^{1/2k}, so callers size z_max as
     a fixed multiple of that width and the table resolves it by construction.
+    Order 2 is the Gaussian exp(-z^2/4t) / (2 sqrt(pi t)).  Higher orders are
+    one inverse FFT on the table's z step over a periodic domain four times
+    the table span: the order-6 kernel decays slowly enough that a domain
+    twice the span aliases at 1e-9 of its peak.
     """
-    eta_max = (80.0 / t) ** (1.0 / aux_order)
-    eta = np.linspace(0.0, eta_max, n_eta)
-    damp = np.exp(-t * eta**aux_order)
     z = np.linspace(-z_max, z_max, n_z)
-    out = np.empty(n_z)
-    step = max(1, n_z // 32)
-    for i in range(0, n_z, step):
-        blk = z[i : i + step]
-        out[i : i + step] = np.trapezoid(
-            damp[None, :] * np.cos(np.outer(blk, eta)), eta, axis=1
-        )
-    return z, out / math.pi
+    if aux_order == 2:
+        return z, np.exp(-z * z / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
+    half = (n_z - 1) // 2
+    dz = z_max / half
+    m = 8 * half
+    eta = TWO_PI * np.arange(m // 2 + 1) / (m * dz)
+    periodic = np.fft.irfft(np.exp(-t * eta**aux_order), n=m) / dz
+    return z, np.concatenate([periodic[-half:], periodic[: half + 1]])
 
 
 def _interp_kernel(z_tab, k_tab, pts):

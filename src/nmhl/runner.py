@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +62,10 @@ class ReportSummary:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Thread count: explicit argument, then NMHL_THREADS, then 1."""
+    """Requested thread count: explicit argument, then NMHL_THREADS, then 1.
+
+    Only validated: no experiment runs more than one thread.
+    """
     if explicit is not None:
         n = int(explicit)
     else:
@@ -226,7 +228,7 @@ def _run_kernel(config: RunConfig, ctx: dict) -> ReportSummary:
     )
 
 
-def _ibp_columns(t: float, moment_path: str, threads: int) -> dict:
+def _ibp_columns(t: float, moment_path: str) -> dict:
     grid = FrequencyGrid(1, IBP_CUTOFF)
     f = np.cos(spatial_grid(IBP_RESOLUTION))
 
@@ -238,19 +240,14 @@ def _ibp_columns(t: float, moment_path: str, threads: int) -> dict:
         tag = f"k{k}_a{alpha}_r{r:g}_n{n}"
         return (tag, res.lhs, res.rhs, res.rel_error)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, IBP_PRESETS))
-    else:
-        results = [one(p) for p in IBP_PRESETS]
-    tags, lhs, rhs, rel = zip(*results)
+    tags, lhs, rhs, rel = zip(*(one(p) for p in IBP_PRESETS))
     return {"preset": tags, "lhs": np.array(lhs), "rhs": np.array(rhs),
             "rel_error": np.array(rel)}
 
 
 def _run_ibp(config: RunConfig, ctx: dict) -> ReportSummary:
     params = config.experiment.params
-    columns = _ibp_columns(params["t"], params["moment_path"], ctx["threads"])
+    columns = _ibp_columns(params["t"], params["moment_path"])
     path = os.path.join(ctx["outdir"], "ibp.csv")
     _write_csv(path, _base_meta(config), columns, ctx["precision"])
     ctx["written"].append(path)
@@ -363,7 +360,7 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
     entries.append(("kernel", "min_value", float(np.min(kern.values)),
                     float(np.min(kern.values)) < 0.0, path))
 
-    columns = _ibp_columns(IBP_TIME, "analytic", ctx["threads"])
+    columns = _ibp_columns(IBP_TIME, "analytic")
     path = os.path.join(outdir, "report_ibp.csv")
     _write_csv(path, _base_meta(config), columns, precision)
     ctx["written"].append(path)
@@ -457,13 +454,17 @@ _HANDLERS = {
 def run(config: RunConfig, out_dir: str | None = None,
         threads: int | None = None) -> ReportSummary:
     """Execute the configured experiment, writing CSVs under the output
-    directory.  On failure all files written by this run are removed."""
+    directory.  On failure all files written by this run are removed.
+
+    `threads` (or NMHL_THREADS) is validated and otherwise ignored: every
+    experiment runs in one thread.
+    """
+    resolve_threads(threads)
     outdir = out_dir if out_dir is not None else config.output.directory
     os.makedirs(outdir, exist_ok=True)
     ctx = {
         "outdir": outdir,
         "precision": config.output.precision,
-        "threads": resolve_threads(threads),
         "written": [],
     }
     handler = _HANDLERS.get(config.experiment.kind)

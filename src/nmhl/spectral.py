@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -30,6 +31,12 @@ from .grids import FrequencyGrid
 _QUAD_SLACK = 10.0
 # exp(support * |Im xi|) amplifies quadrature error; beyond this we refuse
 _LEVY_IM_BUDGET = 30.0
+# Gauss-Jacobi nodes beyond max |xi| * support, and the series terms past
+# degree 2l that reach double precision for |u| <= 2
+_RULE_NODES = 24
+_TAIL_TERMS = 12
+# nodes x frequencies evaluated at once by the jump quadrature
+_BLOCK_ELEMENTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +128,27 @@ class QuadraticForm(OperatorSpec):
 
 @dataclass(frozen=True)
 class LevyDensity:
-    """Even, nonnegative jump density with compact support and h(0) = 1."""
+    """Even, nonnegative jump density with compact support and h(0) = 1.
 
-    h: Callable[[float], float]
+    `h` maps an array of jump sizes to their densities elementwise: the jump
+    quadrature evaluates it on all of its nodes in one call.
+    """
+
+    h: Callable[[np.ndarray], np.ndarray]
     support: float
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.support <= 0:
             raise ValidationError(f"support must be > 0, got {self.support}")
-        if abs(self.h(0.0) - 1.0) > 1e-12:
+        if abs(float(self.h(np.zeros(1))[0]) - 1.0) > 1e-12:
             raise ValidationError("density must satisfy h(0) = 1")
-        for y in np.linspace(0.0, self.support, 17)[1:]:
-            if abs(self.h(float(y)) - self.h(float(-y))) > 1e-12:
-                raise ValidationError("density must be even")
-            if self.h(float(y)) < -1e-15:
-                raise ValidationError("density must be nonnegative")
+        y = np.linspace(0.0, self.support, 17)[1:]
+        vals = np.asarray(self.h(y), dtype=float)
+        if np.any(np.abs(vals - np.asarray(self.h(-y), dtype=float)) > 1e-12):
+            raise ValidationError("density must be even")
+        if np.any(vals < -1e-15):
+            raise ValidationError("density must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -148,12 +160,7 @@ class Levy(OperatorSpec):
     density: LevyDensity
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValidationError(f"l must be >= 1, got {self.l}")
-        if not (-1.0 < self.alpha_levy < 0.0):
-            raise ValidationError(
-                f"alpha_levy must lie in (-1, 0), got {self.alpha_levy}"
-            )
+        _check_levy_parameters(self.l, self.alpha_levy)
 
     @property
     def dimension(self) -> int:
@@ -260,113 +267,117 @@ class Rescaled(OperatorSpec):
 
 
 # ---------------------------------------------------------------------------
-# compensated kernels for the jump quadrature
-
-def _series_tail(u: complex, first: int, step: int, signed: bool) -> complex:
-    # sum_{j >= first, j = first + step*m} (+/-)^. u^j / j!  (tail of exp/cos/cosh)
-    total = 0.0 + 0.0j
-    term_pow = u**first
-    j = first
-    while True:
-        term = term_pow / math.factorial(j)
-        if signed and (j // 2) % 2 == 1:
-            term = -term
-        total += term
-        if abs(term) <= 1e-30 * (1.0 + abs(total)) or j > first + 120:
-            return total
-        term_pow = term_pow * u**step
-        j += step
+# the jump quadrature: one Gauss-Jacobi rule for every frequency
 
 
-def _cos_comp(u: float, l: int) -> float:
-    """cos(u) minus its Taylor polynomial through degree 2l."""
-    if abs(u) <= 2.0:
-        return float(_series_tail(complex(u), 2 * l + 2, 2, signed=True).real)
-    s = sum((-1.0) ** j * u ** (2 * j) / math.factorial(2 * j) for j in range(l + 1))
-    return math.cos(u) - s
+def _horner(coeffs, x):
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def _cosh_comp(u: float, l: int) -> float:
-    """cosh(u) minus its Taylor polynomial through degree 2l."""
-    if abs(u) <= 2.0:
-        return float(_series_tail(complex(u), 2 * l + 2, 2, signed=False).real)
-    s = sum(u ** (2 * j) / math.factorial(2 * j) for j in range(l + 1))
-    return math.cosh(u) - s
+def _compensated_cos(u, l: int):
+    """cos(u) minus its Taylor polynomial through degree 2l, elementwise for
+    real or complex u: the series tail where |u| <= 2 (the direct difference
+    would cancel there), the direct difference beyond."""
+    u2 = u * u
+    coeffs = [(-1.0) ** j / math.factorial(2 * j) for j in range(l + 1 + _TAIL_TERMS)]
+    out = np.cos(u) - _horner(coeffs[: l + 1], u2)
+    small = np.abs(u) <= 2.0
+    s2 = u2[small]
+    out[small] = s2 ** (l + 1) * _horner(coeffs[l + 1 :], s2)
+    return out
 
 
-def _exp_comp(w: complex, n: int) -> complex:
-    """exp(w) minus its Taylor polynomial through degree n."""
-    if abs(w) <= 2.0:
-        return _series_tail(w, n + 1, 1, signed=False)
-    s = sum(w**j / math.factorial(j) for j in range(n + 1))
-    return np.exp(w) - s
+@lru_cache(maxsize=16)
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point rule for int_0^1 s^beta f(s) ds: Golub-Welsch on the Jacobi
+    matrix of the weight (1 + x)^beta on [-1, 1], mapped by s = (1 + x)/2."""
+    k = np.arange(n, dtype=float)
+    m = 2.0 * k + beta
+    diag = beta * beta / (m * (m + 2.0))
+    kk, mm = k[1:], m[1:]
+    off = 2.0 * kk * (kk + beta) / (mm * np.sqrt((mm + 1.0) * (mm - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    nodes, weights = 0.5 * (1.0 + x), vec[0] ** 2 / (beta + 1.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _quad_checked(f, a: float, b: float, tol: float) -> float:
-    from scipy import integrate  # runtime import: scipy is slow to load
+def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z):
+    """(-1)^(l+1) 2 int_0^S cos_comp(y z) h(y) y^-(2l+1+alpha) dy for every z.
 
-    val, err = integrate.quad(f, a, b, epsabs=tol * 1e-3, epsrel=1e-10, limit=400)
-    if err > _QUAD_SLACK * tol * (1.0 + abs(val)):
-        raise QuadratureNonConverged(
-            f"estimated quadrature error {err:.3e} above tolerance {tol:.1e}"
-        )
-    return val
-
-
-def levy_symbol(density: LevyDensity, l: int, alpha_levy: float, xi) -> complex:
-    """Compensated jump symbol at a (possibly complex) frequency.
-
-    For real xi the even density makes the result real; complex shifts are
-    admitted while exp(support * |Im xi|) stays within the quadrature budget.
+    The integrand is y^(1-alpha) times an entire function of y, so a
+    Gauss-Jacobi rule with that weight converges spectrally; its size follows
+    max |z| S (the entire part oscillates or grows at that rate).  A rule of
+    about twice the size checks it.
     """
+    z = np.asarray(z)
+    flat = z.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValidationError("jump symbol frequencies must be finite")
+    if not np.any(flat.imag):
+        flat = flat.real
+    supp, tol = density.support, density.tol
+    n = _RULE_NODES + int(math.ceil(supp * float(np.max(np.abs(flat), initial=0.0))))
+    scale = (-1.0) ** (l + 1) * 2.0 * supp ** (2.0 - alpha_levy)
+    rules = []
+    for m in (n, 2 * n):
+        s, w = _gauss_jacobi(m, 1.0 - alpha_levy)
+        y = supp * s
+        h = np.asarray(density.h(y), dtype=float)
+        rules.append((y, scale * w * h / y ** (2 * l + 2)))
+
+    out = np.empty(flat.shape, dtype=complex)
+    block = max(1, _BLOCK_ELEMENTS // (2 * n))
+    for lo in range(0, flat.size, block):
+        zb = flat[lo : lo + block]
+        coarse, fine = (wt @ _compensated_cos(np.multiply.outer(y, zb), l)
+                        for y, wt in rules)
+        err = np.abs(fine - coarse)
+        if not np.all(err <= _QUAD_SLACK * tol * (1.0 + np.abs(fine))):
+            raise QuadratureNonConverged(
+                f"Gauss-Jacobi rules of {n} and {2 * n} nodes differ by "
+                f"{float(np.max(err)):.3e}, above tolerance {tol:.1e}"
+            )
+        out[lo : lo + block] = fine
+    return out.reshape(z.shape)
+
+
+def _check_levy_parameters(l: int, alpha_levy: float):
     if not (-1.0 < alpha_levy < 0.0):
         raise ValidationError(f"alpha_levy must lie in (-1, 0), got {alpha_levy}")
     if l < 1:
         raise ValidationError(f"l must be >= 1, got {l}")
-    z = complex(xi)
-    if z == 0:
-        return 0.0 + 0.0j
-    sign = (-1.0) ** (l + 1)
-    supp, tol, h = density.support, density.tol, density.h
-    power = 2 * l + 1 + alpha_levy
-    if z.imag == 0.0:
-        u = z.real
 
-        def f(y):
-            return _cos_comp(y * u, l) * h(y) * y ** (-power)
 
-        return complex(sign * 2.0 * _quad_checked(f, 0.0, supp, tol), 0.0)
-    if supp * abs(z.imag) > _LEVY_IM_BUDGET:
+def levy_symbol(density: LevyDensity, l: int, alpha_levy: float, xi):
+    """Compensated jump symbol at (possibly complex) frequencies.
+
+    `xi` is a scalar or an array; the result is complex, of the same shape.
+    For real xi the even density makes the result real; complex shifts are
+    admitted while exp(support * |Im xi|) stays within the quadrature budget.
+    The shifted symbol uses exp_comp(iyz) + exp_comp(-iyz) = 2 cos_comp(yz).
+    """
+    _check_levy_parameters(l, alpha_levy)
+    z = np.asarray(xi, dtype=complex)
+    shift = float(np.max(np.abs(z.imag), initial=0.0))
+    if density.support * shift > _LEVY_IM_BUDGET:
         raise TiltOutOfDomain(
-            f"imaginary shift {z.imag:.3g} exceeds the quadrature budget "
-            f"{_LEVY_IM_BUDGET / supp:.3g} for support {supp:.3g}"
+            f"imaginary shift {shift:.3g} exceeds the quadrature budget "
+            f"{_LEVY_IM_BUDGET / density.support:.3g} for support {density.support:.3g}"
         )
-
-    def both(y):
-        # f(y) + f(-y); the compensation keeps the integrand O(y^(1-alpha))
-        return (_exp_comp(1j * y * z, 2 * l) + _exp_comp(-1j * y * z, 2 * l)) * h(
-            y
-        ) * y ** (-power)
-
-    re = _quad_checked(lambda y: both(y).real, 0.0, supp, tol)
-    im = _quad_checked(lambda y: both(y).imag, 0.0, supp, tol)
-    return sign * complex(re, im)
+    return _jump_integral(density, l, alpha_levy, z)[()]
 
 
-def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi: float) -> float:
-    """Real-phase version of levy_symbol: convex, even, vanishing at 0."""
-    if not (-1.0 < alpha_levy < 0.0):
-        raise ValidationError(f"alpha_levy must lie in (-1, 0), got {alpha_levy}")
-    if xi == 0.0:
-        return 0.0
-    sign = (-1.0) ** (l + 1)
-    supp, tol, h = density.support, density.tol, density.h
-    power = 2 * l + 1 + alpha_levy
-
-    def f(y):
-        return _cosh_comp(y * xi, l) * h(y) * y ** (-power)
-
-    return sign * 2.0 * _quad_checked(f, 0.0, supp, tol)
+def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi):
+    """Real-phase version of levy_symbol, cos_comp(i y xi) = cosh_comp(y xi):
+    convex, even, vanishing at 0.  `xi` is a real scalar or array."""
+    _check_levy_parameters(l, alpha_levy)
+    xi = np.asarray(xi, dtype=float)
+    return _jump_integral(density, l, alpha_levy, 1j * xi).real[()]
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +425,7 @@ def symbol_value(spec: OperatorSpec, z):
             out = out + term
         return out
     if isinstance(spec, Levy):
-        flat = zz[..., 0].ravel()
-        vals = np.array(
-            [levy_symbol(spec.density, spec.l, spec.alpha_levy, w) for w in flat]
-        )
-        return vals.reshape(zz.shape[:-1])
+        return np.asarray(levy_symbol(spec.density, spec.l, spec.alpha_levy, zz[..., 0]))
     raise ValidationError(f"unknown operator spec {type(spec).__name__}")
 
 
@@ -516,15 +523,9 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
             f"spec dimension {spec.dimension} != grid dimension {grid.dimension}"
         )
     base = spec.base if isinstance(spec, Rescaled) else spec
-    if isinstance(base, Levy) or (
-        isinstance(base, (FractionalPower, Perturbed))
-        and _contains_levy(base)
-    ):
-        values = _tabulate_with_cache(spec, grid)
-    else:
-        values = np.asarray(symbol_value(spec, grid.points.astype(float)), dtype=complex)
-        if grid.dimension == 1:
-            values = values.reshape(grid.size)
+    values = np.asarray(symbol_value(spec, grid.points.astype(float)), dtype=complex)
+    if grid.dimension == 1:
+        values = values.reshape(grid.size)
     scale = max(1.0, float(np.max(np.abs(values))))
     if isinstance(_fractional_root(spec), FractionalPower):
         # reject fractional powers of symbols that dip into Re < 0
@@ -550,31 +551,11 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
     )
 
 
-def _contains_levy(spec: OperatorSpec) -> bool:
-    if isinstance(spec, Levy):
-        return True
-    inner = getattr(spec, "base", None)
-    return _contains_levy(inner) if inner is not None else False
-
-
 def _fractional_root(spec: OperatorSpec):
     # unwrap Rescaled to find a FractionalPower at the top of the tree
     while isinstance(spec, Rescaled):
         spec = spec.base
     return spec
-
-
-def _tabulate_with_cache(spec: OperatorSpec, grid: FrequencyGrid) -> np.ndarray:
-    # jump symbols are quadratures: dedupe lattice points by value
-    cache: dict[float, complex] = {}
-    out = np.empty(grid.size, dtype=complex)
-    for i, p in enumerate(grid.points):
-        xi = float(p[0])
-        key = abs(xi)  # even in xi for even densities
-        if key not in cache:
-            cache[key] = complex(symbol_value(spec, xi))
-        out[i] = cache[key]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Everything here is computed by a different route than the package uses:
 image sums instead of Fourier inversion, closed-form extremizers instead of
 numeric minimization, midpoint Riemann sums with Richardson refinement
 instead of adaptive quadrature, and high-precision series summation for the
-one diagonal value that has no elementary closed form.  Expected values
-frozen into the tests were produced by these functions.
+one diagonal value that has no elementary closed form.  Where the package
+moved to closed forms and fixed rules (the auxiliary kernel, the jump
+symbol), the trapezoid table and adaptive quadrature it replaced stay here
+as references.  Expected values frozen into the tests were produced by
+these functions.
 """
 
 from __future__ import annotations
@@ -199,3 +202,88 @@ def levy_hamiltonian_riemann(xi: float, l: int = 1, alpha: float = -0.5,
     coarse = _levy_riemann(xi, l, alpha, _cosh_remainder, n // 2)
     fine = _levy_riemann(xi, l, alpha, _cosh_remainder, n)
     return _richardson(coarse, fine)
+
+
+def levy_flat_series(xi: float, l: int = 1, alpha: float = -0.5,
+                     hyperbolic: bool = False) -> float:
+    """Compensated jump symbol of the flat density on [-1, 1], termwise:
+    integrating the Taylor series of cos_comp(y xi) y^{-p}, p = 2l+1+alpha,
+    over (0, 1] gives
+
+        2 (-1)^{l+1} sum_{j > l} (-1)^j xi^{2j} / ((2j)! (2j - p + 1)).
+
+    With ``hyperbolic`` the factor (-1)^j is dropped (cosh_comp in place of
+    cos_comp), so every term is positive.  The oscillatory series alternates with terms as
+    large as e^|xi|, so both are summed at a precision raised by that size.
+    """
+    with mp.workdps(30 + int(abs(xi) / 2.0)):
+        # in multiprecision: a double 2j - p + 1 would carry a 1e-16 relative
+        # error into terms as large as e^|xi|
+        power = 2 * l + 1 + mp.mpf(alpha)
+        x2 = mp.mpf(xi) ** 2
+        term = x2 ** (l + 1) / mp.factorial(2 * l + 2)    # xi^{2j} / (2j)!
+        total = mp.mpf(0)
+        j = l + 1
+        while True:
+            sign = 1 if hyperbolic else (-1) ** j
+            total += sign * term / (2 * j - power + 1)
+            if j > abs(xi) and term < mp.mpf(10) ** -30 * (1 + abs(total)):
+                break
+            term = term * x2 / ((2 * j + 1) * (2 * j + 2))
+            j += 1
+        return float(2 * (-1) ** (l + 1) * total)
+
+
+def _exp_remainder(w: complex, n: int) -> complex:
+    """exp(w) minus its Taylor polynomial through degree n, for one complex
+    w: the tail of the series for |w| <= 2, the direct difference beyond."""
+    if abs(w) > 2.0:
+        return complex(np.exp(w)) - sum(w**j / math.factorial(j) for j in range(n + 1))
+    total, term, j = 0j, w ** (n + 1) / math.factorial(n + 1), n + 1
+    while abs(term) > 1e-30 * (1.0 + abs(total)):
+        total += term
+        j += 1
+        term = term * w / j
+    return total
+
+
+def _quad_checked(f, a: float, b: float, tol: float) -> float:
+    """scipy's adaptive quad, with its error estimate held to
+    10 tol (1 + |value|)."""
+    from scipy import integrate
+
+    val, err = integrate.quad(f, a, b, epsabs=tol * 1e-3, epsrel=1e-10, limit=400)
+    assert err <= 10.0 * tol * (1.0 + abs(val)), f"quad error {err:.3e}"
+    return val
+
+
+def levy_symbol_quad(h, support: float, l: int, alpha: float, xi: complex,
+                     tol: float = 1e-12) -> complex:
+    """Compensated jump symbol by adaptive quadrature, one frequency at a
+    time: (-1)^{l+1} int_0^S (exp_comp(i y xi) + exp_comp(-i y xi)) h(y)
+    y^{-p} dy with exp_comp the remainder after degree 2l, real and
+    imaginary parts integrated separately.  ``h`` takes a float."""
+    power = 2 * l + 1 + alpha
+
+    def both(y):
+        w = 1j * y * complex(xi)
+        return (_exp_remainder(w, 2 * l) + _exp_remainder(-w, 2 * l)) * h(y) * y ** (-power)
+
+    re = _quad_checked(lambda y: both(y).real, 0.0, support, tol)
+    im = _quad_checked(lambda y: both(y).imag, 0.0, support, tol)
+    return (-1.0) ** (l + 1) * complex(re, im)
+
+
+# ---------------------------------------------------------------------------
+# auxiliary kernel
+
+
+def aux_kernel_trapezoid(t: float, aux_order: int, z, n_eta: int = 2048):
+    """kappa(z) = (1/pi) int_0^inf exp(-t eta^{2k}) cos(eta z) d eta by the
+    trapezoid rule on n_eta nodes over [0, (80/t)^{1/2k}], where the damping
+    has fallen to e^-80: the rule is spectrally accurate for this smooth,
+    fast-decaying integrand, so it stands apart from closed forms and FFTs."""
+    eta = np.linspace(0.0, (80.0 / t) ** (1.0 / aux_order), n_eta)
+    damp = np.exp(-t * eta**aux_order)
+    z = np.asarray(z, dtype=float)
+    return np.trapezoid(damp * np.cos(np.outer(z, eta)), eta, axis=1) / math.pi

@@ -67,3 +67,21 @@ def test_the_deferred_imports_resolve_as_first_scipy_user(tmp_path):
     # a rate run needs the Legendre search, the spline and the banded solve
     loaded = cli_run(tmp_path, "rate", 1, "y = 1.0")
     assert {"scipy.optimize", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
+
+
+def test_jump_kernel_and_quadrature_ibp_runs_load_no_scipy(tmp_path):
+    levy = SRC.parent / "perfbench" / "configs" / "fields" / "kernel_levy.cfg"
+    (tmp_path / "ibp.cfg").write_text(
+        "[operator]\nvariant = pure_power\nk = 1\n\n"
+        "[experiment]\nkind = ibp\nmoment_path = quadrature\n"
+    )
+    code = (
+        "import nmhl.cli\n"
+        f"assert nmhl.cli.main(['kernel', '--config', {str(levy)!r}, "
+        "'--out', 'levy']) == 0\n"
+        "assert nmhl.cli.main(['ibp', '--config', 'ibp.cfg', "
+        "'--out', 'ibp']) == 0\n"
+    )
+    assert child(code, tmp_path) == []
+    assert (tmp_path / "levy" / "kernel.csv").is_file()
+    assert (tmp_path / "ibp" / "ibp.csv").is_file()
