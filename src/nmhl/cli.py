@@ -37,9 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a run-config file (key=value or JSON)")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output] directory)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and validated (falls back to "
-                            "NMHL_THREADS, then 1); runs are single-threaded")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="config assignment applied before validation "
@@ -59,7 +56,7 @@ def main(argv=None) -> int:
                 f"config declares experiment {config.experiment.kind!r} but "
                 f"the subcommand is {args.command!r}"
             )
-        summary = run(config, out_dir=args.out, threads=args.threads)
+        summary = run(config, out_dir=args.out)
     except OSError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ _OPERATOR_KEYS = {
     "variant", "k", "a_matrix", "l", "alpha_levy", "support", "tol",
     "alpha_frac", "q",
 }
-_GRID_KEYS = {"d", "cutoff", "resolution", "aux_extent"}
+_GRID_KEYS = {"d", "cutoff", "resolution"}
 _OUTPUT_KEYS = {"directory", "precision"}
 _EXPERIMENT_KEYS = {
     "kernel": {"t", "x"},
@@ -52,7 +52,6 @@ class GridConfig:
     d: int = 1
     cutoff: int | None = None       # None: sized by the cutoff rule at run time
     resolution: int | None = None
-    aux_extent: float | None = None
 
 
 @dataclass
@@ -331,10 +330,6 @@ def _build_grid(body: dict) -> GridConfig:
         cfg.resolution = _as_int("grid", "resolution", body["resolution"])
         _require(cfg.resolution >= 8,
                  f"resolution must be >= 8 (got {cfg.resolution})")
-    if "aux_extent" in body:
-        cfg.aux_extent = _as_float("grid", "aux_extent", body["aux_extent"])
-        _require(cfg.aux_extent > 0,
-                 f"aux_extent must be > 0 (got {cfg.aux_extent})")
     return cfg
 
 
@@ -499,7 +494,7 @@ def _to_mapping(config: RunConfig) -> dict:
     if config.operator.q is not None:
         op["q"] = _format_q(config.operator.q)
     grid: dict = {"d": config.grid.d}
-    for key in ("cutoff", "resolution", "aux_extent"):
+    for key in ("cutoff", "resolution"):
         v = getattr(config.grid, key)
         if v is not None:
             grid[key] = v

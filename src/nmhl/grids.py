@@ -41,6 +41,13 @@ class FrequencyGrid:
         """Mask of lattice points with max coordinate magnitude equal to N."""
         return np.max(np.abs(self.points), axis=1) == self.cutoff
 
+    def box_index(self) -> np.ndarray:
+        """Lattice index of every point p of the box [-N, N]^d, at p + N."""
+        n = self.cutoff
+        box = np.empty((2 * n + 1,) * self.dimension, dtype=np.intp)
+        box[tuple((self.points + n).T)] = np.arange(self.size)
+        return box
+
 
 def _ordered_lattice(d: int, n: int) -> np.ndarray:
     axes = [np.arange(-n, n + 1)] * d
@@ -54,10 +61,15 @@ def _ordered_lattice(d: int, n: int) -> np.ndarray:
 
 def spatial_grid(m: int, d: int = 1) -> np.ndarray:
     """Uniform grid of m points per axis on [0, 2*pi)."""
-    x = TWO_PI * np.arange(m) / m
+    return axis_mesh(TWO_PI * np.arange(m) / m, d)
+
+
+def axis_mesh(x: np.ndarray, d: int) -> np.ndarray:
+    """The points of x^d with the coordinates on the last axis; for d = 1,
+    x itself (a one-dimensional symbol takes bare frequencies)."""
     if d == 1:
         return x
-    return np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    return np.stack(np.meshgrid(*[x] * d, indexing="ij"), axis=-1)
 
 
 def wrap_angle(z):

@@ -10,84 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI
-from .spectral import (
-    FractionalPower,
-    Levy,
-    OperatorSpec,
-    PurePower,
-    QuadraticForm,
-    Rescaled,
-    Symbol,
-    build_symbol,
-    levy_hamiltonian,
-    symbol_value,
-)
+from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
 
 _BRACKET_CAP = 1e9
 
 
-@dataclass
-class Hamiltonian:
-    """Convex even real-phase symbol xi -> H(xi), H(0) = 0 for the presets."""
-
-    fun: Callable
-    order: float
-    even: bool = True
-    tag: str | None = None
-
-    def __call__(self, xi):
-        return self.fun(np.asarray(xi, dtype=float))
-
-    def validate_convex(self, xi_max: float = 10.0, n: int = 2001):
-        xi = np.linspace(-xi_max, xi_max, n)
-        vals = np.asarray(self(xi), dtype=float)
-        d2 = np.diff(vals, 2)
-        if float(np.min(d2)) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-            raise ValidationError("Hamiltonian fails the discrete convexity check")
-
-
 def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
-    """Real-phase Hamiltonian of a generator.
-
-    Polynomial variants evaluate the (nonnegative) symbol at real frequencies;
-    jump generators switch the oscillatory kernel for its hyperbolic version.
-    """
-    if isinstance(spec, Rescaled):
-        inner = hamiltonian_for(spec.base)
-        pref, scale = spec.prefactor, spec.freq_scale
-        return Hamiltonian(
-            fun=lambda xi: pref * inner.fun(np.asarray(xi, dtype=float) * scale),
-            order=inner.order, even=inner.even, tag=inner.tag,
-        )
-    if isinstance(spec, (PurePower, QuadraticForm)):
-        return Hamiltonian(
-            fun=lambda xi: np.real(symbol_value(spec, xi)),
-            order=spec.order,
-            tag="polynomial",
-        )
-    if isinstance(spec, FractionalPower):
-        base = hamiltonian_for(spec.base)
-        alpha = spec.alpha_frac
-        return Hamiltonian(
-            fun=lambda xi: np.asarray(base.fun(xi)) ** alpha,
-            order=alpha * base.order,
-            tag="fractional",
-        )
-    if isinstance(spec, Levy):
-        return Hamiltonian(
-            fun=lambda xi: levy_hamiltonian(spec.density, spec.l, spec.alpha_levy, xi),
-            order=2 * spec.l,
-            tag="jump",
-        )
-    raise ValidationError(
-        f"no real-phase Hamiltonian for {type(spec).__name__}"
-    )
+    """Real-phase Hamiltonian of a generator (`OperatorSpec.hamiltonian`)."""
+    return spec.hamiltonian()
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +413,8 @@ def maslov_scaled_symbol(symbol: Symbol, k: int, eps: float) -> Symbol:
         raise ValidationError(f"eps must be > 0, got {eps}")
     if symbol.spec is None:
         raise ValidationError("scaling needs a symbol with continuous evaluation")
-    root = symbol.spec
-    while isinstance(root, Rescaled):
-        root = root.base
-    if isinstance(root, Levy):
-        scaled = Rescaled(symbol.spec, prefactor=1.0 / eps, freq_scale=eps)
-    else:
-        scaled = Rescaled(symbol.spec, prefactor=float(eps) ** (2 * k - 1))
+    prefactor, freq_scale = symbol.spec.maslov_factors(k, eps)
+    scaled = Rescaled(symbol.spec, prefactor=prefactor, freq_scale=freq_scale)
     return build_symbol(scaled, symbol.grid)
 
 

@@ -6,9 +6,6 @@ numbers are pinned in exactly one place.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError

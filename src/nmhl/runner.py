@@ -61,29 +61,6 @@ class ReportSummary:
     defaults_version: str = DEFAULTS_VERSION
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Requested thread count: explicit argument, then NMHL_THREADS, then 1.
-
-    Only validated: no experiment runs more than one thread.
-    """
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        env = os.environ.get("NMHL_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"NMHL_THREADS must be an integer (got {env!r})"
-                ) from None
-        else:
-            n = 1
-    if n < 1:
-        raise ValidationError(f"threads must be >= 1 (got {n})")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -451,15 +428,9 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig, out_dir: str | None = None,
-        threads: int | None = None) -> ReportSummary:
+def run(config: RunConfig, out_dir: str | None = None) -> ReportSummary:
     """Execute the configured experiment, writing CSVs under the output
-    directory.  On failure all files written by this run are removed.
-
-    `threads` (or NMHL_THREADS) is validated and otherwise ignored: every
-    experiment runs in one thread.
-    """
-    resolve_threads(threads)
+    directory.  On failure all files written by this run are removed."""
     outdir = out_dir if out_dir is not None else config.output.directory
     os.makedirs(outdir, exist_ok=True)
     ctx = {

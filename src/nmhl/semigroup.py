@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -22,22 +22,10 @@ from .errors import (
     CutoffTooSmall,
     DegreeViolation,
     SeriesDiverged,
-    TiltOutOfDomain,
     ValidationError,
 )
-from .grids import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
-from .spectral import (
-    FractionalPower,
-    Levy,
-    OperatorSpec,
-    Perturbed,
-    PurePower,
-    QuadraticForm,
-    Rescaled,
-    Symbol,
-    auto_cutoff,
-    symbol_value,
-)
+from .grids import TWO_PI, FrequencyGrid, axis_mesh, spatial_grid
+from .spectral import OperatorSpec, Symbol, auto_cutoff
 
 _IMAG_TOL = 1e-10
 
@@ -60,10 +48,6 @@ class KernelField:
     def mass(self) -> float:
         cell = (TWO_PI / self.resolution) ** self.dimension
         return float(np.sum(self.values) * cell)
-
-    def abs_mass(self) -> float:
-        cell = (TWO_PI / self.resolution) ** self.dimension
-        return float(np.sum(np.abs(self.values)) * cell)
 
 
 def _require_time(t: float):
@@ -109,20 +93,14 @@ def _fold_multiplier(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndar
         raise ValidationError(
             f"resolution M={m} must be >= 2N+1={2 * grid.cutoff + 1} to resolve the lattice"
         )
-    if grid.dimension == 1:
-        bins = np.zeros(m, dtype=complex)
-        bins[np.mod(grid.points[:, 0], m)] = coeffs
-        return bins
-    bins = np.zeros((m, m), dtype=complex)
-    bins[np.mod(grid.points[:, 0], m), np.mod(grid.points[:, 1], m)] = coeffs
+    bins = np.zeros((m,) * grid.dimension, dtype=complex)
+    bins[tuple(np.mod(grid.points, m).T)] = coeffs
     return bins
 
 
 def _ifft_field(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    bins = _fold_multiplier(grid, coeffs, m)
-    if grid.dimension == 1:
-        return np.fft.ifft(bins) * (m / TWO_PI)
-    return np.fft.ifft2(bins) * (m * m / TWO_PI**2)
+    d = grid.dimension
+    return np.fft.ifftn(_fold_multiplier(grid, coeffs, m)) * (m**d / TWO_PI**d)
 
 
 def _real_part(values: np.ndarray, context: str) -> np.ndarray:
@@ -160,12 +138,8 @@ def heat_kernel(symbol: Symbol, t: float, x=0.0, resolution: int = 256,
     _require_dissipative(symbol)
     xv = _source_point(x, symbol.grid.dimension)
     diag = _check_truncation(symbol, t, threshold)
-    pts = symbol.grid.points.astype(float)
     mult = np.exp(-t * symbol.values)
-    if symbol.grid.dimension == 1:
-        phase = np.exp(-1j * pts[:, 0] * xv[0])
-    else:
-        phase = np.exp(-1j * (pts @ xv))
+    phase = np.exp(-1j * (symbol.grid.points.astype(float) @ xv))
     vals = _ifft_field(symbol.grid, mult * phase, resolution)
     out = _real_part(vals, "heat_kernel")
     if not np.all(np.isfinite(out)):
@@ -199,41 +173,6 @@ def kernel_values(symbol: Symbol, t: float, offsets, threshold: float = 1e-12):
 # double-precision cancellation floor)
 
 
-def _mp_symbol(spec: OperatorSpec, n: int):
-    if isinstance(spec, Rescaled):
-        if spec.freq_scale != 1.0:
-            raise ValidationError("frequency-rescaled specs are not supported here")
-        return mp.mpf(spec.prefactor) * _mp_symbol(spec.base, n)
-    if isinstance(spec, PurePower):
-        return mp.mpf(n) ** (2 * spec.k)
-    if isinstance(spec, QuadraticForm) and spec.d == 1:
-        return mp.mpf(spec.a_matrix[0, 0]) * mp.mpf(n) ** (2 * spec.k)
-    if isinstance(spec, FractionalPower):
-        return mp.power(_mp_symbol(spec.base, n), mp.mpf(spec.alpha_frac))
-    if isinstance(spec, Perturbed):
-        if any(e[0] % 2 for e in spec.q_coeffs):
-            # the +/-n pairing below assumes an even symbol
-            raise ValidationError(
-                "high-precision evaluation needs even perturbation exponents"
-            )
-        out = mp.mpf(_mp_symbol(spec.base, n))
-        for expo, c in spec.q_coeffs.items():
-            out += mp.mpf(c) * (-1) ** (expo[0] // 2) * mp.mpf(n) ** expo[0]
-        return out
-    raise ValidationError(
-        "high-precision evaluation supports one-dimensional polynomial symbols only"
-    )
-
-
-def _mp_degree(spec: OperatorSpec) -> int | None:
-    """Degree of the symbol as a polynomial in n; None for fractional powers."""
-    if isinstance(spec, (Rescaled, Perturbed)):
-        return _mp_degree(spec.base)   # a perturbation has a lower degree
-    if isinstance(spec, (PurePower, QuadraticForm)):
-        return 2 * spec.k
-    return None
-
-
 def _mp_damping(spec: OperatorSpec, t: float):
     """exp(-t a(n)) for n = 0, 1, 2, ... at the working precision.
 
@@ -241,12 +180,12 @@ def _mp_damping(spec: OperatorSpec, t: float):
     exp(D^j f(n+1)) = exp(D^j f(n)) exp(D^(j+1) f(n)), and D^D f is constant:
     D products per term and no exponential after the first D + 1.
     """
-    degree = _mp_degree(spec)
+    degree = spec.poly_degree
     mt = -mp.mpf(t)
     if degree is None:
         for n in itertools.count():
-            yield mp.exp(mt * _mp_symbol(spec, n))
-    diffs = [_mp_symbol(spec, n) for n in range(degree + 1)]
+            yield mp.exp(mt * spec.mp_value(n))
+    diffs = [spec.mp_value(n) for n in range(degree + 1)]
     for j in range(1, degree + 1):
         for i in range(degree, j - 1, -1):
             diffs[i] -= diffs[i - 1]
@@ -274,8 +213,6 @@ def _mp_log_fourier(spec: OperatorSpec, t: float, est: float, waves, weight,
     dies once |log S| approaches ~30.  Raises `SeriesDiverged` when the
     estimate has not settled after ``_MP_ROUNDS`` rounds.
     """
-    if isinstance(spec, Rescaled) and spec.freq_scale != 1.0:
-        raise ValidationError("frequency-rescaled specs are not supported here")
     for _ in range(_MP_ROUNDS):
         need = abs(est) + guard
         n_cut = int(math.ceil((need / t) ** (1.0 / spec.order))) + 4
@@ -321,28 +258,19 @@ def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
     h = np.asarray(h)
     d = symbol.grid.dimension
     m = h.shape[0]
-    if d == 2 and h.shape != (m, m):
-        raise ValidationError("grid function must be square for d = 2")
+    if h.shape != (m,) * d:
+        raise ValidationError(f"grid function must have {d} axes of equal length")
+    freqs = np.fft.fftfreq(m, d=1.0 / m)
     if symbol.spec is not None:
-        freqs = np.fft.fftfreq(m, d=1.0 / m)
-        if d == 1:
-            a_bins = symbol.at(freqs)
-        else:
-            f1, f2 = np.meshgrid(freqs, freqs, indexing="ij")
-            a_bins = symbol.at(np.stack([f1, f2], axis=-1))
+        a_bins = symbol.at(axis_mesh(freqs, d))
     else:
-        if m > 2 * symbol.grid.cutoff + 1:
+        n = symbol.grid.cutoff
+        if m > 2 * n + 1:
             raise ValidationError(
                 "tabulated-only symbol cannot serve frequencies beyond its lattice"
             )
-        freqs = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-        lookup = {tuple(p): v for p, v in zip(symbol.grid.points, symbol.values)}
-        if d == 1:
-            a_bins = np.array([lookup[(f,)] for f in freqs])
-        else:
-            a_bins = np.array(
-                [[lookup[(f1, f2)] for f2 in freqs] for f1 in freqs]
-            )
+        box = symbol.grid.box_index()
+        a_bins = symbol.values[box[np.ix_(*[freqs.astype(int) + n] * d)]]
     if t > 0:
         mask = _fft_boundary_mask(m, d)
         edge = float(np.max(np.abs(np.exp(-t * np.asarray(a_bins)[mask]))))
@@ -352,11 +280,7 @@ def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
                 f"{threshold:.1e}; raise M",
                 suggested_cutoff=None,
             )
-    mult = np.exp(-t * a_bins)
-    if d == 1:
-        out = np.fft.ifft(mult * np.fft.fft(h))
-    else:
-        out = np.fft.ifft2(mult * np.fft.fft2(h))
+    out = np.fft.ifftn(np.exp(-t * a_bins) * np.fft.fftn(h))
     if np.isrealobj(h):
         scale = max(1.0, float(np.max(np.abs(out.real))))
         if float(np.max(np.abs(out.imag))) <= _IMAG_TOL * scale:
@@ -366,11 +290,7 @@ def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
 
 def _fft_boundary_mask(m: int, d: int) -> np.ndarray:
     freqs = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
-    lim = freqs.max()
-    if d == 1:
-        return freqs == lim
-    f1, f2 = np.meshgrid(freqs, freqs, indexing="ij")
-    return np.maximum(f1, f2) == lim
+    return np.max(np.meshgrid(*[freqs] * d, indexing="ij"), axis=0) == freqs.max()
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +301,6 @@ def _fft_boundary_mask(m: int, d: int) -> np.ndarray:
 class DuhamelConfig:
     l_max: int = 8
     nodes: int = 16
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.l_max < 1:
@@ -520,15 +439,9 @@ def tilted_semigroup(symbol: Symbol, tilt: TiltSpec, s: float) -> TiltedOperator
     _require_time(s)
     if symbol.spec is None:
         raise ValidationError("tilting needs a symbol with continuous evaluation")
-    d = symbol.grid.dimension
     shift = np.asarray(tilt.xi_tilt, dtype=float) / tilt.eps
-    pts = symbol.grid.points.astype(float)
-    if d == 1:
-        z = pts[:, 0] - 1j * float(shift)
-    else:
-        z = pts - 1j * shift.reshape(1, 2)
-    vals = symbol.at(z)
-    mult = np.exp(-s * np.asarray(vals))
+    z = symbol.grid.points.astype(float) - 1j * shift
+    mult = np.exp(-s * symbol.at(z).reshape(symbol.grid.size))
     return TiltedOperator(symbol=symbol, tilt=tilt, s=s, multiplier=mult)
 
 
@@ -544,12 +457,8 @@ def chapman_kolmogorov_check(symbol: Symbol, t: float, s: float, x=0.0,
     d = symbol.grid.dimension
     pt = heat_kernel(symbol, t, x=x, resolution=resolution)
     ps = heat_kernel(symbol, s, x=0.0, resolution=resolution)
-    if d == 1:
-        conv = np.fft.ifft(np.fft.fft(pt.values) * np.fft.fft(ps.values)).real
-        conv *= TWO_PI / resolution
-    else:
-        conv = np.fft.ifft2(np.fft.fft2(pt.values) * np.fft.fft2(ps.values)).real
-        conv *= (TWO_PI / resolution) ** 2
+    conv = np.fft.ifftn(np.fft.fftn(pt.values) * np.fft.fftn(ps.values)).real
+    conv *= (TWO_PI / resolution) ** d
     pts_combined = heat_kernel(symbol, t + s, x=x, resolution=resolution)
     return float(np.max(np.abs(pts_combined.values - conv)))
 
@@ -560,10 +469,7 @@ def kernel_symmetry_check(symbol: Symbol, t: float, resolution: int = 512) -> fl
     if not (symbol.real_valued and symbol.even):
         raise ValidationError("symmetry check applies to real even symbols")
     f = heat_kernel(symbol, t, x=0.0, resolution=resolution)
-    if symbol.grid.dimension == 1:
-        rev = np.roll(f.values[::-1], 1)
-    else:
-        rev = np.roll(np.roll(f.values[::-1, ::-1], 1, axis=0), 1, axis=1)
+    rev = np.roll(np.flip(f.values), 1, axis=tuple(range(f.values.ndim)))
     return float(np.max(np.abs(f.values - rev)))
 
 

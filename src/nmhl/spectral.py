@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -31,6 +32,8 @@ from .grids import FrequencyGrid
 _QUAD_SLACK = 10.0
 # exp(support * |Im xi|) amplifies quadrature error; beyond this we refuse
 _LEVY_IM_BUDGET = 30.0
+# cosh overflows double precision past this argument
+_COSH_LIMIT = math.log(np.finfo(float).max)
 # Gauss-Jacobi nodes beyond max |xi| * support, and the series terms past
 # degree 2l that reach double precision for |u| <= 2
 _RULE_NODES = 24
@@ -43,8 +46,35 @@ _BLOCK_ELEMENTS = 1 << 20
 # operator descriptions
 
 
+@dataclass
+class Hamiltonian:
+    """Convex even real-phase symbol xi -> H(xi), H(0) = 0 for the presets."""
+
+    fun: Callable
+    order: float
+    even: bool = True
+    tag: str | None = None
+
+    def __call__(self, xi):
+        return self.fun(np.asarray(xi, dtype=float))
+
+    def validate_convex(self, xi_max: float = 10.0, n: int = 2001):
+        xi = np.linspace(-xi_max, xi_max, n)
+        vals = np.asarray(self(xi), dtype=float)
+        d2 = np.diff(vals, 2)
+        if float(np.min(d2)) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
+            raise ValidationError("Hamiltonian fails the discrete convexity check")
+
+
 class OperatorSpec:
-    """Base class for generator descriptions; concrete variants below."""
+    """Base class for generator descriptions; concrete variants below.
+
+    A variant is one subclass.  It gives its `dimension`, `order` and
+    `_at(zz)`, the symbol on a complex array whose last axis holds the d
+    coordinates, and overrides the defaults below where they do not hold:
+    `hamiltonian`, `dissipative`, `mp_supported` with `_mp_at`,
+    `poly_degree`, `maslov_factors` and `_check_branch`.
+    """
 
     @property
     def dimension(self) -> int:
@@ -58,13 +88,63 @@ class OperatorSpec:
     def ellipticity_order(self) -> float:
         return self.order
 
+    def value(self, z):
+        """The symbol at arbitrary (real or complex) frequencies.
 
-@dataclass(frozen=True)
-class PurePower(OperatorSpec):
-    """a(xi) = sum_i xi_i^(2k), the constant-coefficient power of the Laplacian."""
+        For d = 1, `z` is any scalar or array; for d = 2 the last axis holds
+        the two coordinates.  Returns complex values of matching shape.
+        """
+        d = self.dimension
+        z = np.asarray(z, dtype=complex)
+        if d == 1:
+            return self._at(z[..., np.newaxis])
+        if z.ndim == 0 or z.shape[-1] != d:
+            raise ValidationError(f"frequency array must have last axis {d}")
+        return self._at(z)
 
-    k: int
-    d: int = 1
+    def hamiltonian(self) -> Hamiltonian:
+        """The real-phase Hamiltonian xi -> H(xi) of the generator."""
+        raise ValidationError(f"no real-phase Hamiltonian for {type(self).__name__}")
+
+    @property
+    def dissipative(self) -> bool:
+        """Re a >= 0 at every real frequency by construction, so that
+        `build_symbol` need not probe between lattice points."""
+        return False
+
+    @property
+    def mp_supported(self) -> bool:
+        """Whether `mp_value` applies.  The multiprecision Fourier sums pair
+        +n with -n, so they take even one-dimensional symbols only."""
+        return False
+
+    def mp_value(self, n: int):
+        """a(n) at an integer frequency n, at the working mpmath precision."""
+        if not self.mp_supported:
+            raise ValidationError(
+                "high-precision evaluation supports even one-dimensional "
+                "polynomial symbols and their fractional powers, not this "
+                f"{type(self).__name__} (d = {self.dimension})"
+            )
+        return self._mp_at(n)
+
+    @property
+    def poly_degree(self) -> int | None:
+        """Degree of the symbol as a polynomial in n; None if it is none."""
+        return None
+
+    def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
+        """(prefactor, freq_scale) of the eps-scaled symbol: eps^(2k-1) a(xi)
+        for differential symbols."""
+        return float(eps) ** (2 * k - 1), 1.0
+
+    def _check_branch(self, points: np.ndarray, scale: float):
+        """Raise BranchCut where a fractional power meets Re < 0 on the
+        lattice; nothing to check for other variants."""
+
+
+class _Homogeneous(OperatorSpec):
+    """A homogeneous polynomial symbol of degree 2k in d variables."""
 
     def __post_init__(self):
         if self.k < 1:
@@ -80,6 +160,36 @@ class PurePower(OperatorSpec):
     def order(self) -> float:
         return 2 * self.k
 
+    def hamiltonian(self) -> Hamiltonian:
+        return Hamiltonian(fun=lambda xi: np.real(self.value(xi)),
+                           order=self.order, tag="polynomial")
+
+    @property
+    def dissipative(self) -> bool:
+        return True
+
+    @property
+    def mp_supported(self) -> bool:
+        return self.d == 1
+
+    @property
+    def poly_degree(self) -> int:
+        return 2 * self.k
+
+
+@dataclass(frozen=True)
+class PurePower(_Homogeneous):
+    """a(xi) = sum_i xi_i^(2k), the constant-coefficient power of the Laplacian."""
+
+    k: int
+    d: int = 1
+
+    def _at(self, zz):
+        return np.sum(zz ** (2 * self.k), axis=-1)
+
+    def _mp_at(self, n: int):
+        return mp.mpf(n) ** (2 * self.k)
+
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
     """Length-k multi-indices over d coordinates, in deterministic order."""
@@ -87,7 +197,7 @@ def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticForm(OperatorSpec):
+class QuadraticForm(_Homogeneous):
     """a(xi) = v(xi)^T A v(xi) with v the vector of degree-k monomials.
 
     A is indexed by `multi_indices(d, k)` and must be symmetric positive
@@ -99,10 +209,7 @@ class QuadraticForm(OperatorSpec):
     d: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.d not in (1, 2):
-            raise ValidationError(f"d must be 1 or 2, got {self.d}")
+        super().__post_init__()
         a = np.asarray(self.a_matrix, dtype=float)
         n = len(multi_indices(self.d, self.k))
         if a.shape != (n, n):
@@ -117,13 +224,18 @@ class QuadraticForm(OperatorSpec):
             raise NonPositiveDefiniteForm("a_matrix fails Cholesky") from None
         object.__setattr__(self, "a_matrix", a)
 
-    @property
-    def dimension(self) -> int:
-        return self.d
+    def _at(self, zz):
+        idx = multi_indices(self.d, self.k)
+        mono = np.empty(zz.shape[:-1] + (len(idx),), dtype=complex)
+        for m, ind in enumerate(idx):
+            v = np.ones(zz.shape[:-1], dtype=complex)
+            for j in ind:
+                v = v * zz[..., j]
+            mono[..., m] = v
+        return np.einsum("...i,ij,...j->...", mono, self.a_matrix, mono)
 
-    @property
-    def order(self) -> float:
-        return 2 * self.k
+    def _mp_at(self, n: int):
+        return mp.mpf(self.a_matrix[0, 0]) * mp.mpf(n) ** (2 * self.k)
 
 
 @dataclass(frozen=True)
@@ -175,9 +287,45 @@ class Levy(OperatorSpec):
         # the compensated integral grows like xi^(2l) on the lattice
         return 2 * self.l
 
+    def _at(self, zz):
+        return np.asarray(levy_symbol(self.density, self.l, self.alpha_levy, zz[..., 0]))
+
+    def hamiltonian(self) -> Hamiltonian:
+        # the oscillatory kernel switched for its hyperbolic version
+        return Hamiltonian(
+            fun=lambda xi: levy_hamiltonian(self.density, self.l, self.alpha_levy, xi),
+            order=2 * self.l,
+            tag="jump",
+        )
+
+    @property
+    def dissipative(self) -> bool:
+        return True   # the density is nonnegative
+
+    def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
+        # (1/eps) a(eps xi), re-quadratured since eps*xi leaves the lattice
+        return 1.0 / eps, eps
+
+
+class _Wrapper(OperatorSpec):
+    """A variant built on a `base` spec, whose dimension and orders it keeps
+    unless it overrides them."""
+
+    @property
+    def dimension(self) -> int:
+        return self.base.dimension
+
+    @property
+    def order(self) -> float:
+        return self.base.order
+
+    @property
+    def ellipticity_order(self) -> float:
+        return self.base.ellipticity_order
+
 
 @dataclass(frozen=True)
-class FractionalPower(OperatorSpec):
+class FractionalPower(_Wrapper):
     """a(xi) = a_base(xi)^alpha_frac, principal branch on Re >= 0."""
 
     base: OperatorSpec
@@ -190,10 +338,6 @@ class FractionalPower(OperatorSpec):
             )
 
     @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    @property
     def order(self) -> float:
         return self.alpha_frac * self.base.order
 
@@ -201,9 +345,33 @@ class FractionalPower(OperatorSpec):
     def ellipticity_order(self) -> float:
         return self.alpha_frac * self.base.ellipticity_order
 
+    def _at(self, zz):
+        return _principal_power(self.base._at(zz), self.alpha_frac)
+
+    def hamiltonian(self) -> Hamiltonian:
+        base, alpha = self.base.hamiltonian(), self.alpha_frac
+        return Hamiltonian(fun=lambda xi: np.asarray(base.fun(xi)) ** alpha,
+                           order=alpha * base.order, tag="fractional")
+
+    @property
+    def dissipative(self) -> bool:
+        return self.base.dissipative
+
+    @property
+    def mp_supported(self) -> bool:
+        return self.base.mp_supported
+
+    def _mp_at(self, n: int):
+        return mp.power(self.base._mp_at(n), mp.mpf(self.alpha_frac))
+
+    def _check_branch(self, points: np.ndarray, scale: float):
+        # reject fractional powers of symbols that dip into Re < 0
+        if float(np.min(self.base.value(points).real)) < -1e-12 * scale:
+            raise BranchCut("fractional power of a symbol with negative real part")
+
 
 @dataclass(frozen=True, eq=False)
-class Perturbed(OperatorSpec):
+class Perturbed(_Wrapper):
     """a(xi) = a_base(xi) + Q(i xi) with deg Q strictly below the base order.
 
     q_coeffs maps exponent multi-indices (tuples of length d) to real
@@ -227,21 +395,35 @@ class Perturbed(OperatorSpec):
             )
         object.__setattr__(self, "q_coeffs", coeffs)
 
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
+    def _at(self, zz):
+        out = self.base._at(zz)
+        iz = 1j * zz
+        for expo, c in self.q_coeffs.items():
+            term = np.full(zz.shape[:-1], complex(c))
+            for j, e in enumerate(expo):
+                if e:
+                    term = term * iz[..., j] ** e
+            out = out + term
+        return out
 
     @property
-    def order(self) -> float:
-        return self.base.order
+    def mp_supported(self) -> bool:
+        # odd exponents would break the +/-n pairing
+        return self.base.mp_supported and all(e[0] % 2 == 0 for e in self.q_coeffs)
+
+    def _mp_at(self, n: int):
+        out = mp.mpf(self.base._mp_at(n))
+        for expo, c in self.q_coeffs.items():
+            out += mp.mpf(c) * (-1) ** (expo[0] // 2) * mp.mpf(n) ** expo[0]
+        return out
 
     @property
-    def ellipticity_order(self) -> float:
-        return self.base.ellipticity_order
+    def poly_degree(self) -> int | None:
+        return self.base.poly_degree   # the perturbation has a lower degree
 
 
 @dataclass(frozen=True)
-class Rescaled(OperatorSpec):
+class Rescaled(_Wrapper):
     """prefactor * a_base(freq_scale * xi) — scaling plumbing shared by
     small-parameter normalizations and the t*L time identity."""
 
@@ -253,17 +435,37 @@ class Rescaled(OperatorSpec):
         if self.prefactor <= 0 or self.freq_scale <= 0:
             raise ValidationError("prefactor and freq_scale must be > 0")
 
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
+    def _at(self, zz):
+        return self.prefactor * self.base._at(zz * self.freq_scale)
+
+    def hamiltonian(self) -> Hamiltonian:
+        inner = self.base.hamiltonian()
+        pref, scale = self.prefactor, self.freq_scale
+        return Hamiltonian(
+            fun=lambda xi: pref * inner.fun(np.asarray(xi, dtype=float) * scale),
+            order=inner.order, even=inner.even, tag=inner.tag,
+        )
 
     @property
-    def order(self) -> float:
-        return self.base.order
+    def dissipative(self) -> bool:
+        return self.base.dissipative
 
     @property
-    def ellipticity_order(self) -> float:
-        return self.base.ellipticity_order
+    def mp_supported(self) -> bool:
+        return self.freq_scale == 1.0 and self.base.mp_supported
+
+    def _mp_at(self, n: int):
+        return mp.mpf(self.prefactor) * self.base._mp_at(n)
+
+    @property
+    def poly_degree(self) -> int | None:
+        return self.base.poly_degree
+
+    def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
+        return self.base.maslov_factors(k, eps)
+
+    def _check_branch(self, points: np.ndarray, scale: float):
+        self.base._check_branch(points, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -377,56 +579,18 @@ def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi):
     convex, even, vanishing at 0.  `xi` is a real scalar or array."""
     _check_levy_parameters(l, alpha_levy)
     xi = np.asarray(xi, dtype=float)
+    reach = density.support * float(np.max(np.abs(xi), initial=0.0))
+    if reach > _COSH_LIMIT:
+        raise TiltOutOfDomain(
+            f"cosh(support * xi) overflows double precision: support * |xi| = "
+            f"{reach:.6g} exceeds {_COSH_LIMIT:.6g}"
+        )
     return _jump_integral(density, l, alpha_levy, 1j * xi).real[()]
 
 
-# ---------------------------------------------------------------------------
-# pointwise evaluation, shared by tabulation and the continuous paths
-
-
 def symbol_value(spec: OperatorSpec, z):
-    """Evaluate the symbol at arbitrary (real or complex) frequencies.
-
-    For d = 1, `z` is any scalar or array; for d = 2 the last axis holds the
-    two coordinates.  Returns complex values of matching shape.
-    """
-    if isinstance(spec, Rescaled):
-        return spec.prefactor * symbol_value(spec.base, np.asarray(z) * spec.freq_scale)
-    d = spec.dimension
-    z = np.asarray(z, dtype=complex)
-    if d == 1:
-        zz = z[..., np.newaxis]
-    else:
-        if z.ndim == 0 or z.shape[-1] != d:
-            raise ValidationError(f"frequency array must have last axis {d}")
-        zz = z
-    if isinstance(spec, PurePower):
-        return np.sum(zz ** (2 * spec.k), axis=-1)
-    if isinstance(spec, QuadraticForm):
-        idx = multi_indices(d, spec.k)
-        mono = np.empty(zz.shape[:-1] + (len(idx),), dtype=complex)
-        for m, ind in enumerate(idx):
-            v = np.ones(zz.shape[:-1], dtype=complex)
-            for j in ind:
-                v = v * zz[..., j]
-            mono[..., m] = v
-        return np.einsum("...i,ij,...j->...", mono, spec.a_matrix, mono)
-    if isinstance(spec, FractionalPower):
-        w = symbol_value(spec.base, z)
-        return _principal_power(w, spec.alpha_frac)
-    if isinstance(spec, Perturbed):
-        out = symbol_value(spec.base, z)
-        iz = 1j * zz
-        for expo, c in spec.q_coeffs.items():
-            term = np.full(zz.shape[:-1], complex(c))
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * iz[..., j] ** e
-            out = out + term
-        return out
-    if isinstance(spec, Levy):
-        return np.asarray(levy_symbol(spec.density, spec.l, spec.alpha_levy, zz[..., 0]))
-    raise ValidationError(f"unknown operator spec {type(spec).__name__}")
+    """The symbol of `spec` at arbitrary frequencies (see `OperatorSpec.value`)."""
+    return spec.value(z)
 
 
 def _principal_power(w, alpha: float):
@@ -461,7 +625,7 @@ class Symbol:
         """Continuous/complex evaluation; requires a backing OperatorSpec."""
         if self.spec is None:
             raise ValidationError("tabulated-only symbol has no continuous evaluation")
-        return symbol_value(self.spec, z)
+        return self.spec.value(z)
 
     def scaled(self, factor: float) -> "Symbol":
         """The symbol factor*a on the same lattice (factor > 0 keeps flags)."""
@@ -486,10 +650,7 @@ class Symbol:
 def _negation_permutation(grid: FrequencyGrid) -> np.ndarray:
     """Lattice index of -p for every point p, looked up in the dense box
     [-N, N]^d that the lattice fills."""
-    n, pts = grid.cutoff, grid.points
-    box = np.empty((2 * n + 1,) * grid.dimension, dtype=np.intp)
-    box[tuple((pts + n).T)] = np.arange(grid.size)
-    return box[tuple((n - pts).T)]
+    return grid.box_index()[tuple((grid.cutoff - grid.points).T)]
 
 
 def _probe_nonnegative(spec: OperatorSpec, n: int) -> bool:
@@ -499,20 +660,15 @@ def _probe_nonnegative(spec: OperatorSpec, n: int) -> bool:
     cell (e.g. xi^4 - xi^2 on 0 < |xi| < 1), which the tabulated values never
     see; the flag must reflect the continuous symbol.
     """
-    if isinstance(spec, Levy):
-        return True  # nonnegative density; checked on the lattice elsewhere
-    d = spec.dimension
-    if d == 1:
+    if spec.dimension == 1:
         xi = np.linspace(-n, n, 128 * n + 1)
-        vals = symbol_value(spec, xi)
-        return float(np.min(vals.real)) >= -1e-12
+        return float(np.min(spec.value(xi).real)) >= -1e-12
     rad = np.linspace(0.0, n * math.sqrt(2.0), 64 * n + 1)
     angles = np.linspace(0.0, 2.0 * np.pi, 65)[:-1]
     worst = 0.0
     for th in angles:
         pts = np.stack([rad * math.cos(th), rad * math.sin(th)], axis=-1)
-        vals = symbol_value(spec, pts)
-        worst = min(worst, float(np.min(vals.real)))
+        worst = min(worst, float(np.min(spec.value(pts).real)))
     return worst >= -1e-12
 
 
@@ -522,22 +678,15 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
         raise ValidationError(
             f"spec dimension {spec.dimension} != grid dimension {grid.dimension}"
         )
-    base = spec.base if isinstance(spec, Rescaled) else spec
-    values = np.asarray(symbol_value(spec, grid.points.astype(float)), dtype=complex)
-    if grid.dimension == 1:
-        values = values.reshape(grid.size)
+    points = grid.points.astype(float)
+    values = np.asarray(spec.value(points), dtype=complex).reshape(grid.size)
     scale = max(1.0, float(np.max(np.abs(values))))
-    if isinstance(_fractional_root(spec), FractionalPower):
-        # reject fractional powers of symbols that dip into Re < 0
-        inner = _fractional_root(spec)
-        base_vals = symbol_value(inner.base, grid.points.astype(float))
-        if float(np.min(np.asarray(base_vals).real)) < -1e-12 * scale:
-            raise BranchCut("fractional power of a symbol with negative real part")
+    spec._check_branch(points, scale)
     real_valued = bool(np.max(np.abs(values.imag)) <= 1e-12 * scale)
     neg = _negation_permutation(grid)
     even = bool(np.max(np.abs(values - values[neg])) <= 1e-12 * scale)
     nonneg = float(np.min(values.real)) >= -1e-12 * scale
-    if nonneg and isinstance(base, (Perturbed, QuadraticForm, PurePower, FractionalPower)):
+    if nonneg and not spec.dissipative:
         nonneg = _probe_nonnegative(spec, grid.cutoff)
     return Symbol(
         grid=grid,
@@ -549,13 +698,6 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
         nonnegative_real_part=bool(nonneg),
         spec=spec,
     )
-
-
-def _fractional_root(spec: OperatorSpec):
-    # unwrap Rescaled to find a FractionalPower at the top of the tree
-    while isinstance(spec, Rescaled):
-        spec = spec.base
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +728,7 @@ def growth_check(symbol: Symbol) -> tuple[bool, float]:
 
 def _shell_min_real(spec: OperatorSpec, n: int) -> float:
     if spec.dimension == 1:
-        vals = symbol_value(spec, np.array([-float(n), float(n)]))
-        return float(np.min(vals.real))
+        return float(np.min(spec.value(np.array([-float(n), float(n)])).real))
     edge = np.arange(-n, n + 1, dtype=float)
     side = np.full_like(edge, float(n))
     ring = np.concatenate(
@@ -598,7 +739,7 @@ def _shell_min_real(spec: OperatorSpec, n: int) -> float:
             np.stack([edge, -side], axis=-1),
         ]
     )
-    return float(np.min(symbol_value(spec, ring).real))
+    return float(np.min(spec.value(ring).real))
 
 
 def auto_cutoff(spec: OperatorSpec, t: float, threshold: float = 1e-16,

@@ -26,17 +26,7 @@ from .semigroup import (
     log_abs_kernel,
     tilted_semigroup,
 )
-from .spectral import (
-    FractionalPower,
-    Perturbed,
-    PurePower,
-    QuadraticForm,
-    Rescaled,
-    Symbol,
-    auto_cutoff,
-    build_symbol,
-    symbol_value,
-)
+from .spectral import Symbol, auto_cutoff, build_symbol
 
 #: slack(t) = C_SLACK * t^{1/(2k-1)} * log(1/t); calibrated once against the
 #: exact second-order wrapped Gaussian and frozen.
@@ -59,18 +49,8 @@ def _check_geometric(t_list) -> np.ndarray:
     return ts
 
 
-def _is_mp_polynomial(spec) -> bool:
-    if isinstance(spec, Rescaled):
-        return spec.freq_scale == 1.0 and _is_mp_polynomial(spec.base)
-    if isinstance(spec, PurePower):
-        return True
-    if isinstance(spec, QuadraticForm):
-        return spec.d == 1
-    if isinstance(spec, FractionalPower):
-        return _is_mp_polynomial(spec.base)
-    if isinstance(spec, Perturbed):
-        return all(e[0] % 2 == 0 for e in spec.q_coeffs) and _is_mp_polynomial(spec.base)
-    return False
+def _mp_supported(symbol: Symbol) -> bool:
+    return symbol.spec is not None and symbol.spec.mp_supported
 
 
 def straight_rate(h: Hamiltonian, x: float, y: float, winding_max: int = 2) -> float:
@@ -159,7 +139,7 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
         est = l_value / t**power
-        if est > _MP_LOG_THRESHOLD and _is_mp_polynomial(symbol.spec):
+        if est > _MP_LOG_THRESHOLD and _mp_supported(symbol):
             vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
         else:
             p = kernel_values(symbol, t, z)
@@ -224,7 +204,7 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
         wrap_angle(x - lo) > 0 and wrap_angle(x - hi) < 0
     )
     vals = np.empty(ts.size)
-    positive_closed_form = k == 1 and _is_mp_polynomial(symbol.spec)
+    positive_closed_form = k == 1 and _mp_supported(symbol)
     for i, t in enumerate(ts):
         est = l_inf / t**power
         if positive_closed_form and est > _MP_LOG_THRESHOLD:
@@ -393,12 +373,12 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
     cutoff = max(scaled.grid.cutoff, auto_cutoff(scaled.spec, s))
     for _ in range(20):
         edge = min(
-            float(np.real(symbol_value(scaled.spec, np.array(sgn * cutoff, dtype=float)
-                                       - 1j * xi_tilt / eps)))
+            float(np.real(scaled.spec.value(np.array(sgn * cutoff, dtype=float)
+                                            - 1j * xi_tilt / eps)))
             for sgn in (1.0, -1.0)
         )
         if s * edge > 40.0 + s * abs(
-            float(np.real(symbol_value(scaled.spec, np.array(-1j * xi_tilt / eps))))
+            float(np.real(scaled.spec.value(np.array(-1j * xi_tilt / eps))))
         ):
             break
         cutoff *= 2

@@ -23,7 +23,6 @@ from nmhl import (
 )
 from nmhl.cli import main
 from nmhl.presets import exit_epsilons
-from nmhl.runner import resolve_threads
 
 KERNEL_TEXT = """\
 [operator]
@@ -258,9 +257,10 @@ def test_nonfinite_numbers_are_rejected_at_parse_time(operator, experiment):
 
 
 def test_nonfinite_numbers_are_rejected_in_every_front_end():
+    # aux_extent is not a grid key, and the grid section has no float key
     grid = ("[operator]\nvariant = pure_power\nk = 1\n[grid]\naux_extent = inf\n"
             "[experiment]\nkind = kernel\nt = 1\n")
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match="unknown key 'aux_extent'"):
         parse_config(grid)
     with pytest.raises(ValidationError, match="integer"):
         parse_config(KERNEL_TEXT.replace("precision = 12", "precision = nan"))
@@ -395,19 +395,6 @@ def test_failed_runs_remove_partial_outputs(tmp_path, monkeypatch):
     with pytest.raises(NmhlError, match="injected"):
         run(parse_config(text), out_dir=str(tmp_path))
     assert list(tmp_path.glob("*.csv")) == []
-
-
-def test_thread_resolution_order(monkeypatch):
-    monkeypatch.delenv("NMHL_THREADS", raising=False)
-    assert resolve_threads() == 1
-    monkeypatch.setenv("NMHL_THREADS", "4")
-    assert resolve_threads() == 4
-    assert resolve_threads(2) == 2      # explicit wins over the environment
-    monkeypatch.setenv("NMHL_THREADS", "zero")
-    with pytest.raises(ValidationError, match="must be an integer"):
-        resolve_threads()
-    with pytest.raises(ValidationError, match="threads must be >= 1"):
-        resolve_threads(0)
 
 
 def test_ibp_run_sweeps_the_preset_grid(tmp_path):

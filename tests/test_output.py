@@ -124,6 +124,20 @@ RATE_K1 = ("[operator]\nvariant = pure_power\nk = 1\n\n"
 RATE_K1_SHA256 = {
     "rate.csv": "2354760092ea1af0f8a8a7f4e6b39254eb240d4470444bdc51a9d3e5c65ac776",
 }
+# the survey configs of the fractional and perturbed variants, taken before
+# their symbols moved onto the operator classes
+FRACTIONAL_K2 = ("[operator]\nvariant = fractional\nk = 2\nalpha_frac = 0.75\n\n"
+                 "[experiment]\nkind = kernel\nt = 0.01\n")
+FRACTIONAL_K2_SHA256 = {
+    "kernel.csv": "08e702bd40cc6649f573c1e9f71341f47f9b97acd73081090da115ee4335cb02",
+    "symbol.csv": "8b9a50af9b1fbcac6706225068a77787851b6eff01c77d7e1091077b9873e1e6",
+}
+PERTURBED_K2 = ("[operator]\nvariant = perturbed\nk = 2\nq = 2:0.1,0:0.25\n\n"
+                "[experiment]\nkind = kernel\nt = 0.01\n")
+PERTURBED_K2_SHA256 = {
+    "kernel.csv": "2efb0fa8589d65514740e2d35de37adc51ae706ec0794372982f35925b7f9428",
+    "symbol.csv": "1da076f5a014d9fa0abfc47b52c0eb96f223e6b73d1d34b9a75e6908ac193c9d",
+}
 
 
 def csv_hashes(text, out_dir: Path) -> dict:
@@ -146,3 +160,11 @@ def test_default_k1_varadhan_csv_keeps_its_bytes(tmp_path):
 
 def test_k1_rate_csv_keeps_its_bytes(tmp_path):
     assert csv_hashes(RATE_K1, tmp_path) == RATE_K1_SHA256
+
+
+def test_fractional_kernel_csvs_keep_their_bytes(tmp_path):
+    assert csv_hashes(FRACTIONAL_K2, tmp_path) == FRACTIONAL_K2_SHA256
+
+
+def test_perturbed_kernel_csvs_keep_their_bytes(tmp_path):
+    assert csv_hashes(PERTURBED_K2, tmp_path) == PERTURBED_K2_SHA256

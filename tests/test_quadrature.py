@@ -5,6 +5,7 @@ series and scipy's adaptive quad."""
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import oracles
 from nmhl import Levy, levy_hamiltonian, levy_symbol
 from nmhl.errors import QuadratureNonConverged, TiltOutOfDomain
-from nmhl.ldp import hamiltonian_for, lagrangian_table
+from nmhl.ldp import hamiltonian_for, lagrangian_table, legendre
 from nmhl.malliavin import _aux_kernel_table
 from nmhl.presets import flat_density
 
@@ -88,3 +89,15 @@ def test_jump_lagrangian_table_is_quick_and_below_every_tangent():
     scale = 1.0 + np.abs(lag.values)
     assert np.all(gap >= -1e-9 * scale[:, None])
     assert np.all(np.abs(np.diag(gap)) <= 1e-9 * scale)
+
+
+def test_jump_hamiltonian_names_the_cosh_overflow():
+    # past support * |xi| = log(max float) cosh overflows: the error names the
+    # overflow, and no numpy warning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TiltOutOfDomain, match="overflows"):
+            levy_hamiltonian(flat_density(), 1, -0.5, 800.0)
+    # a large momentum keeps its maximizer well inside the limit
+    h = hamiltonian_for(Levy(l=1, alpha_levy=-0.5, density=flat_density()))
+    assert legendre(h, 1e6) == pytest.approx(15436992.467835128, rel=1e-12)

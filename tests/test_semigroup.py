@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -106,6 +107,19 @@ def test_apply_semigroup_diagonalizes_eigenfunctions():
     np.testing.assert_allclose(apply_semigroup(sym, 0.0, np.cos(x)), np.cos(x))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_semigroup_reads_a_tabulated_symbol_as_its_spec(d):
+    # the lattice lookup of a symbol without a spec serves the same FFT bins
+    # the continuous evaluation does
+    sym = build_symbol(PurePower(k=1, d=d), FrequencyGrid(d, 8))
+    table = dataclasses.replace(sym, spec=None)
+    h = np.cos(np.sum(spatial_grid(16, d), axis=-1) if d == 2 else spatial_grid(16))
+    np.testing.assert_array_equal(apply_semigroup(table, 1.0, h),
+                                  apply_semigroup(sym, 1.0, h))
+    with pytest.raises(ValidationError, match="beyond its lattice"):
+        apply_semigroup(table, 1.0, np.ones((18,) * d))
+
+
 def test_chapman_kolmogorov_and_symmetry():
     sym = quartic_symbol()
     assert chapman_kolmogorov_check(sym, 0.05, 0.07) < 1e-10
@@ -168,6 +182,16 @@ def test_tilted_semigroup_reduces_to_heat_kernel_at_zero_tilt():
     assert op.l1_norm(resolution=512) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tilted_2d_gaussian_shifts_both_coordinates():
+    s, tau = 0.5, (0.3, -0.2)
+    sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 24))
+    op = tilted_semigroup(sym, TiltSpec(xi_tilt=tau, eps=1.0), s)
+    assert op.norm_on_constants() == pytest.approx(math.exp(s * 0.13), rel=1e-12)
+    flat = tilted_semigroup(sym, TiltSpec(xi_tilt=(0.0, 0.0)), s)
+    np.testing.assert_allclose(flat.kernel(resolution=64),
+                               heat_kernel(sym, s, resolution=64).values, atol=1e-13)
+
+
 def test_tilted_gaussian_matches_completed_square():
     s, tau = 0.7, 0.3
     sym = gaussian_symbol()
@@ -209,6 +233,13 @@ def test_log_abs_kernel_of_a_fractional_power_matches_termwise_sum(t, z):
                                  t, n_cut=4000)
     assert log_abs_kernel(spec, t, z) == pytest.approx(ref, rel=1e-12)
 
+
+
+def test_log_abs_kernel_refuses_a_two_dimensional_symbol():
+    # the multiprecision sum is one-dimensional: a 2-D spec must be refused,
+    # not summed as if it were 1-D
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        log_abs_kernel(PurePower(k=1, d=2), 0.05, 1.0)
 
 
 def test_log_abs_kernel_never_returns_an_unsettled_estimate():

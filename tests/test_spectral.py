@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +213,55 @@ def test_symbol_scaled_multiplies_values():
     assert doubled.at(3.0) == pytest.approx(18.0)
     with pytest.raises(ValidationError):
         sym.scaled(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the operator layer: each variant's multiprecision value and Hamiltonian
+# against its own double-precision symbol
+
+MP_SPECS = [
+    PurePower(k=2),
+    QuadraticForm(k=1, a_matrix=np.array([[2.5]])),
+    FractionalPower(base=PurePower(k=2), alpha_frac=0.75),
+    Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.1, (0,): 0.25}),
+    Rescaled(Perturbed(base=PurePower(k=2), q_coeffs={(2,): -0.5}), prefactor=3.0),
+]
+
+
+@pytest.mark.parametrize("spec", MP_SPECS, ids=lambda s: type(s).__name__)
+def test_multiprecision_value_matches_the_symbol(spec):
+    assert spec.mp_supported
+    with mp.workdps(40):
+        for n in range(9):
+            expected = float(spec.value(float(n)).real)
+            assert float(spec.mp_value(n)) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+NO_MP_SPECS = [
+    PurePower(k=1, d=2),
+    QuadraticForm(k=1, a_matrix=np.eye(2), d=2),
+    FractionalPower(base=PurePower(k=1, d=2), alpha_frac=0.5),
+    Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}),
+    Rescaled(PurePower(k=1), freq_scale=0.5),
+    Levy(l=1, alpha_levy=-0.5, density=flat_density()),
+]
+
+
+@pytest.mark.parametrize("spec", NO_MP_SPECS, ids=lambda s: type(s).__name__)
+def test_multiprecision_value_refuses_what_the_paired_sums_cannot_take(spec):
+    # the sums pair +n with -n on the circle: even 1-d symbols only
+    assert not spec.mp_supported
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        spec.mp_value(1)
+
+
+@pytest.mark.parametrize("spec", [
+    PurePower(k=1),
+    PurePower(k=3),
+    QuadraticForm(k=2, a_matrix=np.array([[0.7]])),
+    Rescaled(PurePower(k=2), prefactor=2.0, freq_scale=0.5),
+], ids=lambda s: type(s).__name__)
+def test_polynomial_hamiltonian_is_the_symbol_at_real_frequencies(spec):
+    xi = np.linspace(-3.0, 3.0, 41)
+    np.testing.assert_allclose(spec.hamiltonian()(xi), spec.value(xi).real,
+                               rtol=1e-14, atol=0)

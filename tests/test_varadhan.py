@@ -358,3 +358,11 @@ def test_localized_validates_inputs():
     with pytest.raises(ValidationError):
         # bump support contains the base point: the rate target degenerates
         localized_estimate(sym, 1, 0.0, plateau_bump(0.0, 0.5, 1.0), ts)
+
+
+def test_varadhan_curve_refuses_a_two_dimensional_symbol():
+    # every sample is past the multiprecision threshold, whose sum is
+    # one-dimensional: a 2-D symbol must not reach it
+    sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 8))
+    with pytest.raises(ValidationError):
+        varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.005, 0.5, 3), l_value=0.25)
