@@ -38,6 +38,8 @@ def _legendre_full(h: Hamiltonian, p: float, xatol: float = 1e-12):
     exact p/2 by up to 2.6e-7 (2.2e-8 from (p/4)^(1/3) at k = 2).  The value
     is stationary in xi and agrees with the closed form to ~5e-16 relative.
     """
+    if not math.isfinite(p):
+        raise ValidationError(f"p must be finite, got {p}")
     from scipy import optimize  # runtime import: scipy is slow to load
 
     phi = lambda xi: p * xi - float(h(np.array(xi)))

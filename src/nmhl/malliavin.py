@@ -237,15 +237,10 @@ def ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float = 0.0,
     w = op.weight_integral(t)
     a_alpha = _principal_power(op.base.values, op.alpha_frac)
 
-    def moments(start):
-        if moment_path == "analytic":
-            return start + c
-        return aux_moment(op, t, start=start, path="quadrature")
-
     carried = np.ones_like(c)
     for v in starts:
-        carried = carried * moments(v)
-    new_var = moments(0.0)
+        carried = carried * aux_moment(op, t, start=v, path=moment_path)
+    new_var = aux_moment(op, t, start=0.0, path=moment_path)
     phase = np.exp(1j * xi * x)
     lhs = np.sum(coeffs * damp * carried * new_var * phase)
     rhs = w * np.sum(coeffs * a_alpha * damp * carried * phase)

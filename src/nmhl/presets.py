@@ -148,9 +148,6 @@ def duhamel_pair(cutoff: int = 32):
         values=full.values - base.values,
         order=2,
         ellipticity_order=0,
-        real_valued=True,
-        even=True,
-        nonnegative_real_part=False,
         spec=None,
     )
     return base, q_sym, full

@@ -52,6 +52,19 @@ EXIT_RATIO_TOL = {1: 0.15}      # any other k: 0.20
 _EXIT_RATIO_DEFAULT = 0.20
 
 
+def _exit_passed(fit, k: int) -> bool:
+    """The exit pass rule: a clean fit whose constant is within the
+    k-dependent tolerance of the Chernoff target."""
+    tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
+    return fit.r_squared >= EXIT_R2_MIN and abs(fit.ratio - 1.0) <= tol
+
+
+def _rate_p_max(x: float, y: float, winding_max: int) -> float:
+    """Slope range of the Lagrangian table: twice the longest lifted
+    displacement the winding search can try."""
+    return max(8.0, 2.0 * (abs(y - x) + TWO_PI * winding_max))
+
+
 @dataclass
 class ReportSummary:
     experiment: str
@@ -242,8 +255,7 @@ def _run_rate(config: RunConfig, ctx: dict) -> ReportSummary:
     x, y = params["x"], params["y"]
     spec = _spec_of(config)
     h = hamiltonian_for(spec)
-    p_max = max(8.0, 2.0 * (abs(y - x) + TWO_PI * params["winding_max"]))
-    lag = lagrangian_table(h, p_max)
+    lag = lagrangian_table(h, _rate_p_max(x, y, params["winding_max"]))
     result = rate_function(
         x, y, lag,
         m=params["nodes"],
@@ -302,11 +314,9 @@ def _run_exit(config: RunConfig, ctx: dict) -> ReportSummary:
     _write_csv(path, _base_meta(config, {"grid.cutoff_used": symbol.grid.cutoff}),
                fit.columns(), ctx["precision"])
     ctx["written"].append(path)
-    tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
-    ratio_ok = abs(fit.ratio - 1.0) <= tol
     return ReportSummary(
         experiment="exit",
-        passed=fit.r_squared >= EXIT_R2_MIN and ratio_ok,
+        passed=_exit_passed(fit, k),
         measured={
             "fit_c": fit.fit_c,
             "chernoff_c": fit.chernoff_c,
@@ -348,8 +358,7 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
     endpoints = rate_endpoints()
     results = []
     for x, y in endpoints:
-        p_max = max(8.0, 2.0 * (abs(y - x) + TWO_PI * 2))
-        results.append(rate_function(x, y, lagrangian_table(h, p_max)))
+        results.append(rate_function(x, y, lagrangian_table(h, _rate_p_max(x, y, 2))))
     residuals = [r.residual for r in results]
     path = os.path.join(outdir, "report_rate.csv")
     _write_csv(path, _base_meta(config), {
@@ -380,9 +389,7 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
         path = os.path.join(outdir, f"report_exit_k{k}.csv")
         _write_csv(path, _base_meta(config), fit.columns(), precision)
         ctx["written"].append(path)
-        tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
-        exit_ok = fit.r_squared >= EXIT_R2_MIN and abs(fit.ratio - 1.0) <= tol
-        entries.append((f"exit_k{k}", "fit_c", fit.fit_c, exit_ok, path))
+        entries.append((f"exit_k{k}", "fit_c", fit.fit_c, _exit_passed(fit, k), path))
 
     bounds = []
     for k, tilt, s in TILT_PRESETS:

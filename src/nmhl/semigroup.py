@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import TWO_PI, FrequencyGrid, axis_mesh, spatial_grid
-from .spectral import OperatorSpec, Symbol, auto_cutoff
+from .spectral import OperatorSpec, Symbol, _negation_permutation, auto_cutoff
 
 _IMAG_TOL = 1e-10
 
@@ -51,8 +51,8 @@ class KernelField:
 
 
 def _require_time(t: float):
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValidationError(f"t must be > 0 and finite, got {t}")
 
 
 def _require_dissipative(symbol: Symbol):
@@ -158,6 +158,8 @@ def kernel_values(symbol: Symbol, t: float, offsets, threshold: float = 1e-12):
         raise ValidationError("direct evaluation is one-dimensional")
     _check_truncation(symbol, t, threshold)
     z = np.atleast_1d(np.asarray(offsets, dtype=float))
+    if not np.all(np.isfinite(z)):
+        raise ValidationError(f"offsets must be finite, got {offsets!r}")
     mult = np.exp(-t * symbol.values)
     xi = symbol.grid.points[:, 0].astype(float)
     # lattice order is ascending |xi|: summation order is deterministic
@@ -246,6 +248,8 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float, guard: float = 40.0) 
     """log |p_t(0, z)| for a 1-d polynomial symbol, at whatever precision the
     cancellation demands (see `_mp_log_fourier`)."""
     _require_time(t)
+    if not math.isfinite(z):
+        raise ValidationError(f"offset z must be finite, got {z}")
     return _mp_log_fourier(spec, t, 0.0, ((mp.cos, z),),
                            lambda n, x: x[0], guard)[0]
 
@@ -466,7 +470,10 @@ def chapman_kolmogorov_check(symbol: Symbol, t: float, s: float, x=0.0,
 def kernel_symmetry_check(symbol: Symbol, t: float, resolution: int = 512) -> float:
     """max |p_t(x, y) - p_t(y, x)|; the kernel is a function of y - x, so this
     is the deviation of the difference kernel from evenness."""
-    if not (symbol.real_valued and symbol.even):
+    a = symbol.values
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    neg = _negation_permutation(symbol.grid)
+    if np.max(np.abs(a.imag)) > tol or np.max(np.abs(a - a[neg])) > tol:
         raise ValidationError("symmetry check applies to real even symbols")
     f = heat_kernel(symbol, t, x=0.0, resolution=resolution)
     rev = np.roll(np.flip(f.values), 1, axis=tuple(range(f.values.ndim)))

@@ -52,8 +52,6 @@ class Hamiltonian:
 
     fun: Callable
     order: float
-    even: bool = True
-    tag: str | None = None
 
     def __call__(self, xi):
         return self.fun(np.asarray(xi, dtype=float))
@@ -72,7 +70,7 @@ class OperatorSpec:
     A variant is one subclass.  It gives its `dimension`, `order` and
     `_at(zz)`, the symbol on a complex array whose last axis holds the d
     coordinates, and overrides the defaults below where they do not hold:
-    `hamiltonian`, `dissipative`, `mp_supported` with `_mp_at`,
+    `hamiltonian`, `mp_supported` with `_mp_at`,
     `poly_degree`, `maslov_factors` and `_check_branch`.
     """
 
@@ -105,12 +103,6 @@ class OperatorSpec:
     def hamiltonian(self) -> Hamiltonian:
         """The real-phase Hamiltonian xi -> H(xi) of the generator."""
         raise ValidationError(f"no real-phase Hamiltonian for {type(self).__name__}")
-
-    @property
-    def dissipative(self) -> bool:
-        """Re a >= 0 at every real frequency by construction, so that
-        `build_symbol` need not probe between lattice points."""
-        return False
 
     @property
     def mp_supported(self) -> bool:
@@ -162,11 +154,7 @@ class _Homogeneous(OperatorSpec):
 
     def hamiltonian(self) -> Hamiltonian:
         return Hamiltonian(fun=lambda xi: np.real(self.value(xi)),
-                           order=self.order, tag="polynomial")
-
-    @property
-    def dissipative(self) -> bool:
-        return True
+                           order=self.order)
 
     @property
     def mp_supported(self) -> bool:
@@ -294,13 +282,7 @@ class Levy(OperatorSpec):
         # the oscillatory kernel switched for its hyperbolic version
         return Hamiltonian(
             fun=lambda xi: levy_hamiltonian(self.density, self.l, self.alpha_levy, xi),
-            order=2 * self.l,
-            tag="jump",
-        )
-
-    @property
-    def dissipative(self) -> bool:
-        return True   # the density is nonnegative
+            order=2 * self.l)
 
     def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
         # (1/eps) a(eps xi), re-quadratured since eps*xi leaves the lattice
@@ -351,11 +333,7 @@ class FractionalPower(_Wrapper):
     def hamiltonian(self) -> Hamiltonian:
         base, alpha = self.base.hamiltonian(), self.alpha_frac
         return Hamiltonian(fun=lambda xi: np.asarray(base.fun(xi)) ** alpha,
-                           order=alpha * base.order, tag="fractional")
-
-    @property
-    def dissipative(self) -> bool:
-        return self.base.dissipative
+                           order=alpha * base.order)
 
     @property
     def mp_supported(self) -> bool:
@@ -443,12 +421,7 @@ class Rescaled(_Wrapper):
         pref, scale = self.prefactor, self.freq_scale
         return Hamiltonian(
             fun=lambda xi: pref * inner.fun(np.asarray(xi, dtype=float) * scale),
-            order=inner.order, even=inner.even, tag=inner.tag,
-        )
-
-    @property
-    def dissipative(self) -> bool:
-        return self.base.dissipative
+            order=inner.order)
 
     @property
     def mp_supported(self) -> bool:
@@ -610,15 +583,12 @@ def _principal_power(w, alpha: float):
 
 @dataclass(eq=False)
 class Symbol:
-    """Fourier multiplier tabulated on a frequency lattice, with flags."""
+    """Fourier multiplier tabulated on a frequency lattice."""
 
     grid: FrequencyGrid
     values: np.ndarray
     order: float
     ellipticity_order: float
-    real_valued: bool
-    even: bool
-    nonnegative_real_part: bool
     spec: OperatorSpec | None = None
 
     def at(self, z):
@@ -628,7 +598,7 @@ class Symbol:
         return self.spec.value(z)
 
     def scaled(self, factor: float) -> "Symbol":
-        """The symbol factor*a on the same lattice (factor > 0 keeps flags)."""
+        """The symbol factor*a on the same lattice (factor > 0)."""
         if factor <= 0:
             raise ValidationError("scaling factor must be > 0")
         spec = Rescaled(self.spec, prefactor=factor) if self.spec is not None else None
@@ -637,9 +607,6 @@ class Symbol:
             values=self.values * factor,
             order=self.order,
             ellipticity_order=self.ellipticity_order,
-            real_valued=self.real_valued,
-            even=self.even,
-            nonnegative_real_part=self.nonnegative_real_part,
             spec=spec,
         )
 
@@ -653,25 +620,6 @@ def _negation_permutation(grid: FrequencyGrid) -> np.ndarray:
     return grid.box_index()[tuple((grid.cutoff - grid.points).T)]
 
 
-def _probe_nonnegative(spec: OperatorSpec, n: int) -> bool:
-    """Continuous dissipativity probe between lattice points.
-
-    A lower-order perturbation can dip below zero strictly inside a lattice
-    cell (e.g. xi^4 - xi^2 on 0 < |xi| < 1), which the tabulated values never
-    see; the flag must reflect the continuous symbol.
-    """
-    if spec.dimension == 1:
-        xi = np.linspace(-n, n, 128 * n + 1)
-        return float(np.min(spec.value(xi).real)) >= -1e-12
-    rad = np.linspace(0.0, n * math.sqrt(2.0), 64 * n + 1)
-    angles = np.linspace(0.0, 2.0 * np.pi, 65)[:-1]
-    worst = 0.0
-    for th in angles:
-        pts = np.stack([rad * math.cos(th), rad * math.sin(th)], axis=-1)
-        worst = min(worst, float(np.min(spec.value(pts).real)))
-    return worst >= -1e-12
-
-
 def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
     """Tabulate an operator's symbol on a frequency lattice."""
     if spec.dimension != grid.dimension:
@@ -682,20 +630,11 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
     values = np.asarray(spec.value(points), dtype=complex).reshape(grid.size)
     scale = max(1.0, float(np.max(np.abs(values))))
     spec._check_branch(points, scale)
-    real_valued = bool(np.max(np.abs(values.imag)) <= 1e-12 * scale)
-    neg = _negation_permutation(grid)
-    even = bool(np.max(np.abs(values - values[neg])) <= 1e-12 * scale)
-    nonneg = float(np.min(values.real)) >= -1e-12 * scale
-    if nonneg and not spec.dissipative:
-        nonneg = _probe_nonnegative(spec, grid.cutoff)
     return Symbol(
         grid=grid,
         values=values,
         order=spec.order,
         ellipticity_order=spec.ellipticity_order,
-        real_valued=real_valued,
-        even=even,
-        nonnegative_real_part=bool(nonneg),
         spec=spec,
     )
 

@@ -245,6 +245,8 @@ def chernoff_extremize(h: Hamiltonian, delta: float, s: float,
                        eps: float = 1.0):
     """Minimize -delta xi + s H(xi) over xi >= 0; returns (xi_star,
     exponent / eps).  For H = xi^{2k} the minimizer is (delta/(2ks))^{1/(2k-1)}."""
+    if not (math.isfinite(delta) and math.isfinite(s) and math.isfinite(eps)):
+        raise ValidationError("delta, s and eps must be finite")
     if delta < 0:
         raise ValidationError("delta must be >= 0")
     if s <= 0 or eps <= 0:

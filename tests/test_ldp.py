@@ -1,6 +1,8 @@
 """Legendre transforms, Lagrangian tables, action minimization on the circle,
 and the small-parameter scaling identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,12 @@ def h_power(k):
 
 # ---------------------------------------------------------------------------
 # Legendre transform against closed forms
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_legendre_refuses_a_nonfinite_slope(p):
+    with pytest.raises(ValidationError, match="finite"):
+        legendre(h_power(1), p)
 
 
 def test_conjugate_of_quadratic_is_quarter_square():
@@ -97,7 +105,6 @@ def test_fractional_hamiltonian_composes_orders():
 def test_jump_hamiltonian_uses_hyperbolic_kernel():
     spec = Levy(l=1, alpha_levy=-0.5, density=flat_density())
     h = hamiltonian_for(spec)
-    assert h.tag == "jump"
     assert h(2.0) == pytest.approx(0.5748611643472, abs=1e-10)
     # the hyperbolic version dominates the oscillatory one at matching xi
     sym = build_symbol(spec, FrequencyGrid(1, 4))
@@ -299,7 +306,7 @@ def test_scaling_rejects_bad_arguments():
 
     bare = Symbol(
         grid=sym.grid, values=sym.values.copy(), order=2.0, ellipticity_order=2.0,
-        real_valued=True, even=True, nonnegative_real_part=True, spec=None,
+        spec=None,
     )
     with pytest.raises(ValidationError):
         maslov_scaled_symbol(bare, 1, 0.5)

@@ -183,6 +183,8 @@ def test_ibp_check_validates_inputs():
         ibp_check(op, f, 1.0, starts=[0.1, 0.2])
     with pytest.raises(ValidationError):
         ibp_check(op, np.cos(spatial_grid(16)), 1.0)  # grid too coarse
+    with pytest.raises(ValidationError, match="unknown moment path"):
+        ibp_check(op, f, 1.0, moment_path="bogus")
 
 
 # ---------------------------------------------------------------------------

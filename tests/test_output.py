@@ -139,6 +139,89 @@ PERTURBED_K2_SHA256 = {
     "symbol.csv": "1da076f5a014d9fa0abfc47b52c0eb96f223e6b73d1d34b9a75e6908ac193c9d",
 }
 
+# every CSV written by the benchmark's preset configs and by the full report,
+# taken before the unread Symbol flags were dropped: the byte-identity gate
+# that a refactor of the numerical layers must keep
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+REPORT_FULL = REPORT_FAST.replace("fast = true", "fast = false")
+PRESET_SHA256 = {
+    "fields/ibp_quadrature": {
+        "ibp.csv": "659c1de4a1152c28fb2cc14c6d3bb0dbc2d7d3ec7ca489335449fd50cab7916a",
+    },
+    "fields/kernel_levy": {
+        "kernel.csv": "8473eaf74d7df88904290cd17b8c6685ef3ceaf6e511b2b96013b026d249f2ad",
+        "symbol.csv": "401bb95bf697fa8c425d1fdfad5e65643c7a890ed1e2a91040b1a3a4e6a2f7bc",
+    },
+    "fields/kernel_quadratic_2d": {
+        "kernel.csv": "bab9854881d6f2d233af2b80fc59eadc7e005d36bc81dec431f2553e15553940",
+        "symbol.csv": "1a62928a814abb7a0045153a2a87d6074c6e3494246e2bd67672e34753964dde",
+    },
+    "fields/kernel_quartic_2d": {
+        "kernel.csv": "6eb972273119d93ab23efd3b1efa3ba808670f1ab270ac1cc9554f95eef65398",
+        "symbol.csv": "c34615648b08967f79e91a44387992efcb6b7cd7bc885d36f4c9cb0953238799",
+    },
+    "paths/rate_k1_winding": {
+        "rate.csv": "2354760092ea1af0f8a8a7f4e6b39254eb240d4470444bdc51a9d3e5c65ac776",
+    },
+    "paths/rate_k2_perturbed": {
+        "rate.csv": "6c55eceabe8a7c76e9d7badeb608294bc9d90bbee16937180b8d374575acf391",
+    },
+    "paths/report_fast": {
+        "report.csv": "b174ab13760f5e2a75e980a5e0469491aa873d85539a14d95e47effeee3047d9",
+        "report_exit_k1.csv": "5f120274eccd2662b6f34ae5a85063f2adb4d7c0ba71afd47a3925602d67459c",
+        "report_ibp.csv": "2f59f624eb1b4ce74084e2cbf4b35eb7b6a7cea44245fe94611f02fb1964b663",
+        "report_kernel.csv": "2628433f94e03d239b4e8fd240a7cea18a79fce37f938288c7c0da2859ee0daf",
+        "report_rate.csv": "3dc3216d3b7280eeca8e60c4eef7f379578cd6959f7277f9663d40aeb85387a2",
+        "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
+        "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
+    },
+    "paths/varadhan_k1": {
+        "varadhan.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
+    },
+    "report_full": {
+        "report.csv": "a672bc3744e3448b18a217a1cc0af84f046598e442b27e6f80d1eef2e1051ab0",
+        "report_exit_k1.csv": "48180817ac5564e5c7c764a9f724642c5844967d94f43c9cf84f5e1277077d5c",
+        "report_exit_k2.csv": "f63b4e82937415a7ac515b05554e59d74edb9fd55cd6c36f91fb187c48d79c38",
+        "report_ibp.csv": "186183878b881ed41767654b201667fec33518019b70854c8570c1654221885c",
+        "report_kernel.csv": "3bc186e593a4801ca1988b206c09e5d88b49052b169e8ede03a26052859677d0",
+        "report_rate.csv": "acb227719cc8f5653a7ca9ad72df716489257b051fe43c9caa8279c62da31ab4",
+        "report_tilted.csv": "f3937eb5034e45c7e2ce5a0bd93faba4f2092c95033edf0257c8f86bf6a6a420",
+        "report_varadhan_k1.csv": "d18e37d596f82303901dde921f3d47635b8bfebed6c35e81decaa14083d2b80d",
+        "report_varadhan_k2.csv": "efbed1dfc6fd914154279e9c06bc93d3cdcdb93d4fcbce780797dca6f8039888",
+    },
+    "survey/exit_k1": {
+        "exit.csv": "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88",
+    },
+    "survey/exit_k2": {
+        "exit.csv": "9b9ce04cc75eec9aa198d0a9a44ab351f0de40a78082c7dc5c7ed71c28b182fe",
+    },
+    "survey/ibp_analytic": {
+        "ibp.csv": "09e604e214c910f6800362de74cdd4fdea41bc014ad649c31a8b52528c6af441",
+    },
+    "survey/kernel_fractional": {
+        "kernel.csv": "08e702bd40cc6649f573c1e9f71341f47f9b97acd73081090da115ee4335cb02",
+        "symbol.csv": "8b9a50af9b1fbcac6706225068a77787851b6eff01c77d7e1091077b9873e1e6",
+    },
+    "survey/kernel_k1": {
+        "kernel.csv": "aa8acba5ddb997ee95caef872e8e58decc42f46b57c76247928c60498b48fdb3",
+        "symbol.csv": "f0bd0118fa0ace85ce7a631e15cc5ccaf2749205502b381e66fd6984f0579b76",
+    },
+    "survey/kernel_k2": {
+        "kernel.csv": "db30aac53a57229996a0c30d05f3be22790654460a4b16543eb09fb0597c95cb",
+        "symbol.csv": "c5773e89bcc85c9bb23c14f1d2c4765f678d40b4a291de827a3b51faa6714454",
+    },
+    "survey/kernel_perturbed": {
+        "kernel.csv": "2efb0fa8589d65514740e2d35de37adc51ae706ec0794372982f35925b7f9428",
+        "symbol.csv": "1da076f5a014d9fa0abfc47b52c0eb96f223e6b73d1d34b9a75e6908ac193c9d",
+    },
+    "survey/rate_k1": {
+        "rate.csv": "5b30a908b60690aa780809e2b1439d7d9a4f5d054fcae12ebd10c0a6d1edc979",
+    },
+    "survey/varadhan_k2": {
+        "varadhan.csv": "e333d5ba47964bcb94b97f182ed953892572bb43dafb96655704b20418884c43",
+    },
+}
+
 
 def csv_hashes(text, out_dir: Path) -> dict:
     run(parse_config(text), out_dir=str(out_dir))
@@ -168,3 +251,10 @@ def test_fractional_kernel_csvs_keep_their_bytes(tmp_path):
 
 def test_perturbed_kernel_csvs_keep_their_bytes(tmp_path):
     assert csv_hashes(PERTURBED_K2, tmp_path) == PERTURBED_K2_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+def test_preset_csvs_keep_their_bytes(name, tmp_path):
+    text = (REPORT_FULL if name == "report_full"
+            else (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8"))
+    assert csv_hashes(text, tmp_path) == PRESET_SHA256[name]

@@ -126,6 +126,22 @@ def test_chapman_kolmogorov_and_symmetry():
     assert kernel_symmetry_check(sym, 0.05) < 1e-12
 
 
+def test_symmetry_check_judges_the_tabulated_values():
+    odd_drift = build_symbol(Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}),
+                             FrequencyGrid(1, 16))
+    with pytest.raises(ValidationError, match="real even"):
+        kernel_symmetry_check(odd_drift, 0.05)
+    grid = FrequencyGrid(1, 16)
+    xi = grid.points[:, 0].astype(float)
+    uneven = Symbol(grid=grid, values=xi**2 + 0.5 * xi + 0j, order=2,
+                    ellipticity_order=2, spec=None)
+    with pytest.raises(ValidationError, match="real even"):
+        kernel_symmetry_check(uneven, 0.5)
+    even = Symbol(grid=grid, values=xi**2 + 0j, order=2, ellipticity_order=2,
+                  spec=None)
+    assert kernel_symmetry_check(even, 0.5) < 1e-12
+
+
 def test_cutoff_too_small_carries_usable_suggestion():
     sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 4))
     with pytest.raises(CutoffTooSmall) as exc_info:
@@ -143,7 +159,6 @@ def test_non_hermitian_multiplier_rejected():
     values = xi**2 + 0.0j                   # dissipative, passes truncation
     values[grid.points[:, 0] == 1] += 1.0j  # breaks a(-xi) == conj(a(xi))
     sym = Symbol(grid=grid, values=values, order=2, ellipticity_order=2,
-                 real_valued=False, even=False, nonnegative_real_part=True,
                  spec=None)
     with pytest.raises(ComplexResidue):
         heat_kernel(sym, 2.5, resolution=64)
@@ -165,8 +180,7 @@ def test_duhamel_flags_nondecreasing_tail():
     base = build_symbol(PurePower(k=2), grid)
     q_vals = 3.0 * grid.points[:, 0].astype(float) ** 2
     q_sym = Symbol(grid=grid, values=q_vals.astype(complex), order=2,
-                   ellipticity_order=0, real_valued=True, even=True,
-                   nonnegative_real_part=True, spec=None)
+                   ellipticity_order=0, spec=None)
     with pytest.raises(SeriesDiverged):
         duhamel_series(base, q_sym, 1.0, DuhamelConfig(l_max=4))
 
@@ -240,6 +254,20 @@ def test_log_abs_kernel_refuses_a_two_dimensional_symbol():
     # not summed as if it were 1-D
     with pytest.raises(ValidationError, match="one-dimensional"):
         log_abs_kernel(PurePower(k=1, d=2), 0.05, 1.0)
+
+
+@pytest.mark.parametrize("t, z", [(math.nan, 1.0), (math.inf, 1.0),
+                                  (0.05, math.nan), (0.05, math.inf)])
+def test_log_abs_kernel_refuses_nonfinite_arguments(t, z):
+    with pytest.raises(ValidationError, match="finite"):
+        log_abs_kernel(PurePower(k=1), t, z)
+
+
+@pytest.mark.parametrize("t, offsets", [(math.nan, 0.5), (math.inf, 0.5),
+                                        (0.5, math.nan), (0.5, [0.1, math.inf])])
+def test_kernel_values_refuses_nonfinite_arguments(t, offsets):
+    with pytest.raises(ValidationError, match="finite"):
+        kernel_values(gaussian_symbol(), t, offsets)
 
 
 def test_log_abs_kernel_never_returns_an_unsettled_estimate():

@@ -48,7 +48,9 @@ def test_pure_power_lattice_values():
     sym = build_symbol(PurePower(k=2), FrequencyGrid(1, 6))
     xi = sym.grid.points[:, 0].astype(float)
     np.testing.assert_allclose(sym.values.real, xi**4, rtol=0, atol=0)
-    assert sym.real_valued and sym.even and sym.nonnegative_real_part
+    neg = _negation_permutation(sym.grid)
+    assert np.all(sym.values.imag == 0) and np.all(sym.values == sym.values[neg])
+    assert sym.lattice_min_real() >= 0.0
     assert sym.order == 4
 
 
@@ -166,7 +168,8 @@ def test_levy_hamiltonian_matches_riemann_oracle():
 def test_levy_lattice_symbol_is_dissipative_and_even():
     spec = Levy(l=1, alpha_levy=-0.5, density=flat_density(tol=1e-10))
     sym = build_symbol(spec, FrequencyGrid(1, 8))
-    assert sym.even and sym.nonnegative_real_part
+    neg = _negation_permutation(sym.grid)
+    assert np.all(sym.values.imag == 0) and np.all(sym.values == sym.values[neg])
     assert sym.lattice_min_real() >= 0.0
     assert sym.order == pytest.approx(2.5)
     assert sym.ellipticity_order == pytest.approx(2.0)

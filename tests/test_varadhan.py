@@ -52,6 +52,12 @@ def test_straight_rate_short_and_wound():
     )
 
 
+@pytest.mark.parametrize("x, y", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)])
+def test_straight_rate_refuses_a_nonfinite_endpoint(x, y):
+    with pytest.raises(ValidationError, match="finite"):
+        straight_rate(hamiltonian_for(PurePower(k=1)), x, y)
+
+
 @given(y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_straight_rate_matches_wound_oracle(y):
@@ -104,6 +110,13 @@ def test_chernoff_validates_inputs():
         chernoff_extremize(h, -0.1, 1.0)
     with pytest.raises(ValidationError):
         chernoff_extremize(h, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("delta, s", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.inf, 1.0), (1.0, math.inf)])
+def test_chernoff_refuses_nonfinite_arguments(delta, s):
+    with pytest.raises(ValidationError, match="finite"):
+        chernoff_extremize(hamiltonian_for(PurePower(k=1)), delta, s)
 
 
 # ---------------------------------------------------------------------------
