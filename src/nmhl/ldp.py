@@ -17,7 +17,12 @@ from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI
 from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
 
+# |xi| past which a bracket that still misses |p| means a subquadratic H,
+# and the Newton steps after which an unsettled maximizer is an error
 _BRACKET_CAP = 1e9
+_NEWTON_STEPS = 100
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
@@ -29,63 +34,102 @@ def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
 # Legendre transform
 
 
-def _legendre_full(h: Hamiltonian, p: float, xatol: float = 1e-12):
-    """sup_xi (p xi - H(xi)) with the maximizer; bracketing + bounded search.
+def _maximizers(h: Hamiltonian, p) -> np.ndarray:
+    """xi*(p), the root of H'(xi) = p, for an array of momenta at once.
 
-    The maximizer is only as accurate as scipy's bounded method, which stops
-    at sqrt(eps)|xi| + xatol/3, so ``xatol`` is a floor and not the error: on
-    the default 513-node k = 1 table to p = 2(5 + 4 pi) the slopes miss the
-    exact p/2 by up to 2.6e-7 (2.2e-8 from (p/4)^(1/3) at k = 2).  The value
-    is stationary in xi and agrees with the closed form to ~5e-16 relative.
+    H is even and convex, so xi* has the sign of p and |H'| grows with |xi|.
+    Each node brackets |xi*| by doubling from 1, then takes Newton steps on
+    log |H'| against log |xi| from the outer end of its bracket: for a power
+    H the first step lands on the root.  A step that leaves the bracket, or
+    is not finite, is replaced by bisection.  A node settles once its step
+    is within a few ulps; a non-finite H' gives nan, and H'' < 0 on the way
+    (a concave H, whose stationary point is no maximum) raises SupUnbounded.
     """
-    if not math.isfinite(p):
-        raise ValidationError(f"p must be finite, got {p}")
-    from scipy import optimize  # runtime import: scipy is slow to load
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"p must be finite, got {p[~np.isfinite(p)][0]}")
+    xi = np.zeros(p.shape)
+    nodes = np.flatnonzero(p)
+    sign, target = np.sign(p.flat[nodes]), np.abs(p.flat[nodes])
+    abs_grad = lambda y, i: sign[i] * np.asarray(h.grad(sign[i] * y), dtype=float)
 
-    phi = lambda xi: p * xi - float(h(np.array(xi)))
-    direction = 1.0 if p >= 0 else -1.0
-    hi = direction
-    prev = phi(0.0)
-    # expand until the objective turns over; superlinear H guarantees it does
-    while phi(hi) > prev:
-        prev = phi(hi)
-        hi *= 2.0
-        if abs(hi) > _BRACKET_CAP:
+    lo, hi = np.zeros(nodes.size), np.ones(nodes.size)
+    g = abs_grad(hi, slice(None))
+    short = np.flatnonzero(g < target)
+    while short.size:
+        if hi[short[0]] > _BRACKET_CAP:
             raise SupUnbounded(
                 "conjugate objective keeps growing; the Hamiltonian is "
                 "subquadratic along this ray"
             )
-    lo = 0.0 if direction > 0 else hi
-    hi = hi if direction > 0 else 0.0
-    res = optimize.minimize_scalar(
-        lambda xi: -phi(xi), bounds=(lo, hi), method="bounded",
-        options={"xatol": xatol},
-    )
-    xi_star = float(res.x)
-    val = float(-res.fun)
-    # coarse-grid guard against a missed interior maximum
-    grid = np.linspace(lo, hi, 257)
-    gvals = p * grid - np.asarray(h(grid), dtype=float)
-    j = int(np.argmax(gvals))
-    if gvals[j] > val + 1e-9:
-        res = optimize.minimize_scalar(
-            lambda xi: -phi(xi),
-            bounds=(grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]),
-            method="bounded", options={"xatol": xatol},
+        lo[short] = hi[short]
+        hi[short] *= 2.0
+        g[short] = abs_grad(hi[short], short)
+        short = short[g[short] < target[short]]
+
+    y = hi.copy()
+    live = np.arange(nodes.size)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        yl, gl, a = y[live], g[live], target[live]
+        d = np.asarray(h.hess(sign[live] * yl), dtype=float)
+        if np.any(d < 0):
+            raise SupUnbounded("H'' < 0 inside a bracket: the Hamiltonian "
+                               "is not convex, so p xi - H has no maximum there")
+        below = gl < a
+        lo[live] = np.where(below, yl, lo[live])
+        hi[live] = np.where(below, hi[live], yl)
+        with np.errstate(all="ignore"):
+            ratio = a / gl
+            # log(a / H') loses nothing near the root; split the log only
+            # where the ratio leaves the normal range
+            log_ratio = np.where((ratio > _TINY) & (ratio < np.inf), np.log(ratio),
+                                 np.log(a) - np.log(gl))
+            step = yl * np.exp(log_ratio * gl / (yl * d))
+        # a step within a few ulps settles the node; so does any step once
+        # p or the root is below the normal range, where H' has no digits
+        # left to refine it with
+        close = ((np.abs(step - yl) <= 4.0 * _EPS * yl) | (a < _TINY)
+                 | ((step < _TINY) & (lo[live] < _TINY)))
+        inside = close | ((step > lo[live]) & (step < hi[live]))
+        new = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
+        exact, broken = gl == a, ~np.isfinite(gl)
+        y[live] = np.where(exact, yl, np.where(broken, np.nan, new))
+        collapsed = hi[live] - lo[live] <= 4.0 * _EPS * hi[live]
+        live = live[~(close | exact | broken | collapsed)]
+        if live.size:
+            g[live] = abs_grad(y[live], live)
+    if live.size:
+        raise OptimizerStalled(
+            f"the Legendre solve left {live.size} maximizers unsettled "
+            f"after {_NEWTON_STEPS} Newton steps"
         )
-        xi_star, val = float(res.x), float(-res.fun)
-    return val, xi_star
+    xi.flat[nodes] = sign * y
+    return xi
+
+
+def _legendre_full(h: Hamiltonian, p):
+    """L(p) = sup_xi (p xi - H(xi)) and the maximizer xi*(p) = L'(p) for an
+    array of momenta: the value follows exactly from the root of H' = p
+    (see `_maximizers`), as L(p) = p xi* - H(xi*)."""
+    p = np.asarray(p, dtype=float)
+    xi = _maximizers(h, p)
+    return p * xi - np.asarray(h(xi), dtype=float), xi
 
 
 def legendre(h: Hamiltonian, p: float) -> float:
     """Legendre-Fenchel conjugate L(p) = sup_xi (p xi - H(xi))."""
-    return _legendre_full(h, p)[0]
+    if not math.isfinite(p):
+        raise ValidationError(f"p must be finite, got {p}")
+    return float(_legendre_full(h, np.array([float(p)]))[0][0])
 
 
 @dataclass
 class Lagrangian:
     """Conjugate table with monotone slopes dL/dp = xi*(p), interpolated by a
-    cubic Hermite spline (convexity-preserving for convex data)."""
+    cubic Hermite spline (convexity-preserving for convex data); off the
+    table the exact transform and its derivatives take over."""
 
     p_grid: np.ndarray
     values: np.ndarray
@@ -94,33 +138,54 @@ class Lagrangian:
     hamiltonian: Hamiltonian
 
     def __post_init__(self):
-        from scipy.interpolate import CubicHermiteSpline  # runtime import: scipy is slow to load
+        # the power-basis coefficients of each piece in s = p - p_i, highest
+        # degree first, for the spline and its two derivatives; they and the
+        # order of evaluation in `_spline` are those of scipy's cubic Hermite
+        # spline
+        dx = np.diff(self.p_grid)
+        chord = np.diff(self.values) / dx
+        t = (self.slopes[:-1] + self.slopes[1:] - 2 * chord) / dx
+        c = (t / dx, (chord - self.slopes[:-1]) / dx - t, self.slopes[:-1],
+             self.values[:-1])
+        d = (c[0] * 3.0, c[1] * 2.0, c[2])
+        self._pieces = (c, d, (d[0] * 2.0, d[1]))
 
-        self._spline = CubicHermiteSpline(self.p_grid, self.values, self.slopes)
-        self._slope = self._spline.derivative()
-        self._curvature = self._slope.derivative()
+    def _spline(self, p: np.ndarray, nu: int) -> np.ndarray:
+        """The spline (nu = 0) or its nu-th derivative at momenta on the table."""
+        grid = self.p_grid
+        i = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, grid.size - 2)
+        s = p - grid[i]
+        coeffs = self._pieces[nu]
+        out, power = coeffs[-1][i], s
+        for c in reversed(coeffs[:-1]):
+            out = out + c[i] * power
+            power = power * s
+        return out
+
+    def _on_table(self, p: np.ndarray) -> np.ndarray:
+        return (p >= self.p_grid[0]) & (p <= self.p_grid[-1])
 
     def __call__(self, p):
         arr = np.atleast_1d(np.asarray(p, dtype=float))
-        inside = (arr >= self.p_grid[0]) & (arr <= self.p_grid[-1])
+        inside = self._on_table(arr)
         out = np.empty(arr.shape)
-        out[inside] = self._spline(arr[inside])
+        out[inside] = self._spline(arr[inside], 0)
         if (~inside).any():
-            # off the table: fall back to the exact transform
-            out[~inside] = [legendre(self.hamiltonian, float(v)) for v in arr[~inside]]
+            out[~inside] = _legendre_full(self.hamiltonian, arr[~inside])[0]
         return out.reshape(np.shape(p)) if np.ndim(p) else float(out[0])
 
     def derivatives(self, p: np.ndarray):
-        """(L'(p), L''(p)) of the spline at an array of momenta.  Off the
-        table L' is the exact maximizer xi*(p) and L'' is unknown (nan)."""
-        inside = (p >= self.p_grid[0]) & (p <= self.p_grid[-1])
+        """(L'(p), L''(p)) at an array of momenta: the spline's on the table;
+        off it the exact maximizer xi*(p) and 1 / H''(xi*)."""
+        inside = self._on_table(p)
         d1 = np.empty(p.shape)
-        d2 = np.full(p.shape, np.nan)
-        d1[inside] = self._slope(p[inside])
-        d2[inside] = self._curvature(p[inside])
+        d2 = np.empty(p.shape)
+        d1[inside] = self._spline(p[inside], 1)
+        d2[inside] = self._spline(p[inside], 2)
         if (~inside).any():
-            d1[~inside] = [_legendre_full(self.hamiltonian, float(v))[1]
-                           for v in p[~inside]]
+            xi = _maximizers(self.hamiltonian, p[~inside])
+            d1[~inside] = xi
+            d2[~inside] = 1.0 / np.asarray(self.hamiltonian.hess(xi), dtype=float)
         return d1, d2
 
 
@@ -138,10 +203,7 @@ def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
     s = np.linspace(-1.0, 1.0, n)
     stretch = 4.0
     p = p_max * np.sinh(stretch * s) / math.sinh(stretch)
-    vals = np.empty(n)
-    slopes = np.empty(n)
-    for i, pv in enumerate(p):
-        vals[i], slopes[i] = _legendre_full(h, float(pv))
+    vals, slopes = _legendre_full(h, p)
     q = h.order / (h.order - 1.0) if h.order > 1 else float("inf")
     return Lagrangian(
         p_grid=p, values=vals, slopes=slopes, growth_order=q, hamiltonian=h
@@ -151,7 +213,10 @@ def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
 def biconjugate(lagrangian: Lagrangian, xi: float) -> float:
     """sup_p (xi p - L(p)); returns H(xi) for convex H (duality fixed point)."""
     table_h = Hamiltonian(
-        fun=lambda p: np.asarray(lagrangian(p)), order=lagrangian.growth_order,
+        fun=lambda p: np.asarray(lagrangian(p)),
+        grad=lambda p: lagrangian.derivatives(np.asarray(p, dtype=float))[0],
+        hess=lambda p: lagrangian.derivatives(np.asarray(p, dtype=float))[1],
+        order=lagrangian.growth_order,
     )
     return legendre(table_h, xi)
 
@@ -274,6 +339,25 @@ def _residual(nodes: np.ndarray, lagrangian) -> float:
     return float(np.max(np.abs(grad))) if grad.size else 0.0
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system with diagonal `diag` and
+    off-diagonal `off` by elimination; the system is positive definite, so
+    no pivoting is needed."""
+    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
+    n = len(diag)
+    ratio = [0.0] * n
+    x = [0.0] * n
+    pivot = diag[0]
+    x[0] = rhs[0] / pivot
+    for i in range(1, n):
+        ratio[i - 1] = off[i - 1] / pivot
+        pivot = diag[i] - off[i - 1] * ratio[i - 1]
+        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return np.array(x)
+
+
 def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
     """Exact gradient of the action in the interior nodes and the descent
     directions to try, Newton's first when the Hessian is positive definite.
@@ -284,21 +368,15 @@ def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
     difference matrix B, so L'' > 0 on every segment makes it positive
     definite.
     """
-    from scipy.linalg import solve_banded  # runtime import: scipy is slow to load
-
     m = nodes.size - 1
     d1, d2 = lagrangian.derivatives(np.diff(nodes) * m)
     grad = d1[:-1] - d1[1:]
     if not np.all(np.isfinite(grad)):
         raise OptimizerStalled("the action gradient is not finite")
     steepest = (-grad, 0.1 / (1.0 + float(np.max(np.abs(grad)))))
-    if not np.all(d2 > 0):   # nan off the table, or a non-convex piece
+    if not np.all(d2 > 0):   # a non-convex piece
         return grad, [steepest]
-    bands = np.zeros((3, m - 1))
-    bands[0, 1:] = -m * d2[1:-1]
-    bands[1] = m * (d2[:-1] + d2[1:])
-    bands[2, :-1] = -m * d2[1:-1]
-    newton = -solve_banded((1, 1), bands, grad)
+    newton = -_solve_tridiagonal(m * (d2[:-1] + d2[1:]), -m * d2[1:-1], grad)
     if not np.all(np.isfinite(newton)):
         raise OptimizerStalled("the Newton step is not finite")
     return grad, [(newton, 1.0), steepest]

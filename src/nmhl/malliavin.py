@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import TWO_PI
-from .semigroup import _ifft_field, derivative_seminorm
+from .semigroup import _ifft_field, _require_time, derivative_seminorm
 from .spectral import Symbol, _principal_power
 
 
@@ -89,8 +89,7 @@ def augmented_multiplier(op: AugmentedOperator, t: float, xi, eta) -> complex:
     eta has length op.n; the three generator pieces commute, so this is the
     exact time-ordered solution, not an approximation.
     """
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _require_time(t, zero_ok=True)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.size != op.n:
         raise ValidationError(f"expected {op.n} auxiliary frequencies, got {eta.size}")
@@ -153,6 +152,7 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic
     quadrature: trapezoid of u * kappa(start + c - u) on the truncated domain,
     which carries honest truncation/discretization error.
     """
+    _require_time(t)
     c = op.coupling_shift(t)
     if path == "analytic":
         return start + c
@@ -224,8 +224,7 @@ def ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float = 0.0,
     LHS: P~^{n+1}[f prod_i u_i . u](x, v, 0) via per-mode moment extraction.
     RHS: (int_0^t s^r ds) P~^{n}[L^alpha f prod_i u_i](x, v).
     """
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    _require_time(t)
     eps = float(np.finfo(float).eps)
     starts = np.zeros(op.n) if starts is None else np.asarray(starts, dtype=float)
     if starts.size != op.n:
@@ -260,8 +259,7 @@ def elementary_ibp_check(base: Symbol, direction: int,
     """
     from scipy import integrate  # runtime import: scipy is slow to load
 
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    _require_time(t)
     if nodes < 32:
         raise ValidationError("use at least 32 quadrature nodes")
     d = base.grid.dimension
@@ -396,8 +394,7 @@ def bounded_moment_check(op: AugmentedOperator, h: np.ndarray, t: float,
     is the assertion, stability under domain doubling the sanity check."""
     if op.n != 1:
         raise ValidationError("the quadrature path is implemented for n = 1")
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    _require_time(t)
     h = np.asarray(h, dtype=float)
     hmax = float(np.max(np.abs(h)))
     if hmax == 0.0:
@@ -484,8 +481,7 @@ class MalliavinCovariance:
 
 def malliavin_covariance(fields, t: float) -> MalliavinCovariance:
     """v_t = t * sum_i f_i f_i^T for constant (right-invariant) fields."""
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    _require_time(t)
     fs = [np.atleast_1d(np.asarray(f, dtype=float)) for f in fields]
     if not fs:
         raise ValidationError("need at least one field")

@@ -50,9 +50,11 @@ class KernelField:
         return float(np.sum(self.values) * cell)
 
 
-def _require_time(t: float):
-    if not (t > 0 and math.isfinite(t)):
-        raise ValidationError(f"t must be > 0 and finite, got {t}")
+def _require_time(t: float, zero_ok: bool = False):
+    """Refuse a time that is not finite and > 0 (>= 0 with `zero_ok`)."""
+    if not (math.isfinite(t) and (t > 0 or (zero_ok and t == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValidationError(f"t must be {bound} and finite, got {t}")
 
 
 def _require_dissipative(symbol: Symbol):
@@ -257,8 +259,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float, guard: float = 40.0) 
 def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
                     threshold: float = 1e-12) -> np.ndarray:
     """exp(-t L) h for a grid function h; exact identity at t = 0."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _require_time(t, zero_ok=True)
     h = np.asarray(h)
     d = symbol.grid.dimension
     m = h.shape[0]

@@ -48,9 +48,13 @@ _BLOCK_ELEMENTS = 1 << 20
 
 @dataclass
 class Hamiltonian:
-    """Convex even real-phase symbol xi -> H(xi), H(0) = 0 for the presets."""
+    """Convex even real-phase symbol xi -> H(xi), H(0) = 0 for the presets,
+    with its derivatives `grad` (H') and `hess` (H''), which the Legendre
+    solve takes its Newton steps on."""
 
     fun: Callable
+    grad: Callable
+    hess: Callable
     order: float
 
     def __call__(self, xi):
@@ -153,8 +157,15 @@ class _Homogeneous(OperatorSpec):
         return 2 * self.k
 
     def hamiltonian(self) -> Hamiltonian:
+        # in one dimension a(xi) = c xi^(2k) with c = Re a(1)
+        if self.d != 1:
+            raise ValidationError(
+                f"the real-phase Hamiltonian is one-dimensional, got d = {self.d}")
+        c, m = float(np.real(self.value(1.0))), self.order
         return Hamiltonian(fun=lambda xi: np.real(self.value(xi)),
-                           order=self.order)
+                           grad=lambda xi: m * c * xi ** (m - 1),
+                           hess=lambda xi: m * (m - 1) * c * xi ** (m - 2),
+                           order=m)
 
     @property
     def mp_supported(self) -> bool:
@@ -280,8 +291,11 @@ class Levy(OperatorSpec):
 
     def hamiltonian(self) -> Hamiltonian:
         # the oscillatory kernel switched for its hyperbolic version
+        args = (self.density, self.l, self.alpha_levy)
         return Hamiltonian(
-            fun=lambda xi: levy_hamiltonian(self.density, self.l, self.alpha_levy, xi),
+            fun=lambda xi: levy_hamiltonian(*args, xi),
+            grad=lambda xi: levy_hamiltonian(*args, xi, derivative=1),
+            hess=lambda xi: levy_hamiltonian(*args, xi, derivative=2),
             order=2 * self.l)
 
     def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
@@ -332,8 +346,18 @@ class FractionalPower(_Wrapper):
 
     def hamiltonian(self) -> Hamiltonian:
         base, alpha = self.base.hamiltonian(), self.alpha_frac
+
+        def grad(xi):
+            b = np.asarray(base.fun(xi))
+            return alpha * b ** (alpha - 1.0) * base.grad(xi)
+
+        def hess(xi):
+            b = np.asarray(base.fun(xi))
+            return alpha * b ** (alpha - 2.0) * (
+                (alpha - 1.0) * base.grad(xi) ** 2 + b * base.hess(xi))
+
         return Hamiltonian(fun=lambda xi: np.asarray(base.fun(xi)) ** alpha,
-                           order=alpha * base.order)
+                           grad=grad, hess=hess, order=alpha * base.order)
 
     @property
     def mp_supported(self) -> bool:
@@ -419,8 +443,11 @@ class Rescaled(_Wrapper):
     def hamiltonian(self) -> Hamiltonian:
         inner = self.base.hamiltonian()
         pref, scale = self.prefactor, self.freq_scale
+        at = lambda xi: np.asarray(xi, dtype=float) * scale
         return Hamiltonian(
-            fun=lambda xi: pref * inner.fun(np.asarray(xi, dtype=float) * scale),
+            fun=lambda xi: pref * inner.fun(at(xi)),
+            grad=lambda xi: pref * scale * inner.grad(at(xi)),
+            hess=lambda xi: pref * scale**2 * inner.hess(at(xi)),
             order=inner.order)
 
     @property
@@ -452,16 +479,24 @@ def _horner(coeffs, x):
     return acc
 
 
-def _compensated_cos(u, l: int):
-    """cos(u) minus its Taylor polynomial through degree 2l, elementwise for
+def _compensated(u, l: int, odd: bool):
+    """cos(u) minus its Taylor polynomial through degree 2l, or with `odd`
+    sin(u) minus its Taylor polynomial through degree 2l - 1, elementwise for
     real or complex u: the series tail where |u| <= 2 (the direct difference
     would cancel there), the direct difference beyond."""
     u2 = u * u
-    coeffs = [(-1.0) ** j / math.factorial(2 * j) for j in range(l + 1 + _TAIL_TERMS)]
-    out = np.cos(u) - _horner(coeffs[: l + 1], u2)
+    kept = l if odd else l + 1      # Taylor terms subtracted
+    coeffs = [(-1.0) ** j / math.factorial(2 * j + odd)
+              for j in range(kept + _TAIL_TERMS)]
     small = np.abs(u) <= 2.0
     s2 = u2[small]
-    out[small] = s2 ** (l + 1) * _horner(coeffs[l + 1 :], s2)
+    tail = s2 ** kept * _horner(coeffs[kept:], s2)
+    if odd:
+        out = np.sin(u) - u * _horner(coeffs[:kept], u2)
+        out[small] = u[small] * tail
+    else:
+        out = np.cos(u) - _horner(coeffs[:kept], u2)
+        out[small] = tail
     return out
 
 
@@ -481,8 +516,10 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z):
-    """(-1)^(l+1) 2 int_0^S cos_comp(y z) h(y) y^-(2l+1+alpha) dy for every z.
+def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z,
+                   odd: bool = False):
+    """(-1)^(l+1) 2 int_0^S cos_comp(y z) h(y) y^-(2l+1+alpha) dy for every z,
+    or with `odd` the same with sin_comp(y z) and y^-(2l+alpha).
 
     The integrand is y^(1-alpha) times an entire function of y, so a
     Gauss-Jacobi rule with that weight converges spectrally; its size follows
@@ -503,13 +540,13 @@ def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z):
         s, w = _gauss_jacobi(m, 1.0 - alpha_levy)
         y = supp * s
         h = np.asarray(density.h(y), dtype=float)
-        rules.append((y, scale * w * h / y ** (2 * l + 2)))
+        rules.append((y, scale * w * h / y ** (2 * l + 2 - odd)))
 
     out = np.empty(flat.shape, dtype=complex)
     block = max(1, _BLOCK_ELEMENTS // (2 * n))
     for lo in range(0, flat.size, block):
         zb = flat[lo : lo + block]
-        coarse, fine = (wt @ _compensated_cos(np.multiply.outer(y, zb), l)
+        coarse, fine = (wt @ _compensated(np.multiply.outer(y, zb), l, odd)
                         for y, wt in rules)
         err = np.abs(fine - coarse)
         if not np.all(err <= _QUAD_SLACK * tol * (1.0 + np.abs(fine))):
@@ -547,10 +584,20 @@ def levy_symbol(density: LevyDensity, l: int, alpha_levy: float, xi):
     return _jump_integral(density, l, alpha_levy, z)[()]
 
 
-def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi):
+def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi,
+                     derivative: int = 0):
     """Real-phase version of levy_symbol, cos_comp(i y xi) = cosh_comp(y xi):
-    convex, even, vanishing at 0.  `xi` is a real scalar or array."""
+    convex, even, vanishing at 0.  `xi` is a real scalar or array.
+
+    `derivative` 1 or 2 gives H' or H'' by the same rule: differentiating
+    cosh_comp(y xi) gives y sinh_comp(y xi), and sin_comp(i u) = i sinh_comp(u),
+    so H' is the odd integral at i xi; a second derivative gives
+    y^2 cosh_comp at one order lower, so H'' = -J_(l-1)(i xi) with J the
+    cosine integral of `_jump_integral`.
+    """
     _check_levy_parameters(l, alpha_levy)
+    if derivative not in (0, 1, 2):
+        raise ValidationError(f"derivative must be 0, 1 or 2, got {derivative!r}")
     xi = np.asarray(xi, dtype=float)
     reach = density.support * float(np.max(np.abs(xi), initial=0.0))
     if reach > _COSH_LIMIT:
@@ -558,6 +605,10 @@ def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi):
             f"cosh(support * xi) overflows double precision: support * |xi| = "
             f"{reach:.6g} exceeds {_COSH_LIMIT:.6g}"
         )
+    if derivative == 1:
+        return _jump_integral(density, l, alpha_levy, 1j * xi, odd=True).imag[()]
+    if derivative == 2:
+        return -_jump_integral(density, l - 1, alpha_levy, 1j * xi).real[()]
     return _jump_integral(density, l, alpha_levy, 1j * xi).real[()]
 
 

@@ -6,8 +6,8 @@ numeric minimization, midpoint Riemann sums with Richardson refinement
 instead of adaptive quadrature, and high-precision series summation for the
 one diagonal value that has no elementary closed form.  Where the package
 moved to closed forms and fixed rules (the auxiliary kernel, the jump
-symbol), the trapezoid table and adaptive quadrature it replaced stay here
-as references.  Expected values frozen into the tests were produced by
+symbol, the Legendre table), the trapezoid table, adaptive quadrature and
+bounded scalar search it replaced stay here as references.  Expected values frozen into the tests were produced by
 these functions.
 """
 
@@ -63,6 +63,18 @@ def quadratic_rate(x: float, y: float, winding_max: int = 2) -> float:
 def power_legendre(k: int, p: float) -> float:
     """sup_xi (p xi - xi^{2k}) = (2k-1) (|p| / 2k)^{2k/(2k-1)}."""
     return (2 * k - 1) * (abs(p) / (2 * k)) ** (2 * k / (2 * k - 1))
+
+
+def power_conjugate(k: int, p: float) -> tuple[float, float]:
+    """(xi*, L) for H = xi^{2k} at 40 digits: xi* = sign(p) (|p|/2k)^{1/(2k-1)}
+    and L = (2k-1) (|p|/2k)^{2k/(2k-1)}.  ``power_legendre`` evaluates the
+    same value in doubles, whose inexact exponent 2k/(2k-1) costs about
+    |log(|p|/2k)| ulps."""
+    with mp.workdps(40):
+        base = mp.mpf(abs(p)) / (2 * k)
+        xi = base ** (mp.mpf(1) / (2 * k - 1))
+        return (math.copysign(float(xi), p),
+                float((2 * k - 1) * base ** (mp.mpf(2 * k) / (2 * k - 1))))
 
 
 def saddle_factor(k: int) -> float:
@@ -128,6 +140,47 @@ def mp_fourier_log(symbol, weight, t: float, n_cut: int, dps: int = 80) -> float
             nn = mp.mpf(n)
             total += 2 * mp.exp(mt * symbol(nn)) * weight(nn)
         return float(mp.log(abs(total / (2 * mp.pi))))
+
+
+# ---------------------------------------------------------------------------
+# Legendre transform by a scalar bounded search
+
+
+def legendre_search(h, p: float, xatol: float = 1e-12) -> tuple[float, float]:
+    """sup_xi (p xi - H(xi)) and its maximizer for one momentum, by a
+    doubling bracket, scipy's bounded scalar search and a 257-point grid
+    guard against a missed interior maximum; ``h`` maps a float array to
+    H.  The search stops at sqrt(eps)|xi| + xatol/3, so the maximizer is good
+    to about 1e-8 |xi|; the value is stationary in xi and good to about
+    1e-15 relative."""
+    from scipy import optimize
+
+    phi = lambda xi: p * xi - float(h(np.array(xi)))
+    direction = 1.0 if p >= 0 else -1.0
+    hi = direction
+    prev = phi(0.0)
+    while phi(hi) > prev:
+        prev = phi(hi)
+        hi *= 2.0
+        assert abs(hi) <= 1e9, "conjugate objective keeps growing"
+    lo = 0.0 if direction > 0 else hi
+    hi = hi if direction > 0 else 0.0
+    res = optimize.minimize_scalar(
+        lambda xi: -phi(xi), bounds=(lo, hi), method="bounded",
+        options={"xatol": xatol},
+    )
+    xi_star, val = float(res.x), float(-res.fun)
+    grid = np.linspace(lo, hi, 257)
+    gvals = p * grid - np.asarray(h(grid), dtype=float)
+    j = int(np.argmax(gvals))
+    if gvals[j] > val + 1e-9:
+        res = optimize.minimize_scalar(
+            lambda xi: -phi(xi),
+            bounds=(grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]),
+            method="bounded", options={"xatol": xatol},
+        )
+        xi_star, val = float(res.x), float(-res.fun)
+    return val, xi_star
 
 
 # ---------------------------------------------------------------------------

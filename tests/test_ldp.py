@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from nmhl import (
+    FractionalPower,
     FrequencyGrid,
     Hamiltonian,
     Levy,
     PathPL,
     Perturbed,
     PurePower,
+    QuadraticForm,
     action,
     biconjugate,
     build_symbol,
@@ -30,8 +32,11 @@ from nmhl import (
 )
 from nmhl.errors import OptimizerStalled, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
+from nmhl.ldp import _legendre_full, _solve_tridiagonal
 from nmhl.presets import flat_density
-from nmhl.spectral import levy_symbol
+from nmhl.spectral import Rescaled, levy_hamiltonian, levy_symbol
+
+EPS = float(np.finfo(float).eps)
 
 
 def h_power(k):
@@ -72,20 +77,45 @@ def test_conjugate_matches_power_law_oracle(p):
     )
 
 
+@given(k=st.sampled_from([1, 2, 3]),
+       p=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_newton_solve_lands_on_the_power_closed_form(k, p):
+    xi_exact, l_exact = oracles.power_conjugate(k, p)
+    value, xi = _legendre_full(h_power(k), np.array([p]))
+    assert abs(xi[0] - xi_exact) <= 4.0 * EPS * (1.0 + abs(xi_exact))
+    # the absolute floor covers momenta whose conjugate leaves the normal range
+    assert abs(value[0] - l_exact) <= 1e-15 * l_exact + 1e-300
+    if abs(p) >= 1e-3:
+        # the double-precision closed form carries an inexact exponent
+        assert value[0] == pytest.approx(oracles.power_legendre(k, p), rel=2e-15)
+
+
 def test_conjugate_vanishes_at_zero_momentum():
     for k in (1, 2, 3):
         assert legendre(h_power(k), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subquadratic_hamiltonian_has_unbounded_conjugate():
-    h = Hamiltonian(fun=lambda xi: np.abs(np.asarray(xi, dtype=float)), order=1.0)
+    h = Hamiltonian(fun=lambda xi: np.abs(np.asarray(xi, dtype=float)),
+                    grad=np.sign, hess=np.zeros_like, order=1.0)
     with pytest.raises(SupUnbounded):
         legendre(h, 2.0)
 
 
+def test_sublinear_hamiltonian_has_no_conjugate_maximum():
+    # H = |xi|^0.8 is concave: H' = p has a root, but it minimizes p xi - H
+    h = hamiltonian_for(FractionalPower(base=PurePower(k=1), alpha_frac=0.4))
+    for p in (0.5, 2.0):
+        with pytest.raises(SupUnbounded):
+            legendre(h, p)
+
+
 def test_convexity_check_accepts_powers_and_rejects_wells():
     h_power(2).validate_convex()
-    bad = Hamiltonian(fun=lambda xi: -np.asarray(xi, dtype=float) ** 2, order=2.0)
+    bad = Hamiltonian(fun=lambda xi: -np.asarray(xi, dtype=float) ** 2,
+                      grad=lambda xi: -2.0 * xi, hess=lambda xi: -2.0 + 0.0 * xi,
+                      order=2.0)
     with pytest.raises(ValidationError):
         bad.validate_convex()
 
@@ -112,9 +142,56 @@ def test_jump_hamiltonian_uses_hyperbolic_kernel():
     assert h(2.0) >= at_two - 1e-12
 
 
+VARIANTS = {
+    "power_k1": PurePower(k=1),
+    "power_k3": PurePower(k=3),
+    "quadratic_form": QuadraticForm(k=2, a_matrix=np.array([[2.5]])),
+    "fractional": FractionalPower(base=PurePower(k=2), alpha_frac=0.75),
+    "rescaled": Rescaled(PurePower(k=2), prefactor=0.3, freq_scale=1.7),
+    "levy": Levy(l=1, alpha_levy=-0.5, density=flat_density()),
+    "rescaled_levy": Rescaled(Levy(l=1, alpha_levy=-0.25, density=flat_density()),
+                              prefactor=2.0, freq_scale=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_hamiltonian_derivatives_match_central_differences(name):
+    h = hamiltonian_for(VARIANTS[name])
+    xi = np.array([-4.0, -1.3, -0.2, 0.35, 1.0, 2.7, 6.0])
+    step = 1e-5 * (1.0 + np.abs(xi))
+    dh = (h(xi + step) - h(xi - step)) / (2.0 * step)
+    d2h = (h.grad(xi + step) - h.grad(xi - step)) / (2.0 * step)
+    np.testing.assert_allclose(h.grad(xi), dh, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(h.hess(xi), d2h, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["fractional", "rescaled", "levy"])
+def test_tables_agree_with_the_bounded_search(name):
+    # the search is good to about 1e-8 |xi| in the maximizer and 1e-15 in
+    # the value (see legendre_search)
+    h = hamiltonian_for(VARIANTS[name])
+    table = lagrangian_table(h, p_max=12.0, n=33)
+    for p, value, slope in zip(table.p_grid, table.values, table.slopes):
+        ref_value, ref_xi = oracles.legendre_search(h, float(p))
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=1e-13)
+        assert slope == pytest.approx(ref_xi, rel=1e-7, abs=1e-9)
+        # the exact maximizer is at least as stationary as the searched one
+        assert value >= ref_value - 1e-15 * (1.0 + abs(ref_value))
+
+
 def test_no_real_phase_hamiltonian_for_drift_perturbations():
     with pytest.raises(ValidationError):
         hamiltonian_for(Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}))
+
+
+def test_jump_hamiltonian_has_two_derivatives():
+    with pytest.raises(ValidationError, match="derivative"):
+        levy_hamiltonian(flat_density(), 1, -0.5, 1.0, derivative=3)
+
+
+def test_real_phase_hamiltonian_is_one_dimensional():
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        hamiltonian_for(PurePower(k=1, d=2))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +209,44 @@ def test_table_interpolates_conjugate_tightly():
 def test_table_falls_back_to_exact_transform_off_grid():
     table = lagrangian_table(h_power(1), p_max=2.0)
     assert table(5.0) == pytest.approx(oracles.power_legendre(1, 5.0), abs=1e-9)
+
+
+def test_off_table_derivatives_are_the_exact_maximizer_and_curvature():
+    table = lagrangian_table(h_power(2), p_max=2.0)
+    p = np.array([-7.0, 3.0, 5.5, 1.0])
+    xi = np.array([oracles.power_conjugate(2, v)[0] for v in p])
+    d1, d2 = table.derivatives(p)
+    assert np.all(np.isfinite(d2))
+    # off the table xi* and L'' = 1 / H''(xi*) exactly; on it the spline's
+    np.testing.assert_allclose(d1[:3], xi[:3], rtol=4 * EPS)
+    np.testing.assert_allclose(d2[:3], 1.0 / (12.0 * xi[:3] ** 2), rtol=1e-14)
+    assert d1[3] == pytest.approx(xi[3], rel=1e-7)
+    assert d2[3] == pytest.approx(1.0 / (12.0 * xi[3] ** 2), rel=1e-3)
+
+
+def test_hermite_spline_matches_scipy_bit_for_bit():
+    from scipy.interpolate import CubicHermiteSpline
+
+    table = lagrangian_table(h_power(2), p_max=12.0)
+    ref = CubicHermiteSpline(table.p_grid, table.values, table.slopes)
+    p = np.concatenate([np.linspace(-12.0, 12.0, 4001), table.p_grid])
+    d1, d2 = table.derivatives(p)
+    np.testing.assert_array_equal(table(p), ref(p))
+    np.testing.assert_array_equal(d1, ref.derivative()(p))
+    np.testing.assert_array_equal(d2, ref.derivative(2)(p))
+
+
+def test_tridiagonal_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(5)
+    curv = rng.uniform(0.1, 3.0, 40)
+    diag, off = curv[:-1] + curv[1:], -curv[1:-1]
+    rhs = rng.normal(size=39)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x = _solve_tridiagonal(diag, off, rhs)
+    scale = float(np.max(np.abs(x)))
+    np.testing.assert_allclose(dense @ x, rhs, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0,
+                               atol=1e-12 * scale)
 
 
 def test_biconjugate_recovers_convex_hamiltonian():
@@ -246,7 +361,8 @@ def test_non_finite_action_stalls_at_once():
     # velocity 3 is off a table that ends at p = 2, where the conjugate
     # falls back to a Hamiltonian that returns nan
     table = lagrangian_table(h_power(1), p_max=2.0)
-    table.hamiltonian = Hamiltonian(fun=lambda xi: xi * np.nan, order=2.0)
+    nan = lambda xi: xi * np.nan
+    table.hamiltonian = Hamiltonian(fun=nan, grad=nan, hess=nan, order=2.0)
     with pytest.raises(OptimizerStalled, match="not finite"):
         rate_function(0.0, 3.0, table, winding_max=0)
 

@@ -89,6 +89,37 @@ def test_augmented_operator_rejects_bad_parameters():
         augmented_multiplier(op, -1.0, 0, [0.1, 0.2])
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("t", NON_FINITE)
+def test_every_time_taking_front_end_refuses_a_non_finite_time(t):
+    base = _base(k=1, cutoff=8)
+    op = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=1.0)
+    h = np.cos(spatial_grid(IBP_RESOLUTION))
+    calls = {
+        "augmented_multiplier": lambda: augmented_multiplier(op, t, 0, [0.1]),
+        "aux_moment": lambda: aux_moment(op, t),
+        "ibp_check": lambda: ibp_check(op, np.cos(spatial_grid(64)), t),
+        "elementary_ibp_check":
+            lambda: elementary_ibp_check(base, 0, lambda s: 1.0, h, t),
+        "bounded_moment_check":
+            lambda: bounded_moment_check(op, np.ones(256), t, resolution=256),
+        "malliavin_covariance": lambda: malliavin_covariance([[1.0]], t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+            pytest.fail(f"{name} accepted t = {t}")
+
+
+def test_aux_moment_refuses_a_non_positive_time():
+    op = AugmentedOperator(base=_base(cutoff=8), n=1, alpha_frac=0.5)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="t must be > 0"):
+            aux_moment(op, t)
+
+
 def test_weight_integral_closed_form_and_quadrature_agree():
     base = _base(cutoff=8)
     power = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=2.0)

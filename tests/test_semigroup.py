@@ -107,6 +107,12 @@ def test_apply_semigroup_diagonalizes_eigenfunctions():
     np.testing.assert_allclose(apply_semigroup(sym, 0.0, np.cos(x)), np.cos(x))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+def test_apply_semigroup_refuses_a_non_finite_or_negative_time(t):
+    with pytest.raises(ValidationError, match="t must be >= 0 and finite"):
+        apply_semigroup(gaussian_symbol(), t, np.cos(spatial_grid(64)))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_apply_semigroup_reads_a_tabulated_symbol_as_its_spec(d):
     # the lattice lookup of a symbol without a spec serves the same FFT bins

@@ -45,6 +45,7 @@ def test_import_and_config_parsing_load_no_scipy(tmp_path):
 def cli_run(tmp_path: Path, kind: str, k: int, params: str):
     """Run one ``kind`` experiment on ``pure_power`` through
     ``nmhl.cli.main`` in a child; return the scipy modules it left loaded."""
+    tmp_path.mkdir(exist_ok=True)
     (tmp_path / "run.cfg").write_text(
         f"[operator]\nvariant = pure_power\nk = {k}\n\n"
         f"[experiment]\nkind = {kind}\n{params}\n"
@@ -64,9 +65,17 @@ def test_a_polynomial_kernel_run_loads_no_scipy(tmp_path):
 
 
 def test_the_deferred_imports_resolve_as_first_scipy_user(tmp_path):
-    # a rate run needs the Legendre search, the spline and the banded solve
-    loaded = cli_run(tmp_path, "rate", 1, "y = 1.0")
-    assert {"scipy.optimize", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
+    # an exit run needs the bounded Chernoff search, which brings in
+    # scipy.linalg; no package code uses scipy.interpolate any more
+    loaded = cli_run(tmp_path, "exit", 1, "")
+    assert {"scipy.optimize", "scipy.linalg"} <= set(loaded)
+
+
+def test_rate_and_varadhan_runs_load_no_scipy(tmp_path):
+    # the Legendre layer is numpy only: Newton solve, Hermite spline and
+    # tridiagonal descent step
+    assert cli_run(tmp_path / "rate", "rate", 2, "y = 5.0\nperturb = 0.3") == []
+    assert cli_run(tmp_path / "varadhan", "varadhan", 1, "") == []
 
 
 def test_jump_kernel_and_quadrature_ibp_runs_load_no_scipy(tmp_path):
