@@ -41,9 +41,12 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
     Each node brackets |xi*| by doubling from 1, then takes Newton steps on
     log |H'| against log |xi| from the outer end of its bracket: for a power
     H the first step lands on the root.  A step that leaves the bracket, or
-    is not finite, is replaced by bisection.  A node settles once its step
-    is within a few ulps; a non-finite H' gives nan, and H'' < 0 on the way
-    (a concave H, whose stationary point is no maximum) raises SupUnbounded.
+    is not finite, is replaced by bisection, and so is the step from an
+    iterate where H'' < 0 (a spline through convex data can dip there).  A
+    node settles once its Newton step is within a few ulps, or its bracket
+    collapses; a non-finite H' gives nan.  A bisection that ends, or
+    stalls, where H'' < 0 (a concave H, whose stationary point is no
+    maximum) raises SupUnbounded.
     """
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
@@ -69,14 +72,13 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
 
     y = hi.copy()
     live = np.arange(nodes.size)
+    bisected = [live[:0]]
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         yl, gl, a = y[live], g[live], target[live]
         d = np.asarray(h.hess(sign[live] * yl), dtype=float)
-        if np.any(d < 0):
-            raise SupUnbounded("H'' < 0 inside a bracket: the Hamiltonian "
-                               "is not convex, so p xi - H has no maximum there")
+        convex = ~(d < 0)
         below = gl < a
         lo[live] = np.where(below, yl, lo[live])
         hi[live] = np.where(below, hi[live], yl)
@@ -90,16 +92,24 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
         # a step within a few ulps settles the node; so does any step once
         # p or the root is below the normal range, where H' has no digits
         # left to refine it with
-        close = ((np.abs(step - yl) <= 4.0 * _EPS * yl) | (a < _TINY)
-                 | ((step < _TINY) & (lo[live] < _TINY)))
-        inside = close | ((step > lo[live]) & (step < hi[live]))
+        close = (convex & ((np.abs(step - yl) <= 4.0 * _EPS * yl)
+                           | ((step < _TINY) & (lo[live] < _TINY)))) | (a < _TINY)
+        inside = close | (convex & (step > lo[live]) & (step < hi[live]))
         new = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
-        exact, broken = gl == a, ~np.isfinite(gl)
+        exact, broken = (gl == a) & convex, ~np.isfinite(gl)
         y[live] = np.where(exact, yl, np.where(broken, np.nan, new))
         collapsed = hi[live] - lo[live] <= 4.0 * _EPS * hi[live]
+        bisected.append(live[collapsed & ~(close | exact | broken)])
         live = live[~(close | exact | broken | collapsed)]
         if live.size:
             g[live] = abs_grad(y[live], live)
+    # only bisection can end on a root, or stall, where H'' < 0
+    unchecked = np.concatenate(bisected + [live])
+    if unchecked.size and np.any(
+            np.asarray(h.hess(sign[unchecked] * y[unchecked]), dtype=float) < 0):
+        raise SupUnbounded("H'' < 0 where the solve of H' = p ends: the "
+                           "Hamiltonian is not convex, so p xi - H has no "
+                           "maximum there")
     if live.size:
         raise OptimizerStalled(
             f"the Legendre solve left {live.size} maximizers unsettled "
@@ -120,8 +130,6 @@ def _legendre_full(h: Hamiltonian, p):
 
 def legendre(h: Hamiltonian, p: float) -> float:
     """Legendre-Fenchel conjugate L(p) = sup_xi (p xi - H(xi))."""
-    if not math.isfinite(p):
-        raise ValidationError(f"p must be finite, got {p}")
     return float(_legendre_full(h, np.array([float(p)]))[0][0])
 
 
@@ -211,7 +219,11 @@ def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
 
 
 def biconjugate(lagrangian: Lagrangian, xi: float) -> float:
-    """sup_p (xi p - L(p)); returns H(xi) for convex H (duality fixed point)."""
+    """sup_p (xi p - L(p)); returns H(xi) for convex H (duality fixed point).
+
+    Between nodes the spline need not be convex, so where its L' crosses xi
+    more than once the solve returns one local maximum, not always the
+    largest (see `_maximizers`)."""
     table_h = Hamiltonian(
         fun=lambda p: np.asarray(lagrangian(p)),
         grad=lambda p: lagrangian.derivatives(np.asarray(p, dtype=float))[0],

@@ -162,7 +162,7 @@ class _Homogeneous(OperatorSpec):
             raise ValidationError(
                 f"the real-phase Hamiltonian is one-dimensional, got d = {self.d}")
         c, m = float(np.real(self.value(1.0))), self.order
-        return Hamiltonian(fun=lambda xi: np.real(self.value(xi)),
+        return Hamiltonian(fun=lambda xi: c * xi ** m,
                            grad=lambda xi: m * c * xi ** (m - 1),
                            hess=lambda xi: m * (m - 1) * c * xi ** (m - 2),
                            order=m)

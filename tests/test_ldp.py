@@ -255,6 +255,26 @@ def test_biconjugate_recovers_convex_hamiltonian():
         assert biconjugate(table, xi) == pytest.approx(xi**4, abs=1e-6)
 
 
+@pytest.mark.parametrize("k, xi", [(2, 0.115), (2, 0.118), (3, 0.25), (3, 0.255)])
+def test_biconjugate_steps_past_where_the_spline_is_not_convex(k, xi):
+    # on the first table interval L = c p^q with q < 1.5, and the spline's L''
+    # turns negative near its right end; the maximizer for these xi lies there
+    table = lagrangian_table(h_power(k), p_max=12.0)
+    value = biconjugate(table, xi)
+    assert value == pytest.approx(oracles.legendre_search(table, xi)[0], rel=1e-12)
+    assert value == pytest.approx(xi ** (2 * k), abs=1e-4)
+
+
+@pytest.mark.parametrize("k, xi", [(2, 0.1205), (3, 0.265)])
+def test_biconjugate_returns_a_local_maximum_where_the_spline_has_two(k, xi):
+    # here xi p - L has a second, larger maximum one table interval on, an
+    # artefact of the spline's dip; the solve keeps the first, near H(xi)
+    table = lagrangian_table(h_power(k), p_max=12.0)
+    value = biconjugate(table, xi)
+    assert value == pytest.approx(xi ** (2 * k), abs=1e-6)
+    assert value < oracles.legendre_search(table, xi)[0]
+
+
 def test_growth_sandwich_for_quartic():
     table = lagrangian_table(h_power(2), p_max=10.0)
     fit = growth_fit(table)
