@@ -69,7 +69,8 @@ class AuxDomainTooSmall(NmhlError):
 # ---- variational machinery ----
 
 class SupUnbounded(NmhlError):
-    """Legendre supremum diverges (Hamiltonian grows too slowly)."""
+    """Legendre supremum diverges (Hamiltonian grows too slowly, or is not
+    convex)."""
 
 
 class OptimizerStalled(NmhlError):

@@ -23,6 +23,7 @@ from .errors import (
     DegreeViolation,
     NonPositiveDefiniteForm,
     QuadratureNonConverged,
+    SupUnbounded,
     TiltOutOfDomain,
     ValidationError,
 )
@@ -290,7 +291,11 @@ class Levy(OperatorSpec):
         return np.asarray(levy_symbol(self.density, self.l, self.alpha_levy, zz[..., 0]))
 
     def hamiltonian(self) -> Hamiltonian:
-        # the oscillatory kernel switched for its hyperbolic version
+        # the oscillatory kernel switched for its hyperbolic version; with
+        # even l the compensated cosh is negative and concave, and so is H
+        if self.l % 2 == 0:
+            raise SupUnbounded(f"the real-phase Hamiltonian of a levy generator "
+                               f"with even l = {self.l} is concave, not convex")
         args = (self.density, self.l, self.alpha_levy)
         return Hamiltonian(
             fun=lambda xi: levy_hamiltonian(*args, xi),
@@ -587,7 +592,8 @@ def levy_symbol(density: LevyDensity, l: int, alpha_levy: float, xi):
 def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi,
                      derivative: int = 0):
     """Real-phase version of levy_symbol, cos_comp(i y xi) = cosh_comp(y xi):
-    convex, even, vanishing at 0.  `xi` is a real scalar or array.
+    even and vanishing at 0; convex for odd l, negative and concave for even
+    l.  `xi` is a real scalar or array.
 
     `derivative` 1 or 2 gives H' or H'' by the same rule: differentiating
     cosh_comp(y xi) gives y sinh_comp(y xi), and sin_comp(i u) = i sinh_comp(u),

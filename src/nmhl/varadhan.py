@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, wrap_angle
-from .ldp import Hamiltonian, hamiltonian_for, legendre, maslov_scaled_symbol
+from .ldp import (Hamiltonian, _legendre_full, hamiltonian_for, legendre,
+                  maslov_scaled_symbol)
 from .malliavin import exponent_fit
 from .semigroup import (
     TiltSpec,
@@ -241,32 +242,22 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
 # exit bound and Chernoff extremization
 
 
-def chernoff_extremize(h: Hamiltonian, delta: float, s: float,
-                       eps: float = 1.0):
-    """Minimize -delta xi + s H(xi) over xi >= 0; returns (xi_star,
-    exponent / eps).  For H = xi^{2k} the minimizer is (delta/(2ks))^{1/(2k-1)}."""
-    if not (math.isfinite(delta) and math.isfinite(s) and math.isfinite(eps)):
-        raise ValidationError("delta, s and eps must be finite")
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    if s <= 0 or eps <= 0:
-        raise ValidationError("s and eps must be > 0")
+def chernoff_extremize(h: Hamiltonian, delta: float, s: float):
+    """Minimize -delta xi + s H(xi) over xi >= 0; returns (xi_star, exponent).
+
+    For even convex H the minimum is -s L(delta / s), reached at
+    xi* = L'(delta / s), so this is one Legendre solve (`ldp._legendre_full`).
+    For H = xi^{2k} the minimizer is (delta/(2ks))^{1/(2k-1)}.  An H that
+    grows sublinearly has no minimum: the solve raises SupUnbounded.
+    """
+    if not (math.isfinite(delta) and math.isfinite(s)):
+        raise ValidationError("delta and s must be finite")
+    if delta < 0 or s <= 0:
+        raise ValidationError(f"need delta >= 0 and s > 0, got {delta} and {s}")
     if delta == 0.0:
         return 0.0, 0.0
-    f = lambda xi: -delta * xi + s * float(h(np.array(xi)))
-    hi = 1.0
-    prev = f(0.0)
-    while f(hi) < prev:
-        prev = f(hi)
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValidationError("Chernoff objective does not turn over")
-    from scipy import optimize  # runtime import: scipy is slow to load
-
-    res = optimize.minimize_scalar(
-        f, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    return float(res.x), float(res.fun) / eps
+    value, xi = _legendre_full(h, np.array([delta / s]))
+    return float(xi[0]), -s * float(value[0])
 
 
 @dataclass

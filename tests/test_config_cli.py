@@ -464,6 +464,31 @@ def test_cli_subcommand_config_mismatch_exits_two(tmp_path, capsys):
     assert "declares experiment 'kernel'" in err
 
 
+EVEN_LEVY = ("[operator]\nvariant = levy\nl = 2\nalpha_levy = -0.25\n\n"
+             "[experiment]\nkind = {kind}\n{params}\n")
+
+
+def test_cli_even_l_levy_rate_exits_two_naming_the_concave_hamiltonian(
+        tmp_path, capsys):
+    # with even l the real-phase H is negative and concave: a rate run
+    # needs its Legendre transform, which does not exist
+    path = write_config(tmp_path, EVEN_LEVY.format(kind="rate", params=""))
+    code = main(["rate", "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SupUnbounded" in err and "even l = 2 is concave" in err
+    assert not (tmp_path / "o" / "rate.csv").exists()
+
+
+def test_cli_even_l_levy_kernel_still_runs(tmp_path, capsys):
+    # the kernel needs the symbol only, not the real-phase Hamiltonian
+    path = write_config(tmp_path, EVEN_LEVY.format(kind="kernel", params="t = 0.01"))
+    code = main(["kernel", "--config", path, "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "o" / "kernel.csv").is_file()
+
+
 def test_cli_overrides_reach_the_run(tmp_path, capsys):
     path = write_config(tmp_path, KERNEL_TEXT)
     out_dir = tmp_path / "o"

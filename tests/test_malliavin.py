@@ -13,6 +13,7 @@ from nmhl import (
     GaugeFunction,
     MomentDiverged,
     PurePower,
+    QuadratureNonConverged,
     ValidationError,
     aux_moment,
     augmented_multiplier,
@@ -123,11 +124,11 @@ def test_aux_moment_refuses_a_non_positive_time():
 def test_weight_integral_closed_form_and_quadrature_agree():
     base = _base(cutoff=8)
     power = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=2.0)
-    tabulated = AugmentedOperator(
-        base=base, n=1, alpha_frac=0.5, weights=lambda s: s**2
-    )
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     for t in (0.3, 1.0, 2.5):
-        assert tabulated.weight_integral(t) == pytest.approx(
+        s = 0.5 * t * (nodes + 1.0)
+        quadrature = float(0.5 * t * weights @ s**2)
+        assert quadrature == pytest.approx(
             power.weight_integral(t), rel=1e-12
         )
         assert power.weight_integral(t) == pytest.approx(t**3 / 3.0, rel=1e-14)
@@ -230,6 +231,16 @@ def test_first_order_identity(weight):
     )
     res = elementary_ibp_check(base, 0, weight, h, 1.0)
     assert res.rel_error < 1e-6
+
+
+def test_first_order_identity_refuses_a_weight_the_rules_cannot_integrate():
+    # a step at t/3: the 32- and 64-node Gauss-Legendre rules disagree far
+    # above rounding, so the weight integral has no trustworthy value
+    base = build_symbol(PurePower(k=2), FrequencyGrid(1, IBP_CUTOFF))
+    h = np.cos(spatial_grid(IBP_RESOLUTION))
+    t = 1.0
+    with pytest.raises(QuadratureNonConverged, match="32- and 64-node"):
+        elementary_ibp_check(base, 0, lambda s: float(s > t / 3.0), h, t)
 
 
 def test_first_order_identity_validates_inputs():

@@ -1,6 +1,7 @@
-"""Cold start: importing nmhl and running experiments that never call scipy
-must not load it.  Each check runs in a fresh interpreter, because this test
-process has long since imported scipy through the oracles and other tests."""
+"""Cold start: scipy is a test dependency only, so importing nmhl and running
+any experiment must not load it.  Each check runs in a fresh interpreter,
+because this test process has long since imported scipy through the oracles
+and other tests."""
 
 import json
 import os
@@ -64,18 +65,57 @@ def test_a_polynomial_kernel_run_loads_no_scipy(tmp_path):
     assert cli_run(tmp_path, "kernel", 2, "t = 0.01") == []
 
 
-def test_the_deferred_imports_resolve_as_first_scipy_user(tmp_path):
-    # an exit run needs the bounded Chernoff search, which brings in
-    # scipy.linalg; no package code uses scipy.interpolate any more
-    loaded = cli_run(tmp_path, "exit", 1, "")
-    assert {"scipy.optimize", "scipy.linalg"} <= set(loaded)
-
-
 def test_rate_and_varadhan_runs_load_no_scipy(tmp_path):
     # the Legendre layer is numpy only: Newton solve, Hermite spline and
     # tridiagonal descent step
     assert cli_run(tmp_path / "rate", "rate", 2, "y = 5.0\nperturb = 0.3") == []
     assert cli_run(tmp_path / "varadhan", "varadhan", 1, "") == []
+
+
+#: one config per experiment kind: its pure_power operator and parameters
+RUNS = {
+    "kernel": (2, "t = 0.01"),
+    "ibp": (1, ""),
+    "rate": (2, "y = 5.0\nperturb = 0.3"),
+    "varadhan": (1, ""),
+    "exit": (1, ""),
+    "report": (1, "fast = true"),
+}
+
+BLOCKED_RUNS = """
+import json, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+import nmhl.cli
+print(json.dumps({kind: nmhl.cli.main([kind, "--config", kind + ".cfg",
+                                       "--out", kind])
+                  for kind in %r}))
+"""
+
+
+def test_every_experiment_kind_runs_with_scipy_blocked(tmp_path):
+    # the package needs no scipy: a scipy import anywhere on these runs
+    # would end it with exit code 2
+    for kind, (k, params) in RUNS.items():
+        (tmp_path / f"{kind}.cfg").write_text(
+            f"[operator]\nvariant = pure_power\nk = {k}\n\n"
+            f"[experiment]\nkind = {kind}\n{params}\n"
+        )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_RUNS % list(RUNS)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes.keys() == RUNS.keys()
+    for kind, code in codes.items():
+        assert code in (0, 1), (kind, proc.stderr)
+        assert (tmp_path / kind / f"{kind}.csv").is_file(), kind
 
 
 def test_jump_kernel_and_quadrature_ibp_runs_load_no_scipy(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nmhl import (
+    FractionalPower,
     FrequencyGrid,
     PurePower,
     build_symbol,
@@ -25,7 +26,7 @@ from nmhl import (
     varadhan_curve,
     wf_set_estimate,
 )
-from nmhl.errors import FitUnstable, ValidationError
+from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.spectral import auto_cutoff
 from nmhl.varadhan import C_SLACK, _mp_interval_mass
@@ -102,6 +103,26 @@ def test_chernoff_oracle_agreement():
         xi, val = chernoff_extremize(h, delta, s)
         assert xi == pytest.approx(xi_o, abs=1e-8)
         assert val == pytest.approx(val_o, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chernoff_is_the_conjugate_to_rounding(k):
+    # xi* = L'(delta / s) and the minimum -s L(delta / s), against the
+    # 40-digit closed form
+    h = hamiltonian_for(PurePower(k=k))
+    for delta, s in ((0.5, 0.1), (1.0, 0.3), (2.0, 1.0)):
+        xi_o, l_o = oracles.power_conjugate(k, delta / s)
+        xi, val = chernoff_extremize(h, delta, s)
+        assert xi == pytest.approx(xi_o, rel=1e-14, abs=0)
+        assert val == pytest.approx(-s * l_o, rel=1e-14, abs=0)
+
+
+def test_chernoff_refuses_a_sublinear_hamiltonian():
+    # H = |xi|^0.8 grows sublinearly: -delta xi + s H(xi) falls without
+    # bound, so there is no minimizer to return
+    h = hamiltonian_for(FractionalPower(PurePower(k=1), 0.4))
+    with pytest.raises(SupUnbounded):
+        chernoff_extremize(h, 0.5, 1.0)
 
 
 def test_chernoff_validates_inputs():
