@@ -9,7 +9,7 @@ that from perturbed starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,9 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
     Each node brackets |xi*| by doubling from 1, then takes Newton steps on
     log |H'| against log |xi| from the outer end of its bracket: for a power
     H the first step lands on the root.  A step that leaves the bracket, or
-    is not finite, is replaced by bisection, and so is the step from an
-    iterate where H'' < 0 (a spline through convex data can dip there).  A
-    node settles once its Newton step is within a few ulps, or its bracket
-    collapses; a non-finite H' gives nan.  A bisection that ends, or
-    stalls, where H'' < 0 (a concave H, whose stationary point is no
+    is not finite, is replaced by bisection.  A node settles once its step
+    is within a few ulps, or its bracket collapses; a non-finite H' gives
+    nan, and H'' < 0 on the way (a concave H, whose stationary point is no
     maximum) raises SupUnbounded.
     """
     p = np.asarray(p, dtype=float)
@@ -72,13 +70,14 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
 
     y = hi.copy()
     live = np.arange(nodes.size)
-    bisected = [live[:0]]
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         yl, gl, a = y[live], g[live], target[live]
         d = np.asarray(h.hess(sign[live] * yl), dtype=float)
-        convex = ~(d < 0)
+        if np.any(d < 0):
+            raise SupUnbounded("H'' < 0 inside a bracket: the Hamiltonian "
+                               "is not convex, so p xi - H has no maximum there")
         below = gl < a
         lo[live] = np.where(below, yl, lo[live])
         hi[live] = np.where(below, hi[live], yl)
@@ -92,24 +91,16 @@ def _maximizers(h: Hamiltonian, p) -> np.ndarray:
         # a step within a few ulps settles the node; so does any step once
         # p or the root is below the normal range, where H' has no digits
         # left to refine it with
-        close = (convex & ((np.abs(step - yl) <= 4.0 * _EPS * yl)
-                           | ((step < _TINY) & (lo[live] < _TINY)))) | (a < _TINY)
-        inside = close | (convex & (step > lo[live]) & (step < hi[live]))
+        close = ((np.abs(step - yl) <= 4.0 * _EPS * yl) | (a < _TINY)
+                 | ((step < _TINY) & (lo[live] < _TINY)))
+        inside = close | ((step > lo[live]) & (step < hi[live]))
         new = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
-        exact, broken = (gl == a) & convex, ~np.isfinite(gl)
+        exact, broken = gl == a, ~np.isfinite(gl)
         y[live] = np.where(exact, yl, np.where(broken, np.nan, new))
         collapsed = hi[live] - lo[live] <= 4.0 * _EPS * hi[live]
-        bisected.append(live[collapsed & ~(close | exact | broken)])
         live = live[~(close | exact | broken | collapsed)]
         if live.size:
             g[live] = abs_grad(y[live], live)
-    # only bisection can end on a root, or stall, where H'' < 0
-    unchecked = np.concatenate(bisected + [live])
-    if unchecked.size and np.any(
-            np.asarray(h.hess(sign[unchecked] * y[unchecked]), dtype=float) < 0):
-        raise SupUnbounded("H'' < 0 where the solve of H' = p ends: the "
-                           "Hamiltonian is not convex, so p xi - H has no "
-                           "maximum there")
     if live.size:
         raise OptimizerStalled(
             f"the Legendre solve left {live.size} maximizers unsettled "
@@ -133,73 +124,45 @@ def legendre(h: Hamiltonian, p: float) -> float:
     return float(_legendre_full(h, np.array([float(p)]))[0][0])
 
 
+def _curvature(h: Hamiltonian, xi: np.ndarray) -> np.ndarray:
+    """L'' = 1 / H''(xi*) at the maximizers xi*: +inf where H'' vanishes, as
+    at p = 0 for H = xi^(2k) with k >= 2."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.asarray(h.hess(xi), dtype=float)
+
+
 @dataclass
 class Lagrangian:
-    """Conjugate table with monotone slopes dL/dp = xi*(p), interpolated by a
-    cubic Hermite spline (convexity-preserving for convex data); off the
-    table the exact transform and its derivatives take over."""
+    """The conjugate L = H* of a convex Hamiltonian, exact at every momentum:
+    L(p) = p xi* - H(xi*), L'(p) = xi*(p) and L''(p) = 1 / H''(xi*), all
+    from one `_maximizers` solve.  `lagrangian_table` also keeps exact
+    samples on a momentum grid, which the growth fit reads."""
 
-    p_grid: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    growth_order: float   # 2k/(2k-1) exponent of the sandwich
     hamiltonian: Hamiltonian
+    p_grid: np.ndarray = field(default_factory=lambda: np.empty(0))
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    slopes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def __post_init__(self):
-        # the power-basis coefficients of each piece in s = p - p_i, highest
-        # degree first, for the spline and its two derivatives; they and the
-        # order of evaluation in `_spline` are those of scipy's cubic Hermite
-        # spline
-        dx = np.diff(self.p_grid)
-        chord = np.diff(self.values) / dx
-        t = (self.slopes[:-1] + self.slopes[1:] - 2 * chord) / dx
-        c = (t / dx, (chord - self.slopes[:-1]) / dx - t, self.slopes[:-1],
-             self.values[:-1])
-        d = (c[0] * 3.0, c[1] * 2.0, c[2])
-        self._pieces = (c, d, (d[0] * 2.0, d[1]))
-
-    def _spline(self, p: np.ndarray, nu: int) -> np.ndarray:
-        """The spline (nu = 0) or its nu-th derivative at momenta on the table."""
-        grid = self.p_grid
-        i = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, grid.size - 2)
-        s = p - grid[i]
-        coeffs = self._pieces[nu]
-        out, power = coeffs[-1][i], s
-        for c in reversed(coeffs[:-1]):
-            out = out + c[i] * power
-            power = power * s
-        return out
-
-    def _on_table(self, p: np.ndarray) -> np.ndarray:
-        return (p >= self.p_grid[0]) & (p <= self.p_grid[-1])
+    @property
+    def growth_order(self) -> float:
+        """2k/(2k-1): the exponent q of the sandwich, dual to H's order 2k."""
+        order = self.hamiltonian.order
+        return order / (order - 1.0) if order > 1 else float("inf")
 
     def __call__(self, p):
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        inside = self._on_table(arr)
-        out = np.empty(arr.shape)
-        out[inside] = self._spline(arr[inside], 0)
-        if (~inside).any():
-            out[~inside] = _legendre_full(self.hamiltonian, arr[~inside])[0]
-        return out.reshape(np.shape(p)) if np.ndim(p) else float(out[0])
+        value = _legendre_full(self.hamiltonian, p)[0]
+        return value if np.ndim(p) else float(value)
 
     def derivatives(self, p: np.ndarray):
-        """(L'(p), L''(p)) at an array of momenta: the spline's on the table;
-        off it the exact maximizer xi*(p) and 1 / H''(xi*)."""
-        inside = self._on_table(p)
-        d1 = np.empty(p.shape)
-        d2 = np.empty(p.shape)
-        d1[inside] = self._spline(p[inside], 1)
-        d2[inside] = self._spline(p[inside], 2)
-        if (~inside).any():
-            xi = _maximizers(self.hamiltonian, p[~inside])
-            d1[~inside] = xi
-            d2[~inside] = 1.0 / np.asarray(self.hamiltonian.hess(xi), dtype=float)
-        return d1, d2
+        """(L'(p), L''(p)) at an array of momenta: the maximizer xi*(p) and
+        1 / H''(xi*)."""
+        xi = _maximizers(self.hamiltonian, p)
+        return xi, _curvature(self.hamiltonian, xi)
 
 
 def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
-    """Tabulate the conjugate on a symmetric grid clustered near p = 0 (the
-    sandwich exponent makes L flat there and steep at the ends)."""
+    """The conjugate with exact samples on a symmetric grid clustered near
+    p = 0 (the sandwich exponent makes L flat there and steep at the ends)."""
     if not math.isfinite(p_max):
         raise ValidationError(f"p_max must be finite, got {p_max}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -212,18 +175,14 @@ def lagrangian_table(h: Hamiltonian, p_max: float, n: int = 513) -> Lagrangian:
     stretch = 4.0
     p = p_max * np.sinh(stretch * s) / math.sinh(stretch)
     vals, slopes = _legendre_full(h, p)
-    q = h.order / (h.order - 1.0) if h.order > 1 else float("inf")
-    return Lagrangian(
-        p_grid=p, values=vals, slopes=slopes, growth_order=q, hamiltonian=h
-    )
+    return Lagrangian(hamiltonian=h, p_grid=p, values=vals, slopes=slopes)
 
 
 def biconjugate(lagrangian: Lagrangian, xi: float) -> float:
     """sup_p (xi p - L(p)); returns H(xi) for convex H (duality fixed point).
 
-    Between nodes the spline need not be convex, so where its L' crosses xi
-    more than once the solve returns one local maximum, not always the
-    largest (see `_maximizers`)."""
+    The solve takes its Newton steps on the exact L' and L'' = 1 / H''(xi*),
+    so L is convex wherever H is and the stationary point is the maximum."""
     table_h = Hamiltonian(
         fun=lambda p: np.asarray(lagrangian(p)),
         grad=lambda p: lagrangian.derivatives(np.asarray(p, dtype=float))[0],
@@ -309,7 +268,8 @@ def straight_path(x: float, y: float, winding: int, m: int = 64) -> PathPL:
 def action(path: PathPL, lagrangian) -> float:
     """Midpoint-rule action; exact for x-independent L on PL paths since the
     velocity is constant per segment."""
-    return _action_of_nodes(path.nodes, lagrangian)
+    m = path.segments
+    return float(np.sum(np.asarray(lagrangian(np.diff(path.nodes) * m))) / m)
 
 
 @dataclass
@@ -322,33 +282,26 @@ class RateResult:
     residual: float
 
 
-def _action_of_nodes(nodes: np.ndarray, lagrangian) -> float:
+def _path_terms(nodes: np.ndarray, lagrangian: Lagrangian):
+    """The action S of a path, L' and L'' at its segment velocities v, and
+    its first-order residual, from one Legendre solve over
+    [v, v[:-1] + dv, v[:-1] - dv, v[1:] + dv, v[1:] - dv].
+
+    The residual is the largest central difference of S in an interior node:
+    moving node j by +d changes v_{j-1} by +d m and v_j by -d m, so it needs
+    L only at the four shifted velocity sets.  The descent stops on it and
+    reports it, as a check independent of the exact L' its Newton steps use.
+    """
     m = nodes.size - 1
     v = np.diff(nodes) * m
-    return float(np.sum(np.asarray(lagrangian(v))) / m)
-
-
-def _fd_gradient(nodes: np.ndarray, lagrangian) -> np.ndarray:
-    """Central finite differences in the interior nodes, vectorized through the
-    segment velocities (a node only touches its two segments).  This is the
-    first-order check the descent stops on and reports, independent of the
-    spline derivatives the Newton steps use."""
-    m = nodes.size - 1
-    v = np.diff(nodes) * m
-    delta = 1e-6 * (1.0 + np.abs(nodes[1:-1]))
-    dv = delta * m
-    # moving node j by +d changes v_{j-1} by +d*m and v_j by -d*m, so the
-    # whole gradient needs only four vectorized table lookups
-    l_left_up = np.asarray(lagrangian(v[:-1] + dv))
-    l_left_dn = np.asarray(lagrangian(v[:-1] - dv))
-    l_right_up = np.asarray(lagrangian(v[1:] + dv))
-    l_right_dn = np.asarray(lagrangian(v[1:] - dv))
-    return (l_left_up - l_left_dn + l_right_dn - l_right_up) / (2.0 * delta * m)
-
-
-def _residual(nodes: np.ndarray, lagrangian) -> float:
-    grad = _fd_gradient(nodes, lagrangian)
-    return float(np.max(np.abs(grad))) if grad.size else 0.0
+    dv = 1e-6 * (1.0 + np.abs(nodes[1:-1])) * m
+    h = lagrangian.hamiltonian
+    values, xi = _legendre_full(
+        h, np.concatenate([v, v[:-1] + dv, v[:-1] - dv, v[1:] + dv, v[1:] - dv]))
+    left_up, left_dn, right_up, right_dn = values[m:].reshape(4, m - 1)
+    fd_grad = (left_up - left_dn + right_dn - right_up) / (2.0 * dv)
+    return (float(np.sum(values[:m]) / m), xi[:m], _curvature(h, xi[:m]),
+            float(np.max(np.abs(fd_grad))))
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -370,7 +323,7 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
-def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
+def _search_directions(d1: np.ndarray, d2: np.ndarray):
     """Exact gradient of the action in the interior nodes and the descent
     directions to try, Newton's first when the Hessian is positive definite.
 
@@ -378,15 +331,14 @@ def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
     Hessian is tridiagonal, m (L''(v_{j-1}) + L''(v_j)) on the diagonal and
     -m L''(v_j) off it.  It equals m B^T diag(L''(v)) B for the full-rank
     difference matrix B, so L'' > 0 on every segment makes it positive
-    definite.
+    definite.  `d1` and `d2` are L' and L'' at the m segment velocities.
     """
-    m = nodes.size - 1
-    d1, d2 = lagrangian.derivatives(np.diff(nodes) * m)
+    m = d1.size
     grad = d1[:-1] - d1[1:]
     if not np.all(np.isfinite(grad)):
         raise OptimizerStalled("the action gradient is not finite")
     steepest = (-grad, 0.1 / (1.0 + float(np.max(np.abs(grad)))))
-    if not np.all(d2 > 0):   # a non-convex piece
+    if not np.all(d2 > 0):   # no Newton step without positive curvature
         return grad, [steepest]
     newton = -_solve_tridiagonal(m * (d2[:-1] + d2[1:]), -m * d2[1:-1], grad)
     if not np.all(np.isfinite(newton)):
@@ -394,20 +346,21 @@ def _search_directions(nodes: np.ndarray, lagrangian: Lagrangian):
     return grad, [(newton, 1.0), steepest]
 
 
-def _line_search(phi: np.ndarray, s_val: float, lagrangian, grad: np.ndarray,
-                 direction: np.ndarray, alpha: float):
+def _line_search(phi: np.ndarray, s_val: float, lagrangian: Lagrangian,
+                 grad: np.ndarray, direction: np.ndarray, alpha: float):
     """Armijo backtracking; an increase within a few ulps of S counts as
-    no increase, since near the minimum the decrease is below rounding."""
+    no increase, since near the minimum the decrease is below rounding.
+    Returns the accepted path with its `_path_terms`, or None."""
     slope = float(grad @ direction)
     slack = 4.0 * np.finfo(float).eps * abs(s_val)
     for _ in range(60):
         trial = phi.copy()
         trial[1:-1] = phi[1:-1] + alpha * direction
-        s_trial = _action_of_nodes(trial, lagrangian)
-        if not math.isfinite(s_trial):
-            raise OptimizerStalled(f"the action is not finite ({s_trial})")
-        if s_trial <= s_val + 1e-4 * alpha * slope + slack:
-            return trial, s_trial
+        terms = _path_terms(trial, lagrangian)
+        if not math.isfinite(terms[0]):
+            raise OptimizerStalled(f"the action is not finite ({terms[0]})")
+        if terms[0] <= s_val + 1e-4 * alpha * slope + slack:
+            return trial, terms
         alpha *= 0.5
     return None
 
@@ -422,13 +375,12 @@ def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
     ends the descent early: later iterations would repeat it.
     """
     phi = nodes.copy()
-    s_val = _action_of_nodes(phi, lagrangian)
-    res = _residual(phi, lagrangian)
+    s_val, d1, d2, res = _path_terms(phi, lagrangian)
     it = 0
     while it < max_iter and not res <= residual_target:
         if not math.isfinite(s_val):
             raise OptimizerStalled(f"the action is not finite ({s_val})")
-        grad, directions = _search_directions(phi, lagrangian)
+        grad, directions = _search_directions(d1, d2)
         step = None
         for direction, alpha in directions:
             step = _line_search(phi, s_val, lagrangian, grad, direction, alpha)
@@ -436,8 +388,7 @@ def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
                 break
         if step is None or np.array_equal(step[0], phi):
             break
-        phi, s_val = step
-        res = _residual(phi, lagrangian)
+        phi, (s_val, d1, d2, res) = step
         it += 1
     if res > stall_tol or not math.isfinite(res):
         raise OptimizerStalled(
@@ -447,7 +398,7 @@ def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
     return phi, s_val, it, res
 
 
-def rate_function(x: float, y: float, lagrangian, m: int = 64,
+def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
                   winding_max: int = 2, perturb: float = 0.0,
                   max_iter: int = 20000, residual_target: float = 1e-8,
                   stall_tol: float = 1e-6) -> RateResult:

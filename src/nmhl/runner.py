@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import RunConfig, _to_mapping
 from .errors import ValidationError
-from .grids import TWO_PI, FrequencyGrid, spatial_grid
-from .ldp import hamiltonian_for, lagrangian_table, rate_function
+from .grids import FrequencyGrid, spatial_grid
+from .ldp import Lagrangian, hamiltonian_for, rate_function
 from .malliavin import AugmentedOperator, ibp_check
 from .presets import (
     DEFAULTS_VERSION,
@@ -57,12 +57,6 @@ def _exit_passed(fit, k: int) -> bool:
     k-dependent tolerance of the Chernoff target."""
     tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
     return fit.r_squared >= EXIT_R2_MIN and abs(fit.ratio - 1.0) <= tol
-
-
-def _rate_p_max(x: float, y: float, winding_max: int) -> float:
-    """Slope range of the Lagrangian table: twice the longest lifted
-    displacement the winding search can try."""
-    return max(8.0, 2.0 * (abs(y - x) + TWO_PI * winding_max))
 
 
 @dataclass
@@ -254,10 +248,8 @@ def _run_rate(config: RunConfig, ctx: dict) -> ReportSummary:
     params = config.experiment.params
     x, y = params["x"], params["y"]
     spec = _spec_of(config)
-    h = hamiltonian_for(spec)
-    lag = lagrangian_table(h, _rate_p_max(x, y, params["winding_max"]))
     result = rate_function(
-        x, y, lag,
+        x, y, Lagrangian(hamiltonian_for(spec)),
         m=params["nodes"],
         winding_max=params["winding_max"],
         perturb=params["perturb"],
@@ -354,11 +346,9 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
     max_rel = float(np.max(columns["rel_error"]))
     entries.append(("ibp", "max_rel_error", max_rel, max_rel < IBP_TOL, path))
 
-    h = hamiltonian_for(PurePower(k=1))
+    lagrangian = Lagrangian(hamiltonian_for(PurePower(k=1)))
     endpoints = rate_endpoints()
-    results = []
-    for x, y in endpoints:
-        results.append(rate_function(x, y, lagrangian_table(h, _rate_p_max(x, y, 2))))
+    results = [rate_function(x, y, lagrangian) for x, y in endpoints]
     residuals = [r.residual for r in results]
     path = os.path.join(outdir, "report_rate.csv")
     _write_csv(path, _base_meta(config), {

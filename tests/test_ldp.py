@@ -13,6 +13,7 @@ from nmhl import (
     FractionalPower,
     FrequencyGrid,
     Hamiltonian,
+    Lagrangian,
     Levy,
     PathPL,
     Perturbed,
@@ -200,9 +201,9 @@ def test_real_phase_hamiltonian_is_one_dimensional():
 
 def test_table_interpolates_conjugate_tightly():
     table = lagrangian_table(h_power(2), p_max=8.0)
-    probes = np.linspace(-7.5, 7.5, 101)
-    exact = np.array([oracles.power_legendre(2, p) for p in probes])
-    assert np.max(np.abs(table(probes) - exact)) < 1e-7
+    probes = np.concatenate([np.linspace(-7.5, 7.5, 101), table.p_grid])
+    exact = np.array([oracles.power_conjugate(2, p)[1] for p in probes])
+    np.testing.assert_allclose(table(probes), exact, rtol=1e-14, atol=0)
     assert np.all(np.diff(table.slopes) >= -1e-12)  # conjugate slopes monotone
 
 
@@ -213,27 +214,14 @@ def test_table_falls_back_to_exact_transform_off_grid():
 
 def test_off_table_derivatives_are_the_exact_maximizer_and_curvature():
     table = lagrangian_table(h_power(2), p_max=2.0)
-    p = np.array([-7.0, 3.0, 5.5, 1.0])
+    # off the table, between nodes and on nodes alike
+    p = np.concatenate([[-7.0, 3.0, 5.5, 1.0, -0.3], table.p_grid[::37]])
     xi = np.array([oracles.power_conjugate(2, v)[0] for v in p])
     d1, d2 = table.derivatives(p)
     assert np.all(np.isfinite(d2))
-    # off the table xi* and L'' = 1 / H''(xi*) exactly; on it the spline's
-    np.testing.assert_allclose(d1[:3], xi[:3], rtol=4 * EPS)
-    np.testing.assert_allclose(d2[:3], 1.0 / (12.0 * xi[:3] ** 2), rtol=1e-14)
-    assert d1[3] == pytest.approx(xi[3], rel=1e-7)
-    assert d2[3] == pytest.approx(1.0 / (12.0 * xi[3] ** 2), rel=1e-3)
-
-
-def test_hermite_spline_matches_scipy_bit_for_bit():
-    from scipy.interpolate import CubicHermiteSpline
-
-    table = lagrangian_table(h_power(2), p_max=12.0)
-    ref = CubicHermiteSpline(table.p_grid, table.values, table.slopes)
-    p = np.concatenate([np.linspace(-12.0, 12.0, 4001), table.p_grid])
-    d1, d2 = table.derivatives(p)
-    np.testing.assert_array_equal(table(p), ref(p))
-    np.testing.assert_array_equal(d1, ref.derivative()(p))
-    np.testing.assert_array_equal(d2, ref.derivative(2)(p))
+    # xi* and L'' = 1 / H''(xi*) exactly, at every momentum
+    np.testing.assert_allclose(d1, xi, rtol=4 * EPS)
+    np.testing.assert_allclose(d2, 1.0 / (12.0 * xi ** 2), rtol=1e-14)
 
 
 def test_tridiagonal_solve_matches_a_dense_solve():
@@ -257,8 +245,8 @@ def test_biconjugate_recovers_convex_hamiltonian():
 
 @pytest.mark.parametrize("k, xi", [(2, 0.115), (2, 0.118), (3, 0.25), (3, 0.255)])
 def test_biconjugate_steps_past_where_the_spline_is_not_convex(k, xi):
-    # on the first table interval L = c p^q with q < 1.5, and the spline's L''
-    # turns negative near its right end; the maximizer for these xi lies there
+    # maximizers near the first node of a p_max = 12 table, where an
+    # interpolant of the samples can turn concave
     table = lagrangian_table(h_power(k), p_max=12.0)
     value = biconjugate(table, xi)
     assert value == pytest.approx(oracles.legendre_search(table, xi)[0], rel=1e-12)
@@ -267,12 +255,12 @@ def test_biconjugate_steps_past_where_the_spline_is_not_convex(k, xi):
 
 @pytest.mark.parametrize("k, xi", [(2, 0.1205), (3, 0.265)])
 def test_biconjugate_returns_a_local_maximum_where_the_spline_has_two(k, xi):
-    # here xi p - L has a second, larger maximum one table interval on, an
-    # artefact of the spline's dip; the solve keeps the first, near H(xi)
+    # an interpolant of the samples can give xi p - L a second, spurious
+    # maximum here; the exact L is convex, so its one maximum is H(xi)
     table = lagrangian_table(h_power(k), p_max=12.0)
     value = biconjugate(table, xi)
-    assert value == pytest.approx(xi ** (2 * k), abs=1e-6)
-    assert value < oracles.legendre_search(table, xi)[0]
+    assert value == pytest.approx(xi ** (2 * k), rel=1e-12)
+    assert value == pytest.approx(oracles.legendre_search(table, xi)[0], rel=1e-12)
 
 
 def test_growth_sandwich_for_quartic():
@@ -327,6 +315,18 @@ def test_rate_matches_straight_line_oracle_short_hop():
     assert res.residual <= 1e-8
 
 
+@pytest.mark.parametrize("k, y, perturb", [(1, 1.0, 0.0), (1, 5.0, 0.0),
+                                           (2, 1.0, 0.3), (2, 5.0, 0.3),
+                                           (3, 1.0, 0.3), (3, 5.0, 0.0)])
+def test_rate_is_the_conjugate_of_the_mean_velocity_to_rounding(k, y, perturb):
+    # the straight line of the winning class is the minimizer (Jensen), so
+    # l = L(y + 2 pi w); (2, 5.0, 0.3) is the perturbed quartic preset
+    res = rate_function(0.0, y, Lagrangian(h_power(k)), perturb=perturb)
+    assert res.winding == (-1 if y > np.pi else 0)
+    ref = oracles.power_conjugate(k, y + TWO_PI * res.winding)[1]
+    assert res.l_value == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 def test_rate_prefers_winding_for_long_displacement():
     # going 5 forward costs more than 2 pi - 5 backward: the w = -1 class wins
     table = lagrangian_table(h_power(1), p_max=16.0)
@@ -378,8 +378,8 @@ def test_newton_descent_converges_in_a_few_steps():
 
 
 def test_non_finite_action_stalls_at_once():
-    # velocity 3 is off a table that ends at p = 2, where the conjugate
-    # falls back to a Hamiltonian that returns nan
+    # the conjugate is solved on a Hamiltonian that returns nan, so the
+    # action of the first path is nan
     table = lagrangian_table(h_power(1), p_max=2.0)
     nan = lambda xi: xi * np.nan
     table.hamiltonian = Hamiltonian(fun=nan, grad=nan, hess=nan, order=2.0)

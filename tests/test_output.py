@@ -105,11 +105,11 @@ QUADRATIC_2D_SHA256 = {
 REPORT_FAST = ("[operator]\nvariant = pure_power\nk = 1\n\n"
                "[experiment]\nkind = report\nfast = true\n")
 REPORT_FAST_SHA256 = {
-    "report.csv": "b174ab13760f5e2a75e980a5e0469491aa873d85539a14d95e47effeee3047d9",
+    "report.csv": "f780c37d51c5eac6c27a1383af691eafc7c13be08a20f5209630f429a43a9540",
     "report_exit_k1.csv": "5f120274eccd2662b6f34ae5a85063f2adb4d7c0ba71afd47a3925602d67459c",
     "report_ibp.csv": "2f59f624eb1b4ce74084e2cbf4b35eb7b6a7cea44245fe94611f02fb1964b663",
     "report_kernel.csv": "2628433f94e03d239b4e8fd240a7cea18a79fce37f938288c7c0da2859ee0daf",
-    "report_rate.csv": "966d646bb5fffbff7fce0a4d0e039d4eb8c49367495dd0623351c4e6d595726b",
+    "report_rate.csv": "adf0b6f87b045f7669d5e9687b858000a1bd6fe173febad9fa51a49ee7520f4a",
     "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
     "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
 }
@@ -122,7 +122,7 @@ VARADHAN_K1_SHA256 = {
 RATE_K1 = ("[operator]\nvariant = pure_power\nk = 1\n\n"
            "[experiment]\nkind = rate\ny = 5.0\n")
 RATE_K1_SHA256 = {
-    "rate.csv": "2354760092ea1af0f8a8a7f4e6b39254eb240d4470444bdc51a9d3e5c65ac776",
+    "rate.csv": "4db8ffa9e55d13321972f37c26f9810da99b4403d7d7ca0e53bf850449dc5620",
 }
 # the survey configs of the fractional and perturbed variants, taken before
 # their symbols moved onto the operator classes
@@ -141,10 +141,12 @@ PERTURBED_K2_SHA256 = {
 
 # every CSV written by the benchmark's preset configs and by the full report,
 # taken before the unread Symbol flags were dropped: the byte-identity gate
-# that a refactor of the numerical layers must keep.  The three rate tables
-# (survey/rate_k1, paths/rate_k2_perturbed and the two report_rate.csv) were
-# retaken when the Legendre table moved to exact maximizers; CHANGES.md
-# lists the moved columns
+# that a refactor of the numerical layers must keep.  The rate tables
+# (survey/rate_k1, paths/rate_k1_winding, paths/rate_k2_perturbed, and the
+# report_rate.csv and report.csv of both reports) were retaken when the
+# Legendre table moved to exact maximizers, and again when the descent moved
+# from the interpolated table to the exact Lagrangian; CHANGES.md lists the
+# moved columns
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 REPORT_FULL = REPORT_FAST.replace("fast = true", "fast = false")
 PRESET_SHA256 = {
@@ -164,17 +166,17 @@ PRESET_SHA256 = {
         "symbol.csv": "c34615648b08967f79e91a44387992efcb6b7cd7bc885d36f4c9cb0953238799",
     },
     "paths/rate_k1_winding": {
-        "rate.csv": "2354760092ea1af0f8a8a7f4e6b39254eb240d4470444bdc51a9d3e5c65ac776",
+        "rate.csv": "4db8ffa9e55d13321972f37c26f9810da99b4403d7d7ca0e53bf850449dc5620",
     },
     "paths/rate_k2_perturbed": {
-        "rate.csv": "ca3c3447ed619a8a2377bedba84252443fe488a8bc59c3306bb92c50f2992fda",
+        "rate.csv": "c9d9837868bc4289fba057898ff023ecc4751cff4da42c1aa8694f9f360f9d50",
     },
     "paths/report_fast": {
-        "report.csv": "b174ab13760f5e2a75e980a5e0469491aa873d85539a14d95e47effeee3047d9",
+        "report.csv": "f780c37d51c5eac6c27a1383af691eafc7c13be08a20f5209630f429a43a9540",
         "report_exit_k1.csv": "5f120274eccd2662b6f34ae5a85063f2adb4d7c0ba71afd47a3925602d67459c",
         "report_ibp.csv": "2f59f624eb1b4ce74084e2cbf4b35eb7b6a7cea44245fe94611f02fb1964b663",
         "report_kernel.csv": "2628433f94e03d239b4e8fd240a7cea18a79fce37f938288c7c0da2859ee0daf",
-        "report_rate.csv": "966d646bb5fffbff7fce0a4d0e039d4eb8c49367495dd0623351c4e6d595726b",
+        "report_rate.csv": "adf0b6f87b045f7669d5e9687b858000a1bd6fe173febad9fa51a49ee7520f4a",
         "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
         "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
     },
@@ -182,12 +184,12 @@ PRESET_SHA256 = {
         "varadhan.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
     },
     "report_full": {
-        "report.csv": "a672bc3744e3448b18a217a1cc0af84f046598e442b27e6f80d1eef2e1051ab0",
+        "report.csv": "d8b7640c0ec2faf1d6a6086727ab281700a4da03c9daf5a08fa72cc87e8cb35c",
         "report_exit_k1.csv": "48180817ac5564e5c7c764a9f724642c5844967d94f43c9cf84f5e1277077d5c",
         "report_exit_k2.csv": "f63b4e82937415a7ac515b05554e59d74edb9fd55cd6c36f91fb187c48d79c38",
         "report_ibp.csv": "186183878b881ed41767654b201667fec33518019b70854c8570c1654221885c",
         "report_kernel.csv": "3bc186e593a4801ca1988b206c09e5d88b49052b169e8ede03a26052859677d0",
-        "report_rate.csv": "a78f91f61fc8f660d0ddae0ee2a9dcd0f5448b965f29e4719d5271765e6cb127",
+        "report_rate.csv": "5268cbd01fde95f088b1d55c92d087946c495efd9e0477f1dd0ec9822f8d4be9",
         "report_tilted.csv": "f3937eb5034e45c7e2ce5a0bd93faba4f2092c95033edf0257c8f86bf6a6a420",
         "report_varadhan_k1.csv": "d18e37d596f82303901dde921f3d47635b8bfebed6c35e81decaa14083d2b80d",
         "report_varadhan_k2.csv": "efbed1dfc6fd914154279e9c06bc93d3cdcdb93d4fcbce780797dca6f8039888",
@@ -218,7 +220,7 @@ PRESET_SHA256 = {
         "symbol.csv": "1da076f5a014d9fa0abfc47b52c0eb96f223e6b73d1d34b9a75e6908ac193c9d",
     },
     "survey/rate_k1": {
-        "rate.csv": "81a9aebfc997fbd6828dc5dac79da8b4f05a71e74cc4824c79a57e46f5c53e31",
+        "rate.csv": "76c6de5da01da12220f6c87712dc87bbe07cfac2b8bc86facc29018eb42a41d2",
     },
     "survey/varadhan_k2": {
         "varadhan.csv": "e333d5ba47964bcb94b97f182ed953892572bb43dafb96655704b20418884c43",

@@ -66,7 +66,7 @@ def test_a_polynomial_kernel_run_loads_no_scipy(tmp_path):
 
 
 def test_rate_and_varadhan_runs_load_no_scipy(tmp_path):
-    # the Legendre layer is numpy only: Newton solve, Hermite spline and
+    # the Legendre layer is numpy only: Newton solve, exact Lagrangian and
     # tridiagonal descent step
     assert cli_run(tmp_path / "rate", "rate", 2, "y = 5.0\nperturb = 0.3") == []
     assert cli_run(tmp_path / "varadhan", "varadhan", 1, "") == []
