@@ -48,8 +48,7 @@ class ComplexResidue(NmhlError):
 
 class SeriesDiverged(NmhlError):
     """A series failed to converge: the perturbation series remainder bound
-    stopped decreasing, or a multiprecision Fourier sum did not settle
-    within its refinement rounds."""
+    stopped decreasing."""
 
 
 class TiltOutOfDomain(NmhlError):

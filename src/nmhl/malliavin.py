@@ -159,8 +159,11 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic
     # the local window clipped to the truncated domain
     z_tab, k_tab = _aux_kernel_table(t, op.aux_order, 16.0 * wid)
     window = 14.0 * wid
-    out = np.empty(centers.shape)
-    for i, ci in enumerate(centers):
+    # c(xi) is even, so about half the modes share a center: integrate once
+    # per distinct center
+    distinct, inverse = np.unique(centers, return_inverse=True)
+    out = np.empty(distinct.shape)
+    for i, ci in enumerate(distinct):
         lo = max(-u_max, ci - window)
         hi = min(u_max, ci + window)
         if hi <= lo:
@@ -169,7 +172,7 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic
         u = np.linspace(lo, hi, n_u)
         vals = _interp_kernel(z_tab, k_tab, ci - u)
         out[i] = np.trapezoid(u * vals, u)
-    return out
+    return out[inverse].reshape(centers.shape)
 
 
 # ---------------------------------------------------------------------------

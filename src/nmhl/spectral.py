@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -75,8 +74,7 @@ class OperatorSpec:
     A variant is one subclass.  It gives its `dimension`, `order` and
     `_at(zz)`, the symbol on a complex array whose last axis holds the d
     coordinates, and overrides the defaults below where they do not hold:
-    `hamiltonian`, `mp_supported` with `_mp_at`,
-    `poly_degree`, `maslov_factors` and `_check_branch`.
+    `hamiltonian`, `poly_degree`, `maslov_factors` and `_check_branch`.
     """
 
     @property
@@ -110,24 +108,10 @@ class OperatorSpec:
         raise ValidationError(f"no real-phase Hamiltonian for {type(self).__name__}")
 
     @property
-    def mp_supported(self) -> bool:
-        """Whether `mp_value` applies.  The multiprecision Fourier sums pair
-        +n with -n, so they take even one-dimensional symbols only."""
-        return False
-
-    def mp_value(self, n: int):
-        """a(n) at an integer frequency n, at the working mpmath precision."""
-        if not self.mp_supported:
-            raise ValidationError(
-                "high-precision evaluation supports even one-dimensional "
-                "polynomial symbols and their fractional powers, not this "
-                f"{type(self).__name__} (d = {self.dimension})"
-            )
-        return self._mp_at(n)
-
-    @property
     def poly_degree(self) -> int | None:
-        """Degree of the symbol as a polynomial in n; None if it is none."""
+        """Degree of a one-dimensional symbol as an even polynomial, or None:
+        the one fact the saddle-shifted contour of `semigroup.log_abs_kernel`
+        needs."""
         return None
 
     def maslov_factors(self, k: int, eps: float) -> tuple[float, float]:
@@ -169,12 +153,8 @@ class _Homogeneous(OperatorSpec):
                            order=m)
 
     @property
-    def mp_supported(self) -> bool:
-        return self.d == 1
-
-    @property
-    def poly_degree(self) -> int:
-        return 2 * self.k
+    def poly_degree(self) -> int | None:
+        return 2 * self.k if self.d == 1 else None
 
 
 @dataclass(frozen=True)
@@ -186,9 +166,6 @@ class PurePower(_Homogeneous):
 
     def _at(self, zz):
         return np.sum(zz ** (2 * self.k), axis=-1)
-
-    def _mp_at(self, n: int):
-        return mp.mpf(n) ** (2 * self.k)
 
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
@@ -233,9 +210,6 @@ class QuadraticForm(_Homogeneous):
                 v = v * zz[..., j]
             mono[..., m] = v
         return np.einsum("...i,ij,...j->...", mono, self.a_matrix, mono)
-
-    def _mp_at(self, n: int):
-        return mp.mpf(self.a_matrix[0, 0]) * mp.mpf(n) ** (2 * self.k)
 
 
 @dataclass(frozen=True)
@@ -364,13 +338,6 @@ class FractionalPower(_Wrapper):
         return Hamiltonian(fun=lambda xi: np.asarray(base.fun(xi)) ** alpha,
                            grad=grad, hess=hess, order=alpha * base.order)
 
-    @property
-    def mp_supported(self) -> bool:
-        return self.base.mp_supported
-
-    def _mp_at(self, n: int):
-        return mp.power(self.base._mp_at(n), mp.mpf(self.alpha_frac))
-
     def _check_branch(self, points: np.ndarray, scale: float):
         # reject fractional powers of symbols that dip into Re < 0
         if float(np.min(self.base.value(points).real)) < -1e-12 * scale:
@@ -414,19 +381,11 @@ class Perturbed(_Wrapper):
         return out
 
     @property
-    def mp_supported(self) -> bool:
-        # odd exponents would break the +/-n pairing
-        return self.base.mp_supported and all(e[0] % 2 == 0 for e in self.q_coeffs)
-
-    def _mp_at(self, n: int):
-        out = mp.mpf(self.base._mp_at(n))
-        for expo, c in self.q_coeffs.items():
-            out += mp.mpf(c) * (-1) ** (expo[0] // 2) * mp.mpf(n) ** expo[0]
-        return out
-
-    @property
     def poly_degree(self) -> int | None:
-        return self.base.poly_degree   # the perturbation has a lower degree
+        # the perturbation has a lower degree; an odd power breaks evenness
+        if any(e % 2 for expo in self.q_coeffs for e in expo):
+            return None
+        return self.base.poly_degree
 
 
 @dataclass(frozen=True)
@@ -454,13 +413,6 @@ class Rescaled(_Wrapper):
             grad=lambda xi: pref * scale * inner.grad(at(xi)),
             hess=lambda xi: pref * scale**2 * inner.hess(at(xi)),
             order=inner.order)
-
-    @property
-    def mp_supported(self) -> bool:
-        return self.freq_scale == 1.0 and self.base.mp_supported
-
-    def _mp_at(self, n: int):
-        return mp.mpf(self.prefactor) * self.base._mp_at(n)
 
     @property
     def poly_degree(self) -> int | None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import FitUnstable, ValidationError
@@ -21,7 +20,7 @@ from .ldp import (Hamiltonian, _legendre_full, hamiltonian_for, legendre,
 from .malliavin import exponent_fit
 from .semigroup import (
     TiltSpec,
-    _mp_log_fourier,
+    _log_image_sum,
     heat_kernel,
     kernel_values,
     log_abs_kernel,
@@ -33,7 +32,8 @@ from .spectral import Symbol, auto_cutoff, build_symbol
 #: exact second-order wrapped Gaussian and frozen.
 C_SLACK = 0.5
 
-_MP_LOG_THRESHOLD = 25.0   # switch to multiprecision past this |log p| estimate
+#: |log p| estimate past which the double-precision lattice sum cancels
+_LATTICE_LOG_FLOOR = 25.0
 
 
 def _check_geometric(t_list) -> np.ndarray:
@@ -48,10 +48,6 @@ def _check_geometric(t_list) -> np.ndarray:
     if float(np.max(np.abs(ratios - ratios[0]))) > 1e-9:
         raise ValidationError("times must form a geometric sequence")
     return ts
-
-
-def _mp_supported(symbol: Symbol) -> bool:
-    return symbol.spec is not None and symbol.spec.mp_supported
 
 
 def straight_rate(h: Hamiltonian, x: float, y: float, winding_max: int = 2) -> float:
@@ -114,8 +110,9 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     """Pointwise small-time curve against the rate-function target.
 
     Passes iff v(t) <= -l + slack(t) at every sample and the extrapolated
-    limit is <= -l + 2%|l|.  Evaluation switches to multiprecision once the
-    expected log-magnitude exceeds the double-precision cancellation floor.
+    limit is <= -l + 2%|l|.  Once the expected log-magnitude passes the
+    cancellation floor of the lattice sum, an even polynomial symbol
+    switches to the contour image sum of `log_abs_kernel`.
 
     By default l is the Legendre (straight-line) rate, which is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the saddle frequencies are complex:
@@ -140,7 +137,8 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
         est = l_value / t**power
-        if est > _MP_LOG_THRESHOLD and _mp_supported(symbol):
+        if (est > _LATTICE_LOG_FLOOR and symbol.spec is not None
+                and symbol.spec.poly_degree is not None):
             vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
         else:
             p = kernel_values(symbol, t, z)
@@ -170,16 +168,27 @@ def _require_spec(symbol: Symbol):
 # set-level estimate
 
 
-def _mp_interval_mass(spec, t: float, lo: float, hi: float, l_floor: float,
-                      power: float, guard: float = 40.0) -> float:
-    """log of integral_lo^hi p_t(0, y) dy for a positive-kernel polynomial
-    symbol, via the exact Fourier antiderivative at adaptive precision."""
-    def weight(n, x):
-        # int_lo^hi cos(n y) dy = (sin(n hi) - sin(n lo)) / n
-        return (x[1] - x[0]) / n if n else mp.mpf(hi) - mp.mpf(lo)
+def _log_interval_mass(spec, t: float, lo: float, hi: float) -> float:
+    """log of integral_lo^hi p_t(0, y) dy over a proper arc, for an even
+    polynomial symbol, or -inf where that integral is not positive.
 
-    logm, sign = _mp_log_fourier(spec, t, l_floor / t**power,
-                                 ((mp.sin, lo), (mp.sin, hi)), weight, guard)
+    Each image [lo, hi] + 2 pi w contributes G(b_lo) - G(b_hi), with
+    G(b) = int_b^inf P_t the tail mass of the real-line kernel, which
+    `semigroup._image_integral` takes on a saddle-shifted contour for b >= 0;
+    for b < 0, G(b) = 2 G(0) - G(-b) by evenness.
+    """
+    shift = TWO_PI * round(0.5 * (lo + hi) / TWO_PI)
+    lo, hi = lo - shift, hi - shift
+
+    def terms(w):
+        b_lo, b_hi = lo + TWO_PI * w, hi + TWO_PI * w
+        if b_lo >= 0:
+            return [(1.0, b_lo, True), (-1.0, b_hi, True)]
+        if b_hi <= 0:
+            return [(1.0, -b_hi, True), (-1.0, -b_lo, True)]
+        return [(2.0, 0.0, True), (-1.0, -b_lo, True), (-1.0, b_hi, True)]
+
+    logm, sign = _log_image_sum(spec, t, terms)
     return logm if sign > 0 else -math.inf
 
 
@@ -205,13 +214,12 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
         wrap_angle(x - lo) > 0 and wrap_angle(x - hi) < 0
     )
     vals = np.empty(ts.size)
-    positive_closed_form = k == 1 and _mp_supported(symbol)
+    # a degree-2 symbol has a positive (Gaussian) kernel, so its absolute
+    # mass is the signed one
+    gaussian = symbol.spec is not None and symbol.spec.poly_degree == 2
     for i, t in enumerate(ts):
-        est = l_inf / t**power
-        if positive_closed_form and est > _MP_LOG_THRESHOLD:
-            vals[i] = t**power * _mp_interval_mass(
-                symbol.spec, t, lo - x, hi - x, l_inf, power
-            )
+        if gaussian and l_inf / t**power > _LATTICE_LOG_FLOOR:
+            vals[i] = t**power * _log_interval_mass(symbol.spec, t, lo - x, hi - x)
             continue
         fld = heat_kernel(symbol, t, x=x, resolution=resolution)
         ys = fld.points

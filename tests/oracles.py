@@ -39,6 +39,17 @@ def wrapped_gaussian(t: float, z, images: int = 12):
     return out / math.sqrt(4.0 * math.pi * t)
 
 
+def wrapped_gaussian_log(t: float, z: float, images: int = 40) -> float:
+    """log of ``wrapped_gaussian`` with each image's exponent kept apart and
+    the largest taken out before summing, so it holds at any depth (where
+    the images themselves underflow) and at t down to 1e-6."""
+    exps = [-((z + TWO_PI * m_img) ** 2) / (4.0 * t)
+            for m_img in range(-images, images + 1)]
+    top = max(exps)
+    return (top + math.log(math.fsum(math.exp(e - top) for e in exps))
+            - 0.5 * math.log(4.0 * math.pi * t))
+
+
 def tilted_gaussian_kernel(s: float, tau: float, z, images: int = 12):
     """Completing the square in exp(-s (xi - i tau)^2) recenters the wrapped
     Gaussian by 2 s tau and scales it by exp(s tau^2)."""

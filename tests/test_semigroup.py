@@ -256,7 +256,7 @@ def test_log_abs_kernel_of_a_fractional_power_matches_termwise_sum(t, z):
 
 
 def test_log_abs_kernel_refuses_a_two_dimensional_symbol():
-    # the multiprecision sum is one-dimensional: a 2-D spec must be refused,
+    # the image sum is one-dimensional: a 2-D spec must be refused,
     # not summed as if it were 1-D
     with pytest.raises(ValidationError, match="one-dimensional"):
         log_abs_kernel(PurePower(k=1, d=2), 0.05, 1.0)
@@ -277,15 +277,30 @@ def test_kernel_values_refuses_nonfinite_arguments(t, offsets):
 
 
 def test_log_abs_kernel_never_returns_an_unsettled_estimate():
-    # |log p| ~ 1000 needs more refinement rounds than the cap allows; the
-    # periodized Gaussian is dominated by its m = 0 image at this t
-    t, z = 0.1 * 0.5**6, 2.5
-    exact = -z * z / (4 * t) - 0.5 * math.log(4 * math.pi * t)
-    try:
-        value = log_abs_kernel(PurePower(k=1), t, z)
-    except SeriesDiverged:
-        return
-    assert value == pytest.approx(exact, rel=1e-9)
+    # |log p| ~ 998 and ~ 1560, far past where a lattice sum cancels; the
+    # periodized Gaussian is dominated by its m = 0 image at these t
+    for t, z in [(0.1 * 0.5**6, 2.5), (1e-3, 2.5)]:
+        exact = -z * z / (4 * t) - 0.5 * math.log(4 * math.pi * t)
+        assert log_abs_kernel(PurePower(k=1), t, z) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t", np.geomspace(1e-6, 1e-1, 6).tolist())
+@pytest.mark.parametrize("z", [0.05, 0.3, 1.0, 2.5, math.pi])
+def test_log_abs_kernel_matches_the_reference_at_every_depth(k, t, z):
+    got = log_abs_kernel(PurePower(k=k), t, z)
+    if k == 1:
+        ref = oracles.wrapped_gaussian_log(t, z)
+    else:
+        # the termwise sum at the cutoff and precision that |log p| asks for
+        need = abs(got) + 40.0
+        n_cut = int(math.ceil((need / t) ** (1.0 / (2 * k)))) + 4
+        if n_cut > 3000:
+            pytest.skip(f"termwise reference needs {n_cut} terms")
+        ref = oracles.mp_fourier_log(lambda n: n ** (2 * k), lambda n: mp.cos(n * z),
+                                     t, n_cut, dps=30 + int(need / math.log(10.0)))
+    assert got == pytest.approx(ref, rel=1e-13)
+
 
 def test_derivative_seminorm_grows_as_t_shrinks():
     sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 128))

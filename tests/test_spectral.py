@@ -1,4 +1,3 @@
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,43 +218,35 @@ def test_symbol_scaled_multiplies_values():
 
 
 # ---------------------------------------------------------------------------
-# the operator layer: each variant's multiprecision value and Hamiltonian
-# against its own double-precision symbol
+# the operator layer: which variants are even polynomials (the contour of
+# `log_abs_kernel`), and each variant's Hamiltonian against its own symbol
 
-MP_SPECS = [
+@pytest.mark.parametrize("spec", [
     PurePower(k=2),
     QuadraticForm(k=1, a_matrix=np.array([[2.5]])),
-    FractionalPower(base=PurePower(k=2), alpha_frac=0.75),
     Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.1, (0,): 0.25}),
-    Rescaled(Perturbed(base=PurePower(k=2), q_coeffs={(2,): -0.5}), prefactor=3.0),
-]
+    Rescaled(Perturbed(base=PurePower(k=2), q_coeffs={(2,): -0.5}),
+             prefactor=3.0, freq_scale=0.5),
+], ids=lambda s: type(s).__name__)
+def test_poly_degree_is_the_degree_of_an_even_polynomial(spec):
+    degree = spec.poly_degree
+    assert degree == spec.order
+    n = np.arange(-4.0, 5.0)
+    np.testing.assert_array_equal(spec.value(n), spec.value(-n))
+    # the degree-th difference of a polynomial of that degree is constant
+    diffs = np.diff(spec.value(n).real, degree)
+    np.testing.assert_allclose(diffs, diffs[0], rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec", MP_SPECS, ids=lambda s: type(s).__name__)
-def test_multiprecision_value_matches_the_symbol(spec):
-    assert spec.mp_supported
-    with mp.workdps(40):
-        for n in range(9):
-            expected = float(spec.value(float(n)).real)
-            assert float(spec.mp_value(n)) == pytest.approx(expected, rel=1e-12, abs=0)
-
-
-NO_MP_SPECS = [
+@pytest.mark.parametrize("spec", [
     PurePower(k=1, d=2),
     QuadraticForm(k=1, a_matrix=np.eye(2), d=2),
-    FractionalPower(base=PurePower(k=1, d=2), alpha_frac=0.5),
+    FractionalPower(base=PurePower(k=2), alpha_frac=0.75),
     Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}),
-    Rescaled(PurePower(k=1), freq_scale=0.5),
     Levy(l=1, alpha_levy=-0.5, density=flat_density()),
-]
-
-
-@pytest.mark.parametrize("spec", NO_MP_SPECS, ids=lambda s: type(s).__name__)
-def test_multiprecision_value_refuses_what_the_paired_sums_cannot_take(spec):
-    # the sums pair +n with -n on the circle: even 1-d symbols only
-    assert not spec.mp_supported
-    with pytest.raises(ValidationError, match="one-dimensional"):
-        spec.mp_value(1)
+], ids=lambda s: type(s).__name__)
+def test_poly_degree_is_none_where_no_even_polynomial_exists(spec):
+    assert spec.poly_degree is None
 
 
 @pytest.mark.parametrize("spec", [

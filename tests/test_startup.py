@@ -1,7 +1,7 @@
-"""Cold start: scipy is a test dependency only, so importing nmhl and running
-any experiment must not load it.  Each check runs in a fresh interpreter,
-because this test process has long since imported scipy through the oracles
-and other tests."""
+"""Cold start: scipy and mpmath are test dependencies only, so importing nmhl
+and running any experiment must load neither.  Each check runs in a fresh
+interpreter, because this test process has long since imported both through
+the oracles and other tests."""
 
 import json
 import os
@@ -14,18 +14,18 @@ import nmhl
 SRC = Path(nmhl.__file__).resolve().parent.parent
 CONFIGS = sorted((SRC.parent / "perfbench" / "configs").glob("*/*.cfg"))
 
-LOADED_SCIPY = """
+LOADED_TEST_DEPS = """
 import json, sys
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m.split(".")[0] in ("scipy", "mpmath"))))
 """
 
 
 def child(code: str, cwd: Path):
-    """Run ``code`` in a fresh interpreter and return the scipy modules it
-    left loaded (the JSON list on its last stdout line)."""
+    """Run ``code`` in a fresh interpreter and return the scipy and mpmath
+    modules it left loaded (the JSON list on its last stdout line)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code + LOADED_SCIPY],
+    proc = subprocess.run([sys.executable, "-c", code + LOADED_TEST_DEPS],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -45,7 +45,8 @@ def test_import_and_config_parsing_load_no_scipy(tmp_path):
 
 def cli_run(tmp_path: Path, kind: str, k: int, params: str):
     """Run one ``kind`` experiment on ``pure_power`` through
-    ``nmhl.cli.main`` in a child; return the scipy modules it left loaded."""
+    ``nmhl.cli.main`` in a child; return the scipy and mpmath modules it
+    left loaded."""
     tmp_path.mkdir(exist_ok=True)
     (tmp_path / "run.cfg").write_text(
         f"[operator]\nvariant = pure_power\nk = {k}\n\n"
@@ -67,7 +68,8 @@ def test_a_polynomial_kernel_run_loads_no_scipy(tmp_path):
 
 def test_rate_and_varadhan_runs_load_no_scipy(tmp_path):
     # the Legendre layer is numpy only: Newton solve, exact Lagrangian and
-    # tridiagonal descent step
+    # tridiagonal descent step; the deep varadhan samples take the contour
+    # image sum in double precision
     assert cli_run(tmp_path / "rate", "rate", 2, "y = 5.0\nperturb = 0.3") == []
     assert cli_run(tmp_path / "varadhan", "varadhan", 1, "") == []
 
@@ -84,13 +86,14 @@ RUNS = {
 
 BLOCKED_RUNS = """
 import json, sys
-sys.modules["scipy"] = None  # from here on, any scipy import raises
-try:
-    import scipy
-except ImportError:
-    pass
-else:
-    raise SystemExit("scipy was not blocked")
+for name in ("scipy", "mpmath"):
+    sys.modules[name] = None  # from here on, any import of it raises
+    try:
+        __import__(name)
+    except ImportError:
+        pass
+    else:
+        raise SystemExit(name + " was not blocked")
 import nmhl.cli
 print(json.dumps({kind: nmhl.cli.main([kind, "--config", kind + ".cfg",
                                        "--out", kind])
@@ -99,8 +102,8 @@ print(json.dumps({kind: nmhl.cli.main([kind, "--config", kind + ".cfg",
 
 
 def test_every_experiment_kind_runs_with_scipy_blocked(tmp_path):
-    # the package needs no scipy: a scipy import anywhere on these runs
-    # would end it with exit code 2
+    # the package needs neither scipy nor mpmath: an import of either
+    # anywhere on these runs would end it with exit code 2
     for kind, (k, params) in RUNS.items():
         (tmp_path / f"{kind}.cfg").write_text(
             f"[operator]\nvariant = pure_power\nk = {k}\n\n"

@@ -29,7 +29,7 @@ from nmhl import (
 from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.spectral import auto_cutoff
-from nmhl.varadhan import C_SLACK, _mp_interval_mass
+from nmhl.varadhan import C_SLACK, _log_interval_mass
 
 
 def power_symbol(k, t_min):
@@ -227,7 +227,9 @@ def test_set_estimate_interior_point_has_zero_target():
 
 
 @pytest.mark.parametrize("t, lo, hi", [(0.01, 0.5, 1.5), (0.002, 2.0, 3.0),
-                                       (0.1 * 0.5**7, -1.1, -0.9)])
+                                       (0.1 * 0.5**7, -1.1, -0.9),
+                                       # arcs over the images of 0 and 2 pi
+                                       (1e-3, -0.1, 0.2), (0.05, 5.0, 7.0)])
 def test_mp_interval_mass_matches_termwise_sum(t, lo, hi):
     l_floor = min(lo * lo, hi * hi) / 4.0      # nearest endpoint, k = 1
     need = l_floor / t + 100.0                 # |log mass| with room to spare
@@ -236,7 +238,7 @@ def test_mp_interval_mass_matches_termwise_sum(t, lo, hi):
         lambda n: (mp.sin(n * hi) - mp.sin(n * lo)) / n if n else mp.mpf(hi - lo),
         t, n_cut=int(math.sqrt(need / t)), dps=30 + int(need / math.log(10.0)),
     )
-    got = _mp_interval_mass(PurePower(k=1), t, lo, hi, l_floor, 1.0)
+    got = _log_interval_mass(PurePower(k=1), t, lo, hi)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
