@@ -178,6 +178,11 @@ def kernel_values(symbol: Symbol, t: float, offsets, threshold: float = 1e-12):
 
 _IMAGE_EFOLDS = 40.0   # image pairs this far below the largest one are dropped
 
+#: smallest |p| / (sum_n |exp(-t a(n))| / 2 pi) the lattice sum resolves: its
+#: rounding error stays near 3e-17 of that scale, so past this floor fewer
+#: than five digits of p survive
+_LATTICE_FLOOR = 1e-12
+
 
 def _image_integral(spec: OperatorSpec, t: float, m: int, c: float, x: float,
                     tail: bool = False) -> tuple[float, float]:
@@ -244,8 +249,11 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     An even polynomial symbol (`poly_degree` not None) takes the image sum of
     `_log_image_sum` on saddle-shifted contours, accurate to about 1e-14
     relative at any depth.  Any other symbol takes the ordered lattice sum
-    `kernel_values` on an `auto_cutoff` lattice: a fractional power's kernel
-    decays only algebraically, so nothing cancels deeply.
+    `kernel_values` on an `auto_cutoff` lattice, which resolves a kernel
+    that decays only algebraically, as a fractional power's does, but not
+    one that sinks to the rounding noise of its terms: below
+    `_LATTICE_FLOOR` times their total magnitude the call raises
+    ValidationError instead of returning the log of that noise.
     """
     _require_time(t)
     if not math.isfinite(z):
@@ -256,7 +264,13 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     if spec.poly_degree is None:
         sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, t)))
         p = kernel_values(sym, t, z)
-        return math.log(abs(p)) if p else -math.inf
+        scale = float(np.sum(np.abs(np.exp(-t * sym.values)))) / TWO_PI
+        if abs(p) < _LATTICE_FLOOR * scale:
+            raise ValidationError(
+                f"|p_t(0, {z})| = {abs(p):.3e} at t = {t} is below the rounding "
+                f"floor {_LATTICE_FLOOR * scale:.3e} of the lattice sum, and "
+                f"{type(spec).__name__} takes no contour (poly_degree None)")
+        return math.log(abs(p))
     z -= TWO_PI * round(z / TWO_PI)
     return _log_image_sum(spec, t, lambda w: [(1.0, abs(z + TWO_PI * w), False)])[0]
 

@@ -111,8 +111,9 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
 
     Passes iff v(t) <= -l + slack(t) at every sample and the extrapolated
     limit is <= -l + 2%|l|.  Once the expected log-magnitude passes the
-    cancellation floor of the lattice sum, an even polynomial symbol
-    switches to the contour image sum of `log_abs_kernel`.
+    cancellation floor of the lattice sum, a symbol with a spec switches to
+    `log_abs_kernel`, which raises ValidationError on a sample it cannot
+    resolve rather than return a false verdict.
 
     By default l is the Legendre (straight-line) rate, which is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the saddle frequencies are complex:
@@ -137,8 +138,7 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
         est = l_value / t**power
-        if (est > _LATTICE_LOG_FLOOR and symbol.spec is not None
-                and symbol.spec.poly_degree is not None):
+        if est > _LATTICE_LOG_FLOOR and symbol.spec is not None:
             vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
         else:
             p = kernel_values(symbol, t, z)

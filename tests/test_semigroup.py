@@ -9,6 +9,7 @@ import oracles
 from nmhl import (
     FractionalPower,
     FrequencyGrid,
+    Levy,
     Perturbed,
     PurePower,
     Symbol,
@@ -26,7 +27,7 @@ from nmhl import (
     tilted_semigroup,
 )
 from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
-from nmhl.presets import duhamel_pair
+from nmhl.presets import duhamel_pair, flat_density
 from nmhl.semigroup import DuhamelConfig
 
 GAUSS_DIAG_T1 = 0.28212397345676224   # (1/2pi) sum exp(-n^2), two oracle routes
@@ -253,6 +254,28 @@ def test_log_abs_kernel_of_a_fractional_power_matches_termwise_sum(t, z):
                                  t, n_cut=4000)
     assert log_abs_kernel(spec, t, z) == pytest.approx(ref, rel=1e-12)
 
+
+def test_log_abs_kernel_of_a_square_root_quartic_is_the_gaussian_where_resolvable():
+    # (xi^4)^(1/2) = xi^2 takes the lattice sum; at t = 0.01, z = 1 the kernel
+    # is 1.4e-11 of the sum's scale, so about five digits of p survive
+    spec = FractionalPower(base=PurePower(k=2), alpha_frac=0.5)
+    exact = oracles.wrapped_gaussian_log(0.01, 1.0)
+    assert log_abs_kernel(spec, 0.01, 1.0) == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("spec, t", [
+    # symbol xi^2: the exact log is -1560.31
+    (FractionalPower(base=PurePower(k=2), alpha_frac=0.5), 1e-3),
+    # a drift only translates the quartic kernel; |p| ~ 4e-17
+    (Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}), 1e-5),
+    # compactly supported density: an entire symbol; |p| ~ 9e-14
+    (Levy(l=1, alpha_levy=-0.5, density=flat_density()), 1e-4),
+])
+def test_log_abs_kernel_refuses_a_kernel_below_the_lattice_rounding_floor(spec, t):
+    # none is an even polynomial, and each kernel sinks into the rounding
+    # noise of the lattice sum: a refusal, not the log of that noise
+    with pytest.raises(ValidationError, match="rounding floor"):
+        log_abs_kernel(spec, t, 2.5)
 
 
 def test_log_abs_kernel_refuses_a_two_dimensional_symbol():

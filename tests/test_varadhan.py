@@ -396,9 +396,19 @@ def test_localized_validates_inputs():
         localized_estimate(sym, 1, 0.0, plateau_bump(0.0, 0.5, 1.0), ts)
 
 
+def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
+    # (xi^4)^(1/2) = xi^2 is no even polynomial spec, so its deep samples take
+    # the lattice sum, whose rounding noise (log ~ -36) would pass for a
+    # kernel far above the true -1.5625 / t
+    spec = FractionalPower(PurePower(k=2), 0.5)
+    sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, 0.002)))
+    with pytest.raises(ValidationError, match="rounding floor"):
+        varadhan_curve(sym, 1, 0.0, 2.5, geometric(0.008, 0.5, 3))
+
+
 def test_varadhan_curve_refuses_a_two_dimensional_symbol():
-    # every sample is past the multiprecision threshold, whose sum is
-    # one-dimensional: a 2-D symbol must not reach it
+    # every sample is past the cancellation floor of the lattice sum, and
+    # the image sum is one-dimensional: a 2-D symbol must not reach it
     sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 8))
     with pytest.raises(ValidationError):
         varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.005, 0.5, 3), l_value=0.25)
