@@ -70,7 +70,6 @@ from .malliavin import (
 )
 from .runner import ReportSummary, run
 from .semigroup import (
-    DuhamelConfig,
     DuhamelResult,
     KernelField,
     TiltSpec,

@@ -12,6 +12,7 @@ import sys
 
 from .config import EXPERIMENT_KINDS, apply_overrides, parse_config
 from .errors import NmhlError, ValidationError
+from .presets import DEFAULTS_VERSION
 from .runner import run
 
 _HELP = {
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     for path in summary.csv_paths:
         print(f"wrote {path}")
     print(f"{summary.experiment}: {'PASS' if summary.passed else 'FAIL'} "
-          f"(defaults {summary.defaults_version})")
+          f"(defaults {DEFAULTS_VERSION})")
     return 0 if summary.passed else 1
 
 

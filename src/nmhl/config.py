@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
-from .presets import exit_epsilons
+from .presets import VARIANT_TABLE, exit_epsilons
 
 SECTIONS = ("operator", "grid", "experiment", "output")
-OPERATOR_VARIANTS = ("pure_power", "quadratic_form", "levy", "fractional", "perturbed")
+OPERATOR_VARIANTS = tuple(VARIANT_TABLE)
 EXPERIMENT_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
 
 _OPERATOR_KEYS = {
@@ -304,16 +304,10 @@ def _build_operator(body: dict) -> OperatorConfig:
             cfg.q = _parse_q(v)
         for e, _ in cfg.q:
             _require(e >= 0, f"q exponent must be >= 0 (got {e})")
-    # variant-specific requirements
-    if variant in ("pure_power", "quadratic_form", "fractional", "perturbed"):
-        _require(cfg.k is not None, f"{variant} needs operator.k")
-    if variant == "levy":
-        _require(cfg.l is not None, "levy needs operator.l")
-        _require(cfg.alpha_levy is not None, "levy needs operator.alpha_levy")
-    if variant == "fractional":
-        _require(cfg.alpha_frac is not None, "fractional needs operator.alpha_frac")
-    if variant == "perturbed":
-        _require(bool(cfg.q), "perturbed needs operator.q")
+    for key in VARIANT_TABLE[variant][0]:
+        # an empty q parses to (), which is as missing as None
+        _require(getattr(cfg, key) not in (None, ()),
+                 f"{variant} needs operator.{key}")
     return cfg
 
 

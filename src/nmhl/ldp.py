@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI
+from .semigroup import heat_kernel
 from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
 
 # |xi| past which a bracket that still misses |p| means a subquadratic H,
@@ -23,6 +24,16 @@ _BRACKET_CAP = 1e9
 _NEWTON_STEPS = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+#: the path descent stops once its first-order residual meets DESCENT_TARGET
+#: or after DESCENT_MAX_ITER steps, and raises OptimizerStalled if the
+#: residual is then above DESCENT_STALL_TOL
+DESCENT_TARGET = 1e-8
+DESCENT_STALL_TOL = 1e-6
+DESCENT_MAX_ITER = 20000
+# |p| from which `growth_fit` fits the sandwich exponent
+_GROWTH_P_MIN = 1.0
+# grid size of the scaling identity check
+_SCALING_RESOLUTION = 256
 
 
 def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
@@ -203,11 +214,11 @@ class GrowthFit:
     sandwich_holds: bool
 
 
-def growth_fit(lagrangian: Lagrangian, p_min: float = 1.0) -> GrowthFit:
+def growth_fit(lagrangian: Lagrangian) -> GrowthFit:
     """Fit -C + c|p|^q <= L(p) <= C + |p|^q constants over the table."""
     p = lagrangian.p_grid
     vals = lagrangian.values
-    mask = np.abs(p) >= p_min
+    mask = np.abs(p) >= _GROWTH_P_MIN
     if mask.sum() < 4:
         raise ValidationError("momentum table too small for a growth fit")
     q = lagrangian.growth_order
@@ -365,8 +376,7 @@ def _line_search(phi: np.ndarray, s_val: float, lagrangian: Lagrangian,
     return None
 
 
-def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
-             residual_target: float, stall_tol: float):
+def _descend(nodes: np.ndarray, lagrangian: Lagrangian):
     """Safeguarded Newton descent on the interior nodes.
 
     Stops once the central-difference residual meets the target; a start
@@ -377,7 +387,7 @@ def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
     phi = nodes.copy()
     s_val, d1, d2, res = _path_terms(phi, lagrangian)
     it = 0
-    while it < max_iter and not res <= residual_target:
+    while it < DESCENT_MAX_ITER and not res <= DESCENT_TARGET:
         if not math.isfinite(s_val):
             raise OptimizerStalled(f"the action is not finite ({s_val})")
         grad, directions = _search_directions(d1, d2)
@@ -390,18 +400,16 @@ def _descend(nodes: np.ndarray, lagrangian: Lagrangian, max_iter: int,
             break
         phi, (s_val, d1, d2, res) = step
         it += 1
-    if res > stall_tol or not math.isfinite(res):
+    if res > DESCENT_STALL_TOL or not math.isfinite(res):
         raise OptimizerStalled(
-            f"first-order residual {res:.3e} above {stall_tol:.1e} "
+            f"first-order residual {res:.3e} above {DESCENT_STALL_TOL:.1e} "
             f"after {it} iterations"
         )
     return phi, s_val, it, res
 
 
 def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
-                  winding_max: int = 2, perturb: float = 0.0,
-                  max_iter: int = 20000, residual_target: float = 1e-8,
-                  stall_tol: float = 1e-6) -> RateResult:
+                  winding_max: int = 2, perturb: float = 0.0) -> RateResult:
     """l(x, y) = inf over paths of the action, searched per winding class.
 
     `perturb` bends the straight initial path by a deterministic sinusoid so
@@ -425,9 +433,7 @@ def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
                 2.0 * np.pi * tgrid
             )
             base[0], base[-1] = x, y + TWO_PI * w
-        nodes, s_val, iters, res = _descend(
-            base, lagrangian, max_iter, residual_target, stall_tol
-        )
+        nodes, s_val, iters, res = _descend(base, lagrangian)
         cand = (s_val, abs(w), w, nodes, iters, res)
         if best is None:
             best = cand
@@ -461,14 +467,11 @@ def maslov_scaled_symbol(symbol: Symbol, k: int, eps: float) -> Symbol:
     return build_symbol(scaled, symbol.grid)
 
 
-def scaling_identity_check(symbol: Symbol, k: int, t: float,
-                           resolution: int = 256) -> float:
+def scaling_identity_check(symbol: Symbol, k: int, t: float) -> float:
     """Kernel of (a, t) against kernel of (t a, 1): exact in multiplier form,
     so any deviation is plumbing, not mathematics."""
-    from .semigroup import heat_kernel  # runtime import: semigroup is heavier
-
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
-    lhs = heat_kernel(symbol, t, resolution=resolution)
-    rhs = heat_kernel(symbol.scaled(t), 1.0, resolution=resolution)
+    lhs = heat_kernel(symbol, t, resolution=_SCALING_RESOLUTION)
+    rhs = heat_kernel(symbol.scaled(t), 1.0, resolution=_SCALING_RESOLUTION)
     return float(np.max(np.abs(lhs.values - rhs.values)))

@@ -30,6 +30,16 @@ from .grids import TWO_PI
 from .semigroup import _ifft_field, _require_time, derivative_seminorm
 from .spectral import Symbol, _principal_power
 
+# points of the auxiliary kernel table, and of each per-mode trapezoid rule
+# of the quadrature moment path
+_AUX_TABLE_POINTS = 32769
+_MOMENT_POINTS = 4097
+# fewest trapezoid points of the bounded-moment check
+_BOUND_MIN_POINTS = 1025
+# the gauge potential is tabulated on [-_GAUGE_U_MAX, _GAUGE_U_MAX]
+_GAUGE_U_MAX = 20.0
+_GAUGE_POINTS = 8001
+
 
 @dataclass(frozen=True)
 class AugmentedOperator:
@@ -106,7 +116,7 @@ def augmented_multiplier(op: AugmentedOperator, t: float, xi, eta) -> complex:
 # auxiliary kernel machinery (quadrature moment path)
 
 
-def _aux_kernel_table(t: float, aux_order: int, z_max: float, n_z: int = 32769):
+def _aux_kernel_table(t: float, aux_order: int, z_max: float):
     """kappa(z) = (1/pi) int_0^inf exp(-t eta^2k) cos(eta z) d eta on a dense
     grid over [-z_max, z_max].
 
@@ -118,10 +128,10 @@ def _aux_kernel_table(t: float, aux_order: int, z_max: float, n_z: int = 32769):
     the table span: the order-6 kernel decays slowly enough that a domain
     twice the span aliases at 1e-9 of its peak.
     """
-    z = np.linspace(-z_max, z_max, n_z)
+    z = np.linspace(-z_max, z_max, _AUX_TABLE_POINTS)
     if aux_order == 2:
         return z, np.exp(-z * z / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
-    half = (n_z - 1) // 2
+    half = (_AUX_TABLE_POINTS - 1) // 2
     dz = z_max / half
     m = 8 * half
     eta = TWO_PI * np.arange(m // 2 + 1) / (m * dz)
@@ -133,8 +143,8 @@ def _interp_kernel(z_tab, k_tab, pts):
     return np.interp(pts, z_tab, k_tab, left=0.0, right=0.0)
 
 
-def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic",
-               u_max: float | None = None, n_u: int = 4097) -> np.ndarray:
+def aux_moment(op: AugmentedOperator, t: float, start=0.0,
+               path: str = "analytic") -> np.ndarray:
     """First moment E[u] of one auxiliary variable per lattice mode.
 
     analytic: start + c(xi) from the eta-derivative of the multiplier at 0.
@@ -152,11 +162,10 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic
     c = c.real
     wid = t ** (1.0 / op.aux_order)
     centers = np.atleast_1d(start + c)
-    centers_max = float(np.max(np.abs(centers)))
-    if u_max is None:
-        u_max = 12.0 * wid + centers_max
+    u_max = 12.0 * wid + float(np.max(np.abs(centers)))
     # the kernel has width ~wid around each center: integrate per mode over
-    # the local window clipped to the truncated domain
+    # the local window clipped to the truncated domain, which holds every
+    # center, so the window is never empty
     z_tab, k_tab = _aux_kernel_table(t, op.aux_order, 16.0 * wid)
     window = 14.0 * wid
     # c(xi) is even, so about half the modes share a center: integrate once
@@ -164,12 +173,8 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0, path: str = "analytic
     distinct, inverse = np.unique(centers, return_inverse=True)
     out = np.empty(distinct.shape)
     for i, ci in enumerate(distinct):
-        lo = max(-u_max, ci - window)
-        hi = min(u_max, ci + window)
-        if hi <= lo:
-            out[i] = 0.0
-            continue
-        u = np.linspace(lo, hi, n_u)
+        u = np.linspace(max(-u_max, ci - window), min(u_max, ci + window),
+                        _MOMENT_POINTS)
         vals = _interp_kernel(z_tab, k_tab, ci - u)
         out[i] = np.trapezoid(u * vals, u)
     return out[inverse].reshape(centers.shape)
@@ -340,14 +345,11 @@ def _refined_sup(fun, grid: np.ndarray, values: np.ndarray) -> float:
     return sup
 
 
-def gauge_conjugate(gauge: GaugeFunction, aux_order: int = 2,
-                    u_max: float = 20.0, n: int = 8001) -> GaugePotential:
+def gauge_conjugate(gauge: GaugeFunction) -> GaugePotential:
     """Potential C(u) = g'(u)/g(u) tabulated with refined sup, plus bounds on
     the first two derivatives (the conjugated generator is the original plus
     terms built from these, so bounded derivatives is the whole point)."""
-    if aux_order < 2 or aux_order % 2:
-        raise ValidationError(f"aux_order must be even and >= 2, got {aux_order}")
-    u = np.linspace(-u_max, u_max, n)
+    u = np.linspace(-_GAUGE_U_MAX, _GAUGE_U_MAX, _GAUGE_POINTS)
     if gauge.dg is not None:
         c_fun = lambda v: np.asarray(gauge.dg(v)) / np.asarray(gauge.g(v))
     else:
@@ -386,7 +388,7 @@ class MomentBound:
 
 def bounded_moment_check(op: AugmentedOperator, h: np.ndarray, t: float,
                          u_max: float | None = None, resolution: int = 256,
-                         n_u: int = 1025, check_doubling: bool = True) -> MomentBound:
+                         check_doubling: bool = True) -> MomentBound:
     """Smallest C with |P~_t^n|[|h| prod |u_j|](x, 0) <= C ||h||_inf; finiteness
     is the assertion, stability under domain doubling the sanity check."""
     if op.n != 1:
@@ -431,7 +433,7 @@ def bounded_moment_check(op: AugmentedOperator, h: np.ndarray, t: float,
                 )
         # step keyed to the kernel width, not the domain span
         n = int(math.ceil(2.0 * cap / (wid / 64.0))) + 1
-        n = max(n_u, min(n, 1 << 21))
+        n = max(_BOUND_MIN_POINTS, min(n, 1 << 21))
         u = np.linspace(-cap, cap, n)
         du = u[1] - u[0]
         acc = np.zeros(resolution)

@@ -21,6 +21,7 @@ from .spectral import (
     Symbol,
     auto_cutoff,
     build_symbol,
+    multi_indices,
 )
 
 #: bumped when any preset constant changes; echoed into CSV headers
@@ -36,44 +37,36 @@ def flat_density(support: float = 1.0, tol: float = 1e-8) -> LevyDensity:
     return LevyDensity(h=h, support=support, tol=tol)
 
 
-def make_operator(variant: str, *, k: int | None = None, d: int = 1,
-                  a_matrix=None, l: int | None = None,
-                  alpha_levy: float | None = None, support: float = 1.0,
-                  tol: float = 1e-8, alpha_frac: float | None = None,
-                  q: dict | None = None) -> OperatorSpec:
-    """Construct an operator spec from the flat parameter set the config
-    layer exposes."""
-    if variant == "pure_power":
-        if k is None:
-            raise ValidationError("pure_power needs k")
-        return PurePower(k=k, d=d)
-    if variant == "quadratic_form":
-        if k is None:
-            raise ValidationError("quadratic_form needs k")
-        if a_matrix is None:
-            from .spectral import multi_indices
+def _quadratic_form(op, d: int) -> QuadraticForm:
+    # no a_matrix: the identity, so the symbol is the sum of squared monomials
+    a = (np.eye(len(multi_indices(d, op.k))) if op.a_matrix is None
+         else np.asarray(op.a_matrix, dtype=float))
+    return QuadraticForm(k=op.k, a_matrix=a, d=d)
 
-            n = len(multi_indices(d, k))
-            a_matrix = np.eye(n)
-        return QuadraticForm(k=k, a_matrix=np.asarray(a_matrix, dtype=float), d=d)
-    if variant == "levy":
-        if l is None or alpha_levy is None:
-            raise ValidationError("levy needs l and alpha_levy")
-        return Levy(l=l, alpha_levy=alpha_levy, density=flat_density(support, tol))
-    if variant == "fractional":
-        if k is None or alpha_frac is None:
-            raise ValidationError("fractional needs k (base) and alpha_frac")
-        return FractionalPower(base=PurePower(k=k, d=d), alpha_frac=alpha_frac)
-    if variant == "perturbed":
-        if k is None or not q:
-            raise ValidationError("perturbed needs k (base) and q coefficients")
-        # config-level exponents are bare ints; Perturbed wants multi-indices
-        coeffs = {
-            (e if isinstance(e, tuple) else (int(e),)): float(c)
-            for e, c in dict(q).items()
-        }
-        return Perturbed(base=PurePower(k=k, d=d), q_coeffs=coeffs)
-    raise ValidationError(f"unknown operator variant {variant!r}")
+
+#: CLI variant name -> (the [operator] keys it needs, in the order the config
+#: checks them; the constructor of its spec from the parsed [operator] section
+#: and the torus dimension d).  Config-level q exponents are bare ints, so
+#: `perturbed` is one-dimensional.
+VARIANT_TABLE = {
+    "pure_power": (("k",), lambda op, d: PurePower(k=op.k, d=d)),
+    "quadratic_form": (("k",), _quadratic_form),
+    "levy": (("l", "alpha_levy"), lambda op, d: Levy(
+        l=op.l, alpha_levy=op.alpha_levy,
+        density=flat_density(op.support, op.tol))),
+    "fractional": (("k", "alpha_frac"), lambda op, d: FractionalPower(
+        base=PurePower(k=op.k, d=d), alpha_frac=op.alpha_frac)),
+    "perturbed": (("k", "q"), lambda op, d: Perturbed(
+        base=PurePower(k=op.k, d=d), q_coeffs={(e,): c for e, c in op.q})),
+}
+
+
+def make_operator(op, d: int) -> OperatorSpec:
+    """The spec of a parsed [operator] section (a `config.OperatorConfig`,
+    whose required keys the config layer has checked) on T^d."""
+    if op.variant not in VARIANT_TABLE:
+        raise ValidationError(f"unknown operator variant {op.variant!r}")
+    return VARIANT_TABLE[op.variant][1](op, d)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +125,14 @@ def exponent_symbol(k: int) -> Symbol:
 
 
 DUHAMEL_Q = {(2,): 0.1}
+DUHAMEL_CUTOFF = 32
 
 
-def duhamel_pair(cutoff: int = 32):
+def duhamel_pair():
     """Quartic base, the bare second-order perturbation q (what the series
     expands in), and the full perturbed symbol (the closed-form target),
     all on one lattice."""
-    grid = FrequencyGrid(1, cutoff)
+    grid = FrequencyGrid(1, DUHAMEL_CUTOFF)
     base = build_symbol(PurePower(k=2), grid)
     full = build_symbol(
         Perturbed(base=PurePower(k=2), q_coeffs=dict(DUHAMEL_Q)), grid

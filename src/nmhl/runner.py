@@ -65,7 +65,6 @@ class ReportSummary:
     passed: bool
     measured: dict
     csv_paths: list = field(default_factory=list)
-    defaults_version: str = DEFAULTS_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +133,8 @@ def _base_meta(config: RunConfig, extra: dict | None = None) -> dict:
 # shared construction
 
 
-def _spec_of(config: RunConfig):
-    op = config.operator
-    return make_operator(
-        op.variant,
-        k=op.k,
-        d=config.grid.d,
-        a_matrix=None if op.a_matrix is None else np.asarray(op.a_matrix),
-        l=op.l,
-        alpha_levy=op.alpha_levy,
-        support=op.support,
-        tol=op.tol,
-        alpha_frac=op.alpha_frac,
-        q=None if op.q is None else dict(op.q),
-    )
-
-
 def _symbol_of(config: RunConfig, t_min: float):
-    spec = _spec_of(config)
+    spec = make_operator(config.operator, config.grid.d)
     cutoff = config.grid.cutoff
     if cutoff is None:
         cutoff = auto_cutoff(spec, t_min)
@@ -247,7 +230,7 @@ def _run_ibp(config: RunConfig, ctx: dict) -> ReportSummary:
 def _run_rate(config: RunConfig, ctx: dict) -> ReportSummary:
     params = config.experiment.params
     x, y = params["x"], params["y"]
-    spec = _spec_of(config)
+    spec = make_operator(config.operator, config.grid.d)
     result = rate_function(
         x, y, Lagrangian(hamiltonian_for(spec)),
         m=params["nodes"],

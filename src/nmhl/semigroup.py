@@ -28,6 +28,13 @@ from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
                        build_symbol)
 
 _IMAG_TOL = 1e-10
+#: largest |multiplier| a truncated series may keep on its outermost
+#: frequencies; above it every evaluation raises CutoffTooSmall
+EDGE_DAMPING = 1e-12
+# grid size of the Chapman-Kolmogorov and symmetry checks
+_CHECK_RESOLUTION = 512
+# Gauss-Legendre nodes of the Volterra series, at least l_max + 3
+_DUHAMEL_NODES = 16
 
 
 @dataclass
@@ -67,26 +74,29 @@ def _require_dissipative(symbol: Symbol):
         )
 
 
-def _truncation_diag(symbol: Symbol, t: float) -> float:
-    shell = symbol.grid.boundary_shell()
-    return float(np.max(np.abs(np.exp(-t * symbol.values[shell]))))
-
-
-def _check_truncation(symbol: Symbol, t: float, threshold: float) -> float:
-    diag = _truncation_diag(symbol, t)
-    if diag > threshold:
+def _check_edge(edge: np.ndarray, t: float, what: str, spec) -> float:
+    """max |edge|, the multiplier on the outermost frequencies of a truncated
+    series, or CutoffTooSmall once it passes EDGE_DAMPING; a `spec` (not
+    None) adds the `auto_cutoff` lattice as the suggested cutoff."""
+    diag = float(np.max(np.abs(edge)))
+    if diag > EDGE_DAMPING:
         suggested = None
-        if symbol.spec is not None:
+        if spec is not None:
             try:
-                suggested = auto_cutoff(symbol.spec, t, threshold=min(threshold, 1e-16))
+                suggested = auto_cutoff(spec, t)
             except ValidationError:
                 suggested = None
         raise CutoffTooSmall(
-            f"boundary-shell damping {diag:.3e} exceeds threshold {threshold:.1e} "
+            f"{what} damping {diag:.3e} exceeds threshold {EDGE_DAMPING:.1e} "
             f"at t={t:.3g}" + (f"; suggested cutoff N={suggested}" if suggested else ""),
             suggested_cutoff=suggested,
         )
     return diag
+
+
+def _check_truncation(symbol: Symbol, t: float) -> float:
+    shell = np.exp(-t * symbol.values[symbol.grid.boundary_shell()])
+    return _check_edge(shell, t, "boundary-shell", symbol.spec)
 
 
 def _fold_multiplier(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -132,14 +142,13 @@ def _source_point(x, d: int) -> np.ndarray:
     return xv
 
 
-def heat_kernel(symbol: Symbol, t: float, x=0.0, resolution: int = 256,
-                threshold: float = 1e-12) -> KernelField:
+def heat_kernel(symbol: Symbol, t: float, x=0.0, resolution: int = 256) -> KernelField:
     """Kernel p_t(x, y_j) on the uniform grid, via the inverse transform of
     exp(-t a(xi)) exp(-i xi x).  In 2-D a scalar x stands for (x, x)."""
     _require_time(t)
     _require_dissipative(symbol)
     xv = _source_point(x, symbol.grid.dimension)
-    diag = _check_truncation(symbol, t, threshold)
+    diag = _check_truncation(symbol, t)
     mult = np.exp(-t * symbol.values)
     phase = np.exp(-1j * (symbol.grid.points.astype(float) @ xv))
     vals = _ifft_field(symbol.grid, mult * phase, resolution)
@@ -152,13 +161,13 @@ def heat_kernel(symbol: Symbol, t: float, x=0.0, resolution: int = 256,
     )
 
 
-def kernel_values(symbol: Symbol, t: float, offsets, threshold: float = 1e-12):
+def kernel_values(symbol: Symbol, t: float, offsets):
     """p_t(0, z) at arbitrary offsets by the ordered direct sum (d = 1)."""
     _require_time(t)
     _require_dissipative(symbol)
     if symbol.grid.dimension != 1:
         raise ValidationError("direct evaluation is one-dimensional")
-    _check_truncation(symbol, t, threshold)
+    _check_truncation(symbol, t)
     z = np.atleast_1d(np.asarray(offsets, dtype=float))
     if not np.all(np.isfinite(z)):
         raise ValidationError(f"offsets must be finite, got {offsets!r}")
@@ -275,8 +284,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     return _log_image_sum(spec, t, lambda w: [(1.0, abs(z + TWO_PI * w), False)])[0]
 
 
-def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
-                    threshold: float = 1e-12) -> np.ndarray:
+def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray) -> np.ndarray:
     """exp(-t L) h for a grid function h; exact identity at t = 0."""
     _require_time(t, zero_ok=True)
     h = np.asarray(h)
@@ -296,14 +304,8 @@ def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray,
         box = symbol.grid.box_index()
         a_bins = symbol.values[box[np.ix_(*[freqs.astype(int) + n] * d)]]
     if t > 0:
-        mask = _fft_boundary_mask(m, d)
-        edge = float(np.max(np.abs(np.exp(-t * np.asarray(a_bins)[mask]))))
-        if edge > threshold:
-            raise CutoffTooSmall(
-                f"resolution M={m} leaves boundary damping {edge:.3e} above "
-                f"{threshold:.1e}; raise M",
-                suggested_cutoff=None,
-            )
+        edge = np.exp(-t * np.asarray(a_bins)[_fft_boundary_mask(m, d)])
+        _check_edge(edge, t, f"resolution M={m} boundary", None)
     out = np.fft.ifftn(np.exp(-t * a_bins) * np.fft.fftn(h))
     if np.isrealobj(h):
         scale = max(1.0, float(np.max(np.abs(out.real))))
@@ -319,16 +321,6 @@ def _fft_boundary_mask(m: int, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Volterra series for perturbed generators
-
-
-@dataclass(frozen=True)
-class DuhamelConfig:
-    l_max: int = 8
-    nodes: int = 16
-
-    def __post_init__(self):
-        if self.l_max < 1:
-            raise ValidationError(f"l_max must be >= 1, got {self.l_max}")
 
 
 @dataclass
@@ -365,7 +357,7 @@ def _integration_matrix(nodes: np.ndarray, t: float) -> np.ndarray:
 
 
 def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
-                   cfg: DuhamelConfig = DuhamelConfig()) -> DuhamelResult:
+                   l_max: int = 8) -> DuhamelResult:
     """exp(-t(a+q)) as a truncated Volterra series around exp(-t a).
 
     The level-l iterated integral equals exp(-t a) (-t q)^l / l! analytically;
@@ -374,6 +366,8 @@ def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
     |exp(-t a)| (t|q|)^(L+1)/(L+1)! exp(t|q|) is checked per frequency.
     """
     _require_time(t)
+    if l_max < 1:
+        raise ValidationError(f"l_max must be >= 1, got {l_max}")
     if perturbation.order >= base.order:
         raise DegreeViolation(
             f"perturbation order {perturbation.order} must be < base order {base.order}"
@@ -384,7 +378,7 @@ def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
         raise ValidationError("base and perturbation must share one lattice")
     a = base.values
     q = perturbation.values
-    n_nodes = max(cfg.nodes, cfg.l_max + 3)
+    n_nodes = max(_DUHAMEL_NODES, l_max + 3)
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
     nodes = 0.5 * t * (gl_x + 1.0)
     weights = 0.5 * t * gl_w
@@ -398,7 +392,7 @@ def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
     j_nodes = np.ones((len(nodes), a.size), dtype=complex)
     partial = damp.copy()
     level_bounds = [float(np.max(tail * tq))]  # tail after keeping level 0
-    for level in range(1, cfg.l_max + 1):
+    for level in range(1, l_max + 1):
         j_t = -q * (weights @ j_nodes)       # J_level(t)
         j_nodes = -q * (k_mat @ j_nodes)     # J_level at the nodes
         partial = partial + damp * j_t
@@ -408,14 +402,14 @@ def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
     bounds = np.asarray(level_bounds)
     if len(bounds) >= 2 and bounds[-1] >= bounds[-2]:
         raise SeriesDiverged(
-            f"remainder bound is not decreasing at l_max={cfg.l_max}; "
+            f"remainder bound is not decreasing at l_max={l_max}; "
             f"increase l_max or shrink t*|q|"
         )
     return DuhamelResult(
         multiplier=partial,
         remainder_bound=float(bounds[-1]),
         level_bounds=bounds,
-        levels=cfg.l_max,
+        levels=l_max,
     )
 
 
@@ -473,21 +467,20 @@ def tilted_semigroup(symbol: Symbol, tilt: TiltSpec, s: float) -> TiltedOperator
 # structural checks
 
 
-def chapman_kolmogorov_check(symbol: Symbol, t: float, s: float, x=0.0,
-                             resolution: int = 512) -> float:
-    """max_y |p_{t+s}(x, y) - int p_t(x, z) p_s(z, y) dz| by grid quadrature."""
+def chapman_kolmogorov_check(symbol: Symbol, t: float, s: float) -> float:
+    """max_y |p_{t+s}(0, y) - int p_t(0, z) p_s(z, y) dz| by grid quadrature."""
     _require_time(t)
     _require_time(s)
     d = symbol.grid.dimension
-    pt = heat_kernel(symbol, t, x=x, resolution=resolution)
-    ps = heat_kernel(symbol, s, x=0.0, resolution=resolution)
+    pt = heat_kernel(symbol, t, resolution=_CHECK_RESOLUTION)
+    ps = heat_kernel(symbol, s, resolution=_CHECK_RESOLUTION)
     conv = np.fft.ifftn(np.fft.fftn(pt.values) * np.fft.fftn(ps.values)).real
-    conv *= (TWO_PI / resolution) ** d
-    pts_combined = heat_kernel(symbol, t + s, x=x, resolution=resolution)
+    conv *= (TWO_PI / _CHECK_RESOLUTION) ** d
+    pts_combined = heat_kernel(symbol, t + s, resolution=_CHECK_RESOLUTION)
     return float(np.max(np.abs(pts_combined.values - conv)))
 
 
-def kernel_symmetry_check(symbol: Symbol, t: float, resolution: int = 512) -> float:
+def kernel_symmetry_check(symbol: Symbol, t: float) -> float:
     """max |p_t(x, y) - p_t(y, x)|; the kernel is a function of y - x, so this
     is the deviation of the difference kernel from evenness."""
     a = symbol.values
@@ -495,14 +488,13 @@ def kernel_symmetry_check(symbol: Symbol, t: float, resolution: int = 512) -> fl
     neg = _negation_permutation(symbol.grid)
     if np.max(np.abs(a.imag)) > tol or np.max(np.abs(a - a[neg])) > tol:
         raise ValidationError("symmetry check applies to real even symbols")
-    f = heat_kernel(symbol, t, x=0.0, resolution=resolution)
+    f = heat_kernel(symbol, t, resolution=_CHECK_RESOLUTION)
     rev = np.roll(np.flip(f.values), 1, axis=tuple(range(f.values.ndim)))
     return float(np.max(np.abs(f.values - rev)))
 
 
 def derivative_seminorm(symbol: Symbol, frac_alpha: float, l: int, t: float,
-                        resolution: int | None = None,
-                        threshold: float = 1e-12) -> float:
+                        resolution: int | None = None) -> float:
     """L1 norm in y of the kernel of (L^alpha)^l exp(-t L) — the sharp constant
     in the sup-norm bound |P_t (L^alpha)^l f| <= C(t) ||f||_inf."""
     _require_time(t)
@@ -519,12 +511,8 @@ def derivative_seminorm(symbol: Symbol, frac_alpha: float, l: int, t: float,
         weight[nz] = np.exp(frac_alpha * l * np.log(a[nz].astype(complex)))
         weight[~nz] = 0.0
     coeffs = weight * np.exp(-t * a)
-    shell = symbol.grid.boundary_shell()
-    if float(np.max(np.abs(coeffs[shell]))) > threshold:
-        raise CutoffTooSmall(
-            f"weighted boundary damping exceeds {threshold:.1e} at t={t:.3g}",
-            suggested_cutoff=None,
-        )
+    _check_edge(coeffs[symbol.grid.boundary_shell()], t, "weighted boundary-shell",
+                None)
     vals = _ifft_field(symbol.grid, coeffs, resolution)
     d = symbol.grid.dimension
     return float(np.sum(np.abs(vals)) * (TWO_PI / resolution) ** d)

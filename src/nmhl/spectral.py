@@ -40,6 +40,13 @@ _RULE_NODES = 24
 _TAIL_TERMS = 12
 # nodes x frequencies evaluated at once by the jump quadrature
 _BLOCK_ELEMENTS = 1 << 20
+# the discrete convexity check of a Hamiltonian: nodes on [-xi_max, xi_max]
+_CONVEX_XI_MAX = 10.0
+_CONVEX_NODES = 2001
+#: `auto_cutoff` sizes the lattice until max |exp(-t Re a)| on its boundary
+#: shell is below this, and gives up past _CUTOFF_MAX
+CUTOFF_DAMPING = 1e-16
+_CUTOFF_MAX = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +67,8 @@ class Hamiltonian:
     def __call__(self, xi):
         return self.fun(np.asarray(xi, dtype=float))
 
-    def validate_convex(self, xi_max: float = 10.0, n: int = 2001):
-        xi = np.linspace(-xi_max, xi_max, n)
+    def validate_convex(self):
+        xi = np.linspace(-_CONVEX_XI_MAX, _CONVEX_XI_MAX, _CONVEX_NODES)
         vals = np.asarray(self(xi), dtype=float)
         d2 = np.diff(vals, 2)
         if float(np.min(d2)) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
@@ -690,13 +697,12 @@ def _shell_min_real(spec: OperatorSpec, n: int) -> float:
     return float(np.min(spec.value(ring).real))
 
 
-def auto_cutoff(spec: OperatorSpec, t: float, threshold: float = 1e-16,
-                n_max: int = 1 << 16) -> int:
+def auto_cutoff(spec: OperatorSpec, t: float) -> int:
     """Smallest lattice cutoff N whose boundary shell satisfies
-    max |exp(-t Re a)| < threshold."""
+    max |exp(-t Re a)| < CUTOFF_DAMPING."""
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
-    target = -math.log(threshold)
+    target = -math.log(CUTOFF_DAMPING)
 
     def ok(n: int) -> bool:
         return t * _shell_min_real(spec, n) > target
@@ -704,9 +710,9 @@ def auto_cutoff(spec: OperatorSpec, t: float, threshold: float = 1e-16,
     n = 4
     while not ok(n):
         n *= 2
-        if n > n_max:
+        if n > _CUTOFF_MAX:
             raise ValidationError(
-                f"no admissible cutoff below {n_max} for t={t:.3g}"
+                f"no admissible cutoff below {_CUTOFF_MAX} for t={t:.3g}"
             )
     lo, hi = n // 2, n
     while hi - lo > 1:

@@ -34,6 +34,14 @@ C_SLACK = 0.5
 
 #: |log p| estimate past which the double-precision lattice sum cancels
 _LATTICE_LOG_FLOOR = 25.0
+# winding classes -w..w the straight-line oracle searches
+_ORACLE_WINDINGS = 2
+# the set-level and localized estimates sample the kernel on this grid, and
+# the exit and tilted checks on at least _KERNEL_RESOLUTION points
+_SET_RESOLUTION = 4096
+_KERNEL_RESOLUTION = 2048
+# arc points at which `wf_set_estimate` takes the infimum of the rate
+_ARC_POINTS = 33
 
 
 def _check_geometric(t_list) -> np.ndarray:
@@ -50,14 +58,14 @@ def _check_geometric(t_list) -> np.ndarray:
     return ts
 
 
-def straight_rate(h: Hamiltonian, x: float, y: float, winding_max: int = 2) -> float:
+def straight_rate(h: Hamiltonian, x: float, y: float) -> float:
     """l(x, y) by the straight-line oracle, minimized over winding classes.
 
     Exact for x-independent Lagrangians (Jensen): the infimum over each class
     is L(lifted displacement).
     """
     best = math.inf
-    for w in range(-winding_max, winding_max + 1):
+    for w in range(-_ORACLE_WINDINGS, _ORACLE_WINDINGS + 1):
         best = min(best, legendre(h, y + TWO_PI * w - x))
     return best
 
@@ -105,15 +113,15 @@ class ScalingCurve:
 
 
 def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
-                   l_value: float | None = None,
-                   c_slack: float = C_SLACK) -> ScalingCurve:
+                   l_value: float | None = None) -> ScalingCurve:
     """Pointwise small-time curve against the rate-function target.
 
     Passes iff v(t) <= -l + slack(t) at every sample and the extrapolated
     limit is <= -l + 2%|l|.  Once the expected log-magnitude passes the
-    cancellation floor of the lattice sum, a symbol with a spec switches to
+    cancellation floor of the lattice sum, a sample switches to
     `log_abs_kernel`, which raises ValidationError on a sample it cannot
-    resolve rather than return a false verdict.
+    resolve, or on a symbol without a spec, rather than return a false
+    verdict.
 
     By default l is the Legendre (straight-line) rate, which is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the saddle frequencies are complex:
@@ -138,15 +146,15 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
         est = l_value / t**power
-        if est > _LATTICE_LOG_FLOOR and symbol.spec is not None:
-            vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
+        if est > _LATTICE_LOG_FLOOR:
+            vals[i] = t**power * log_abs_kernel(_require_spec(symbol), t, z)
         else:
             p = kernel_values(symbol, t, z)
             if p == 0.0:
                 vals[i] = -math.inf
             else:
                 vals[i] = t**power * math.log(abs(p))
-    slack = c_slack * ts**power * np.log(1.0 / ts)
+    slack = C_SLACK * ts**power * np.log(1.0 / ts)
     pointwise = vals <= -l_value + slack + 1e-12
     extrap = _extrapolate(ts, vals, power)
     extrap_ok = extrap <= -l_value + 0.02 * abs(l_value) + 1e-12
@@ -192,9 +200,8 @@ def _log_interval_mass(spec, t: float, lo: float, hi: float) -> float:
     return logm if sign > 0 else -math.inf
 
 
-def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
-                    c_slack: float = C_SLACK, resolution: int = 4096,
-                    target_points: int = 33) -> ScalingCurve:
+def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
+                    t_list) -> ScalingCurve:
     """u(t) = t^{1/(2k-1)} log of the absolute mass |P_t|[1_O](x) for an open
     arc O, against -inf_O l."""
     if k < 1:
@@ -207,7 +214,7 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
     ts = _check_geometric(t_list)
     power = 1.0 / (2 * k - 1)
     h = hamiltonian_for(_require_spec(symbol))
-    endpoints = np.linspace(lo, hi, target_points)
+    endpoints = np.linspace(lo, hi, _ARC_POINTS)
     l_values = np.array([straight_rate(h, x, float(yy)) for yy in endpoints])
     l_inf = float(np.min(l_values))
     inside = abs(wrap_angle(x - lo)) < 1e-12 or abs(wrap_angle(x - hi)) < 1e-12 or (
@@ -216,20 +223,20 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval, t_list,
     vals = np.empty(ts.size)
     # a degree-2 symbol has a positive (Gaussian) kernel, so its absolute
     # mass is the signed one
-    gaussian = symbol.spec is not None and symbol.spec.poly_degree == 2
+    gaussian = symbol.spec.poly_degree == 2
     for i, t in enumerate(ts):
         if gaussian and l_inf / t**power > _LATTICE_LOG_FLOOR:
             vals[i] = t**power * _log_interval_mass(symbol.spec, t, lo - x, hi - x)
             continue
-        fld = heat_kernel(symbol, t, x=x, resolution=resolution)
+        fld = heat_kernel(symbol, t, x=x, resolution=_SET_RESOLUTION)
         ys = fld.points
         mask = (ys > lo) & (ys < hi)
         if lo < 0 or hi > TWO_PI:  # arc wraps through 0
             yw = np.concatenate([ys - TWO_PI, ys, ys + TWO_PI])
             mask = ((yw > lo) & (yw < hi)).reshape(3, -1).any(axis=0)
-        mass = float(np.sum(np.abs(fld.values[mask]))) * (TWO_PI / resolution)
+        mass = float(np.sum(np.abs(fld.values[mask]))) * (TWO_PI / _SET_RESOLUTION)
         vals[i] = t**power * math.log(mass) if mass > 0 else -math.inf
-    slack = c_slack * ts**power * np.log(1.0 / ts)
+    slack = C_SLACK * ts**power * np.log(1.0 / ts)
     if inside:
         # x interior to O: the mass tends to 1 and the target is 0
         l_inf = 0.0
@@ -293,7 +300,7 @@ class ExitBoundFit:
 
 
 def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
-                     eps_list, resolution: int = 2048) -> ExitBoundFit:
+                     eps_list) -> ExitBoundFit:
     """Mass left outside the delta-ball by the eps-scaled semigroup, fitted as
     log mass ~ intercept - C / eps and compared with the Chernoff constant.
 
@@ -319,7 +326,7 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
         need = auto_cutoff(scaled.spec, s)
         if need > scaled.grid.cutoff:
             scaled = build_symbol(scaled.spec, FrequencyGrid(1, need))
-        res = max(resolution, 2 * scaled.grid.cutoff + 2)
+        res = max(_KERNEL_RESOLUTION, 2 * scaled.grid.cutoff + 2)
         fld = heat_kernel(scaled, s, resolution=res)
         dist = np.abs(wrap_angle(fld.points))
         mask = dist > delta
@@ -363,7 +370,7 @@ class TiltedBound:
 
 
 def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
-                       eps: float = 1.0, resolution: int = 2048) -> TiltedBound:
+                       eps: float = 1.0) -> TiltedBound:
     """L1 norm of the eps-scaled tilted kernel against exp(s H(xi_tilt)/eps),
     with 5% headroom on the exponent."""
     if s <= 0 or eps <= 0:
@@ -386,7 +393,7 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
     if cutoff != scaled.grid.cutoff:
         scaled = build_symbol(scaled.spec, FrequencyGrid(1, cutoff))
     op = tilted_semigroup(scaled, TiltSpec(xi_tilt=xi_tilt, eps=eps), s)
-    measured = op.l1_norm(resolution=max(resolution, 2 * cutoff + 2))
+    measured = op.l1_norm(resolution=max(_KERNEL_RESOLUTION, 2 * cutoff + 2))
     h = hamiltonian_for(base_spec)
     predicted = math.exp(s * float(h(np.array(xi_tilt))) / eps)
     bound = math.exp(1.05 * s * float(h(np.array(xi_tilt))) / eps)
@@ -436,8 +443,7 @@ class LocalizedCurve:
 
 
 def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
-                       alpha_order: int = 0, c_slack: float = C_SLACK,
-                       resolution: int = 4096) -> LocalizedCurve:
+                       alpha_order: int = 0) -> LocalizedCurve:
     """t^{1/(2k-1)} log |P_t[D^alpha chi](x)| against -l(x, supp chi) + delta.
 
     The derivative is applied on the frequency side; its polynomial-in-1/t
@@ -450,7 +456,7 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
         raise ValidationError("localized estimates are one-dimensional")
     ts = _check_geometric(t_list)
     power = 1.0 / (2 * k - 1)
-    ys = np.arange(resolution) * (TWO_PI / resolution)
+    ys = np.arange(_SET_RESOLUTION) * (TWO_PI / _SET_RESOLUTION)
     chi_vals = np.asarray(chi(ys), dtype=float)
     if np.all(chi_vals == 0.0):
         return LocalizedCurve(
@@ -477,19 +483,19 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
             fit_sym, 1.0 / (2 * k), alpha_order, t_fit, resolution=2 * fit_cut + 2
         ).r
     # frequency-side test function (i xi)^alpha chi^(xi)
-    chi_hat = np.fft.fft(chi_vals) / resolution
+    chi_hat = np.fft.fft(chi_vals) / _SET_RESOLUTION
     n = symbol.grid.cutoff
-    if 2 * n + 1 > resolution:
+    if 2 * n + 1 > _SET_RESOLUTION:
         raise ValidationError("bump resolution must cover the symbol lattice")
     xi = symbol.grid.points[:, 0].astype(float)
-    coeffs = chi_hat[np.mod(symbol.grid.points[:, 0], resolution)]
+    coeffs = chi_hat[np.mod(symbol.grid.points[:, 0], _SET_RESOLUTION)]
     weights = (1j * xi) ** alpha_order * coeffs
     vals = np.empty(ts.size)
     damp_phase = np.exp(1j * xi * x)
     for i, t in enumerate(ts):
         m = np.abs(np.sum(np.exp(-t * symbol.values) * weights * damp_phase))
         vals[i] = t**power * math.log(m) if m > 0 else -math.inf
-    slack = (r_alpha + c_slack) * ts**power * np.log(1.0 / ts)
+    slack = (r_alpha + C_SLACK) * ts**power * np.log(1.0 / ts)
     pointwise = vals <= -l_near + delta + slack + 1e-12
     extrap = _extrapolate(ts, vals, power)
     return LocalizedCurve(

@@ -24,7 +24,6 @@ from nmhl import (
     chapman_kolmogorov_check,
     default_gauge,
     duhamel_series,
-    DuhamelConfig,
     elementary_ibp_check,
     exit_bound_check,
     exponent_fit,
@@ -290,7 +289,7 @@ def test_12_structural_suite():
     exact = np.exp(-0.5 * full.values)
     duhamel_ok = True
     for l_max in (1, 3, 5, 8):
-        result = duhamel_series(base, q, 0.5, DuhamelConfig(l_max=l_max))
+        result = duhamel_series(base, q, 0.5, l_max=l_max)
         gap = float(np.max(np.abs(result.multiplier - exact)))
         duhamel_ok = duhamel_ok and gap <= result.remainder_bound
     ok = ck < 1e-8 and symm < 1e-10 and mass_err < 1e-12 and duhamel_ok

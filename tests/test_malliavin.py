@@ -273,11 +273,6 @@ def test_gauge_potential_numeric_derivative_fallback():
     assert abs(numeric.sup_c - analytic.sup_c) < 1e-8
 
 
-def test_gauge_conjugate_rejects_odd_aux_order():
-    with pytest.raises(ValidationError):
-        gauge_conjugate(default_gauge(), aux_order=3)
-
-
 # ---------------------------------------------------------------------------
 # bounded-moment estimate
 

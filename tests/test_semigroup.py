@@ -28,7 +28,6 @@ from nmhl import (
 )
 from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
 from nmhl.presets import duhamel_pair, flat_density
-from nmhl.semigroup import DuhamelConfig
 
 GAUSS_DIAG_T1 = 0.28212397345676224   # (1/2pi) sum exp(-n^2), two oracle routes
 
@@ -160,6 +159,24 @@ def test_cutoff_too_small_carries_usable_suggestion():
     assert np.all(np.isfinite(kern.values))
 
 
+@pytest.mark.parametrize("evaluate, suggests", [
+    (lambda sym: heat_kernel(sym, 1e-3, resolution=64), True),
+    (lambda sym: kernel_values(sym, 1e-3, 0.5), True),
+    (lambda sym: apply_semigroup(sym, 1e-3, np.cos(spatial_grid(16))), False),
+    (lambda sym: derivative_seminorm(sym, 0.5, 1, 1e-3), False),
+], ids=["heat_kernel", "kernel_values", "apply_semigroup", "derivative_seminorm"])
+def test_every_truncated_evaluation_refuses_an_undamped_edge(evaluate, suggests):
+    # at t = 1e-3 the edge mode 8 keeps exp(-0.064) of its weight
+    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 8))
+    with pytest.raises(CutoffTooSmall) as exc_info:
+        evaluate(sym)
+    suggested = exc_info.value.suggested_cutoff
+    if suggests:
+        assert suggested is not None and suggested > 8
+    else:
+        assert suggested is None
+
+
 def test_non_hermitian_multiplier_rejected():
     grid = FrequencyGrid(1, 4)
     xi = grid.points[:, 0].astype(float)
@@ -175,7 +192,7 @@ def test_duhamel_partial_sums_sit_within_their_own_tail_bound():
     base, q, full = duhamel_pair()
     exact = np.exp(-0.5 * full.values)
     for l_max in (1, 3, 5, 8):
-        result = duhamel_series(base, q, 0.5, DuhamelConfig(l_max=l_max))
+        result = duhamel_series(base, q, 0.5, l_max=l_max)
         gap = float(np.max(np.abs(result.multiplier - exact)))
         assert gap <= result.remainder_bound
         assert np.all(np.diff(result.level_bounds) < 0)
@@ -189,7 +206,7 @@ def test_duhamel_flags_nondecreasing_tail():
     q_sym = Symbol(grid=grid, values=q_vals.astype(complex), order=2,
                    ellipticity_order=0, spec=None)
     with pytest.raises(SeriesDiverged):
-        duhamel_series(base, q_sym, 1.0, DuhamelConfig(l_max=4))
+        duhamel_series(base, q_sym, 1.0, l_max=4)
 
 
 def test_tilted_semigroup_reduces_to_heat_kernel_at_zero_tilt():

@@ -1,6 +1,7 @@
 """Small-time upper-bound curves, set estimates, exit fits, tilted norms, and
 localized derivative bounds."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -404,6 +405,18 @@ def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
     sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, 0.002)))
     with pytest.raises(ValidationError, match="rounding floor"):
         varadhan_curve(sym, 1, 0.0, 2.5, geometric(0.008, 0.5, 3))
+
+
+def test_varadhan_curve_refuses_deep_samples_of_a_symbol_without_a_spec():
+    # with no spec the deep samples have no contour to take, and the lattice
+    # sum's rounding noise would read as v = -0.241, -0.148, -0.079, -0.039
+    # and a false FAIL
+    sym = power_symbol(1, 1e-3)
+    ts = geometric(0.008, 0.5, 4)
+    assert varadhan_curve(sym, 1, 0.0, 1.0, ts, l_value=0.25).passed
+    table = dataclasses.replace(sym, spec=None)
+    with pytest.raises(ValidationError, match="continuous evaluation"):
+        varadhan_curve(table, 1, 0.0, 1.0, ts, l_value=0.25)
 
 
 def test_varadhan_curve_refuses_a_two_dimensional_symbol():
