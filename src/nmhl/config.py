@@ -1,6 +1,13 @@
 """Run configuration: a diff-friendly sectioned key=value format (JSON
 accepted as an alternate front-end), validated into one RunConfig.
 
+Every key is declared once: an [operator], [grid] or [output] key as a
+dataclass field carrying its default, its parser and its range rules, an
+experiment key in `_PARAMS`, and each experiment kind in `_KINDS` with the
+keys it accepts and their defaults.  Defaults that are preset numbers come
+from `presets`.  One section builder, the unknown-key check and the echo all
+read these tables.
+
 parse -> serialize -> parse is the identity; defaults are filled at parse
 time so the echoed config is complete.
 """
@@ -9,69 +16,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ParseError, ValidationError
-from .presets import VARIANT_TABLE, exit_epsilons
+from .presets import (
+    EXIT_DELTA,
+    EXIT_S,
+    IBP_TIME,
+    LEVY_SUPPORT,
+    LEVY_TOL,
+    VARIANT_TABLE,
+    exit_grid,
+    varadhan_grid,
+    variant_row,
+)
 
 SECTIONS = ("operator", "grid", "experiment", "output")
 OPERATOR_VARIANTS = tuple(VARIANT_TABLE)
-EXPERIMENT_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
-
-_OPERATOR_KEYS = {
-    "variant", "k", "a_matrix", "l", "alpha_levy", "support", "tol",
-    "alpha_frac", "q",
-}
-_GRID_KEYS = {"d", "cutoff", "resolution"}
-_OUTPUT_KEYS = {"directory", "precision"}
-_EXPERIMENT_KEYS = {
-    "kernel": {"t", "x"},
-    "ibp": {"t", "moment_path"},
-    "rate": {"x", "y", "nodes", "winding_max", "perturb"},
-    "varadhan": {"k", "x", "y", "t_start", "t_factor", "t_count"},
-    "exit": {"k", "delta", "s", "eps_start", "eps_factor", "eps_count"},
-    "report": {"fast"},
-}
-
-
-@dataclass
-class OperatorConfig:
-    variant: str
-    k: int | None = None
-    a_matrix: tuple | None = None
-    l: int | None = None
-    alpha_levy: float | None = None
-    support: float = 1.0
-    tol: float = 1e-8
-    alpha_frac: float | None = None
-    q: tuple | None = None
-
-
-@dataclass
-class GridConfig:
-    d: int = 1
-    cutoff: int | None = None       # None: sized by the cutoff rule at run time
-    resolution: int | None = None
-
-
-@dataclass
-class ExperimentConfig:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass
-class OutputConfig:
-    directory: str = "out"
-    precision: int = 17
-
-
-@dataclass
-class RunConfig:
-    operator: OperatorConfig
-    grid: GridConfig
-    experiment: ExperimentConfig
-    output: OutputConfig
 
 
 # ---------------------------------------------------------------------------
@@ -114,42 +75,8 @@ def _finite(what: str, v) -> float:
     return out
 
 
-def _q_entry(e, c) -> tuple:
-    try:
-        exponent = int(e)
-    except (TypeError, ValueError):
-        raise ValidationError(f"q exponent must be an integer (got {e!r})") from None
-    return exponent, _finite("q coefficient", c)
-
-
-def _parse_q(text: str) -> tuple:
-    """Perturbation coefficients: 'exponent:coeff' pairs, comma-separated."""
-    out = []
-    for part in str(text).split(","):
-        if ":" not in part:
-            raise ValidationError(f"q entry {part!r} is not exponent:coeff")
-        out.append(_q_entry(*part.split(":", 1)))
-    return tuple(sorted(out))
-
-
 def _format_q(q: tuple) -> str:
     return ",".join(f"{e}:{c!r}" for e, c in q)
-
-
-def _parse_matrix(text: str) -> tuple:
-    """Rows split by ';', entries by ','."""
-    return _matrix_rows(row.split(",") for row in str(text).split(";"))
-
-
-def _matrix_rows(rows) -> tuple:
-    out = []
-    for row in rows:
-        if not isinstance(row, (list, tuple)):
-            raise ValidationError(f"a_matrix row {row!r} is not a list")
-        out.append(tuple(_finite("a_matrix entry", v) for v in row))
-    if len({len(r) for r in out}) != 1:
-        raise ValidationError("a_matrix rows have unequal lengths")
-    return tuple(out)
 
 
 def _format_matrix(m: tuple) -> str:
@@ -212,7 +139,7 @@ def _parse_json(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# value parsers (section, key, raw value) -> value, and range rules
 
 
 def _require(cond: bool, message: str):
@@ -251,179 +178,232 @@ def _as_bool(section: str, key: str, v) -> bool:
     return v
 
 
-def _check_keys(section: str, body: dict, allowed: set):
-    for key in body:
-        if key not in allowed:
-            raise ValidationError(f"unknown key {key!r} in [{section}]")
+def _as_str(section: str, key: str, v) -> str:
+    return str(v).strip()
+
+
+def _as_matrix(section: str, key: str, v) -> tuple:
+    """A JSON list of rows, or text with rows split by ';' and entries by ','."""
+    if not isinstance(v, (list, tuple)):
+        v = [row.split(",") for row in str(v).split(";")]
+    out = []
+    for row in v:
+        if not isinstance(row, (list, tuple)):
+            raise ValidationError(f"a_matrix row {row!r} is not a list")
+        out.append(tuple(_finite("a_matrix entry", e) for e in row))
+    if len({len(r) for r in out}) != 1:
+        raise ValidationError("a_matrix rows have unequal lengths")
+    return tuple(out)
+
+
+def _as_q(section: str, key: str, v) -> tuple:
+    """Perturbation coefficients: a JSON {exponent: coeff} object, or text
+    with 'exponent:coeff' pairs, comma-separated."""
+    if isinstance(v, dict):
+        v = v.items()
+    else:
+        v = [part.split(":", 1) for part in str(v).split(",")]
+    out = []
+    for pair in v:
+        if len(pair) != 2:
+            raise ValidationError(f"q entry {':'.join(pair)!r} is not exponent:coeff")
+        e, c = pair
+        try:
+            exponent = int(e)
+        except (TypeError, ValueError):
+            raise ValidationError(f"q exponent must be an integer (got {e!r})") from None
+        _require(exponent >= 0, f"q exponent must be >= 0 (got {exponent})")
+        out.append((exponent, _finite("q coefficient", c)))
+    return tuple(sorted(out))
+
+
+#: how the echo writes back what a structured parser read
+_SHOW = {_as_matrix: _format_matrix, _as_q: _format_q}
+
+# A range rule is (predicate, message after the key name); {v} in the message
+# is the value that failed.
+_POSITIVE = (lambda v: v > 0, "must be > 0 (got {v})")
+
+
+def _at_least(lo: int) -> tuple:
+    return lambda v: v >= lo, f"must be >= {lo} (got {{v}})"
+
+
+def _between(lo: int, hi: int) -> tuple:
+    return lambda v: lo < v < hi, f"must lie in ({lo}, {hi}) (got {{v}})"
+
+
+def _checked(key: str, value, rules):
+    for ok, message in rules:
+        _require(ok(value), f"{key} {message.format(v=value)}")
+    return value
+
+
+def _key(default, parse, *rules):
+    """A config field: its default (MISSING when the key is required), its
+    parser and its range rules."""
+    return field(default=default, metadata={"parse": parse, "rules": rules})
+
+
+# ---------------------------------------------------------------------------
+# the sections
+
+
+@dataclass
+class OperatorConfig:
+    variant: str = _key(MISSING, _as_str, (
+        lambda v: v in VARIANT_TABLE,
+        f"must be one of {', '.join(OPERATOR_VARIANTS)} (got {{v!r}})"))
+    k: int | None = _key(None, _as_int, _at_least(1))
+    a_matrix: tuple | None = _key(None, _as_matrix)
+    l: int | None = _key(None, _as_int, _at_least(1))
+    alpha_levy: float | None = _key(None, _as_float, _between(-1, 0))
+    support: float = _key(LEVY_SUPPORT, _as_float, _POSITIVE)
+    tol: float = _key(LEVY_TOL, _as_float, _POSITIVE)
+    alpha_frac: float | None = _key(None, _as_float, _between(0, 1))
+    q: tuple | None = _key(None, _as_q)
+
+
+@dataclass
+class GridConfig:
+    d: int = _key(1, _as_int, (lambda v: v in (1, 2), "must be 1 or 2 (got {v})"))
+    # None: sized by the cutoff rule at run time
+    cutoff: int | None = _key(None, _as_int, _at_least(4))
+    resolution: int | None = _key(None, _as_int, _at_least(8))
+
+
+@dataclass
+class ExperimentConfig:
+    kind: str
+    params: dict
+
+
+@dataclass
+class OutputConfig:
+    directory: str = _key("out", _as_str, (bool, "must be nonempty"))
+    precision: int = _key(17, _as_int, (lambda v: 1 <= v <= 17,
+                                        "must lie in 1..17 (got {v})"))
+
+
+@dataclass
+class RunConfig:
+    operator: OperatorConfig
+    grid: GridConfig
+    experiment: ExperimentConfig
+    output: OutputConfig
+
+
+#: section dataclass -> {field name: (default, parser, rules)}, in field order
+_FIELDS = {
+    cls: {f.name: (f.default, f.metadata["parse"], f.metadata["rules"])
+          for f in fields(cls)}
+    for cls in (OperatorConfig, GridConfig, OutputConfig)
+}
+
+#: experiment key -> (parser, *range rules)
+_PARAMS = {
+    "t": (_as_float, _POSITIVE),
+    "x": (_as_float,),
+    "y": (_as_float,),
+    "moment_path": (_as_str, (lambda v: v in ("analytic", "quadrature"),
+                              "must be analytic or quadrature (got {v!r})")),
+    "nodes": (_as_int, _at_least(2)),
+    "winding_max": (_as_int, _at_least(0)),
+    "perturb": (_as_float,),
+    "k": (_as_int, _at_least(1)),
+    "t_start": (_as_float, _POSITIVE),
+    "t_factor": (_as_float, _between(0, 1)),
+    "t_count": (_as_int, _at_least(3)),
+    "delta": (_as_float, _POSITIVE, (lambda v: v < math.pi, "must be < pi (got {v})")),
+    "s": (_as_float, _POSITIVE),
+    "eps_start": (_as_float, _POSITIVE),
+    "eps_factor": (_as_float, _between(0, 1)),
+    "eps_count": (_as_int, _at_least(3)),
+    "fast": (_as_bool,),
+}
+
+
+def _operator_k(kind: str, params: dict, operator: OperatorConfig) -> int:
+    _require(operator.variant == "pure_power",
+             f"experiment.k is required for {kind} unless the operator is pure_power")
+    return operator.k
+
+
+def _grid_keys(prefix: str, grid) -> dict:
+    """start, factor and count of a grid start * factor**j, defaulting to the
+    preset grid(k) of the run's k."""
+    return {f"{prefix}_{part}": lambda kind, params, op, i=i: grid(params["k"])[i]
+            for i, part in enumerate(("start", "factor", "count"))}
+
+
+#: experiment kind -> {key it accepts: default}, filled in this order.  None
+#: marks a required key; a callable (kind, params, operator) derives the
+#: default from the keys before it.
+_KINDS = {
+    "kernel": {"t": None, "x": 0.0},
+    "ibp": {"t": IBP_TIME, "moment_path": "analytic"},
+    "rate": {"x": 0.0, "y": 1.0, "nodes": 64, "winding_max": 2, "perturb": 0.0},
+    "varadhan": {"k": _operator_k, "x": 0.0, "y": 1.0, **_grid_keys("t", varadhan_grid)},
+    "exit": {"k": _operator_k, "delta": EXIT_DELTA, "s": EXIT_S,
+             **_grid_keys("eps", exit_grid)},
+    "report": {"fast": True},
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
 # section builders
 
 
+def _check_keys(section: str, keys, allowed):
+    for key in keys:
+        if key not in allowed:
+            raise ValidationError(f"unknown key {key!r} in [{section}]")
+
+
+def _build_section(cls, section: str, body: dict):
+    _check_keys(section, body, _FIELDS[cls])
+    values = {}
+    for name, (default, parse, rules) in _FIELDS[cls].items():
+        if name in body:
+            values[name] = _checked(name, parse(section, name, body[name]), rules)
+        elif default is MISSING:
+            raise ValidationError(f"{section}.{name} is required")
+    return cls(**values)
+
+
 def _build_operator(body: dict) -> OperatorConfig:
-    _check_keys("operator", body, _OPERATOR_KEYS)
-    if "variant" not in body:
-        raise ValidationError("operator.variant is required")
-    variant = str(body["variant"]).strip()
-    if variant not in OPERATOR_VARIANTS:
-        raise ValidationError(
-            f"variant must be one of {', '.join(OPERATOR_VARIANTS)} (got {variant!r})"
-        )
-    cfg = OperatorConfig(variant=variant)
-    if "k" in body:
-        cfg.k = _as_int("operator", "k", body["k"])
-        _require(cfg.k >= 1, f"k must be >= 1 (got {cfg.k})")
-    if "a_matrix" in body:
-        v = body["a_matrix"]
-        cfg.a_matrix = (
-            _matrix_rows(v) if isinstance(v, (list, tuple)) else _parse_matrix(v)
-        )
-    if "l" in body:
-        cfg.l = _as_int("operator", "l", body["l"])
-        _require(cfg.l >= 1, f"l must be >= 1 (got {cfg.l})")
-    if "alpha_levy" in body:
-        cfg.alpha_levy = _as_float("operator", "alpha_levy", body["alpha_levy"])
-        _require(-1.0 < cfg.alpha_levy < 0.0,
-                 f"alpha_levy must lie in (-1, 0) (got {cfg.alpha_levy})")
-    if "support" in body:
-        cfg.support = _as_float("operator", "support", body["support"])
-        _require(cfg.support > 0, f"support must be > 0 (got {cfg.support})")
-    if "tol" in body:
-        cfg.tol = _as_float("operator", "tol", body["tol"])
-        _require(cfg.tol > 0, f"tol must be > 0 (got {cfg.tol})")
-    if "alpha_frac" in body:
-        cfg.alpha_frac = _as_float("operator", "alpha_frac", body["alpha_frac"])
-        _require(0.0 < cfg.alpha_frac < 1.0,
-                 f"alpha_frac must lie in (0, 1) (got {cfg.alpha_frac})")
-    if "q" in body:
-        v = body["q"]
-        if isinstance(v, dict):
-            cfg.q = tuple(sorted(_q_entry(e, c) for e, c in v.items()))
-        else:
-            cfg.q = _parse_q(v)
-        for e, _ in cfg.q:
-            _require(e >= 0, f"q exponent must be >= 0 (got {e})")
-    for key in VARIANT_TABLE[variant][0]:
+    cfg = _build_section(OperatorConfig, "operator", body)
+    row = VARIANT_TABLE[cfg.variant]
+    for key in body:
+        _require(key == "variant" or key in row.needs + row.reads,
+                 f"{cfg.variant} does not read operator.{key}")
+    for key in row.needs:
         # an empty q parses to (), which is as missing as None
         _require(getattr(cfg, key) not in (None, ()),
-                 f"{variant} needs operator.{key}")
+                 f"{cfg.variant} needs operator.{key}")
     return cfg
-
-
-def _build_grid(body: dict) -> GridConfig:
-    _check_keys("grid", body, _GRID_KEYS)
-    cfg = GridConfig()
-    if "d" in body:
-        cfg.d = _as_int("grid", "d", body["d"])
-        _require(cfg.d in (1, 2), f"d must be 1 or 2 (got {cfg.d})")
-    if "cutoff" in body:
-        cfg.cutoff = _as_int("grid", "cutoff", body["cutoff"])
-        _require(cfg.cutoff >= 4, f"cutoff must be >= 4 (got {cfg.cutoff})")
-    if "resolution" in body:
-        cfg.resolution = _as_int("grid", "resolution", body["resolution"])
-        _require(cfg.resolution >= 8,
-                 f"resolution must be >= 8 (got {cfg.resolution})")
-    return cfg
-
-
-_EXPERIMENT_DEFAULTS = {
-    "kernel": {"x": 0.0},
-    "ibp": {"t": 1.0, "moment_path": "analytic"},
-    "rate": {"x": 0.0, "y": 1.0, "nodes": 64, "winding_max": 2, "perturb": 0.0},
-    "varadhan": {"x": 0.0, "y": 1.0, "t_factor": 0.5, "t_count": 8},
-    "exit": {"delta": 0.5, "s": 0.1},
-    "report": {"fast": True},
-}
-
-_FLOAT_PARAMS = {
-    "t", "x", "y", "perturb", "t_start", "t_factor", "delta", "s",
-    "eps_start", "eps_factor",
-}
-_INT_PARAMS = {"nodes", "winding_max", "t_count", "eps_count", "k"}
-_BOOL_PARAMS = {"fast"}
 
 
 def _build_experiment(body: dict, operator: OperatorConfig) -> ExperimentConfig:
     if "kind" not in body:
         raise ValidationError("experiment.kind is required")
     kind = str(body["kind"]).strip()
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ValidationError(
             f"kind must be one of {', '.join(EXPERIMENT_KINDS)} (got {kind!r})"
         )
-    allowed = _EXPERIMENT_KEYS[kind] | {"kind"}
-    _check_keys("experiment", body, allowed)
-    params = {}
-    for key, value in body.items():
-        if key == "kind":
-            continue
-        if key in _FLOAT_PARAMS:
-            params[key] = _as_float("experiment", key, value)
-        elif key in _INT_PARAMS:
-            params[key] = _as_int("experiment", key, value)
-        elif key in _BOOL_PARAMS:
-            params[key] = _as_bool("experiment", key, value)
-        else:
-            params[key] = str(value).strip()
-    for key, dv in _EXPERIMENT_DEFAULTS.get(kind, {}).items():
-        params.setdefault(key, dv)
-    # derived defaults that depend on other fields
-    if kind in ("varadhan", "exit"):
-        if "k" not in params:
-            _require(operator.variant == "pure_power" and operator.k is not None,
-                     f"experiment.k is required for {kind} unless the operator "
-                     "is pure_power")
-            params["k"] = operator.k
-        _require(params["k"] >= 1, f"k must be >= 1 (got {params['k']})")
-    if kind == "varadhan":
-        params.setdefault("t_start", 0.1 if params["k"] == 1 else 0.2)
-    if kind == "exit":
-        # together these three defaults give the preset grid exit_epsilons(k)
-        params.setdefault("eps_start", 0.25 if params["k"] == 1 else 0.2)
-        params.setdefault("eps_factor",
-                          0.2 ** 0.2 if params["k"] == 1 else 0.1 ** (1.0 / 9.0))
-        params.setdefault("eps_count", len(exit_epsilons(params["k"])))
-    # range checks
-    if kind == "kernel":
-        _require("t" in params, "experiment.t is required for kernel")
-    for key in ("t", "t_start", "s", "delta", "eps_start"):
-        if key in params:
-            _require(params[key] > 0, f"{key} must be > 0 (got {params[key]})")
-    for key in ("t_factor", "eps_factor"):
-        if key in params:
-            _require(0.0 < params[key] < 1.0,
-                     f"{key} must lie in (0, 1) (got {params[key]})")
-    for key in ("t_count", "eps_count"):
-        if key in params:
-            _require(params[key] >= 3, f"{key} must be >= 3 (got {params[key]})")
-    if "nodes" in params:
-        _require(params["nodes"] >= 2,
-                 f"nodes must be >= 2 (got {params['nodes']})")
-    if "winding_max" in params:
-        _require(params["winding_max"] >= 0,
-                 f"winding_max must be >= 0 (got {params['winding_max']})")
-    if "delta" in params:
-        _require(params["delta"] < math.pi,
-                 f"delta must be < pi (got {params['delta']})")
-    if "moment_path" in params:
-        _require(params["moment_path"] in ("analytic", "quadrature"),
-                 f"moment_path must be analytic or quadrature "
-                 f"(got {params['moment_path']!r})")
+    defaults = _KINDS[kind]
+    keys = [key for key in body if key != "kind"]
+    _check_keys("experiment", keys, defaults)
+    params = {key: _PARAMS[key][0]("experiment", key, body[key]) for key in keys}
+    for key, default in defaults.items():
+        if key not in params:
+            _require(default is not None, f"experiment.{key} is required for {kind}")
+            params[key] = default(kind, params, operator) if callable(default) else default
+    for key in keys:
+        _checked(key, params[key], _PARAMS[key][1:])
     return ExperimentConfig(kind=kind, params=params)
-
-
-def _build_output(body: dict) -> OutputConfig:
-    _check_keys("output", body, _OUTPUT_KEYS)
-    cfg = OutputConfig()
-    if "directory" in body:
-        cfg.directory = str(body["directory"]).strip()
-        _require(bool(cfg.directory), "directory must be nonempty")
-    if "precision" in body:
-        cfg.precision = _as_int("output", "precision", body["precision"])
-        _require(1 <= cfg.precision <= 17,
-                 f"precision must lie in 1..17 (got {cfg.precision})")
-    return cfg
 
 
 def _from_mapping(raw: dict) -> RunConfig:
@@ -435,9 +415,12 @@ def _from_mapping(raw: dict) -> RunConfig:
     if "experiment" not in raw:
         raise ValidationError("missing [experiment] section")
     operator = _build_operator(dict(raw["operator"]))
-    grid = _build_grid(dict(raw.get("grid", {})))
+    grid = _build_section(GridConfig, "grid", dict(raw.get("grid", {})))
+    dims = VARIANT_TABLE[operator.variant].dims
+    _require(grid.d in dims, f"{operator.variant} runs on grid.d = "
+             f"{' or '.join(map(str, dims))} only (got {grid.d})")
     experiment = _build_experiment(dict(raw["experiment"]), operator)
-    output = _build_output(dict(raw.get("output", {})))
+    output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,
                      experiment=experiment, output=output)
 
@@ -453,10 +436,8 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
     """Re-validate with 'section.key=value' assignments applied on top."""
     raw = _to_mapping(config)
     for item in overrides:
-        if "=" not in item:
-            raise ValidationError(f"override {item!r} is not section.key=value")
-        target, value = item.split("=", 1)
-        if "." not in target:
+        target, eq, value = item.partition("=")
+        if not eq or "." not in target:
             raise ValidationError(f"override {item!r} is not section.key=value")
         section, key = target.split(".", 1)
         section, key = section.strip(), key.strip()
@@ -470,45 +451,31 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
 # canonical serialization
 
 
+def _echo(cfg, keys) -> dict:
+    """The fields of `cfg` named in `keys` that hold a value, as written."""
+    return {name: _SHOW.get(parse, lambda v: v)(getattr(cfg, name))
+            for name, (_, parse, _) in _FIELDS[type(cfg)].items()
+            if name in keys and getattr(cfg, name) is not None}
+
+
 def _to_mapping(config: RunConfig) -> dict:
-    op: dict = {"variant": config.operator.variant}
-    for key in ("k", "l"):
-        v = getattr(config.operator, key)
-        if v is not None:
-            op[key] = v
-    if config.operator.a_matrix is not None:
-        op["a_matrix"] = _format_matrix(config.operator.a_matrix)
-    if config.operator.alpha_levy is not None:
-        op["alpha_levy"] = config.operator.alpha_levy
-    if config.operator.variant == "levy":
-        op["support"] = config.operator.support
-        op["tol"] = config.operator.tol
-    if config.operator.alpha_frac is not None:
-        op["alpha_frac"] = config.operator.alpha_frac
-    if config.operator.q is not None:
-        op["q"] = _format_q(config.operator.q)
-    grid: dict = {"d": config.grid.d}
-    for key in ("cutoff", "resolution"):
-        v = getattr(config.grid, key)
-        if v is not None:
-            grid[key] = v
-    exp: dict = {"kind": config.experiment.kind}
-    for key in sorted(config.experiment.params):
-        exp[key] = config.experiment.params[key]
-    out = {"directory": config.output.directory,
-           "precision": config.output.precision}
-    return {"operator": op, "grid": grid, "experiment": exp, "output": out}
+    row = variant_row(config.operator.variant)
+    params = config.experiment.params
+    return {
+        "operator": _echo(config.operator, ("variant",) + row.needs + row.reads),
+        "grid": _echo(config.grid, _FIELDS[GridConfig]),
+        "experiment": {"kind": config.experiment.kind,
+                       **{key: params[key] for key in sorted(params)}},
+        "output": _echo(config.output, _FIELDS[OutputConfig]),
+    }
 
 
 def serialize_config(config: RunConfig) -> str:
     lines = []
     mapping = _to_mapping(config)
     for section in SECTIONS:
-        body = mapping.get(section)
-        if body is None:
-            continue
         lines.append(f"[{section}]")
-        for key, value in body.items():
+        for key, value in mapping[section].items():
             lines.append(f"{key} = {_format_scalar(value)}")
         lines.append("")
     return "\n".join(lines)

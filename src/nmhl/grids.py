@@ -1,4 +1,5 @@
-"""Frequency lattices and spatial grids on the circle and torus.
+"""Frequency lattices and spatial grids on the circle and torus, and the
+least-squares line that the package's fits share.
 
 The torus has circumference 2*pi in every coordinate, so the dual lattice is
 the integer lattice Z^d truncated to a box |xi_i| <= N.  All reductions over
@@ -83,3 +84,12 @@ def trapezoid_mass(values: np.ndarray, d: int = 1) -> float:
     m = values.shape[0]
     cell = (TWO_PI / m) ** d
     return float(np.sum(values) * cell)
+
+
+def line_fit(x, y) -> tuple:
+    """Least-squares line through (x, y): the `np.polyfit` coefficients
+    (slope, intercept) and R^2, which is 1 when y is constant."""
+    coef = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - np.polyval(coef, x)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return coef, (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)

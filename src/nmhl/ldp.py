@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
-from .grids import TWO_PI
+from .grids import TWO_PI, line_fit
 from .semigroup import heat_kernel
 from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
 
@@ -224,12 +224,7 @@ def growth_fit(lagrangian: Lagrangian) -> GrowthFit:
     q = lagrangian.growth_order
     pa = np.abs(p[mask])
     va = vals[mask]
-    coef = np.polyfit(np.log(pa), np.log(np.maximum(va, 1e-300)), 1)
-    fitted = np.polyval(coef, np.log(pa))
-    logs = np.log(np.maximum(va, 1e-300))
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    coef, r2 = line_fit(np.log(pa), np.log(np.maximum(va, 1e-300)))
     c_lower = float(min(1.0, np.min(va / pa**q)))
     c_lower_offset = float(max(0.0, np.max(c_lower * np.abs(p) ** q - vals)))
     c_upper = float(max(0.0, np.max(vals - np.abs(p) ** q)))
@@ -467,7 +462,7 @@ def maslov_scaled_symbol(symbol: Symbol, k: int, eps: float) -> Symbol:
     return build_symbol(scaled, symbol.grid)
 
 
-def scaling_identity_check(symbol: Symbol, k: int, t: float) -> float:
+def scaling_identity_check(symbol: Symbol, t: float) -> float:
     """Kernel of (a, t) against kernel of (t a, 1): exact in multiplier form,
     so any deviation is plumbing, not mathematics."""
     if t <= 0:

@@ -26,7 +26,7 @@ from .errors import (
     QuadratureNonConverged,
     ValidationError,
 )
-from .grids import TWO_PI
+from .grids import TWO_PI, line_fit
 from .semigroup import _ifft_field, _require_time, derivative_seminorm
 from .spectral import Symbol, _principal_power
 
@@ -523,11 +523,7 @@ def exponent_fit(symbol: Symbol, frac_alpha: float, l: int, t_list,
     logs = np.log(vals)
     if float(np.max(logs) - np.min(logs)) < 1e-10:
         return ExponentFit(r=0.0, r_squared=1.0, slope=0.0, values=vals, t_list=ts)
-    coef = np.polyfit(np.log(ts), logs, 1)
-    fitted = np.polyval(coef, np.log(ts))
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
+    coef, r2 = line_fit(np.log(ts), logs)
     if r2 < 0.99:
         raise FitUnstable(f"seminorm power-law fit has R^2 = {r2:.4f} < 0.99")
     return ExponentFit(

@@ -6,6 +6,8 @@ numbers are pinned in exactly one place.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .errors import ValidationError
@@ -27,8 +29,12 @@ from .spectral import (
 #: bumped when any preset constant changes; echoed into CSV headers
 DEFAULTS_VERSION = "1"
 
+#: the reference jump density's support and quadrature tolerance
+LEVY_SUPPORT = 1.0
+LEVY_TOL = 1e-8
 
-def flat_density(support: float = 1.0, tol: float = 1e-8) -> LevyDensity:
+
+def flat_density(support: float = LEVY_SUPPORT, tol: float = LEVY_TOL) -> LevyDensity:
     """The reference jump density: h = 1 on [-support, support]."""
 
     def h(y):
@@ -44,49 +50,78 @@ def _quadratic_form(op, d: int) -> QuadraticForm:
     return QuadraticForm(k=op.k, a_matrix=a, d=d)
 
 
-#: CLI variant name -> (the [operator] keys it needs, in the order the config
-#: checks them; the constructor of its spec from the parsed [operator] section
-#: and the torus dimension d).  Config-level q exponents are bare ints, so
-#: `perturbed` is one-dimensional.
+class Variant(NamedTuple):
+    """One CLI operator variant: the [operator] keys it needs (in the order
+    the config checks them), the optional keys it also reads (config refuses
+    any other), the torus dimensions it runs on, and the constructor of its
+    spec from the parsed [operator] section and d."""
+
+    needs: tuple
+    reads: tuple
+    dims: tuple
+    build: Callable
+
+
+#: CLI variant name -> its row.  Config-level q exponents are bare ints, so
+#: `perturbed` is one-dimensional; so is the jump density of `levy`.
 VARIANT_TABLE = {
-    "pure_power": (("k",), lambda op, d: PurePower(k=op.k, d=d)),
-    "quadratic_form": (("k",), _quadratic_form),
-    "levy": (("l", "alpha_levy"), lambda op, d: Levy(
+    "pure_power": Variant(("k",), (), (1, 2), lambda op, d: PurePower(k=op.k, d=d)),
+    "quadratic_form": Variant(("k",), ("a_matrix",), (1, 2), _quadratic_form),
+    "levy": Variant(("l", "alpha_levy"), ("support", "tol"), (1,), lambda op, d: Levy(
         l=op.l, alpha_levy=op.alpha_levy,
         density=flat_density(op.support, op.tol))),
-    "fractional": (("k", "alpha_frac"), lambda op, d: FractionalPower(
+    "fractional": Variant(("k", "alpha_frac"), (), (1, 2), lambda op, d: FractionalPower(
         base=PurePower(k=op.k, d=d), alpha_frac=op.alpha_frac)),
-    "perturbed": (("k", "q"), lambda op, d: Perturbed(
+    "perturbed": Variant(("k", "q"), (), (1,), lambda op, d: Perturbed(
         base=PurePower(k=op.k, d=d), q_coeffs={(e,): c for e, c in op.q})),
 }
 
 
 def make_operator(op, d: int) -> OperatorSpec:
     """The spec of a parsed [operator] section (a `config.OperatorConfig`,
-    whose required keys the config layer has checked) on T^d."""
-    if op.variant not in VARIANT_TABLE:
-        raise ValidationError(f"unknown operator variant {op.variant!r}")
-    return VARIANT_TABLE[op.variant][1](op, d)
+    whose keys and dimension the config layer has checked) on T^d."""
+    return variant_row(op.variant).build(op, d)
+
+
+def variant_row(name: str) -> Variant:
+    if name not in VARIANT_TABLE:
+        raise ValidationError(f"unknown operator variant {name!r}")
+    return VARIANT_TABLE[name]
 
 
 # ---------------------------------------------------------------------------
 # experiment presets
 
 
+def varadhan_grid(k: int) -> tuple:
+    """(start, factor, count) of the time grid start * factor**j: geometric
+    two-decade grids keeping the smallest time inside the reliable evaluation
+    window for each order."""
+    return (0.1 if k == 1 else 0.2), 0.5, 8
+
+
 def varadhan_times(k: int) -> list:
-    """Geometric two-decade grids keeping the smallest time inside the
-    reliable evaluation window for each order."""
-    start = 0.1 if k == 1 else 0.2
-    return [start * 0.5**j for j in range(8)]
+    start, factor, count = varadhan_grid(k)
+    return [start * factor**j for j in range(count)]
+
+
+def _exit_window(k: int) -> tuple:
+    return (0.25, 0.05, 6) if k == 1 else (0.2, 0.02, 10)
 
 
 def exit_epsilons(k: int) -> np.ndarray:
-    if k == 1:
-        return np.geomspace(0.25, 0.05, 6)
-    return np.geomspace(0.2, 0.02, 10)
+    return np.geomspace(*_exit_window(k))
+
+
+def exit_grid(k: int) -> tuple:
+    """(start, factor, count) of the grid start * factor**j spanning
+    `exit_epsilons(k)`, which it equals to within 1e-15 relative."""
+    start, stop, count = _exit_window(k)
+    return start, (stop / start) ** (1 / (count - 1)), count
 
 
 EXIT_DELTA = 0.5
+EXIT_S = 0.1
 
 #: (k, xi_tilt, s) with eps = 1; the k = 2 grid stays in the regime where the
 #: quartic tilt is dominated by the dissipation on the unit lattice.  The

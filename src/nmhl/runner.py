@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .malliavin import AugmentedOperator, ibp_check
 from .presets import (
     DEFAULTS_VERSION,
     EXIT_DELTA,
+    EXIT_S,
     IBP_CUTOFF,
     IBP_PRESETS,
     IBP_RESOLUTION,
@@ -64,7 +65,7 @@ class ReportSummary:
     experiment: str
     passed: bool
     measured: dict
-    csv_paths: list = field(default_factory=list)
+    csv_paths: list
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +120,23 @@ def _write_csv(path: str, meta: dict, columns: dict, precision: int):
     os.replace(tmp, path)
 
 
-def _base_meta(config: RunConfig, extra: dict | None = None) -> dict:
+def _base_meta(config: RunConfig) -> dict:
     meta = {"defaults_version": DEFAULTS_VERSION}
     for section, body in _to_mapping(config).items():
         for key, value in body.items():
             meta[f"{section}.{key}"] = value
-    if extra:
-        meta.update(extra)
     return meta
+
+
+def _emit(ctx: dict, name: str, columns: dict, **grid_used) -> str:
+    """Write one CSV of the run under its metadata, plus `grid.<key>` for
+    each grid setting the run chose, and record it for cleanup."""
+    meta = dict(ctx["meta"])
+    meta.update((f"grid.{key}", value) for key, value in grid_used.items())
+    path = os.path.join(ctx["outdir"], name)
+    _write_csv(path, meta, columns, ctx["precision"])
+    ctx["written"].append(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +152,25 @@ def _symbol_of(config: RunConfig, t_min: float):
     resolution = config.grid.resolution
     if resolution is None:
         resolution = max(256, 2 * cutoff + 2)
-    return spec, symbol, resolution
+    return symbol, resolution
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _run_kernel(config: RunConfig, ctx: dict) -> ReportSummary:
+def _run_kernel(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     t, x = params["t"], params["x"]
-    spec, symbol, resolution = _symbol_of(config, t)
+    symbol, resolution = _symbol_of(config, t)
     kernel = heat_kernel(symbol, t, x=x, resolution=resolution)
 
     sym_columns = {f"xi_{i + 1}": symbol.grid.points[:, i]
                    for i in range(config.grid.d)}
     sym_columns["re_a"] = np.real(symbol.values)
     sym_columns["im_a"] = np.imag(symbol.values)
-    meta = _base_meta(config, {
-        "grid.cutoff_used": symbol.grid.cutoff,
-        "grid.resolution_used": resolution,
-    })
-    sym_path = os.path.join(ctx["outdir"], "symbol.csv")
-    _write_csv(sym_path, meta, sym_columns, ctx["precision"])
-    ctx["written"].append(sym_path)
+    used = {"cutoff_used": symbol.grid.cutoff, "resolution_used": resolution}
+    _emit(ctx, "symbol.csv", sym_columns, **used)
 
     pts = kernel.points
     if config.grid.d == 1:
@@ -173,26 +178,18 @@ def _run_kernel(config: RunConfig, ctx: dict) -> ReportSummary:
     else:
         columns = {"y1": pts[..., 0].ravel(), "y2": pts[..., 1].ravel(),
                    "p_t": kernel.values.ravel()}
-    path = os.path.join(ctx["outdir"], "kernel.csv")
-    _write_csv(path, meta, columns, ctx["precision"])
-    ctx["written"].append(path)
+    _emit(ctx, "kernel.csv", columns, **used)
 
     # the zero mode is first on the lattice, so mass has a closed form
     assert not np.any(symbol.grid.points[0])
     a0 = float(np.real(symbol.values[0]))
     mass_error = abs(kernel.mass() - math.exp(-t * a0))
-    measured = {
+    return mass_error < MASS_TOL, {
         "mass": kernel.mass(),
         "mass_error": mass_error,
         "min_value": float(np.min(kernel.values)),
         "truncation": kernel.truncation,
     }
-    return ReportSummary(
-        experiment="kernel",
-        passed=mass_error < MASS_TOL,
-        measured=measured,
-        csv_paths=[sym_path, path],
-    )
 
 
 def _ibp_columns(t: float, moment_path: str) -> dict:
@@ -212,156 +209,114 @@ def _ibp_columns(t: float, moment_path: str) -> dict:
             "rel_error": np.array(rel)}
 
 
-def _run_ibp(config: RunConfig, ctx: dict) -> ReportSummary:
+def _run_ibp(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     columns = _ibp_columns(params["t"], params["moment_path"])
-    path = os.path.join(ctx["outdir"], "ibp.csv")
-    _write_csv(path, _base_meta(config), columns, ctx["precision"])
-    ctx["written"].append(path)
+    _emit(ctx, "ibp.csv", columns)
     max_rel = float(np.max(columns["rel_error"]))
-    return ReportSummary(
-        experiment="ibp",
-        passed=max_rel < IBP_TOL,
-        measured={"max_rel_error": max_rel, "presets": len(columns["preset"])},
-        csv_paths=[path],
-    )
+    return max_rel < IBP_TOL, {"max_rel_error": max_rel,
+                               "presets": len(columns["preset"])}
 
 
-def _run_rate(config: RunConfig, ctx: dict) -> ReportSummary:
+def _rate_columns(spec, endpoints, **options):
+    """`rate_function` results for each (x, y) endpoint pair, and their table."""
+    lagrangian = Lagrangian(hamiltonian_for(spec))
+    results = [rate_function(x, y, lagrangian, **options) for x, y in endpoints]
+    return results, {
+        "x": [x for x, _ in endpoints],
+        "y": [y for _, y in endpoints],
+        "l_value": [r.l_value for r in results],
+        "winding": [r.winding for r in results],
+        "residual": [r.residual for r in results],
+    }
+
+
+def _run_rate(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
-    x, y = params["x"], params["y"]
-    spec = make_operator(config.operator, config.grid.d)
-    result = rate_function(
-        x, y, Lagrangian(hamiltonian_for(spec)),
+    (result,), columns = _rate_columns(
+        make_operator(config.operator, config.grid.d),
+        [(params["x"], params["y"])],
         m=params["nodes"],
         winding_max=params["winding_max"],
         perturb=params["perturb"],
     )
-    columns = {"x": [x], "y": [y], "l_value": [result.l_value],
-               "winding": [result.winding], "residual": [result.residual]}
-    path = os.path.join(ctx["outdir"], "rate.csv")
-    _write_csv(path, _base_meta(config), columns, ctx["precision"])
-    ctx["written"].append(path)
-    return ReportSummary(
-        experiment="rate",
-        passed=result.residual <= RESIDUAL_TOL,
-        measured={
-            "l_value": result.l_value,
-            "winding": result.winding,
-            "residual": result.residual,
-            "iterations": result.iterations,
-        },
-        csv_paths=[path],
-    )
+    _emit(ctx, "rate.csv", columns)
+    return result.residual <= RESIDUAL_TOL, {
+        "l_value": result.l_value,
+        "winding": result.winding,
+        "residual": result.residual,
+        "iterations": result.iterations,
+    }
 
 
-def _run_varadhan(config: RunConfig, ctx: dict) -> ReportSummary:
+def _run_varadhan(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     t_list = [params["t_start"] * params["t_factor"] ** j
               for j in range(params["t_count"])]
-    spec, symbol, _ = _symbol_of(config, min(t_list))
+    symbol, _ = _symbol_of(config, min(t_list))
     curve = varadhan_curve(symbol, params["k"], params["x"], params["y"], t_list)
-    path = os.path.join(ctx["outdir"], "varadhan.csv")
-    _write_csv(path, _base_meta(config, {"grid.cutoff_used": symbol.grid.cutoff}),
-               curve.columns(), ctx["precision"])
-    ctx["written"].append(path)
-    return ReportSummary(
-        experiment="varadhan",
-        passed=curve.passed,
-        measured={
-            "target": curve.target,
-            "extrapolated": curve.extrapolated,
-            "pointwise_pass": bool(np.all(curve.pointwise_pass)),
-            "extrapolation_pass": curve.extrapolation_pass,
-        },
-        csv_paths=[path],
-    )
+    _emit(ctx, "varadhan.csv", curve.columns(), cutoff_used=symbol.grid.cutoff)
+    return curve.passed, {
+        "target": curve.target,
+        "extrapolated": curve.extrapolated,
+        "pointwise_pass": bool(np.all(curve.pointwise_pass)),
+        "extrapolation_pass": curve.extrapolation_pass,
+    }
 
 
-def _run_exit(config: RunConfig, ctx: dict) -> ReportSummary:
+def _run_exit(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     k = params["k"]
     eps_list = [params["eps_start"] * params["eps_factor"] ** j
                 for j in range(params["eps_count"])]
-    spec, symbol, _ = _symbol_of(config, params["s"])
+    symbol, _ = _symbol_of(config, params["s"])
     fit = exit_bound_check(symbol, k, params["delta"], params["s"], eps_list)
-    path = os.path.join(ctx["outdir"], "exit.csv")
-    _write_csv(path, _base_meta(config, {"grid.cutoff_used": symbol.grid.cutoff}),
-               fit.columns(), ctx["precision"])
-    ctx["written"].append(path)
-    return ReportSummary(
-        experiment="exit",
-        passed=_exit_passed(fit, k),
-        measured={
-            "fit_c": fit.fit_c,
-            "chernoff_c": fit.chernoff_c,
-            "ratio": fit.ratio,
-            "r_squared": fit.r_squared,
-        },
-        csv_paths=[path],
-    )
+    _emit(ctx, "exit.csv", fit.columns(), cutoff_used=symbol.grid.cutoff)
+    return _exit_passed(fit, k), {
+        "fit_c": fit.fit_c,
+        "chernoff_c": fit.chernoff_c,
+        "ratio": fit.ratio,
+        "r_squared": fit.r_squared,
+    }
 
 
-def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
+def _run_report(config: RunConfig, ctx: dict) -> tuple:
     """Curated suite over the preset defaults; fast=false adds the k=2
     scaling and exit sweeps, whose clauses fail because their Legendre and
     Chernoff targets are not sharp for k >= 2."""
-    fast = config.experiment.params["fast"]
-    precision = ctx["precision"]
-    outdir = ctx["outdir"]
     entries = []  # (experiment, metric, value, passed, csv_path)
 
     # sign change of the quartic kernel at short time
     spec4 = PurePower(k=2)
     sym4 = build_symbol(spec4, FrequencyGrid(1, auto_cutoff(spec4, 0.01)))
     kern = heat_kernel(sym4, 0.01, resolution=max(256, 2 * sym4.grid.cutoff + 2))
-    path = os.path.join(outdir, "report_kernel.csv")
-    _write_csv(path, _base_meta(config), {"y": kern.points, "p_t": kern.values},
-               precision)
-    ctx["written"].append(path)
+    path = _emit(ctx, "report_kernel.csv", {"y": kern.points, "p_t": kern.values})
     entries.append(("kernel", "min_value", float(np.min(kern.values)),
                     float(np.min(kern.values)) < 0.0, path))
 
     columns = _ibp_columns(IBP_TIME, "analytic")
-    path = os.path.join(outdir, "report_ibp.csv")
-    _write_csv(path, _base_meta(config), columns, precision)
-    ctx["written"].append(path)
+    path = _emit(ctx, "report_ibp.csv", columns)
     max_rel = float(np.max(columns["rel_error"]))
     entries.append(("ibp", "max_rel_error", max_rel, max_rel < IBP_TOL, path))
 
-    lagrangian = Lagrangian(hamiltonian_for(PurePower(k=1)))
-    endpoints = rate_endpoints()
-    results = [rate_function(x, y, lagrangian) for x, y in endpoints]
-    residuals = [r.residual for r in results]
-    path = os.path.join(outdir, "report_rate.csv")
-    _write_csv(path, _base_meta(config), {
-        "x": [x for x, _ in endpoints],
-        "y": [y for _, y in endpoints],
-        "l_value": [r.l_value for r in results],
-        "winding": [r.winding for r in results],
-        "residual": residuals,
-    }, precision)
-    ctx["written"].append(path)
+    _, columns = _rate_columns(PurePower(k=1), rate_endpoints())
+    residuals = columns["residual"]
+    path = _emit(ctx, "report_rate.csv", columns)
     entries.append(("rate", "max_residual", max(residuals),
                     all(r <= RESIDUAL_TOL for r in residuals), path))
 
-    k_grid = (1,) if fast else (1, 2)
-    for k in k_grid:
+    for k in (1,) if config.experiment.params["fast"] else (1, 2):
         spec = PurePower(k=k)
         times = varadhan_times(k)
         sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, min(times))))
         curve = varadhan_curve(sym, k, 0.0, 1.0, times)
-        path = os.path.join(outdir, f"report_varadhan_k{k}.csv")
-        _write_csv(path, _base_meta(config), curve.columns(), precision)
-        ctx["written"].append(path)
+        path = _emit(ctx, f"report_varadhan_k{k}.csv", curve.columns())
         entries.append((f"varadhan_k{k}", "extrapolated", curve.extrapolated,
                         curve.passed, path))
 
-        sym_exit = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, 0.1)))
-        fit = exit_bound_check(sym_exit, k, EXIT_DELTA, 0.1, exit_epsilons(k))
-        path = os.path.join(outdir, f"report_exit_k{k}.csv")
-        _write_csv(path, _base_meta(config), fit.columns(), precision)
-        ctx["written"].append(path)
+        sym_exit = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, EXIT_S)))
+        fit = exit_bound_check(sym_exit, k, EXIT_DELTA, EXIT_S, exit_epsilons(k))
+        path = _emit(ctx, f"report_exit_k{k}.csv", fit.columns())
         entries.append((f"exit_k{k}", "fit_c", fit.fit_c, _exit_passed(fit, k), path))
 
     bounds = []
@@ -371,33 +326,25 @@ def _run_report(config: RunConfig, ctx: dict) -> ReportSummary:
         bounds.append(tilted_bound_check(sym, k, tilt, s))
     k_col, tilt_col, s_col = zip(*TILT_PRESETS)
     passes = [b.passed for b in bounds]
-    path = os.path.join(outdir, "report_tilted.csv")
-    _write_csv(path, _base_meta(config), {
+    path = _emit(ctx, "report_tilted.csv", {
         "k": k_col, "xi_tilt": tilt_col, "s": s_col,
         "measured": [b.measured for b in bounds],
         "predicted": [b.predicted for b in bounds],
         "bound": [b.bound for b in bounds],
         "pass": passes,
-    }, precision)
-    ctx["written"].append(path)
+    })
     entries.append(("tilted", "presets", len(bounds), all(passes), path))
 
-    passed = all(e[3] for e in entries)
     exps, metrics, values, oks, csvs = zip(*entries)
-    summary = {"experiment": exps, "metric": metrics, "value": values,
-               "passed": oks, "csv_path": [os.path.basename(c) for c in csvs]}
-    path = os.path.join(outdir, "report.csv")
-    _write_csv(path, _base_meta(config), summary, precision)
-    ctx["written"].append(path)
-    measured = {f"{exp}.{metric}": value for exp, metric, value, _, _ in entries}
-    return ReportSummary(
-        experiment="report",
-        passed=passed,
-        measured=measured,
-        csv_paths=[e[4] for e in entries] + [path],
-    )
+    _emit(ctx, "report.csv", {
+        "experiment": exps, "metric": metrics, "value": values, "passed": oks,
+        "csv_path": [os.path.basename(c) for c in csvs]})
+    return all(oks), {f"{exp}.{metric}": value
+                      for exp, metric, value, _, _ in entries}
 
 
+#: kind -> handler(config, ctx) giving (passed, measured); each CSV it writes
+#: goes through `_emit`
 _HANDLERS = {
     "kernel": _run_kernel,
     "ibp": _run_ibp,
@@ -416,15 +363,18 @@ def run(config: RunConfig, out_dir: str | None = None) -> ReportSummary:
     ctx = {
         "outdir": outdir,
         "precision": config.output.precision,
+        "meta": _base_meta(config),
         "written": [],
     }
     handler = _HANDLERS.get(config.experiment.kind)
     if handler is None:
         raise ValidationError(f"unknown experiment {config.experiment.kind!r}")
     try:
-        return handler(config, ctx)
+        passed, measured = handler(config, ctx)
     except BaseException:
         for p in ctx["written"]:
             if os.path.exists(p):
                 os.remove(p)
         raise
+    return ReportSummary(experiment=config.experiment.kind, passed=passed,
+                         measured=measured, csv_paths=ctx["written"])

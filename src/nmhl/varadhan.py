@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitUnstable, ValidationError
-from .grids import TWO_PI, FrequencyGrid, wrap_angle
+from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
 from .ldp import (Hamiltonian, _legendre_full, hamiltonian_for, legendre,
                   maslov_scaled_symbol)
 from .malliavin import exponent_fit
@@ -334,12 +334,7 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
         if mass <= 0:
             raise FitUnstable("exit mass underflowed; shrink the epsilon range")
         log_mass[i] = math.log(mass)
-    design = 1.0 / eps
-    coef = np.polyfit(design, log_mass, 1)
-    fitted = np.polyval(coef, design)
-    ss_res = float(np.sum((log_mass - fitted) ** 2))
-    ss_tot = float(np.sum((log_mass - np.mean(log_mass)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    coef, r2 = line_fit(1.0 / eps, log_mass)
     if r2 < 0.99:
         raise FitUnstable(f"exit-mass fit has R^2 = {r2:.4f} < 0.99")
     slope = float(coef[0])

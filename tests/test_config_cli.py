@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,18 @@ from nmhl import (
     serialize_config,
 )
 from nmhl.cli import main
-from nmhl.presets import exit_epsilons
+from nmhl.config import _format_scalar
+from nmhl.presets import (
+    EXIT_DELTA,
+    EXIT_S,
+    IBP_TIME,
+    LEVY_SUPPORT,
+    LEVY_TOL,
+    exit_epsilons,
+    exit_grid,
+    varadhan_grid,
+)
+from nmhl.runner import _base_meta
 
 KERNEL_TEXT = """\
 [operator]
@@ -337,6 +349,86 @@ def test_overrides_apply_and_revalidate():
         apply_overrides(cfg, ["exp.t=0.5"])
     with pytest.raises(ValidationError, match=r"k must be >= 1"):
         apply_overrides(cfg, ["operator.k=0"])
+
+
+PRESET_CONFIGS = sorted(
+    (Path(nmhl.__file__).resolve().parents[2] / "perfbench" / "configs").glob("*/*.cfg"))
+
+
+def _written_keys(text: str):
+    """(line index, section, key, value text) of each key a sectioned config
+    sets."""
+    section = None
+    for i, line in enumerate(text.splitlines()):
+        line = line.strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            key, _, value = (s.strip() for s in line.partition("="))
+            yield i, section, key, value
+
+
+@pytest.mark.parametrize("path", PRESET_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_preset_configs_round_trip_and_echo_every_key(path):
+    text = path.read_text(encoding="utf-8")
+    cfg = parse_config(text)
+    assert parse_config(serialize_config(cfg)) == cfg
+    # the CSV metadata holds each key the file sets, with a value that parses
+    # to the same config when written back in its place
+    meta = _base_meta(cfg)
+    for i, section, key, value in _written_keys(text):
+        echoed = meta[f"{section}.{key}"]
+        lines = text.splitlines()
+        lines[i] = f"{key} = {_format_scalar(echoed)}"
+        assert parse_config("\n".join(lines)) == cfg, (section, key, value, echoed)
+
+
+@pytest.mark.parametrize("operator, key", [
+    ("variant = pure_power\nk = 1\nl = 1", "l"),
+    ("variant = pure_power\nk = 1\nsupport = 2.0", "support"),
+    ("variant = pure_power\nk = 1\nq = 2:0.1", "q"),
+    ("variant = levy\nl = 1\nalpha_levy = -0.5\nk = 2", "k"),
+])
+def test_operator_keys_the_variant_does_not_read_are_refused(operator, key):
+    variant = operator.split("\n")[0].split(" = ")[1]
+    text = f"[operator]\n{operator}\n\n[experiment]\nkind = kernel\nt = 0.1\n"
+    with pytest.raises(ValidationError,
+                       match=f"^{variant} does not read operator.{key}$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("operator", [
+    "variant = levy\nl = 1\nalpha_levy = -0.5",
+    "variant = perturbed\nk = 2\nq = 2:0.1",
+])
+def test_one_dimensional_variants_refuse_d2_at_parse_time(operator):
+    variant = operator.split("\n")[0].split(" = ")[1]
+    text = (f"[operator]\n{operator}\n\n[grid]\nd = 2\ncutoff = 8\n\n"
+            "[experiment]\nkind = kernel\nt = 0.1\n")
+    with pytest.raises(ValidationError,
+                       match=rf"^{variant} runs on grid.d = 1 only \(got 2\)$"):
+        parse_config(text)
+
+
+def test_preset_numbers_are_the_config_defaults():
+    cfg = parse_config("[operator]\nvariant = pure_power\nk = 1\n\n"
+                       "[experiment]\nkind = exit\n")
+    params = cfg.experiment.params
+    assert (params["delta"], params["s"]) == (EXIT_DELTA, EXIT_S)
+    # the default grid is exit_grid(k), whose factor keeps its closed form
+    assert (params["eps_start"], params["eps_factor"], params["eps_count"]) == exit_grid(1)
+    assert exit_grid(1)[1] == 0.2 ** 0.2
+    assert exit_grid(2)[1] == 0.1 ** (1.0 / 9.0)
+    ibp = parse_config("[operator]\nvariant = pure_power\nk = 1\n\n"
+                       "[experiment]\nkind = ibp\n")
+    assert ibp.experiment.params["t"] == IBP_TIME
+    varadhan = parse_config("[operator]\nvariant = pure_power\nk = 2\n\n"
+                            "[experiment]\nkind = varadhan\n").experiment.params
+    assert (varadhan["t_start"], varadhan["t_factor"],
+            varadhan["t_count"]) == varadhan_grid(2)
+    levy = parse_config("[operator]\nvariant = levy\nl = 1\nalpha_levy = -0.5\n\n"
+                        "[experiment]\nkind = kernel\nt = 1\n").operator
+    assert (levy.support, levy.tol) == (LEVY_SUPPORT, LEVY_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -450,4 +450,4 @@ def test_scaling_rejects_bad_arguments():
 
 def test_time_absorbs_into_the_symbol():
     sym = build_symbol(PurePower(k=2), FrequencyGrid(1, 16))
-    assert scaling_identity_check(sym, 2, 0.37) < 1e-15
+    assert scaling_identity_check(sym, 0.37) < 1e-15
