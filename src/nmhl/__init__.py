@@ -49,6 +49,7 @@ from .ldp import (
     rate_function,
     scaling_identity_check,
     straight_path,
+    straight_rate,
 )
 from .malliavin import (
     AugmentedOperator,
@@ -112,7 +113,6 @@ from .varadhan import (
     exit_bound_check,
     localized_estimate,
     plateau_bump,
-    straight_rate,
     tilted_bound_check,
     varadhan_curve,
     wf_set_estimate,

@@ -30,6 +30,7 @@ from .presets import (
     varadhan_grid,
     variant_row,
 )
+from .spectral import check_form_shape
 
 SECTIONS = ("operator", "grid", "experiment", "output")
 OPERATOR_VARIANTS = tuple(VARIANT_TABLE)
@@ -419,6 +420,8 @@ def _from_mapping(raw: dict) -> RunConfig:
     dims = VARIANT_TABLE[operator.variant].dims
     _require(grid.d in dims, f"{operator.variant} runs on grid.d = "
              f"{' or '.join(map(str, dims))} only (got {grid.d})")
+    if operator.a_matrix is not None:
+        check_form_shape(operator.a_matrix, grid.d, operator.k)
     experiment = _build_experiment(dict(raw["experiment"]), operator)
     output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,

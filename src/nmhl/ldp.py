@@ -135,6 +135,18 @@ def legendre(h: Hamiltonian, p: float) -> float:
     return float(_legendre_full(h, np.array([float(p)]))[0][0])
 
 
+def straight_rate(h: Hamiltonian, x, y):
+    """l(x, y) for L = H*, at an endpoint pair or arrays of them, from one
+    Legendre solve.  L does not depend on position, so by Jensen each path of
+    winding class w has action at least L(y + 2 pi w - x), which the straight
+    line attains; H is even and convex, so L is even and convex, grows with
+    |z|, and the lift of y - x nearest 0 wins."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("endpoints must be finite")
+    value = _legendre_full(h, y + TWO_PI * -np.round((y - x) / TWO_PI) - x)[0]
+    return value if np.ndim(value) else float(value)
+
+
 def _curvature(h: Hamiltonian, xi: np.ndarray) -> np.ndarray:
     """L'' = 1 / H''(xi*) at the maximizers xi*: +inf where H'' vanishes, as
     at p = 0 for H = xi^(2k) with k >= 2."""

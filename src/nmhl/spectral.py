@@ -180,6 +180,13 @@ def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(d), k))
 
 
+def check_form_shape(a, d: int, k: int):
+    """Refuse an a_matrix that is not n x n, n = len(multi_indices(d, k))."""
+    n, shape = math.comb(d + k - 1, k), np.shape(a)
+    if shape != (n, n):
+        raise ValidationError(f"a_matrix must be {n}x{n} for d={d}, k={k}, got {shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticForm(_Homogeneous):
     """a(xi) = v(xi)^T A v(xi) with v the vector of degree-k monomials.
@@ -195,11 +202,7 @@ class QuadraticForm(_Homogeneous):
     def __post_init__(self):
         super().__post_init__()
         a = np.asarray(self.a_matrix, dtype=float)
-        n = len(multi_indices(self.d, self.k))
-        if a.shape != (n, n):
-            raise ValidationError(
-                f"a_matrix must be {n}x{n} for d={self.d}, k={self.k}, got {a.shape}"
-            )
+        check_form_shape(a, self.d, self.k)
         if not np.allclose(a, a.T, rtol=0, atol=1e-12):
             raise NonPositiveDefiniteForm("a_matrix is not symmetric")
         try:

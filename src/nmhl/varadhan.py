@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
-from .ldp import (Hamiltonian, _legendre_full, hamiltonian_for, legendre,
-                  maslov_scaled_symbol)
+from .ldp import (_legendre_full, hamiltonian_for, maslov_scaled_symbol,
+                  straight_rate)
 from .malliavin import exponent_fit
+from .presets import EXPONENT_TIMES
 from .semigroup import (
     TiltSpec,
     _log_image_sum,
@@ -34,17 +35,15 @@ C_SLACK = 0.5
 
 #: |log p| estimate past which the double-precision lattice sum cancels
 _LATTICE_LOG_FLOOR = 25.0
-# winding classes -w..w the straight-line oracle searches
-_ORACLE_WINDINGS = 2
 # the set-level and localized estimates sample the kernel on this grid, and
 # the exit and tilted checks on at least _KERNEL_RESOLUTION points
 _SET_RESOLUTION = 4096
 _KERNEL_RESOLUTION = 2048
-# arc points at which `wf_set_estimate` takes the infimum of the rate
-_ARC_POINTS = 33
 
 
-def _check_geometric(t_list) -> np.ndarray:
+def _check_geometric(k: int, t_list) -> tuple:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     ts = np.asarray(t_list, dtype=float)
     if ts.ndim != 1 or ts.size < 3:
         raise ValidationError("need at least 3 times")
@@ -55,19 +54,7 @@ def _check_geometric(t_list) -> np.ndarray:
     ratios = ts[1:] / ts[:-1]
     if float(np.max(np.abs(ratios - ratios[0]))) > 1e-9:
         raise ValidationError("times must form a geometric sequence")
-    return ts
-
-
-def straight_rate(h: Hamiltonian, x: float, y: float) -> float:
-    """l(x, y) by the straight-line oracle, minimized over winding classes.
-
-    Exact for x-independent Lagrangians (Jensen): the infimum over each class
-    is L(lifted displacement).
-    """
-    best = math.inf
-    for w in range(-_ORACLE_WINDINGS, _ORACLE_WINDINGS + 1):
-        best = min(best, legendre(h, y + TWO_PI * w - x))
-    return best
+    return ts, 1.0 / (2 * k - 1)
 
 
 def _extrapolate(ts: np.ndarray, vals: np.ndarray, power: float) -> float:
@@ -134,13 +121,10 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     1.6e-4 * 2^-j, j = 0..3, it fails at every sample (at t = 1.6e-4,
     v = -0.2276 > -l + slack = -0.2352).
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    ts = _check_geometric(t_list)
+    ts, power = _check_geometric(k, t_list)
     z = float(wrap_angle(y - x))
     if abs(z) < 1e-12:
         raise ValidationError("endpoints must differ; the diagonal has l = 0")
-    power = 1.0 / (2 * k - 1)
     if l_value is None:
         l_value = straight_rate(hamiltonian_for(_require_spec(symbol)), x, y)
     vals = np.empty(ts.size)
@@ -203,23 +187,17 @@ def _log_interval_mass(spec, t: float, lo: float, hi: float) -> float:
 def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
                     t_list) -> ScalingCurve:
     """u(t) = t^{1/(2k-1)} log of the absolute mass |P_t|[1_O](x) for an open
-    arc O, against -inf_O l."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    arc O = {y : 0 < (y - lo) mod 2 pi < hi - lo}, against -inf_O l, which is
+    0 on the closure of O and the smaller rate at lo or hi off it."""
+    ts, power = _check_geometric(k, t_list)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValidationError("interval must be nonempty")
     if hi - lo >= TWO_PI:
         raise ValidationError("interval must be a proper arc")
-    ts = _check_geometric(t_list)
-    power = 1.0 / (2 * k - 1)
     h = hamiltonian_for(_require_spec(symbol))
-    endpoints = np.linspace(lo, hi, _ARC_POINTS)
-    l_values = np.array([straight_rate(h, x, float(yy)) for yy in endpoints])
-    l_inf = float(np.min(l_values))
-    inside = abs(wrap_angle(x - lo)) < 1e-12 or abs(wrap_angle(x - hi)) < 1e-12 or (
-        wrap_angle(x - lo) > 0 and wrap_angle(x - hi) < 0
-    )
+    l_inf = (0.0 if (x - lo) % TWO_PI < hi - lo
+             else float(np.min(straight_rate(h, x, np.array([lo, hi])))))
     vals = np.empty(ts.size)
     # a degree-2 symbol has a positive (Gaussian) kernel, so its absolute
     # mass is the signed one
@@ -229,17 +207,11 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
             vals[i] = t**power * _log_interval_mass(symbol.spec, t, lo - x, hi - x)
             continue
         fld = heat_kernel(symbol, t, x=x, resolution=_SET_RESOLUTION)
-        ys = fld.points
-        mask = (ys > lo) & (ys < hi)
-        if lo < 0 or hi > TWO_PI:  # arc wraps through 0
-            yw = np.concatenate([ys - TWO_PI, ys, ys + TWO_PI])
-            mask = ((yw > lo) & (yw < hi)).reshape(3, -1).any(axis=0)
+        offset = (fld.points - lo) % TWO_PI
+        mask = (offset > 0) & (offset < hi - lo)
         mass = float(np.sum(np.abs(fld.values[mask]))) * (TWO_PI / _SET_RESOLUTION)
         vals[i] = t**power * math.log(mass) if mass > 0 else -math.inf
     slack = C_SLACK * ts**power * np.log(1.0 / ts)
-    if inside:
-        # x interior to O: the mass tends to 1 and the target is 0
-        l_inf = 0.0
     pointwise = vals <= -l_inf + slack + 1e-12
     extrap = _extrapolate(ts, vals, power)
     # absolute floor covers the interior case, where the target vanishes and
@@ -257,7 +229,7 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
 # exit bound and Chernoff extremization
 
 
-def chernoff_extremize(h: Hamiltonian, delta: float, s: float):
+def chernoff_extremize(h, delta: float, s: float):
     """Minimize -delta xi + s H(xi) over xi >= 0; returns (xi_star, exponent).
 
     For even convex H the minimum is -s L(delta / s), reached at
@@ -449,8 +421,7 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
         raise ValidationError("derivative order must be 0, 1, or 2")
     if symbol.grid.dimension != 1:
         raise ValidationError("localized estimates are one-dimensional")
-    ts = _check_geometric(t_list)
-    power = 1.0 / (2 * k - 1)
+    ts, power = _check_geometric(k, t_list)
     ys = np.arange(_SET_RESOLUTION) * (TWO_PI / _SET_RESOLUTION)
     chi_vals = np.asarray(chi(ys), dtype=float)
     if np.all(chi_vals == 0.0):
@@ -460,8 +431,7 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
             slack=np.zeros(ts.size), extrapolated=-math.inf, passed=True,
         )
     h = hamiltonian_for(_require_spec(symbol))
-    support = ys[chi_vals > 1e-300]
-    l_near = min(straight_rate(h, x, float(yy)) for yy in support)
+    l_near = float(np.min(straight_rate(h, x, ys[chi_vals > 1e-300])))
     if l_near <= 0:
         raise ValidationError("bump support must exclude the base point")
     delta = 0.05 * l_near
@@ -470,7 +440,7 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
     else:
         # the power law needs many active modes: fit deep in the small-t
         # regime on a lattice sized for the weighted multiplier
-        t_fit = np.geomspace(1e-3, 1e-4, 7)
+        t_fit = np.array(EXPONENT_TIMES)
         fit_cut = max(symbol.grid.cutoff, 2 * auto_cutoff(symbol.spec, t_fit[-1]))
         fit_sym = (symbol if fit_cut == symbol.grid.cutoff
                    else build_symbol(symbol.spec, FrequencyGrid(1, fit_cut)))

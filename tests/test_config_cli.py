@@ -3,7 +3,9 @@ command-line front-end."""
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -232,6 +234,21 @@ def test_moment_path_is_checked():
     text = ("[operator]\nvariant = pure_power\nk = 1\n\n"
             "[experiment]\nkind = ibp\nmoment_path = sampling\n")
     with pytest.raises(ValidationError, match="moment_path must be"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("matrix, d, k, n, shape", [("1;2", 1, 1, 1, "(2, 1)"),
+                                                    ("1,0;0,1", 1, 1, 1, "(2, 2)"),
+                                                    ("1", 2, 1, 2, "(1, 1)"),
+                                                    ("1", 2, 10**6, 10**6 + 1, "(1, 1)")])
+def test_a_matrix_of_the_wrong_shape_is_refused_at_parse_time(matrix, d, k, n, shape):
+    # the spec needs n x n with n = len(multi_indices(d, k)); the parser
+    # knows d and k, so it refuses the run before it starts, and counts the
+    # indices without listing them
+    text = (f"[operator]\nvariant = quadratic_form\nk = {k}\na_matrix = {matrix}\n\n"
+            f"[grid]\nd = {d}\n\n[experiment]\nkind = kernel\nt = 1\n")
+    message = f"a_matrix must be {n}x{n} for d={d}, k={k}, got {shape}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         parse_config(text)
 
 
@@ -532,6 +549,23 @@ def test_cli_failing_pass_rule_exits_one(tmp_path, capsys):
     assert "varadhan: FAIL" in out
     assert "pointwise_pass = True" in out
     assert "extrapolation_pass = False" in out
+
+
+def test_cli_varadhan_target_takes_the_nearest_lift(tmp_path, capsys):
+    # y = 20 is y = 20 - 6 pi three turns on; a winding search around the raw
+    # displacement once set the target to -13.81 and exited 1
+    text = ("[operator]\nvariant = pure_power\nk = 1\n\n"
+            "[experiment]\nkind = varadhan\ny = {y!r}\n")
+    rows = {}
+    for y in (20.0, 20.0 - 6.0 * math.pi):
+        path = write_config(tmp_path, text.format(y=y))
+        out = tmp_path / f"o{y}"
+        assert main(["varadhan", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "varadhan.csv").read_text().splitlines()
+        rows[y] = [line for line in lines if not line.startswith("#")]
+    assert "varadhan: PASS" in capsys.readouterr().out
+    far, near = rows.values()
+    assert far == near and len(far) == 9
 
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):

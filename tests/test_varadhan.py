@@ -69,6 +69,30 @@ def test_straight_rate_matches_wound_oracle(y):
     )
 
 
+HAMILTONIANS = {"k1": PurePower(k=1), "k2": PurePower(k=2), "k3": PurePower(k=3),
+                "fractional": FractionalPower(PurePower(k=2), 0.75)}
+
+
+@pytest.mark.parametrize("name", HAMILTONIANS)
+def test_straight_rate_on_arrays_equals_the_scalar_calls(name):
+    # every endpoint and winding in one Legendre solve, bit for bit
+    h = hamiltonian_for(HAMILTONIANS[name])
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-7.0, 7.0, 64), rng.uniform(-20.0, 20.0, 64)
+    many = straight_rate(h, x, y)
+    assert many.shape == (64,)
+    assert many.tolist() == [straight_rate(h, a, b) for a, b in zip(x, y)]
+    assert straight_rate(h, 0.5, y).tolist() == [straight_rate(h, 0.5, b) for b in y]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_straight_rate_is_the_conjugate_to_two_ulps(k):
+    h = hamiltonian_for(PurePower(k=k))
+    for z in np.linspace(-math.pi, math.pi, 257):
+        ref = oracles.power_conjugate(k, float(z))[1]
+        assert abs(straight_rate(h, 0.0, float(z)) - ref) <= 2 * np.spacing(ref)
+
+
 # ---------------------------------------------------------------------------
 # Chernoff extremization
 
@@ -225,6 +249,29 @@ def test_set_estimate_interior_point_has_zero_target():
     assert curve.passed
     assert curve.target == 0.0
     assert abs(curve.extrapolated) <= 1e-3
+
+
+@pytest.mark.parametrize("turns", [2, -2])
+def test_set_estimate_is_the_same_on_every_turn_of_the_arc(turns):
+    # (2 + 4 pi, 3 + 4 pi) is the arc (2, 3); sampling it on [0, 2 pi) once
+    # found no mass at all, so v = -inf passed every bound
+    sym = power_symbol(1, 0.1 * 0.5**7)
+    ts = geometric(0.1, 0.5, 8)
+    base = wf_set_estimate(sym, 1, 0.0, (2.0, 3.0), ts)
+    shift = turns * TWO_PI
+    curve = wf_set_estimate(sym, 1, 0.0, (2.0 + shift, 3.0 + shift), ts)
+    assert curve.target == base.target == -1.0
+    assert curve.values.tolist() == base.values.tolist()
+    assert np.all(np.isfinite(curve.values))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_set_estimate_long_arc_interior_point_has_zero_target(k):
+    # x = 4.06 lies in (0.5, 4.5), but more than pi from lo; a 33-point
+    # sample of the arc once gave the target -0.0009 (k = 1), -0.0111 (k = 2)
+    sym = power_symbol(k, 0.2 * 0.5**7)
+    curve = wf_set_estimate(sym, k, 4.06, (0.5, 4.5), geometric(0.2, 0.5, 8))
+    assert curve.target == 0.0
 
 
 @pytest.mark.parametrize("t, lo, hi", [(0.01, 0.5, 1.5), (0.002, 2.0, 3.0),
@@ -392,6 +439,9 @@ def test_localized_validates_inputs():
     ts = geometric(0.1, 0.5, 4)
     with pytest.raises(ValidationError):
         localized_estimate(sym, 1, 0.0, BUMP, ts, alpha_order=3)
+    with pytest.raises(ValidationError, match="k must be >= 1"):
+        # no order-0 curve: its power 1/(2k - 1) would be -1
+        localized_estimate(sym, 0, 0.0, BUMP, ts)
     with pytest.raises(ValidationError):
         # bump support contains the base point: the rate target degenerates
         localized_estimate(sym, 1, 0.0, plateau_bump(0.0, 0.5, 1.0), ts)
