@@ -8,6 +8,7 @@ the experiment's pass rules hold, 1 when they do not, 2 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import EXPERIMENT_KINDS, apply_overrides, parse_config
@@ -25,7 +26,11 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and shared by every later `main` of the
+    # process: parsing copies the `--override` default list, so no call sees
+    # another's arguments
     parser = argparse.ArgumentParser(
         prog="nmhl",
         description="numerical laboratory for higher-order heat semigroups "

@@ -394,6 +394,9 @@ def _build_experiment(body: dict, operator: OperatorConfig) -> ExperimentConfig:
         raise ValidationError(
             f"kind must be one of {', '.join(EXPERIMENT_KINDS)} (got {kind!r})"
         )
+    kinds = VARIANT_TABLE[operator.variant].kinds
+    _require(kind in kinds, f"{operator.variant} does not run {kind} experiments "
+             f"(it runs {', '.join(kinds)})")
     defaults = _KINDS[kind]
     keys = [key for key in body if key != "kind"]
     _check_keys("experiment", keys, defaults)

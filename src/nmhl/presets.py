@@ -53,27 +53,39 @@ def _quadratic_form(op, d: int) -> QuadraticForm:
 class Variant(NamedTuple):
     """One CLI operator variant: the [operator] keys it needs (in the order
     the config checks them), the optional keys it also reads (config refuses
-    any other), the torus dimensions it runs on, and the constructor of its
-    spec from the parsed [operator] section and d."""
+    any other), the torus dimensions it runs on, the experiment kinds it
+    runs, and the constructor of its spec from the parsed [operator] section
+    and d."""
 
     needs: tuple
     reads: tuple
     dims: tuple
+    kinds: tuple
     build: Callable
 
 
+#: every experiment kind; `ibp` and `report` run on presets of their own
+ALL_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
+
 #: CLI variant name -> its row.  Config-level q exponents are bare ints, so
 #: `perturbed` is one-dimensional; so is the jump density of `levy`.
+#: `Perturbed` has no real-phase Hamiltonian, which `rate`, `varadhan` and
+#: `exit` take their targets from.
 VARIANT_TABLE = {
-    "pure_power": Variant(("k",), (), (1, 2), lambda op, d: PurePower(k=op.k, d=d)),
-    "quadratic_form": Variant(("k",), ("a_matrix",), (1, 2), _quadratic_form),
-    "levy": Variant(("l", "alpha_levy"), ("support", "tol"), (1,), lambda op, d: Levy(
-        l=op.l, alpha_levy=op.alpha_levy,
-        density=flat_density(op.support, op.tol))),
-    "fractional": Variant(("k", "alpha_frac"), (), (1, 2), lambda op, d: FractionalPower(
-        base=PurePower(k=op.k, d=d), alpha_frac=op.alpha_frac)),
-    "perturbed": Variant(("k", "q"), (), (1,), lambda op, d: Perturbed(
-        base=PurePower(k=op.k, d=d), q_coeffs={(e,): c for e, c in op.q})),
+    "pure_power": Variant(("k",), (), (1, 2), ALL_KINDS,
+                          lambda op, d: PurePower(k=op.k, d=d)),
+    "quadratic_form": Variant(("k",), ("a_matrix",), (1, 2), ALL_KINDS,
+                              _quadratic_form),
+    "levy": Variant(("l", "alpha_levy"), ("support", "tol"), (1,), ALL_KINDS,
+                    lambda op, d: Levy(l=op.l, alpha_levy=op.alpha_levy,
+                                       density=flat_density(op.support, op.tol))),
+    "fractional": Variant(("k", "alpha_frac"), (), (1, 2), ALL_KINDS,
+                          lambda op, d: FractionalPower(
+                              base=PurePower(k=op.k, d=d), alpha_frac=op.alpha_frac)),
+    "perturbed": Variant(("k", "q"), (), (1,), ("kernel", "ibp", "report"),
+                         lambda op, d: Perturbed(
+                             base=PurePower(k=op.k, d=d),
+                             q_coeffs={(e,): c for e, c in op.q})),
 }
 
 

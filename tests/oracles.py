@@ -339,6 +339,24 @@ def levy_symbol_quad(h, support: float, l: int, alpha: float, xi: complex,
 
 
 # ---------------------------------------------------------------------------
+# the lattice sum, one mode at a time
+
+
+def kernel_values_loop(symbol, t: float, offsets):
+    """p_t(0, z) by the per-mode loop that `semigroup.kernel_values` once
+    ran: one array update per lattice mode, in lattice order, so its
+    rounding is the sequential sum's."""
+    z = np.atleast_1d(np.asarray(offsets, dtype=float))
+    mult = np.exp(-t * symbol.values)
+    xi = symbol.grid.points[:, 0].astype(float)
+    acc = np.zeros(z.shape, dtype=complex)
+    for w, f in zip(mult, xi):
+        acc += w * np.exp(1j * f * z)
+    out = (acc / TWO_PI).real
+    return out if np.ndim(offsets) else float(out[0])
+
+
+# ---------------------------------------------------------------------------
 # auxiliary kernel
 
 

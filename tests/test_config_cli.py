@@ -25,13 +25,15 @@ from nmhl import (
     serialize_config,
 )
 from nmhl.cli import main
-from nmhl.config import _format_scalar
+from nmhl.config import EXPERIMENT_KINDS, _format_scalar
 from nmhl.presets import (
+    ALL_KINDS,
     EXIT_DELTA,
     EXIT_S,
     IBP_TIME,
     LEVY_SUPPORT,
     LEVY_TOL,
+    VARIANT_TABLE,
     exit_epsilons,
     exit_grid,
     varadhan_grid,
@@ -427,6 +429,38 @@ def test_one_dimensional_variants_refuse_d2_at_parse_time(operator):
         parse_config(text)
 
 
+PERTURBED = "[operator]\nvariant = perturbed\nk = 2\nq = 2:0.1\n\n[experiment]\n"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("rate", ""), ("varadhan", "k = 2"), ("exit", "k = 2"),
+])
+def test_perturbed_refuses_the_kinds_that_need_a_hamiltonian_at_parse_time(
+        kind, params, tmp_path, capsys):
+    # these runs once parsed, then exited 2 with "no real-phase Hamiltonian"
+    text = PERTURBED + f"kind = {kind}\n{params}\n"
+    message = f"perturbed does not run {kind} experiments"
+    with pytest.raises(ValidationError, match=f"^{message} "):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    code = main([kind, "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{kind}: ValidationError: {message}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_variant_row_names_known_kinds_and_perturbed_kernels_still_parse():
+    assert ALL_KINDS == EXPERIMENT_KINDS
+    for row in VARIANT_TABLE.values():
+        assert set(row.kinds) <= set(EXPERIMENT_KINDS)
+    kernel = EXIT_K1.with_name("kernel_perturbed.cfg")
+    cfg = parse_config(kernel.read_text(encoding="utf-8"))
+    assert (cfg.operator.variant, cfg.experiment.kind) == ("perturbed", "kernel")
+    for kind in ("ibp", "report"):
+        assert parse_config(PERTURBED + f"kind = {kind}\n").experiment.kind == kind
+
+
 def test_preset_numbers_are_the_config_defaults():
     cfg = parse_config("[operator]\nvariant = pure_power\nk = 1\n\n"
                        "[experiment]\nkind = exit\n")
@@ -655,3 +689,38 @@ def test_cli_internal_error_exits_two_and_leaves_no_csv(tmp_path, capsys,
     assert code == 2
     assert err.strip() == "kernel: internal error: RuntimeError: injected fault"
     assert list(out_dir.glob("*.csv")) == []
+
+
+EXIT_K1 = PRESET_CONFIGS[0].parents[1] / "survey" / "exit_k1.cfg"
+
+
+def test_cli_parser_built_once_leaks_no_override_into_a_later_call(
+        tmp_path, capsys):
+    argv = ["exit", "--config", str(EXIT_K1)]
+    assert main(argv + ["--out", str(tmp_path / "a"),
+                        "--override", "experiment.eps_count=5"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nmhl.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "nmhl", *argv,
+                           "--out", str(tmp_path / "fresh")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    later = (tmp_path / "b" / "exit.csv").read_bytes()
+    assert later == (tmp_path / "fresh" / "exit.csv").read_bytes()
+    assert later != (tmp_path / "a" / "exit.csv").read_bytes()
+    assert b"# experiment.eps_count=5\n" in (tmp_path / "a" / "exit.csv").read_bytes()
+
+
+def test_cli_bad_argv_leaves_the_shared_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exit", "--config"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense", "--config", str(EXIT_K1)])
+    assert exc.value.code == 2
+    assert main(["exit", "--config", str(EXIT_K1),
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "o" / "exit.csv").is_file()

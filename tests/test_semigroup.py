@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from nmhl import (
     Symbol,
     TiltSpec,
     apply_semigroup,
+    auto_cutoff,
     build_symbol,
     chapman_kolmogorov_check,
     derivative_seminorm,
@@ -26,8 +28,9 @@ from nmhl import (
     spatial_grid,
     tilted_semigroup,
 )
+from nmhl import semigroup
 from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
-from nmhl.presets import duhamel_pair, flat_density
+from nmhl.presets import duhamel_pair, flat_density, varadhan_times
 
 GAUSS_DIAG_T1 = 0.28212397345676224   # (1/2pi) sum exp(-n^2), two oracle routes
 
@@ -96,6 +99,59 @@ def test_kernel_values_agree_with_dense_grid():
     idx = np.array([0, 300, 1024, 2000])
     vals = kernel_values(sym, 0.1, dense.points[idx])
     np.testing.assert_allclose(vals, dense.values[idx], atol=1e-12)
+
+
+#: every time of both varadhan preset windows
+LOOP_TIMES = sorted(set(varadhan_times(1) + varadhan_times(2)))
+LOOP_SPECS = {
+    "k1": PurePower(k=1),
+    "k2": PurePower(k=2),
+    "k3": PurePower(k=3),
+    "fractional": FractionalPower(base=PurePower(k=2), alpha_frac=0.75),
+    "perturbed": Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.1, (1,): 0.3}),
+    "levy": Levy(l=1, alpha_levy=-0.5, density=flat_density()),
+}
+
+
+@functools.cache
+def loop_symbol(name):
+    # one lattice per spec, damped at the smallest time
+    spec = LOOP_SPECS[name]
+    return build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, LOOP_TIMES[0])))
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", LOOP_SPECS)
+@pytest.mark.parametrize("t", LOOP_TIMES)
+def test_kernel_values_has_the_bits_of_the_per_mode_loop(name, t):
+    sym = loop_symbol(name)
+    line = np.linspace(-math.pi, 2 * math.pi, 12)
+    for offsets in (0.7, 2.5, np.float64(1.0), np.array(3.0), line[:1], line,
+                    line.reshape(3, 4)):
+        assert_same_bits(kernel_values(sym, t, offsets),
+                         oracles.kernel_values_loop(sym, t, offsets))
+
+
+@pytest.mark.parametrize("name", LOOP_SPECS)
+def test_kernel_values_keeps_the_bits_across_blocks(name):
+    # under the module's block size: an offset count that splits the modes
+    # into four blocks, the last one partial, then one that splits the
+    # offsets into three blocks, the last one partial
+    sym = loop_symbol(name)
+    modes, block = sym.grid.size, semigroup._SUM_BLOCK
+    few = 3 * block // modes + 1
+    rows = block // few
+    assert modes // rows == 3 and modes % rows
+    t = LOOP_TIMES[0]
+    for count in (few, 2 * block + 5):
+        offsets = np.linspace(-4.0, 4.0, count)
+        assert_same_bits(kernel_values(sym, t, offsets),
+                         oracles.kernel_values_loop(sym, t, offsets))
 
 
 def test_apply_semigroup_diagonalizes_eigenfunctions():
