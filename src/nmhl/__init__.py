@@ -33,7 +33,7 @@ from .errors import (
     TiltOutOfDomain,
     ValidationError,
 )
-from .grids import TWO_PI, FrequencyGrid, spatial_grid, trapezoid_mass, wrap_angle
+from .grids import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
 from .ldp import (
     Hamiltonian,
     Lagrangian,
@@ -47,7 +47,6 @@ from .ldp import (
     legendre,
     maslov_scaled_symbol,
     rate_function,
-    scaling_identity_check,
     straight_path,
     straight_rate,
 )
@@ -57,7 +56,6 @@ from .malliavin import (
     GaugeFunction,
     GaugePotential,
     IbpResult,
-    MalliavinCovariance,
     MomentBound,
     augmented_multiplier,
     aux_moment,
@@ -67,7 +65,6 @@ from .malliavin import (
     exponent_fit,
     gauge_conjugate,
     ibp_check,
-    malliavin_covariance,
 )
 from .runner import ReportSummary, run
 from .semigroup import (
@@ -75,7 +72,6 @@ from .semigroup import (
     KernelField,
     TiltSpec,
     TiltedOperator,
-    apply_semigroup,
     chapman_kolmogorov_check,
     derivative_seminorm,
     duhamel_series,
@@ -97,12 +93,9 @@ from .spectral import (
     Symbol,
     auto_cutoff,
     build_symbol,
-    ellipticity_constants,
-    growth_check,
     levy_hamiltonian,
     levy_symbol,
     multi_indices,
-    symbol_value,
 )
 from .varadhan import (
     ExitBoundFit,

@@ -25,6 +25,7 @@ from .presets import (
     IBP_TIME,
     LEVY_SUPPORT,
     LEVY_TOL,
+    LINE_KINDS,
     VARIANT_TABLE,
     exit_grid,
     varadhan_grid,
@@ -386,7 +387,7 @@ def _build_operator(body: dict) -> OperatorConfig:
     return cfg
 
 
-def _build_experiment(body: dict, operator: OperatorConfig) -> ExperimentConfig:
+def _build_experiment(body: dict, operator: OperatorConfig, d: int) -> ExperimentConfig:
     if "kind" not in body:
         raise ValidationError("experiment.kind is required")
     kind = str(body["kind"]).strip()
@@ -397,6 +398,8 @@ def _build_experiment(body: dict, operator: OperatorConfig) -> ExperimentConfig:
     kinds = VARIANT_TABLE[operator.variant].kinds
     _require(kind in kinds, f"{operator.variant} does not run {kind} experiments "
              f"(it runs {', '.join(kinds)})")
+    _require(d == 1 or kind not in LINE_KINDS,
+             f"{operator.variant} runs {kind} experiments on grid.d = 1 only (got {d})")
     defaults = _KINDS[kind]
     keys = [key for key in body if key != "kind"]
     _check_keys("experiment", keys, defaults)
@@ -425,7 +428,7 @@ def _from_mapping(raw: dict) -> RunConfig:
              f"{' or '.join(map(str, dims))} only (got {grid.d})")
     if operator.a_matrix is not None:
         check_form_shape(operator.a_matrix, grid.d, operator.k)
-    experiment = _build_experiment(dict(raw["experiment"]), operator)
+    experiment = _build_experiment(dict(raw["experiment"]), operator, grid.d)
     output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,
                      experiment=experiment, output=output)

@@ -79,13 +79,6 @@ def wrap_angle(z):
     return np.where(out == -np.pi, np.pi, out)
 
 
-def trapezoid_mass(values: np.ndarray, d: int = 1) -> float:
-    """Integral over the torus by the trapezoid rule (spectrally accurate)."""
-    m = values.shape[0]
-    cell = (TWO_PI / m) ** d
-    return float(np.sum(values) * cell)
-
-
 def line_fit(x, y) -> tuple:
     """Least-squares line through (x, y): the `np.polyfit` coefficients
     (slope, intercept) and R^2, which is 1 when y is constant."""

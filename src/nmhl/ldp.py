@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI, line_fit
-from .semigroup import heat_kernel
 from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
 
 # |xi| past which a bracket that still misses |p| means a subquadratic H,
@@ -32,8 +31,6 @@ DESCENT_STALL_TOL = 1e-6
 DESCENT_MAX_ITER = 20000
 # |p| from which `growth_fit` fits the sandwich exponent
 _GROWTH_P_MIN = 1.0
-# grid size of the scaling identity check
-_SCALING_RESOLUTION = 256
 
 
 def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
@@ -473,12 +470,3 @@ def maslov_scaled_symbol(symbol: Symbol, k: int, eps: float) -> Symbol:
     scaled = Rescaled(symbol.spec, prefactor=prefactor, freq_scale=freq_scale)
     return build_symbol(scaled, symbol.grid)
 
-
-def scaling_identity_check(symbol: Symbol, t: float) -> float:
-    """Kernel of (a, t) against kernel of (t a, 1): exact in multiplier form,
-    so any deviation is plumbing, not mathematics."""
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    lhs = heat_kernel(symbol, t, resolution=_SCALING_RESOLUTION)
-    rhs = heat_kernel(symbol.scaled(t), 1.0, resolution=_SCALING_RESOLUTION)
-    return float(np.max(np.abs(lhs.values - rhs.values)))

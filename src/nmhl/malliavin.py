@@ -457,46 +457,6 @@ def bounded_moment_check(op: AugmentedOperator, h: np.ndarray, t: float,
 
 
 # ---------------------------------------------------------------------------
-# abelian Malliavin covariance
-
-
-@dataclass
-class MalliavinCovariance:
-    fields: list
-    t: float
-    matrix: np.ndarray
-    min_eigenvalue: float
-    condition_satisfied: bool
-
-    def inverse_moment(self, p: int) -> float:
-        """Operator norm of v_t^{-p}; the inverse-moment finiteness statement
-        is deterministic on an abelian group."""
-        if not (1 <= p <= 4):
-            raise ValidationError(f"p must lie in 1..4, got {p}")
-        if not self.condition_satisfied:
-            raise ValidationError("covariance is singular: fields do not span")
-        return float((1.0 / self.min_eigenvalue) ** p)
-
-
-def malliavin_covariance(fields, t: float) -> MalliavinCovariance:
-    """v_t = t * sum_i f_i f_i^T for constant (right-invariant) fields."""
-    _require_time(t)
-    fs = [np.atleast_1d(np.asarray(f, dtype=float)) for f in fields]
-    if not fs:
-        raise ValidationError("need at least one field")
-    d = fs[0].size
-    if any(f.size != d for f in fs):
-        raise ValidationError("fields must share one dimension")
-    v = t * sum(np.outer(f, f) for f in fs)
-    eigs = np.linalg.eigvalsh(v)
-    min_eig = float(eigs[0])
-    return MalliavinCovariance(
-        fields=fs, t=t, matrix=v, min_eigenvalue=min_eig,
-        condition_satisfied=bool(min_eig > 1e-12),
-    )
-
-
-# ---------------------------------------------------------------------------
 # seminorm decay exponents
 
 

@@ -66,6 +66,9 @@ class Variant(NamedTuple):
 
 #: every experiment kind; `ibp` and `report` run on presets of their own
 ALL_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
+#: the kinds that take their targets from the real-phase Hamiltonian, which
+#: is one-dimensional: they run on grid.d = 1 only
+LINE_KINDS = ("rate", "varadhan", "exit")
 
 #: CLI variant name -> its row.  Config-level q exponents are bare ints, so
 #: `perturbed` is one-dimensional; so is the jump density of `levy`.
@@ -112,24 +115,11 @@ def varadhan_grid(k: int) -> tuple:
     return (0.1 if k == 1 else 0.2), 0.5, 8
 
 
-def varadhan_times(k: int) -> list:
-    start, factor, count = varadhan_grid(k)
-    return [start * factor**j for j in range(count)]
-
-
-def _exit_window(k: int) -> tuple:
-    return (0.25, 0.05, 6) if k == 1 else (0.2, 0.02, 10)
-
-
-def exit_epsilons(k: int) -> np.ndarray:
-    return np.geomspace(*_exit_window(k))
-
-
 def exit_grid(k: int) -> tuple:
-    """(start, factor, count) of the grid start * factor**j spanning
-    `exit_epsilons(k)`, which it equals to within 1e-15 relative."""
-    start, stop, count = _exit_window(k)
-    return start, (stop / start) ** (1 / (count - 1)), count
+    """(start, factor, count) of the eps grid start * factor**j: down to 0.05
+    from 0.25 in 6 points for k = 1, down to 0.02 from 0.2 in 10 points for
+    any other k."""
+    return (0.25, 0.2 ** 0.2, 6) if k == 1 else (0.2, 0.1 ** (1 / 9), 10)
 
 
 EXIT_DELTA = 0.5

@@ -23,7 +23,7 @@ from .errors import (
     SeriesDiverged,
     ValidationError,
 )
-from .grids import TWO_PI, FrequencyGrid, axis_mesh, spatial_grid
+from .grids import TWO_PI, FrequencyGrid, spatial_grid
 from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
                        build_symbol)
 
@@ -303,41 +303,6 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     return _log_image_sum(spec, t, lambda w: [(1.0, abs(z + TWO_PI * w), False)])[0]
 
 
-def apply_semigroup(symbol: Symbol, t: float, h: np.ndarray) -> np.ndarray:
-    """exp(-t L) h for a grid function h; exact identity at t = 0."""
-    _require_time(t, zero_ok=True)
-    h = np.asarray(h)
-    d = symbol.grid.dimension
-    m = h.shape[0]
-    if h.shape != (m,) * d:
-        raise ValidationError(f"grid function must have {d} axes of equal length")
-    freqs = np.fft.fftfreq(m, d=1.0 / m)
-    if symbol.spec is not None:
-        a_bins = symbol.at(axis_mesh(freqs, d))
-    else:
-        n = symbol.grid.cutoff
-        if m > 2 * n + 1:
-            raise ValidationError(
-                "tabulated-only symbol cannot serve frequencies beyond its lattice"
-            )
-        box = symbol.grid.box_index()
-        a_bins = symbol.values[box[np.ix_(*[freqs.astype(int) + n] * d)]]
-    if t > 0:
-        edge = np.exp(-t * np.asarray(a_bins)[_fft_boundary_mask(m, d)])
-        _check_edge(edge, t, f"resolution M={m} boundary", None)
-    out = np.fft.ifftn(np.exp(-t * a_bins) * np.fft.fftn(h))
-    if np.isrealobj(h):
-        scale = max(1.0, float(np.max(np.abs(out.real))))
-        if float(np.max(np.abs(out.imag))) <= _IMAG_TOL * scale:
-            return out.real
-    return out
-
-
-def _fft_boundary_mask(m: int, d: int) -> np.ndarray:
-    freqs = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
-    return np.max(np.meshgrid(*[freqs] * d, indexing="ij"), axis=0) == freqs.max()
-
-
 # ---------------------------------------------------------------------------
 # Volterra series for perturbed generators
 
@@ -464,10 +429,6 @@ class TiltedOperator:
         vals = self.kernel(resolution)
         d = self.symbol.grid.dimension
         return float(np.sum(np.abs(vals)) * (TWO_PI / resolution) ** d)
-
-    def norm_on_constants(self) -> float:
-        zero = np.all(self.symbol.grid.points == 0, axis=1)
-        return float(np.abs(self.multiplier[zero][0]))
 
 
 def tilted_semigroup(symbol: Symbol, tilt: TiltSpec, s: float) -> TiltedOperator:

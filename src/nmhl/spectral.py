@@ -580,11 +580,6 @@ def levy_hamiltonian(density: LevyDensity, l: int, alpha_levy: float, xi,
     return _jump_integral(density, l, alpha_levy, 1j * xi).real[()]
 
 
-def symbol_value(spec: OperatorSpec, z):
-    """The symbol of `spec` at arbitrary frequencies (see `OperatorSpec.value`)."""
-    return spec.value(z)
-
-
 def _principal_power(w, alpha: float):
     w = np.asarray(w, dtype=complex)
     on_cut = (w.real < 0) & (np.abs(w.imag) <= 1e-14 * np.abs(w))
@@ -616,19 +611,6 @@ class Symbol:
             raise ValidationError("tabulated-only symbol has no continuous evaluation")
         return self.spec.value(z)
 
-    def scaled(self, factor: float) -> "Symbol":
-        """The symbol factor*a on the same lattice (factor > 0)."""
-        if factor <= 0:
-            raise ValidationError("scaling factor must be > 0")
-        spec = Rescaled(self.spec, prefactor=factor) if self.spec is not None else None
-        return Symbol(
-            grid=self.grid,
-            values=self.values * factor,
-            order=self.order,
-            ellipticity_order=self.ellipticity_order,
-            spec=spec,
-        )
-
     def lattice_min_real(self) -> float:
         return float(np.min(self.values.real))
 
@@ -659,29 +641,7 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# structural checks
-
-
-def ellipticity_constants(symbol: Symbol) -> tuple[float, float, bool]:
-    """Largest C with |a(xi)| >= C |xi|^(m') over the outer half of the lattice."""
-    n = symbol.grid.cutoff
-    if n < 4:
-        raise ValidationError("ellipticity fit needs a lattice with N >= 4")
-    pts = symbol.grid.points.astype(float)
-    norms = np.sqrt(np.sum(pts**2, axis=1))
-    shell = norms >= n / 2.0
-    m_prime = symbol.ellipticity_order
-    ratios = np.abs(symbol.values[shell]) / norms[shell] ** m_prime
-    c = float(np.min(ratios))
-    return c, m_prime, bool(c > 1e-14)
-
-
-def growth_check(symbol: Symbol) -> tuple[bool, float]:
-    """Fit the smallest C with |a(xi)| <= C (1 + |xi|)^m over the lattice."""
-    pts = symbol.grid.points.astype(float)
-    norms = np.sqrt(np.sum(pts**2, axis=1))
-    c_fit = float(np.max(np.abs(symbol.values) / (1.0 + norms) ** symbol.order))
-    return bool(np.isfinite(c_fit)), c_fit
+# lattice cutoff
 
 
 def _shell_min_real(spec: OperatorSpec, n: int) -> float:

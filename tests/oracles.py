@@ -339,6 +339,24 @@ def levy_symbol_quad(h, support: float, l: int, alpha: float, xi: complex,
 
 
 # ---------------------------------------------------------------------------
+# preset grids and tilted multipliers
+
+
+def geometric_grid(start: float, factor: float, count: int) -> list:
+    """start * factor**j for j < count: the grid that the `varadhan` and
+    `exit` kinds build from their (start, factor, count) keys, and so the
+    points of `presets.varadhan_grid(k)` and `presets.exit_grid(k)`."""
+    return [start * factor**j for j in range(count)]
+
+
+def norm_on_constants(op) -> float:
+    """|multiplier| of a `TiltedOperator` at the zero mode: its norm on the
+    constant functions."""
+    zero = np.all(op.symbol.grid.points == 0, axis=1)
+    return float(np.abs(op.multiplier[zero][0]))
+
+
+# ---------------------------------------------------------------------------
 # the lattice sum, one mode at a time
 
 

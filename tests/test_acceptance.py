@@ -48,7 +48,7 @@ from nmhl.presets import (
     IBP_RESOLUTION,
     IBP_TIME,
     duhamel_pair,
-    exit_epsilons,
+    exit_grid,
     exponent_symbol,
 )
 from nmhl.spectral import auto_cutoff
@@ -195,9 +195,10 @@ def test_07_quartic_extrapolated_limit_reaches_the_rate():
 
 
 def test_08_exit_time_constant_positive_and_gaussian_calibrated():
-    f1 = exit_bound_check(power_symbol(1, 0.1), 1, 0.5, 0.1, exit_epsilons(1))
+    f1 = exit_bound_check(power_symbol(1, 0.1), 1, 0.5, 0.1,
+                          oracles.geometric_grid(*exit_grid(1)))
     f2 = exit_bound_check(power_symbol(2, 0.1 * 0.02**3), 2, 0.5, 0.1,
-                          exit_epsilons(2))
+                          oracles.geometric_grid(*exit_grid(2)))
     gauss_dev = abs(f1.ratio - 1.0)
     ok = (f1.fit_c > 0.0 and f2.fit_c > 0.0
           and f1.r_squared >= 0.99 and f2.r_squared >= 0.99
@@ -221,7 +222,7 @@ def test_08_quartic_exit_constant_matches_chernoff():
     """
     delta, s = 0.5, 0.1
     fit = exit_bound_check(power_symbol(2, 0.1 * 0.02**3), 2, delta, s,
-                           exit_epsilons(2))
+                           oracles.geometric_grid(*exit_grid(2)))
     sharp_c = -oracles.chernoff_exponent(2, delta, s)[1] * oracles.saddle_factor(2)
     dev = abs(fit.fit_c / sharp_c - 1.0)
     check("08", dev <= 0.20,

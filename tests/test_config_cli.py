@@ -34,7 +34,6 @@ from nmhl.presets import (
     LEVY_SUPPORT,
     LEVY_TOL,
     VARIANT_TABLE,
-    exit_epsilons,
     exit_grid,
     varadhan_grid,
 )
@@ -340,11 +339,15 @@ def test_cli_rejects_a_nan_endpoint_quickly(tmp_path):
 def test_exit_default_grid_matches_the_preset_for_every_k(tmp_path):
     text = ("[operator]\nvariant = pure_power\nk = {k}\n\n"
             "[experiment]\nkind = exit\n")
-    for k in (1, 2, 3):
+    # (start, stop, count) of each k's geometric eps window
+    windows = {1: (0.25, 0.05, 6), 2: (0.2, 0.02, 10), 3: (0.2, 0.02, 10)}
+    for k, (start, stop, count) in windows.items():
         params = parse_config(text.format(k=k)).experiment.params
         eps = [params["eps_start"] * params["eps_factor"] ** j
                for j in range(params["eps_count"])]
-        assert eps == pytest.approx(exit_epsilons(k), rel=1e-12)
+        ratio = (stop / start) ** (1 / (count - 1))
+        assert eps == pytest.approx([start * ratio**j for j in range(count)],
+                                    rel=1e-12)
     # k=2 with every default once raised FitUnstable (R^2 = 0.9737 on 6 points)
     summary = run(parse_config(text.format(k=2)), out_dir=str(tmp_path / "k2"))
     assert summary.measured["r_squared"] >= 0.99
@@ -427,6 +430,30 @@ def test_one_dimensional_variants_refuse_d2_at_parse_time(operator):
     with pytest.raises(ValidationError,
                        match=rf"^{variant} runs on grid.d = 1 only \(got 2\)$"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ["rate", "varadhan", "exit"])
+@pytest.mark.parametrize("operator", [
+    "variant = pure_power\nk = 1",
+    "variant = quadratic_form\nk = 1",
+    "variant = fractional\nk = 1\nalpha_frac = 0.5",
+])
+def test_the_hamiltonian_kinds_refuse_d2_at_parse_time(operator, kind, tmp_path,
+                                                       capsys):
+    # these once parsed, then exited 2 at run time: rate and varadhan with
+    # "the real-phase Hamiltonian is one-dimensional", exit with "spec
+    # dimension 2 != grid dimension 1"
+    variant = operator.split("\n")[0].split(" = ")[1]
+    text = (f"[operator]\n{operator}\n\n[grid]\nd = 2\n\n"
+            f"[experiment]\nkind = {kind}\n")
+    message = f"{variant} runs {kind} experiments on grid.d = 1 only (got 2)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    code = main([kind, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{kind}: ValidationError: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 PERTURBED = "[operator]\nvariant = perturbed\nk = 2\nq = 2:0.1\n\n[experiment]\n"
@@ -534,6 +561,26 @@ def test_failed_runs_remove_partial_outputs(tmp_path, monkeypatch):
 
     monkeypatch.setattr("nmhl.runner._ibp_columns", boom)
     text = ("[operator]\nvariant = pure_power\nk = 2\n\n"
+            "[experiment]\nkind = report\n")
+    with pytest.raises(NmhlError, match="injected"):
+        run(parse_config(text), out_dir=str(tmp_path))
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_a_report_row_that_raises_leaves_no_csv(tmp_path, monkeypatch):
+    from nmhl import runner
+    from nmhl.errors import NmhlError
+
+    def boom(config, ctx):
+        # the kernel, ibp, rate and varadhan_k1 rows are on disk by now
+        names = {os.path.basename(p) for p in ctx["written"]}
+        assert {"report_kernel.csv", "report_kernel_symbol.csv", "report_ibp.csv",
+                "report_rate.csv", "report_varadhan_k1.csv"} <= names
+        assert all(os.path.exists(p) for p in ctx["written"])
+        raise NmhlError("injected failure")
+
+    monkeypatch.setitem(runner._HANDLERS, "exit", boom)
+    text = ("[operator]\nvariant = pure_power\nk = 1\n\n"
             "[experiment]\nkind = report\n")
     with pytest.raises(NmhlError, match="injected"):
         run(parse_config(text), out_dir=str(tmp_path))

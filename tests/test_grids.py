@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nmhl import TWO_PI, FrequencyGrid, spatial_grid, trapezoid_mass, wrap_angle
+from nmhl import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
 from nmhl.errors import ValidationError
 
 
@@ -47,13 +47,6 @@ def test_spatial_grid_layout():
     xy = spatial_grid(8, 2)
     assert xy.shape == (8, 8, 2)
     assert xy[3, 5, 0] == x[3] and xy[3, 5, 1] == x[5]
-
-
-def test_trapezoid_mass_on_constant():
-    vals = np.full(64, 1.0 / TWO_PI)
-    assert trapezoid_mass(vals) == pytest.approx(1.0)
-    vals2 = np.full((16, 16), 1.0 / TWO_PI**2)
-    assert trapezoid_mass(vals2, d=2) == pytest.approx(1.0)
 
 
 @given(st.floats(-1e6, 1e6))

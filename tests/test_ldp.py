@@ -28,7 +28,6 @@ from nmhl import (
     legendre,
     maslov_scaled_symbol,
     rate_function,
-    scaling_identity_check,
     straight_path,
 )
 from nmhl.errors import OptimizerStalled, SupUnbounded, ValidationError
@@ -447,7 +446,3 @@ def test_scaling_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         maslov_scaled_symbol(bare, 1, 0.5)
 
-
-def test_time_absorbs_into_the_symbol():
-    sym = build_symbol(PurePower(k=2), FrequencyGrid(1, 16))
-    assert scaling_identity_check(sym, 0.37) < 1e-15

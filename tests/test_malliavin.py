@@ -24,7 +24,6 @@ from nmhl import (
     exponent_fit,
     gauge_conjugate,
     ibp_check,
-    malliavin_covariance,
     spatial_grid,
 )
 from nmhl.presets import (
@@ -106,7 +105,6 @@ def test_every_time_taking_front_end_refuses_a_non_finite_time(t):
             lambda: elementary_ibp_check(base, 0, lambda s: 1.0, h, t),
         "bounded_moment_check":
             lambda: bounded_moment_check(op, np.ones(256), t, resolution=256),
-        "malliavin_covariance": lambda: malliavin_covariance([[1.0]], t),
     }
     for name, call in calls.items():
         with pytest.raises(ValidationError, match="finite"):
@@ -310,39 +308,6 @@ def test_bounded_moment_requires_single_auxiliary():
     op = AugmentedOperator(base=_base(cutoff=8), n=2, alpha_frac=0.5)
     with pytest.raises(ValidationError):
         bounded_moment_check(op, np.ones(256), 0.5, resolution=256)
-
-
-# ---------------------------------------------------------------------------
-# covariance matrix
-
-
-def test_covariance_eigenvalues_for_spanning_fields():
-    cov = malliavin_covariance([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], t=0.25)
-    # v = t [[2, 1], [1, 2]] has eigenvalues t and 3t
-    assert cov.condition_satisfied
-    assert cov.min_eigenvalue == pytest.approx(0.25, rel=1e-12)
-    assert np.allclose(cov.matrix, 0.25 * np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert cov.inverse_moment(1) == pytest.approx(4.0, rel=1e-12)
-    assert cov.inverse_moment(4) == pytest.approx(256.0, rel=1e-12)
-
-
-def test_covariance_detects_degenerate_span():
-    cov = malliavin_covariance([[1.0, 1.0]], t=1.0)
-    assert not cov.condition_satisfied
-    with pytest.raises(ValidationError):
-        cov.inverse_moment(1)
-
-
-def test_covariance_validates_inputs():
-    with pytest.raises(ValidationError):
-        malliavin_covariance([], t=1.0)
-    with pytest.raises(ValidationError):
-        malliavin_covariance([[1.0, 0.0]], t=0.0)
-    with pytest.raises(ValidationError):
-        malliavin_covariance([[1.0, 0.0], [1.0]], t=1.0)
-    cov = malliavin_covariance([[2.0]], t=1.0)
-    with pytest.raises(ValidationError):
-        cov.inverse_moment(5)
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,19 @@ QUADRATIC_2D_SHA256 = {
 }
 REPORT_FAST = ("[operator]\nvariant = pure_power\nk = 1\n\n"
                "[experiment]\nkind = report\nfast = true\n")
+# the component CSVs carry the hashes of their single-kind runs (the kernel
+# row's of survey/kernel_k2, ibp's of survey/ibp_analytic, varadhan_k1's of
+# paths/varadhan_k1, exit_k1's of survey/exit_k1); report.csv was retaken
+# when the exit rows moved onto the exit kind's start * factor**j grid
 REPORT_FAST_SHA256 = {
-    "report.csv": "f780c37d51c5eac6c27a1383af691eafc7c13be08a20f5209630f429a43a9540",
-    "report_exit_k1.csv": "5f120274eccd2662b6f34ae5a85063f2adb4d7c0ba71afd47a3925602d67459c",
-    "report_ibp.csv": "2f59f624eb1b4ce74084e2cbf4b35eb7b6a7cea44245fe94611f02fb1964b663",
-    "report_kernel.csv": "2628433f94e03d239b4e8fd240a7cea18a79fce37f938288c7c0da2859ee0daf",
+    "report.csv": "f83f09d726153274432479266063818e72dddcd384df7f2052aad05e9b767f25",
+    "report_exit_k1.csv": "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88",
+    "report_ibp.csv": "09e604e214c910f6800362de74cdd4fdea41bc014ad649c31a8b52528c6af441",
+    "report_kernel.csv": "db30aac53a57229996a0c30d05f3be22790654460a4b16543eb09fb0597c95cb",
+    "report_kernel_symbol.csv": "c5773e89bcc85c9bb23c14f1d2c4765f678d40b4a291de827a3b51faa6714454",
     "report_rate.csv": "adf0b6f87b045f7669d5e9687b858000a1bd6fe173febad9fa51a49ee7520f4a",
     "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
-    "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
+    "report_varadhan_k1.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
 }
 
 VARADHAN_K1 = ("[operator]\nvariant = pure_power\nk = 1\n\n"
@@ -171,28 +176,21 @@ PRESET_SHA256 = {
     "paths/rate_k2_perturbed": {
         "rate.csv": "c9d9837868bc4289fba057898ff023ecc4751cff4da42c1aa8694f9f360f9d50",
     },
-    "paths/report_fast": {
-        "report.csv": "f780c37d51c5eac6c27a1383af691eafc7c13be08a20f5209630f429a43a9540",
-        "report_exit_k1.csv": "5f120274eccd2662b6f34ae5a85063f2adb4d7c0ba71afd47a3925602d67459c",
-        "report_ibp.csv": "2f59f624eb1b4ce74084e2cbf4b35eb7b6a7cea44245fe94611f02fb1964b663",
-        "report_kernel.csv": "2628433f94e03d239b4e8fd240a7cea18a79fce37f938288c7c0da2859ee0daf",
-        "report_rate.csv": "adf0b6f87b045f7669d5e9687b858000a1bd6fe173febad9fa51a49ee7520f4a",
-        "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
-        "report_varadhan_k1.csv": "db2cbca808c09e5f1985ba23311a851c6a9bfb966383be6635685f768572c37d",
-    },
+    "paths/report_fast": REPORT_FAST_SHA256,
     "paths/varadhan_k1": {
         "varadhan.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
     },
     "report_full": {
-        "report.csv": "d8b7640c0ec2faf1d6a6086727ab281700a4da03c9daf5a08fa72cc87e8cb35c",
-        "report_exit_k1.csv": "48180817ac5564e5c7c764a9f724642c5844967d94f43c9cf84f5e1277077d5c",
-        "report_exit_k2.csv": "f63b4e82937415a7ac515b05554e59d74edb9fd55cd6c36f91fb187c48d79c38",
-        "report_ibp.csv": "186183878b881ed41767654b201667fec33518019b70854c8570c1654221885c",
-        "report_kernel.csv": "3bc186e593a4801ca1988b206c09e5d88b49052b169e8ede03a26052859677d0",
+        "report.csv": "76d581b3f5f02961ade8111215c89c4be7f01257d2db90237f6cc3e1b0672873",
+        "report_exit_k1.csv": "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88",
+        "report_exit_k2.csv": "9b9ce04cc75eec9aa198d0a9a44ab351f0de40a78082c7dc5c7ed71c28b182fe",
+        "report_ibp.csv": "09e604e214c910f6800362de74cdd4fdea41bc014ad649c31a8b52528c6af441",
+        "report_kernel.csv": "db30aac53a57229996a0c30d05f3be22790654460a4b16543eb09fb0597c95cb",
+        "report_kernel_symbol.csv": "c5773e89bcc85c9bb23c14f1d2c4765f678d40b4a291de827a3b51faa6714454",
         "report_rate.csv": "5268cbd01fde95f088b1d55c92d087946c495efd9e0477f1dd0ec9822f8d4be9",
         "report_tilted.csv": "f3937eb5034e45c7e2ce5a0bd93faba4f2092c95033edf0257c8f86bf6a6a420",
-        "report_varadhan_k1.csv": "d18e37d596f82303901dde921f3d47635b8bfebed6c35e81decaa14083d2b80d",
-        "report_varadhan_k2.csv": "efbed1dfc6fd914154279e9c06bc93d3cdcdb93d4fcbce780797dca6f8039888",
+        "report_varadhan_k1.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
+        "report_varadhan_k2.csv": "e333d5ba47964bcb94b97f182ed953892572bb43dafb96655704b20418884c43",
     },
     "survey/exit_k1": {
         "exit.csv": "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88",
@@ -263,3 +261,38 @@ def test_preset_csvs_keep_their_bytes(name, tmp_path):
     text = (REPORT_FULL if name == "report_full"
             else (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8"))
     assert csv_hashes(text, tmp_path) == PRESET_SHA256[name]
+
+
+#: report component CSV -> (pure_power k, [experiment] body, CSV) of the
+#: single-kind run whose bytes it has
+REPORT_ROW_RUNS = {
+    "report_kernel.csv": (2, "kind = kernel\nt = 0.01\n", "kernel.csv"),
+    "report_kernel_symbol.csv": (2, "kind = kernel\nt = 0.01\n", "symbol.csv"),
+    "report_ibp.csv": (1, "kind = ibp\n", "ibp.csv"),
+    "report_varadhan_k1.csv": (1, "kind = varadhan\n", "varadhan.csv"),
+    "report_exit_k1.csv": (1, "kind = exit\n", "exit.csv"),
+    "report_varadhan_k2.csv": (2, "kind = varadhan\n", "varadhan.csv"),
+    "report_exit_k2.csv": (2, "kind = exit\n", "exit.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def report_dirs(tmp_path_factory):
+    """fast -> the output directory of that report, each run once."""
+    dirs = {}
+    for fast, text in ((True, REPORT_FAST), (False, REPORT_FULL)):
+        dirs[fast] = tmp_path_factory.mktemp(f"report_fast_{fast}")
+        run(parse_config(text), out_dir=str(dirs[fast]))
+    return dirs
+
+
+@pytest.mark.parametrize("fast, name", [
+    (fast, name) for fast in (True, False) for name in REPORT_ROW_RUNS
+    if not (fast and name.endswith("_k2.csv"))
+])
+def test_report_rows_have_the_bytes_of_their_single_kind_runs(
+        report_dirs, fast, name, tmp_path):
+    k, experiment, csv = REPORT_ROW_RUNS[name]
+    run(parse_config(f"[operator]\nvariant = pure_power\nk = {k}\n\n"
+                     f"[experiment]\n{experiment}"), out_dir=str(tmp_path))
+    assert (report_dirs[fast] / name).read_bytes() == (tmp_path / csv).read_bytes()

@@ -14,12 +14,9 @@ from nmhl import (
     Rescaled,
     auto_cutoff,
     build_symbol,
-    ellipticity_constants,
-    growth_check,
     levy_hamiltonian,
     levy_symbol,
     multi_indices,
-    symbol_value,
 )
 from nmhl.errors import (
     BranchCut,
@@ -143,10 +140,10 @@ def test_rescaled_composes_prefactor_and_frequency_scale():
     np.testing.assert_allclose(sym.values.real, 3.0 * (0.5 * xi) ** 2)
 
 
-def test_symbol_value_accepts_complex_argument():
+def test_operator_value_accepts_complex_argument():
     z = 1.0 + 1.0j
-    assert symbol_value(PurePower(k=2), z) == pytest.approx(z**4)
-    assert symbol_value(Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.1}), z) \
+    assert PurePower(k=2).value(z) == pytest.approx(z**4)
+    assert Perturbed(base=PurePower(k=2), q_coeffs={(2,): 0.1}).value(z) \
         == pytest.approx(z**4 - 0.1 * z**2)
 
 
@@ -181,20 +178,6 @@ def test_levy_parameter_ranges():
         Levy(l=1, alpha_levy=0.25, density=flat_density())
 
 
-def test_ellipticity_constant_exact_for_pure_power():
-    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 8))
-    c, m_prime, ok = ellipticity_constants(sym)
-    assert ok
-    assert m_prime == pytest.approx(2.0)
-    assert c == pytest.approx(1.0)
-
-
-def test_growth_constant_bounded_for_pure_power():
-    ok, c_fit = growth_check(build_symbol(PurePower(k=3), FrequencyGrid(1, 16)))
-    assert ok
-    assert 0.0 < c_fit <= 1.0
-
-
 @pytest.mark.parametrize("spec,t", [
     (PurePower(k=1), 0.05),
     (PurePower(k=2), 0.01),
@@ -202,19 +185,10 @@ def test_growth_constant_bounded_for_pure_power():
 ])
 def test_auto_cutoff_is_the_smallest_admissible(spec, t):
     n = auto_cutoff(spec, t)
-    damp_at = lambda m: float(np.exp(-t * symbol_value(spec, float(m)).real))
+    damp_at = lambda m: float(np.exp(-t * spec.value(float(m)).real))
     assert damp_at(n) < 1e-16
     if n > 4:
         assert damp_at(n - 1) >= 1e-16
-
-
-def test_symbol_scaled_multiplies_values():
-    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 4))
-    doubled = sym.scaled(2.0)
-    np.testing.assert_allclose(doubled.values, 2.0 * sym.values)
-    assert doubled.at(3.0) == pytest.approx(18.0)
-    with pytest.raises(ValidationError):
-        sym.scaled(-1.0)
 
 
 # ---------------------------------------------------------------------------
