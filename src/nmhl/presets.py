@@ -178,7 +178,6 @@ def duhamel_pair():
         grid=grid,
         values=full.values - base.values,
         order=2,
-        ellipticity_order=0,
         spec=None,
     )
     return base, q_sym, full

@@ -114,11 +114,14 @@ def _base_meta(config: RunConfig) -> dict:
 
 def _emit(ctx: dict, name: str, columns: dict, **grid_used):
     """Write one CSV of the run, as the file the context's `rename` gives
-    `name`, under its metadata plus `grid.<key>` for each grid setting the
-    run chose, and record it for cleanup."""
+    `name` (none if it gives None), under its metadata plus `grid.<key>` for
+    each grid setting the run chose, and record it for cleanup."""
+    name = ctx["rename"](name)
+    if name is None:
+        return
     meta = dict(ctx["meta"])
     meta.update((f"grid.{key}", value) for key, value in grid_used.items())
-    path = os.path.join(ctx["outdir"], ctx["rename"](name))
+    path = os.path.join(ctx["outdir"], name)
     _write_csv(path, meta, columns, ctx["precision"])
     ctx["written"].append(path)
 
@@ -267,33 +270,17 @@ def _run_exit(config: RunConfig, ctx: dict) -> tuple:
     }
 
 
-def _tilted_columns() -> dict:
-    """`tilted_bound_check` on each preset (k, xi_tilt, s), as a table."""
-    bounds = []
-    for k, tilt, s in TILT_PRESETS:
-        spec = PurePower(k=k)
-        sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, s)))
-        bounds.append(tilted_bound_check(sym, k, tilt, s))
-    k_col, tilt_col, s_col = zip(*TILT_PRESETS)
-    return {"k": k_col, "xi_tilt": tilt_col, "s": s_col,
-            "measured": [b.measured for b in bounds],
-            "predicted": [b.predicted for b in bounds],
-            "bound": [b.bound for b in bounds],
-            "pass": [b.passed for b in bounds]}
-
-
 def _run_row(config: RunConfig, ctx: dict, row: str, k: int, metric: str,
              **experiment) -> tuple:
     """One report row: the handler of `experiment["kind"]` run on a
     `pure_power` k with the `experiment` keys and the report's [output].  It
-    writes `<kind>.csv` as report_<row>.csv and any other file <name> as
-    report_<row>_<name>.  Gives (row, metric, measured[metric], passed)."""
+    writes `<kind>.csv` as report_<row>.csv and no other file.  Gives
+    (row, metric, measured[metric], passed)."""
     kind = experiment["kind"]
     row_config = _from_mapping({"operator": {"variant": "pure_power", "k": k},
                                 "experiment": experiment,
                                 "output": _to_mapping(config)["output"]})
-    rename = lambda name: (f"report_{row}.csv" if name == f"{kind}.csv"
-                           else f"report_{row}_{name}")
+    rename = lambda name: f"report_{row}.csv" if name == f"{kind}.csv" else None
     passed, measured = _HANDLERS[kind](
         row_config, dict(ctx, meta=_base_meta(row_config), rename=rename))
     return row, metric, measured[metric], passed
@@ -307,7 +294,8 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
     change (min < 0), not by the kind's mass rule.  rate (both preset
     endpoints in one table) and tilted (no kind) are report-only rows.
     fast=false adds the k=2 varadhan and exit rows, whose clauses fail
-    because their Legendre and Chernoff targets are not sharp for k >= 2."""
+    because their Legendre and Chernoff targets are not sharp for k >= 2.
+    The tilted row still builds its own symbols."""
     row, metric, p_min, _ = _run_row(config, ctx, "kernel", 2, "min_value",
                                      kind="kernel", t=0.01)
     entries = [  # (row, metric, value, passed)
@@ -326,9 +314,20 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
                                 kind="varadhan"))
         entries.append(_run_row(config, ctx, f"exit_k{k}", k, "fit_c", kind="exit"))
 
-    columns = _tilted_columns()
-    _emit(ctx, "report_tilted.csv", columns)
-    entries.append(("tilted", "presets", len(columns["pass"]), all(columns["pass"])))
+    bounds = []
+    for k, tilt, s in TILT_PRESETS:
+        spec = PurePower(k=k)
+        sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, s)))
+        bounds.append(tilted_bound_check(sym, k, tilt, s))
+    k_col, tilt_col, s_col = zip(*TILT_PRESETS)
+    _emit(ctx, "report_tilted.csv", {
+        "k": k_col, "xi_tilt": tilt_col, "s": s_col,
+        "measured": [b.measured for b in bounds],
+        "predicted": [b.predicted for b in bounds],
+        "bound": [b.bound for b in bounds],
+        "pass": [b.passed for b in bounds]})
+    entries.append(("tilted", "presets", len(bounds),
+                    all(b.passed for b in bounds)))
 
     rows, metrics, values, oks = zip(*entries)
     _emit(ctx, "report.csv", {

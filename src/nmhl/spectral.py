@@ -92,10 +92,6 @@ class OperatorSpec:
     def order(self) -> float:
         raise NotImplementedError
 
-    @property
-    def ellipticity_order(self) -> float:
-        return self.order
-
     def value(self, z):
         """The symbol at arbitrary (real or complex) frequencies.
 
@@ -266,11 +262,6 @@ class Levy(OperatorSpec):
     def order(self) -> float:
         return 2 * self.l + 1 + self.alpha_levy
 
-    @property
-    def ellipticity_order(self) -> float:
-        # the compensated integral grows like xi^(2l) on the lattice
-        return 2 * self.l
-
     def _at(self, zz):
         return np.asarray(levy_symbol(self.density, self.l, self.alpha_levy, zz[..., 0]))
 
@@ -293,7 +284,7 @@ class Levy(OperatorSpec):
 
 
 class _Wrapper(OperatorSpec):
-    """A variant built on a `base` spec, whose dimension and orders it keeps
+    """A variant built on a `base` spec, whose dimension and order it keeps
     unless it overrides them."""
 
     @property
@@ -303,10 +294,6 @@ class _Wrapper(OperatorSpec):
     @property
     def order(self) -> float:
         return self.base.order
-
-    @property
-    def ellipticity_order(self) -> float:
-        return self.base.ellipticity_order
 
 
 @dataclass(frozen=True)
@@ -325,10 +312,6 @@ class FractionalPower(_Wrapper):
     @property
     def order(self) -> float:
         return self.alpha_frac * self.base.order
-
-    @property
-    def ellipticity_order(self) -> float:
-        return self.alpha_frac * self.base.ellipticity_order
 
     def _at(self, zz):
         return _principal_power(self.base._at(zz), self.alpha_frac)
@@ -602,7 +585,6 @@ class Symbol:
     grid: FrequencyGrid
     values: np.ndarray
     order: float
-    ellipticity_order: float
     spec: OperatorSpec | None = None
 
     def at(self, z):
@@ -635,7 +617,6 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
         grid=grid,
         values=values,
         order=spec.order,
-        ellipticity_order=spec.ellipticity_order,
         spec=spec,
     )
 

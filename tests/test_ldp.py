@@ -440,8 +440,7 @@ def test_scaling_rejects_bad_arguments():
     from nmhl import Symbol
 
     bare = Symbol(
-        grid=sym.grid, values=sym.values.copy(), order=2.0, ellipticity_order=2.0,
-        spec=None,
+        grid=sym.grid, values=sym.values.copy(), order=2.0, spec=None,
     )
     with pytest.raises(ValidationError):
         maslov_scaled_symbol(bare, 1, 0.5)

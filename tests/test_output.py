@@ -113,7 +113,6 @@ REPORT_FAST_SHA256 = {
     "report_exit_k1.csv": "d16a33ffd82bbb9bf63603c18cc9fc4bed5bc376b67c3e9e90e0402ffd9efa88",
     "report_ibp.csv": "09e604e214c910f6800362de74cdd4fdea41bc014ad649c31a8b52528c6af441",
     "report_kernel.csv": "db30aac53a57229996a0c30d05f3be22790654460a4b16543eb09fb0597c95cb",
-    "report_kernel_symbol.csv": "c5773e89bcc85c9bb23c14f1d2c4765f678d40b4a291de827a3b51faa6714454",
     "report_rate.csv": "adf0b6f87b045f7669d5e9687b858000a1bd6fe173febad9fa51a49ee7520f4a",
     "report_tilted.csv": "03634339ee4cace8b74dda0cba63a74f7e6f899d1b6286b3d74c84772b174971",
     "report_varadhan_k1.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
@@ -186,7 +185,6 @@ PRESET_SHA256 = {
         "report_exit_k2.csv": "9b9ce04cc75eec9aa198d0a9a44ab351f0de40a78082c7dc5c7ed71c28b182fe",
         "report_ibp.csv": "09e604e214c910f6800362de74cdd4fdea41bc014ad649c31a8b52528c6af441",
         "report_kernel.csv": "db30aac53a57229996a0c30d05f3be22790654460a4b16543eb09fb0597c95cb",
-        "report_kernel_symbol.csv": "c5773e89bcc85c9bb23c14f1d2c4765f678d40b4a291de827a3b51faa6714454",
         "report_rate.csv": "5268cbd01fde95f088b1d55c92d087946c495efd9e0477f1dd0ec9822f8d4be9",
         "report_tilted.csv": "f3937eb5034e45c7e2ce5a0bd93faba4f2092c95033edf0257c8f86bf6a6a420",
         "report_varadhan_k1.csv": "74a0220808c8a781803a3d713be8b9f289c0d9866a8016e29c0e788aad3021ab",
@@ -267,7 +265,6 @@ def test_preset_csvs_keep_their_bytes(name, tmp_path):
 #: single-kind run whose bytes it has
 REPORT_ROW_RUNS = {
     "report_kernel.csv": (2, "kind = kernel\nt = 0.01\n", "kernel.csv"),
-    "report_kernel_symbol.csv": (2, "kind = kernel\nt = 0.01\n", "symbol.csv"),
     "report_ibp.csv": (1, "kind = ibp\n", "ibp.csv"),
     "report_varadhan_k1.csv": (1, "kind = varadhan\n", "varadhan.csv"),
     "report_exit_k1.csv": (1, "kind = exit\n", "exit.csv"),

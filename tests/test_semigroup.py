@@ -167,11 +167,10 @@ def test_symmetry_check_judges_the_tabulated_values():
     grid = FrequencyGrid(1, 16)
     xi = grid.points[:, 0].astype(float)
     uneven = Symbol(grid=grid, values=xi**2 + 0.5 * xi + 0j, order=2,
-                    ellipticity_order=2, spec=None)
+                    spec=None)
     with pytest.raises(ValidationError, match="real even"):
         kernel_symmetry_check(uneven, 0.5)
-    even = Symbol(grid=grid, values=xi**2 + 0j, order=2, ellipticity_order=2,
-                  spec=None)
+    even = Symbol(grid=grid, values=xi**2 + 0j, order=2, spec=None)
     assert kernel_symmetry_check(even, 0.5) < 1e-12
 
 
@@ -208,8 +207,7 @@ def test_non_hermitian_multiplier_rejected():
     xi = grid.points[:, 0].astype(float)
     values = xi**2 + 0.0j                   # dissipative, passes truncation
     values[grid.points[:, 0] == 1] += 1.0j  # breaks a(-xi) == conj(a(xi))
-    sym = Symbol(grid=grid, values=values, order=2, ellipticity_order=2,
-                 spec=None)
+    sym = Symbol(grid=grid, values=values, order=2, spec=None)
     with pytest.raises(ComplexResidue):
         heat_kernel(sym, 2.5, resolution=64)
 
@@ -230,7 +228,7 @@ def test_duhamel_flags_nondecreasing_tail():
     base = build_symbol(PurePower(k=2), grid)
     q_vals = 3.0 * grid.points[:, 0].astype(float) ** 2
     q_sym = Symbol(grid=grid, values=q_vals.astype(complex), order=2,
-                   ellipticity_order=0, spec=None)
+                   spec=None)
     with pytest.raises(SeriesDiverged):
         duhamel_series(base, q_sym, 1.0, l_max=4)
 

@@ -168,7 +168,6 @@ def test_levy_lattice_symbol_is_dissipative_and_even():
     assert np.all(sym.values.imag == 0) and np.all(sym.values == sym.values[neg])
     assert sym.lattice_min_real() >= 0.0
     assert sym.order == pytest.approx(2.5)
-    assert sym.ellipticity_order == pytest.approx(2.0)
 
 
 def test_levy_parameter_ranges():
