@@ -99,7 +99,6 @@ from .spectral import (
 )
 from .varadhan import (
     ExitBoundFit,
-    LocalizedCurve,
     ScalingCurve,
     TiltedBound,
     chernoff_extremize,

@@ -25,7 +25,6 @@ from .presets import (
     IBP_TIME,
     LEVY_SUPPORT,
     LEVY_TOL,
-    LINE_KINDS,
     VARIANT_TABLE,
     exit_grid,
     varadhan_grid,
@@ -352,6 +351,11 @@ _KINDS = {
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
+#: experiment kind -> the [grid] keys besides d that it reads (a kind not
+#: named reads none); only kernel runs on grid.d = 2
+_GRID_READS = {"kernel": ("cutoff", "resolution"), "varadhan": ("cutoff",),
+               "exit": ("cutoff",)}
+
 
 # ---------------------------------------------------------------------------
 # section builders
@@ -387,7 +391,8 @@ def _build_operator(body: dict) -> OperatorConfig:
     return cfg
 
 
-def _build_experiment(body: dict, operator: OperatorConfig, d: int) -> ExperimentConfig:
+def _build_experiment(body: dict, operator: OperatorConfig,
+                      grid: GridConfig) -> ExperimentConfig:
     if "kind" not in body:
         raise ValidationError("experiment.kind is required")
     kind = str(body["kind"]).strip()
@@ -398,8 +403,11 @@ def _build_experiment(body: dict, operator: OperatorConfig, d: int) -> Experimen
     kinds = VARIANT_TABLE[operator.variant].kinds
     _require(kind in kinds, f"{operator.variant} does not run {kind} experiments "
              f"(it runs {', '.join(kinds)})")
-    _require(d == 1 or kind not in LINE_KINDS,
-             f"{operator.variant} runs {kind} experiments on grid.d = 1 only (got {d})")
+    _require(grid.d == 1 or kind == "kernel", f"{operator.variant} runs {kind} "
+             f"experiments on grid.d = 1 only (got {grid.d})")
+    for key in ("cutoff", "resolution"):
+        _require(getattr(grid, key) is None or key in _GRID_READS.get(kind, ()),
+                 f"{kind} does not read grid.{key}")
     defaults = _KINDS[kind]
     keys = [key for key in body if key != "kind"]
     _check_keys("experiment", keys, defaults)
@@ -428,7 +436,7 @@ def _from_mapping(raw: dict) -> RunConfig:
              f"{' or '.join(map(str, dims))} only (got {grid.d})")
     if operator.a_matrix is not None:
         check_form_shape(operator.a_matrix, grid.d, operator.k)
-    experiment = _build_experiment(dict(raw["experiment"]), operator, grid.d)
+    experiment = _build_experiment(dict(raw["experiment"]), operator, grid)
     output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,
                      experiment=experiment, output=output)

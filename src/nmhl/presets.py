@@ -66,9 +66,6 @@ class Variant(NamedTuple):
 
 #: every experiment kind; `ibp` and `report` run on presets of their own
 ALL_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
-#: the kinds that take their targets from the real-phase Hamiltonian, which
-#: is one-dimensional: they run on grid.d = 1 only
-LINE_KINDS = ("rate", "varadhan", "exit")
 
 #: CLI variant name -> its row.  Config-level q exponents are bare ints, so
 #: `perturbed` is one-dimensional; so is the jump density of `levy`.

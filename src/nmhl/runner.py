@@ -39,9 +39,6 @@ from .varadhan import exit_bound_check, tilted_bound_check, varadhan_curve
 MASS_TOL = 1e-8
 IBP_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
-EXIT_R2_MIN = 0.99
-EXIT_RATIO_TOL = {1: 0.15}      # any other k: 0.20
-_EXIT_RATIO_DEFAULT = 0.20
 
 
 @dataclass
@@ -253,16 +250,13 @@ def _run_varadhan(config: RunConfig, ctx: dict) -> tuple:
 
 def _run_exit(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
-    k = params["k"]
     eps_list = [params["eps_start"] * params["eps_factor"] ** j
                 for j in range(params["eps_count"])]
     symbol, _ = _symbol_of(config, params["s"])
-    fit = exit_bound_check(symbol, k, params["delta"], params["s"], eps_list)
+    fit = exit_bound_check(symbol, params["k"], params["delta"], params["s"],
+                           eps_list)
     _emit(ctx, "exit.csv", fit.columns(), cutoff_used=symbol.grid.cutoff)
-    # a clean fit whose constant is within the k-dependent tolerance of the
-    # Chernoff target
-    tol = EXIT_RATIO_TOL.get(k, _EXIT_RATIO_DEFAULT)
-    return fit.r_squared >= EXIT_R2_MIN and abs(fit.ratio - 1.0) <= tol, {
+    return fit.passed, {
         "fit_c": fit.fit_c,
         "chernoff_c": fit.chernoff_c,
         "ratio": fit.ratio,

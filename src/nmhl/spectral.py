@@ -383,8 +383,8 @@ class Perturbed(_Wrapper):
 
 @dataclass(frozen=True)
 class Rescaled(_Wrapper):
-    """prefactor * a_base(freq_scale * xi) — scaling plumbing shared by
-    small-parameter normalizations and the t*L time identity."""
+    """prefactor * a_base(freq_scale * xi): the eps-scaled symbol of the
+    Maslov normalization (`ldp.maslov_scaled_symbol`)."""
 
     base: OperatorSpec
     prefactor: float = 1.0

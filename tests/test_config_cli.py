@@ -20,6 +20,7 @@ from nmhl import (
     ParseError,
     ValidationError,
     apply_overrides,
+    exit_bound_check,
     parse_config,
     run,
     serialize_config,
@@ -37,7 +38,7 @@ from nmhl.presets import (
     exit_grid,
     varadhan_grid,
 )
-from nmhl.runner import _base_meta
+from nmhl.runner import _base_meta, _symbol_of
 
 KERNEL_TEXT = """\
 [operator]
@@ -432,17 +433,18 @@ def test_one_dimensional_variants_refuse_d2_at_parse_time(operator):
         parse_config(text)
 
 
-@pytest.mark.parametrize("kind", ["rate", "varadhan", "exit"])
+@pytest.mark.parametrize("kind", ["rate", "varadhan", "exit", "ibp", "report"])
 @pytest.mark.parametrize("operator", [
     "variant = pure_power\nk = 1",
     "variant = quadratic_form\nk = 1",
     "variant = fractional\nk = 1\nalpha_frac = 0.5",
 ])
-def test_the_hamiltonian_kinds_refuse_d2_at_parse_time(operator, kind, tmp_path,
-                                                       capsys):
+def test_every_kind_but_kernel_refuses_d2_at_parse_time(operator, kind,
+                                                        tmp_path, capsys):
     # these once parsed, then exited 2 at run time: rate and varadhan with
     # "the real-phase Hamiltonian is one-dimensional", exit with "spec
-    # dimension 2 != grid dimension 1"
+    # dimension 2 != grid dimension 1"; ibp and report ran their 1-D presets,
+    # exited 0 and echoed grid.d=2 into the CSV metadata
     variant = operator.split("\n")[0].split(" = ")[1]
     text = (f"[operator]\n{operator}\n\n[grid]\nd = 2\n\n"
             f"[experiment]\nkind = {kind}\n")
@@ -454,6 +456,35 @@ def test_the_hamiltonian_kinds_refuse_d2_at_parse_time(operator, kind, tmp_path,
     assert code == 2
     assert f"{kind}: ValidationError: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, grid, message", [
+    # each of these once ran and exited 0 without reading the key
+    ("rate", "cutoff = 64", "rate does not read grid.cutoff"),
+    ("rate", "resolution = 128", "rate does not read grid.resolution"),
+    ("varadhan", "resolution = 128", "varadhan does not read grid.resolution"),
+    ("exit", "resolution = 128", "exit does not read grid.resolution"),
+    ("ibp", "cutoff = 64", "ibp does not read grid.cutoff"),
+    ("report", "resolution = 128", "report does not read grid.resolution"),
+])
+def test_grid_keys_the_kind_does_not_read_are_refused(kind, grid, message,
+                                                      tmp_path, capsys):
+    text = (f"[operator]\nvariant = pure_power\nk = 1\n\n[grid]\n{grid}\n\n"
+            f"[experiment]\nkind = {kind}\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    code = main([kind, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{kind}: ValidationError: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["varadhan", "exit"])
+def test_the_curve_kinds_read_grid_cutoff(kind):
+    cfg = parse_config(f"[operator]\nvariant = pure_power\nk = 1\n\n"
+                       f"[grid]\ncutoff = 64\n\n[experiment]\nkind = {kind}\n")
+    assert cfg.grid.cutoff == 64
 
 
 PERTURBED = "[operator]\nvariant = perturbed\nk = 2\nq = 2:0.1\n\n[experiment]\n"
@@ -758,6 +789,20 @@ def test_cli_parser_built_once_leaks_no_override_into_a_later_call(
     assert later == (tmp_path / "fresh" / "exit.csv").read_bytes()
     assert later != (tmp_path / "a" / "exit.csv").read_bytes()
     assert b"# experiment.eps_count=5\n" in (tmp_path / "a" / "exit.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, code", [("exit_k1", 0), ("exit_k2", 1)])
+def test_the_exit_fit_carries_the_verdict_of_its_cli_run(name, code, tmp_path,
+                                                         capsys):
+    path = EXIT_K1.with_name(f"{name}.cfg")
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    p = cfg.experiment.params
+    eps = [p["eps_start"] * p["eps_factor"] ** j for j in range(p["eps_count"])]
+    symbol, _ = _symbol_of(cfg, p["s"])
+    fit = exit_bound_check(symbol, p["k"], p["delta"], p["s"], eps)
+    assert fit.passed is (code == 0)
+    assert main(["exit", "--config", str(path), "--out", str(tmp_path)]) == code
+    capsys.readouterr()
 
 
 def test_cli_bad_argv_leaves_the_shared_parser_usable(tmp_path, capsys):

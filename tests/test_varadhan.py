@@ -30,7 +30,7 @@ from nmhl import (
 from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.spectral import auto_cutoff
-from nmhl.varadhan import C_SLACK, _log_interval_mass
+from nmhl.varadhan import C_SLACK, ScalingCurve, _log_interval_mass
 
 
 def power_symbol(k, t_min):
@@ -445,6 +445,34 @@ def test_localized_validates_inputs():
     with pytest.raises(ValidationError):
         # bump support contains the base point: the rate target degenerates
         localized_estimate(sym, 1, 0.0, plateau_bump(0.0, 0.5, 1.0), ts)
+
+
+ESTIMATES = {
+    "varadhan_curve": lambda: varadhan_curve(
+        power_symbol(1, 0.1 * 0.5**7), 1, 0.0, 1.0, geometric(0.1, 0.5, 8)),
+    "wf_set_estimate": lambda: wf_set_estimate(
+        power_symbol(2, 0.2 * 0.5**7), 2, 0.0, (0.9, 1.1), geometric(0.2, 0.5, 8)),
+    "localized_estimate": lambda: localized_estimate(
+        power_symbol(1, 0.5 * 0.7**6), 1, 0.0, BUMP, geometric(0.5, 0.7, 7),
+        alpha_order=1),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATES)
+def test_every_small_time_estimate_is_one_curve_under_one_verdict(name):
+    curve = ESTIMATES[name]()
+    assert type(curve) is ScalingCurve
+    ts, p = curve.t, 1.0 / (2 * curve.k - 1)
+    slack = (curve.r_alpha + C_SLACK) * ts**p * np.log(1.0 / ts)
+    assert curve.slack.tolist() == slack.tolist()
+    assert curve.passed == (bool(np.all(curve.pointwise_pass))
+                            and curve.extrapolation_pass)
+    if name == "localized_estimate":
+        # judged on the pointwise clause alone
+        assert curve.r_alpha > 0.0
+        assert curve.extrapolation_pass is True
+        pointwise = curve.values <= curve.target + curve.slack + 1e-12
+        assert curve.passed == bool(np.all(pointwise))
 
 
 def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
