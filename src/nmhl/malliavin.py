@@ -233,10 +233,20 @@ def ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float = 0.0,
     w = op.weight_integral(t)
     a_alpha = _principal_power(op.base.values, op.alpha_frac)
 
+    # one aux_moment call per distinct start (by bit pattern, so -0.0 and
+    # 0.0 stay apart); nothing is kept beyond this call
+    moments = {}
+
+    def moment(start: float) -> np.ndarray:
+        key = np.float64(start).tobytes()
+        if key not in moments:
+            moments[key] = aux_moment(op, t, start=start, path=moment_path)
+        return moments[key]
+
     carried = np.ones_like(c)
     for v in starts:
-        carried = carried * aux_moment(op, t, start=v, path=moment_path)
-    new_var = aux_moment(op, t, start=0.0, path=moment_path)
+        carried = carried * moment(v)
+    new_var = moment(0.0)
     phase = np.exp(1j * xi * x)
     lhs = np.sum(coeffs * damp * carried * new_var * phase)
     rhs = w * np.sum(coeffs * a_alpha * damp * carried * phase)

@@ -4,13 +4,27 @@ operations, emit CSV tables with stable schemas, and collect a summary.
 CSV format: first line `# schema=1`, then sorted `# key=value` metadata
 comments (never timestamps, so identical configs give byte-identical files),
 then the header row and data rows.  Floats are rendered as
-`%.{precision}g`, integers in decimal, booleans as `true`/`false`.  Each file
-is written to a temp path and renamed into place; on any failure every file
-this run already produced is removed.
+`%.{precision}g`, integers in decimal, booleans as `true`/`false`.
+
+A table of at least _MANY_ROWS rows is written as byte tables: each column
+becomes one NUL-padded uint8 matrix with a row per value, numpy columns
+rendered once per distinct value; the columns are concatenated with ','
+and newline columns and the NULs dropped.  A float column of at least
+_MANY_DISTINCT distinct values gets its text from `_format_floats`, an exact
+vectorized `%.{precision}g` that hands zeros, non-finite values, extreme
+magnitudes and possible ties to `%`; fewer distinct values are formatted one
+`%` at a time, which costs less.  Shorter tables are joined as Python text.
+Either way the bytes are those of one `%.{precision}g` per value.
+
+Each file is formatted in full, written to a temp path and renamed into
+place; the temp file is removed if that fails, and on any failure every
+file this run already produced is removed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -63,42 +77,242 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _column_text(column, precision: int):
-    """A `%` field for one column and the values to fill it with.
+#: a table with at least this many rows is written as byte tables
+_MANY_ROWS = 64
 
-    A numpy column picks its field once, from its dtype; any other sequence
-    (the small mixed tables) is rendered value by value with `_fmt`.
+#: a float column with at least this many distinct values is formatted by
+#: `_format_floats`; below it one `%` per value costs less
+_MANY_DISTINCT = 1024
+
+#: bool column text, one NUL-padded row per value of int(b)
+_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)
+
+#: the exponents q of the double-double table of 10**q
+_POW10_MIN, _POW10_MAX = -300, 300
+
+
+@functools.cache
+def _tables() -> tuple:
+    """(hi, lo, quads): hi + lo = 10**q to about 2**-106 relative, for q
+    from _POW10_MIN to _POW10_MAX, each word correctly rounded from Python
+    ints, and the four ASCII digits of each of 0..9999 as one uint32.
+    Built on first use (about 2 ms), not at import."""
+    hi, lo = [], []
+    for q in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return np.array(hi), np.array(lo), quads
+
+
+def _split(a):
+    """Veltkamp's split of float64 `a` into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(v, q):
+    """v * 10**q as a normalised double-double (hi, lo): Dekker's exact
+    product of v and the high word of 10**q, plus v times its low word."""
+    hi_tab, lo_tab, _ = _tables()
+    h, low = hi_tab[q - _POW10_MIN], lo_tab[q - _POW10_MIN]
+    prod = v * h
+    v1, v2 = _split(v)
+    h1, h2 = _split(h)
+    err = ((v1 * h1 - prod) + v1 * h2 + v2 * h1) + v2 * h2 + v * low
+    hi = prod + err
+    return hi, err - (hi - prod)
+
+
+def _digits(x: np.ndarray, p: int) -> tuple:
+    """(where, digits, exp10) for the values of `x` whose p-digit rounding
+    is computed here: their indices, their p significant digits D as an
+    int64 in [10**(p-1), 10**p) and their decimal exponent X, so that
+    |x| rounds to D * 10**(X-p+1).
+
+    y = |x| * 10**(p-1-X) is held as a double-double, with X first estimated
+    by log10 and then moved by one wherever y falls outside
+    [10**(p-1), 10**p); D is y rounded to nearest, as `%` rounds the exact
+    value.  Only +, -, *, floor and int conversion decide D and X, so they
+    do not depend on the SIMD code numpy picks.  Left out: zero, non-finite
+    and |x| outside [1e-280, 1e280], and any y whose fraction lies within
+    1e-6 of a half (a possible tie).
     """
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "b":
-            return "%s", np.where(column, "true", "false").tolist()
-        if kind in "iu":
-            return "%d", column.tolist()
-        if kind == "f":
-            # lattice and grid columns repeat values many times over, so each
-            # distinct bit pattern (which keeps -0.0 apart from 0.0) is
-            # formatted once
-            bits = np.asarray(column, dtype=np.float64).view(np.int64)
-            distinct, where = np.unique(bits, return_inverse=True)
-            text = [f"%.{precision}g" % v
-                    for v in distinct.view(np.float64).tolist()]
-            return "%s", np.array(text, dtype=object)[where].tolist()
-    return "%s", [_fmt(v, precision) for v in column]
+    ax = np.abs(x)
+    where = np.flatnonzero((ax >= 1e-280) & (ax <= 1e280))
+    v = ax[where]
+    lower, upper = 10.0 ** (p - 1), 10.0 ** p
+    exp10 = np.floor(np.log10(v)).astype(np.int64)
+    hi, lo = _scaled(v, p - 1 - exp10)
+    step = (((hi > upper) | ((hi == upper) & (lo >= 0))).astype(np.int64)
+            - ((hi < lower) | ((hi == lower) & (lo < 0))))
+    moved = np.flatnonzero(step)
+    exp10[moved] += step[moved]
+    hi[moved], lo[moved] = _scaled(v[moved], p - 1 - exp10[moved])
+    whole = np.floor(hi)
+    rest = (hi - whole) + lo
+    rest_whole = np.floor(rest)
+    frac = rest - rest_whole
+    digits = whole.astype(np.int64) + rest_whole.astype(np.int64) + (frac > 0.5)
+    exact = np.flatnonzero((np.abs(frac - 0.5) >= 1e-6)
+                           & (hi >= lower) & (hi < upper))
+    digits, exp10 = digits[exact], exp10[exact]
+    carry = digits == 10 ** p
+    digits[carry] = 10 ** (p - 1)
+    exp10 += carry
+    return where[exact], digits, exp10
+
+
+def _format_floats(x: np.ndarray, p: int) -> np.ndarray:
+    """`"%.{p}g" % v` for each float64 v of `x`, as one NUL-padded uint8 row
+    per value.
+
+    `_digits` gives the digits and exponent X of most values; the rest go
+    through `%`.  The digits are laid out by the %g rules, one static layout
+    per group of rows with the same X: fixed form for -4 <= X < p, else
+    scientific with a signed exponent of at least two digits.  Trailing
+    zeros of the fraction, and a '.' left with no fraction, are NULs.
+    """
+    where, digits, exp10 = _digits(x, p)
+    # rows of one layout are contiguous after this (stable, small-int) sort
+    group = np.where((exp10 < -4) | (exp10 >= p), p, exp10)
+    order = np.argsort((group + 4).astype(np.int8), kind="stable")
+    where, digits, exp10 = where[order], digits[order], exp10[order]
+    group = group[order]
+
+    quads = _tables()[2]
+    n_quads = -(-p // 4)
+    words = np.empty((digits.size, n_quads), dtype=np.uint32)
+    rest = digits
+    for j in reversed(range(n_quads)):
+        high = rest // 10000
+        words[:, j] = quads[rest - 10000 * high]
+        rest = high
+    chars = words.view(np.uint8)[:, 4 * n_quads - p:]
+    kept = p - np.argmax(chars[:, ::-1] != ord("0"), axis=1)
+    first_frac = np.where(group == p, 1, np.clip(group + 1, 0, None))
+    chars = chars * (np.arange(p) < np.maximum(first_frac, kept)[:, None])
+    dot = np.where(kept > first_frac, ord("."), 0).astype(np.uint8)
+
+    rows = np.zeros((digits.size, p + 7), dtype=np.uint8)
+    rows[:, 0] = np.where(x[where] < 0, ord("-"), 0)
+    bounds = np.searchsorted(group, np.arange(-4, p + 2))
+    for g, (a, b) in zip(range(-4, p + 1), zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        r, c = rows[a:b], chars[a:b]
+        if 0 <= g < p:                     # ddd.ddd
+            r[:, 1:g + 2] = c[:, :g + 1]
+            r[:, g + 2] = dot[a:b]
+            r[:, g + 3:p + 2] = c[:, g + 1:]
+        elif g < 0:                        # 0.000ddd
+            r[:, 1:3 - g] = ord("0")
+            r[:, 2] = ord(".")
+            r[:, 2 - g:2 - g + p] = c
+        else:                              # d.ddde+XX
+            e = exp10[a:b]
+            r[:, 1] = c[:, 0]
+            r[:, 2] = dot[a:b]
+            r[:, 3:p + 2] = c[:, 1:]
+            r[:, p + 2] = ord("e")
+            r[:, p + 3] = np.where(e < 0, ord("-"), ord("+"))
+            e = np.abs(e)
+            r[:, p + 4] = np.where(e >= 100, e // 100 + ord("0"), 0)
+            r[:, p + 5] = e // 10 % 10 + ord("0")
+            r[:, p + 6] = e % 10 + ord("0")
+    out = np.zeros((x.size, p + 7), dtype=np.uint8)
+    out[where] = rows
+    slow = np.ones(x.size, dtype=bool)
+    slow[where] = False
+    for i in np.flatnonzero(slow).tolist():
+        text = (f"%.{p}g" % float(x[i])).encode()
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+def _texts(texts: list) -> np.ndarray:
+    """One NUL-padded uint8 row of UTF-8 text per string."""
+    table = np.array([t.encode() for t in texts], dtype=bytes)
+    return table.view(np.uint8).reshape(len(texts), table.dtype.itemsize)
+
+
+def _column_bytes(column, precision: int) -> np.ndarray:
+    """The text of each value of one column, as a NUL-padded uint8 row.
+
+    A numpy bool, integer or float column is rendered once per distinct value
+    (for floats, per distinct bit pattern, which keeps -0.0 apart from 0.0):
+    lattice, grid and symmetric-symbol columns repeat values many times over.
+    Any other column is rendered value by value with `_fmt`.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
+        return _texts([_fmt(v, precision) for v in column])
+    kind = column.dtype.kind
+    if kind == "b":
+        return _BOOL_TEXT[column.astype(np.intp)]
+    if kind == "f":
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        values = distinct.view(np.float64)
+        if values.size >= _MANY_DISTINCT:
+            return _format_floats(values, precision)[where]
+        return _texts([f"%.{precision}g" % v for v in values.tolist()])[where]
+    distinct, where = np.unique(column, return_inverse=True)
+    return _texts([str(v) for v in distinct.tolist()])[where]
+
+
+def _body(columns: list, precision: int):
+    """The data rows of a table.
+
+    A table of fewer than _MANY_ROWS rows is joined as Python text, each
+    value rendered with `_fmt`, which costs less than building byte tables.
+    A longer one is one uint8 table: each column's rows from `_column_bytes`,
+    joined by ',' and ended by a newline, with the NUL padding dropped; it
+    is given as that uint8 array, which is written without a copy.
+    """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
+    if n < _MANY_ROWS:
+        cells = [[_fmt(v, precision) for v in
+                  (c.tolist() if isinstance(c, np.ndarray) else c)]
+                 for c in columns]
+        return "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+    sep = np.full((n, 1), ord(","), dtype=np.uint8)
+    parts = []
+    for column in columns:
+        parts += [_column_bytes(column, precision), sep]
+    parts[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
+    table = np.concatenate(parts, axis=1)
+    return table[table != 0]
 
 
 def _write_csv(path: str, meta: dict, columns: dict, precision: int):
-    """Write `columns` (header name -> column, in order) under the metadata."""
-    fields, values = zip(*(_column_text(c, precision) for c in columns.values()))
-    template = ",".join(fields)
+    """Write `columns` (header name -> column, in order) under the metadata.
+
+    Everything is formatted before the temp file is opened, and the temp
+    file this call opened is removed if writing or renaming it fails.
+    """
     lines = ["# schema=1"]
     lines.extend(f"# {key}={_fmt(meta[key], precision)}" for key in sorted(meta))
     lines.append(",".join(columns))
-    lines.extend(template % row for row in zip(*values, strict=True))
+    head = ("\n".join(lines) + "\n").encode()
+    body = _body(list(columns.values()), precision)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(head)
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _base_meta(config: RunConfig) -> dict:

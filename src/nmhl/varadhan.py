@@ -59,9 +59,13 @@ def _check_geometric(k: int, t_list) -> tuple:
 
 def _extrapolate(ts: np.ndarray, vals: np.ndarray, power: float) -> float:
     """Limit of v(t) = v_inf + A * t^power * log(1/t) from the last 3 points,
-    eliminating the leading correction by least squares."""
+    eliminating the leading correction by least squares.  A -inf among them
+    (a kernel or mass that is exactly 0) gives -inf: the curve lies below
+    every bound there, where the fit would give nan."""
     tt = ts[-3:]
     vv = vals[-3:]
+    if np.any(np.isneginf(vv)):
+        return -math.inf
     g = tt**power * np.log(1.0 / tt)
     design = np.column_stack([np.ones_like(g), g])
     sol, *_ = np.linalg.lstsq(design, vv, rcond=None)

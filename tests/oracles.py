@@ -387,3 +387,48 @@ def aux_kernel_trapezoid(t: float, aux_order: int, z, n_eta: int = 2048):
     damp = np.exp(-t * eta**aux_order)
     z = np.asarray(z, dtype=float)
     return np.trapezoid(damp * np.cos(np.outer(z, eta)), eta, axis=1) / math.pi
+
+
+# ---------------------------------------------------------------------------
+# CSV text: the row-by-row rendering the byte-table writer replaced
+
+
+def _csv_value(value, precision: int) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.{precision}g}"
+    return str(value)
+
+
+def template_csv(meta: dict, columns: dict, precision: int) -> str:
+    """The CSV text of `columns` under `meta`, one `template % row` per data
+    row: a numpy column picks its `%` field from its dtype (bool -> text,
+    integer -> `%d`, float -> `%.{precision}g` once per distinct bit
+    pattern), any other column is rendered value by value."""
+    fields, values = [], []
+    for column in columns.values():
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+        if kind == "b":
+            field, text = "%s", np.where(column, "true", "false").tolist()
+        elif kind is not None and kind in "iu":
+            field, text = "%d", column.tolist()
+        elif kind == "f":
+            bits = np.asarray(column, dtype=np.float64).view(np.int64)
+            distinct, where = np.unique(bits, return_inverse=True)
+            rendered = [f"%.{precision}g" % v
+                        for v in distinct.view(np.float64).tolist()]
+            field, text = "%s", np.array(rendered, dtype=object)[where].tolist()
+        else:
+            field, text = "%s", [_csv_value(v, precision) for v in column]
+        fields.append(field)
+        values.append(text)
+    template = ",".join(fields)
+    lines = ["# schema=1"]
+    lines.extend(f"# {key}={_csv_value(meta[key], precision)}"
+                 for key in sorted(meta))
+    lines.append(",".join(columns))
+    lines.extend(template % row for row in zip(*values, strict=True))
+    return "\n".join(lines) + "\n"

@@ -598,6 +598,18 @@ def test_failed_runs_remove_partial_outputs(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("blocked", ["symbol.csv", "kernel.csv"])
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, blocked):
+    # a directory where the CSV should go makes the rename into place fail
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    config = next(p for p in PRESET_CONFIGS
+                  if p.parts[-2:] == ("survey", "kernel_k1.cfg"))
+    assert main(["kernel", "--config", str(config), "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert (out / blocked).is_dir()
+
+
 def test_a_report_row_that_raises_leaves_no_csv(tmp_path, monkeypatch):
     from nmhl import runner
     from nmhl.errors import NmhlError

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from nmhl import parse_config, run
-from nmhl.runner import _fmt, _write_csv
+from nmhl.runner import _MANY_DISTINCT, _MANY_ROWS, _fmt, _format_floats, _write_csv
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1]
@@ -77,6 +78,128 @@ def test_plain_columns_keep_the_per_value_rule():
 def test_columns_of_unequal_length_are_refused():
     with pytest.raises(ValueError):
         written({}, {"a": np.zeros(3), "b": np.zeros(2)}, 5)
+
+
+def formatted(x, precision) -> list:
+    """The texts `_format_floats` gives for `x`, with the NUL padding off."""
+    rows = _format_floats(np.asarray(x, dtype=np.float64), precision)
+    assert rows.shape[0] == np.size(x)
+    return [bytes(row[row != 0]).decode() for row in rows]
+
+
+def percent_g(x, precision) -> list:
+    return [f"%.{precision}g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def formatter_cases(precision: int) -> np.ndarray:
+    """Random bit patterns, 10**q and its neighbours, ties, zeros,
+    subnormals, non-finite values, the limits of the fast path and the
+    exponents X = -5, -4, p-1 and p where %g switches form, each with both
+    signs."""
+    rng = np.random.default_rng(precision)
+    bits = rng.integers(-2**63, 2**63, size=3000, dtype=np.int64).view(np.float64)
+    spread = rng.uniform(1.0, 10.0, 3000) * 10.0 ** rng.integers(-30, 31, 3000)
+    powers = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    neighbours = np.concatenate([np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+    # exact halves at the p-th digit and binary fractions: %g breaks the
+    # tie to even, the double-double path sends these to `%`
+    whole = rng.integers(10 ** (precision - 1), 10 ** precision, 500)
+    ties = np.concatenate([(whole + 0.5) * 10.0 ** rng.integers(-3, 4, 500),
+                           np.arange(1, 400) / 8.0, np.arange(1, 400) / 1024.0])
+    boundary = []
+    for x in (-5, -4, precision - 1, precision):
+        lo = 10.0 ** x
+        boundary += [lo, np.nextafter(lo, 0.0), np.nextafter(lo, np.inf),
+                     lo * (1.0 - 0.5 * 10.0 ** -precision),
+                     lo * (1.0 - 0.4 * 10.0 ** -precision),
+                     lo * (1.0 - 0.6 * 10.0 ** -precision),
+                     9.5 * lo, 9.99 * lo, 1.5 * lo, 2.0 * lo]
+        boundary += list(rng.uniform(lo, 10.0 * lo, 50))
+    limits = [1e-280, 1e280, np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf)]
+    x = np.concatenate([bits, spread, powers, neighbours, ties, boundary, limits,
+                        SPECIAL_FLOATS, 2.0 ** np.arange(-1074, 1024)])
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_vectorized_formatter_equals_percent_g(precision):
+    x = formatter_cases(precision)
+    assert formatted(x, precision) == percent_g(x, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.integers(-2**63, 2**63 - 1)
+                  | st.floats(1e-30, 1e30).map(
+                      lambda f: np.float64(f).view(np.int64).item()),
+                  min_size=1, max_size=64),
+    precision=st.integers(1, 17),
+)
+def test_vectorized_formatter_equals_percent_g_on_bit_patterns(bits, precision):
+    x = np.array(bits, dtype=np.int64).view(np.float64)
+    assert formatted(x, precision) == percent_g(x, precision)
+
+
+def test_signed_zeros_stay_apart_in_a_column():
+    rng = np.random.default_rng(5)
+    for size in (4, _MANY_ROWS, 2 * _MANY_DISTINCT):
+        column = rng.normal(size=size)
+        column[::3] = 0.0
+        column[1::3] = -0.0
+        lines = written({}, {"v": column}, 17).splitlines()[2:]
+        assert lines[0::3] == ["0"] * len(column[0::3])
+        assert lines[1::3] == ["-0"] * len(column[1::3])
+
+
+SMALL_FLOATS = hnp.arrays(
+    np.float64, st.integers(0, _MANY_ROWS - 1),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from(SPECIAL_FLOATS),
+)
+MIXED_VALUES = st.lists(
+    st.one_of(st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+              st.text(alphabet="abc_xyz.-", max_size=6),
+              st.sampled_from([np.float64(-0.0), np.int64(-7), np.bool_(False)])),
+    min_size=0, max_size=_MANY_ROWS - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.lists(
+        st.one_of(SMALL_FLOATS,
+                  hnp.arrays(np.int64, st.integers(0, _MANY_ROWS - 1)),
+                  hnp.arrays(np.bool_, st.integers(0, _MANY_ROWS - 1)),
+                  MIXED_VALUES),
+        min_size=1, max_size=4),
+    precision=st.integers(1, 17),
+)
+def test_small_tables_keep_the_row_template_bytes(columns, precision):
+    n = min(len(c) for c in columns)
+    table = {f"c{i}": c[:n] for i, c in enumerate(columns)}
+    meta = {"x": 0.1, "n": 3, "flag": True, "name": "q"}
+    expected = oracles.template_csv(meta, table, precision)
+    assert written(meta, table, precision) == expected
+
+
+@pytest.mark.parametrize("precision", [1, 4, 9, 16, 17])
+def test_long_tables_keep_the_row_template_bytes(precision):
+    rng = np.random.default_rng(precision)
+    n = 3 * _MANY_DISTINCT
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+    floats[::97] = SPECIAL_FLOATS[0]
+    floats[5:len(SPECIAL_FLOATS) + 5] = SPECIAL_FLOATS
+    table = {
+        "many": floats,
+        "few": np.round(rng.normal(size=n), 1),
+        "i": rng.integers(-300, 300, n),
+        "b": rng.normal(size=n) > 0,
+        "tag": [f"t{i % 7}" for i in range(n)],
+        "mixed": [(i, 0.5 * i, i % 2 == 0)[i % 3] for i in range(n)],
+    }
+    meta = {"x": 0.1, "n": 3}
+    expected = oracles.template_csv(meta, table, precision)
+    assert written(meta, table, precision) == expected
 
 
 # sha256 of the CSVs these configs wrote with the per-value writer, at the

@@ -30,7 +30,7 @@ from nmhl import (
 from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.spectral import auto_cutoff
-from nmhl.varadhan import C_SLACK, ScalingCurve, _log_interval_mass
+from nmhl.varadhan import C_SLACK, ScalingCurve, _judge, _log_interval_mass
 
 
 def power_symbol(k, t_min):
@@ -432,6 +432,20 @@ def test_localized_empty_bump_is_a_sentinel():
     assert curve.passed
     assert curve.target == -math.inf
     assert np.all(np.isneginf(curve.values))
+    assert curve.extrapolated == -math.inf
+
+
+def test_a_curve_ending_in_minus_inf_passes_its_limit_clause():
+    # a kernel that is exactly 0 at the last samples lies below every bound;
+    # the two-term fit alone would give nan there and fail the limit clause
+    ts = geometric(0.1, 0.5, 5)
+    vals = np.array([-1.0, -1.1, -math.inf, -math.inf, -math.inf])
+    curve = _judge(1, ts, vals, -0.5, -0.5)
+    assert curve.extrapolated == -math.inf
+    assert curve.extrapolation_pass
+    assert curve.passed
+    one = _judge(1, ts, np.array([-1.0, -1.1, -1.2, -1.3, -math.inf]), -0.5, -0.5)
+    assert one.extrapolated == -math.inf and one.passed
 
 
 def test_localized_validates_inputs():
