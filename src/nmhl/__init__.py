@@ -42,10 +42,9 @@ from .ldp import (
     action,
     biconjugate,
     growth_fit,
-    hamiltonian_for,
     lagrangian_table,
     legendre,
-    maslov_scaled_symbol,
+    maslov_scaled_spec,
     rate_function,
     straight_path,
     straight_rate,
@@ -93,6 +92,7 @@ from .spectral import (
     Symbol,
     auto_cutoff,
     build_symbol,
+    lattice_symbol,
     levy_hamiltonian,
     levy_symbol,
     multi_indices,

@@ -27,6 +27,7 @@ from .presets import (
     LEVY_TOL,
     VARIANT_TABLE,
     exit_grid,
+    make_operator,
     varadhan_grid,
     variant_row,
 )
@@ -123,9 +124,19 @@ def _parse_sectioned(text: str) -> dict:
     return raw
 
 
+def _unique_pairs(pairs) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json.loads would
+    keep its last value)."""
+    seen = set()
+    for key, _ in pairs:
+        _require(key not in seen, f"duplicate key {key!r} in a JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _parse_json(text: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_pairs)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, col=exc.colno) from None
@@ -214,6 +225,7 @@ def _as_q(section: str, key: str, v) -> tuple:
         except (TypeError, ValueError):
             raise ValidationError(f"q exponent must be an integer (got {e!r})") from None
         _require(exponent >= 0, f"q exponent must be >= 0 (got {exponent})")
+        _require(all(exponent != e for e, _ in out), f"q exponent {exponent} is repeated")
         out.append((exponent, _finite("q coefficient", c)))
     return tuple(sorted(out))
 
@@ -437,6 +449,15 @@ def _from_mapping(raw: dict) -> RunConfig:
     if operator.a_matrix is not None:
         check_form_shape(operator.a_matrix, grid.d, operator.k)
     experiment = _build_experiment(dict(raw["experiment"]), operator, grid)
+    # the spec refuses what the key checks cannot see: a perturbation degree
+    # at or above the base order, an a_matrix that is not positive definite
+    spec = make_operator(operator, grid.d)
+    if experiment.kind in ("varadhan", "exit"):
+        k = experiment.params["k"]
+        _require(spec.poly_degree == 2 * k, f"{operator.variant} does not run "
+                 f"{experiment.kind} experiments with experiment.k = {k}: they need "
+                 f"an even polynomial symbol of degree {2 * k} (poly_degree "
+                 f"{spec.poly_degree})")
     output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,
                      experiment=experiment, output=output)

@@ -38,6 +38,11 @@ class FrequencyGrid:
     def size(self) -> int:
         return self.points.shape[0]
 
+    def fft_size(self, floor: int) -> int:
+        """The FFT size a kernel on this lattice takes: 2N + 2, which
+        resolves it, or `floor` where that is larger."""
+        return max(floor, 2 * self.cutoff + 2)
+
     def boundary_shell(self) -> np.ndarray:
         """Mask of lattice points with max coordinate magnitude equal to N."""
         return np.max(np.abs(self.points), axis=1) == self.cutoff

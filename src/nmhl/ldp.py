@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI, line_fit
-from .spectral import Hamiltonian, OperatorSpec, Rescaled, Symbol, build_symbol
+from .spectral import Hamiltonian, OperatorSpec, Rescaled
 
 # |xi| past which a bracket that still misses |p| means a subquadratic H,
 # and the Newton steps after which an unsettled maximizer is an error
@@ -31,11 +31,6 @@ DESCENT_STALL_TOL = 1e-6
 DESCENT_MAX_ITER = 20000
 # |p| from which `growth_fit` fits the sandwich exponent
 _GROWTH_P_MIN = 1.0
-
-
-def hamiltonian_for(spec: OperatorSpec) -> Hamiltonian:
-    """Real-phase Hamiltonian of a generator (`OperatorSpec.hamiltonian`)."""
-    return spec.hamiltonian()
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +454,10 @@ def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
 # small-parameter scaling utilities
 
 
-def maslov_scaled_symbol(symbol: Symbol, k: int, eps: float) -> Symbol:
+def maslov_scaled_spec(spec: OperatorSpec, k: int, eps: float) -> Rescaled:
     """eps^(2k-1) a(xi) for differential symbols; (1/eps) a(eps xi) for jump
     symbols, re-quadratured since eps*xi leaves the lattice."""
     if eps <= 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
-    if symbol.spec is None:
-        raise ValidationError("scaling needs a symbol with continuous evaluation")
-    prefactor, freq_scale = symbol.spec.maslov_factors(k, eps)
-    scaled = Rescaled(symbol.spec, prefactor=prefactor, freq_scale=freq_scale)
-    return build_symbol(scaled, symbol.grid)
-
+    prefactor, freq_scale = spec.maslov_factors(k, eps)
+    return Rescaled(spec, prefactor=prefactor, freq_scale=freq_scale)

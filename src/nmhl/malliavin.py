@@ -92,13 +92,7 @@ def augmented_multiplier(op: AugmentedOperator, t: float, xi, eta) -> complex:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.size != op.n:
         raise ValidationError(f"expected {op.n} auxiliary frequencies, got {eta.size}")
-    if op.base.spec is not None:
-        a = complex(np.asarray(op.base.at(xi)).reshape(()))
-    else:
-        match = np.all(op.base.grid.points == np.atleast_1d(xi), axis=1)
-        if not match.any():
-            raise ValidationError(f"frequency {xi} is not on the lattice")
-        a = complex(op.base.values[match][0])
+    a = complex(np.asarray(op.base.spec.value(xi)).reshape(()))
     if a.real < -1e-12:
         raise BranchCut("fractional power undefined for Re a < 0")
     w = op.weight_integral(t)

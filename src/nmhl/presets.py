@@ -150,34 +150,23 @@ EXPONENT_PRESETS = ((2, 0.5, 1, 0.5), (1, 0.5, 2, 1.0))
 EXPONENT_TIMES = tuple(np.geomspace(1e-3, 1e-4, 7))
 
 
-def exponent_symbol(k: int) -> Symbol:
-    """Lattice padded 2x over the bare cutoff rule: the seminorm weight adds
-    polynomial growth on top of the multiplier."""
-    spec = PurePower(k=k)
+def exponent_symbol(spec: OperatorSpec) -> Symbol:
+    """The symbol of a seminorm exponent fit over EXPONENT_TIMES: its lattice
+    is padded 2x over the cutoff rule at the smallest time, since the
+    seminorm weight adds polynomial growth on top of the multiplier."""
     n = 2 * auto_cutoff(spec, min(EXPONENT_TIMES))
-    return build_symbol(spec, FrequencyGrid(1, n))
+    return build_symbol(spec, FrequencyGrid(spec.dimension, n))
 
 
 DUHAMEL_Q = {(2,): 0.1}
 DUHAMEL_CUTOFF = 32
 
 
-def duhamel_pair():
-    """Quartic base, the bare second-order perturbation q (what the series
-    expands in), and the full perturbed symbol (the closed-form target),
-    all on one lattice."""
-    grid = FrequencyGrid(1, DUHAMEL_CUTOFF)
-    base = build_symbol(PurePower(k=2), grid)
-    full = build_symbol(
-        Perturbed(base=PurePower(k=2), q_coeffs=dict(DUHAMEL_Q)), grid
-    )
-    q_sym = Symbol(
-        grid=grid,
-        values=full.values - base.values,
-        order=2,
-        spec=None,
-    )
-    return base, q_sym, full
+def duhamel_symbol() -> Symbol:
+    """The quartic symbol plus the second-order DUHAMEL_Q on the
+    DUHAMEL_CUTOFF lattice: what `semigroup.duhamel_series` expands."""
+    spec = Perturbed(base=PurePower(k=2), q_coeffs=dict(DUHAMEL_Q))
+    return build_symbol(spec, FrequencyGrid(1, DUHAMEL_CUTOFF))
 
 
 def rate_endpoints() -> tuple:

@@ -34,7 +34,7 @@ import numpy as np
 from .config import RunConfig, _from_mapping, _to_mapping
 from .errors import ValidationError
 from .grids import FrequencyGrid, spatial_grid
-from .ldp import Lagrangian, hamiltonian_for, rate_function
+from .ldp import Lagrangian, rate_function
 from .malliavin import AugmentedOperator, ibp_check
 from .presets import (
     DEFAULTS_VERSION,
@@ -46,7 +46,7 @@ from .presets import (
     rate_endpoints,
 )
 from .semigroup import heat_kernel
-from .spectral import PurePower, auto_cutoff, build_symbol
+from .spectral import PurePower, build_symbol, lattice_symbol
 from .varadhan import exit_bound_check, tilted_bound_check, varadhan_curve
 
 #: pass thresholds, fixed once here so every front-end agrees
@@ -343,13 +343,13 @@ def _emit(ctx: dict, name: str, columns: dict, **grid_used):
 
 def _symbol_of(config: RunConfig, t_min: float):
     spec = make_operator(config.operator, config.grid.d)
-    cutoff = config.grid.cutoff
-    if cutoff is None:
-        cutoff = auto_cutoff(spec, t_min)
-    symbol = build_symbol(spec, FrequencyGrid(config.grid.d, cutoff))
+    if config.grid.cutoff is None:
+        symbol = lattice_symbol(spec, t_min)
+    else:
+        symbol = build_symbol(spec, FrequencyGrid(config.grid.d, config.grid.cutoff))
     resolution = config.grid.resolution
     if resolution is None:
-        resolution = max(256, 2 * cutoff + 2)
+        resolution = symbol.grid.fft_size(256)
     return symbol, resolution
 
 
@@ -418,7 +418,7 @@ def _run_ibp(config: RunConfig, ctx: dict) -> tuple:
 
 def _rate_columns(spec, endpoints, **options):
     """`rate_function` results for each (x, y) endpoint pair, and their table."""
-    lagrangian = Lagrangian(hamiltonian_for(spec))
+    lagrangian = Lagrangian(spec.hamiltonian())
     results = [rate_function(x, y, lagrangian, **options) for x, y in endpoints]
     return results, {
         "x": [x for x, _ in endpoints],
@@ -503,7 +503,7 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
     endpoints in one table) and tilted (no kind) are report-only rows.
     fast=false adds the k=2 varadhan and exit rows, whose clauses fail
     because their Legendre and Chernoff targets are not sharp for k >= 2.
-    The tilted row still builds its own symbols."""
+    The tilted row takes its symbols from `lattice_symbol`."""
     row, metric, p_min, _ = _run_row(config, ctx, "kernel", 2, "min_value",
                                      kind="kernel", t=0.01)
     entries = [  # (row, metric, value, passed)
@@ -522,11 +522,8 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
                                 kind="varadhan"))
         entries.append(_run_row(config, ctx, f"exit_k{k}", k, "fit_c", kind="exit"))
 
-    bounds = []
-    for k, tilt, s in TILT_PRESETS:
-        spec = PurePower(k=k)
-        sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, s)))
-        bounds.append(tilted_bound_check(sym, k, tilt, s))
+    bounds = [tilted_bound_check(lattice_symbol(PurePower(k=k), s), k, tilt, s)
+              for k, tilt, s in TILT_PRESETS]
     k_col, tilt_col, s_col = zip(*TILT_PRESETS)
     _emit(ctx, "report_tilted.csv", {
         "k": k_col, "xi_tilt": tilt_col, "s": s_col,

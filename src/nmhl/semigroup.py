@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexResidue,
-    CutoffTooSmall,
-    DegreeViolation,
-    SeriesDiverged,
-    ValidationError,
-)
+from .errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
 from .grids import TWO_PI, FrequencyGrid, spatial_grid
-from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
-                       build_symbol)
+from .spectral import (OperatorSpec, Perturbed, Symbol, _negation_permutation,
+                       auto_cutoff, build_symbol, lattice_symbol)
 
 _IMAG_TOL = 1e-10
 #: largest |multiplier| a truncated series may keep on its outermost
@@ -277,7 +271,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     An even polynomial symbol (`poly_degree` not None) takes the image sum of
     `_log_image_sum` on saddle-shifted contours, accurate to about 1e-14
     relative at any depth.  Any other symbol takes the ordered lattice sum
-    `kernel_values` on an `auto_cutoff` lattice, which resolves a kernel
+    `kernel_values` on its `lattice_symbol` lattice, which resolves a kernel
     that decays only algebraically, as a fractional power's does, but not
     one that sinks to the rounding noise of its terms: below
     `_LATTICE_FLOOR` times their total magnitude the call raises
@@ -290,7 +284,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
         raise ValidationError(
             f"log_abs_kernel is one-dimensional, got d = {spec.dimension}")
     if spec.poly_degree is None:
-        sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, t)))
+        sym = lattice_symbol(spec, t)
         p = kernel_values(sym, t, z)
         scale = float(np.sum(np.abs(np.exp(-t * sym.values)))) / TWO_PI
         if abs(p) < _LATTICE_FLOOR * scale:
@@ -340,9 +334,10 @@ def _integration_matrix(nodes: np.ndarray, t: float) -> np.ndarray:
     return (t / 2.0) * synth
 
 
-def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
-                   l_max: int = 8) -> DuhamelResult:
-    """exp(-t(a+q)) as a truncated Volterra series around exp(-t a).
+def duhamel_series(perturbed: Symbol, t: float, l_max: int = 8) -> DuhamelResult:
+    """exp(-t(a+q)) for a `Perturbed` symbol a + q, as a truncated Volterra
+    series around exp(-t a) of its base, tabulated on the same lattice;
+    q is the difference of the two tables.
 
     The level-l iterated integral equals exp(-t a) (-t q)^l / l! analytically;
     numerically it is built by the nested quadrature, whose integrands are
@@ -352,16 +347,11 @@ def duhamel_series(base: Symbol, perturbation: Symbol, t: float,
     _require_time(t)
     if l_max < 1:
         raise ValidationError(f"l_max must be >= 1, got {l_max}")
-    if perturbation.order >= base.order:
-        raise DegreeViolation(
-            f"perturbation order {perturbation.order} must be < base order {base.order}"
-        )
-    if perturbation.grid.size != base.grid.size or (
-        perturbation.grid.cutoff != base.grid.cutoff
-    ):
-        raise ValidationError("base and perturbation must share one lattice")
-    a = base.values
-    q = perturbation.values
+    if not isinstance(perturbed.spec, Perturbed):
+        raise ValidationError(f"duhamel_series expands a Perturbed symbol, "
+                              f"got {type(perturbed.spec).__name__}")
+    a = build_symbol(perturbed.spec.base, perturbed.grid).values
+    q = perturbed.values - a
     n_nodes = max(_DUHAMEL_NODES, l_max + 3)
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
     nodes = 0.5 * t * (gl_x + 1.0)
@@ -435,11 +425,9 @@ def tilted_semigroup(symbol: Symbol, tilt: TiltSpec, s: float) -> TiltedOperator
     """Conjugation by exp(<x, xi_tilt>/eps), realized as a complex frequency
     shift of the symbol the caller provides (pre-scale it for small-eps runs)."""
     _require_time(s)
-    if symbol.spec is None:
-        raise ValidationError("tilting needs a symbol with continuous evaluation")
     shift = np.asarray(tilt.xi_tilt, dtype=float) / tilt.eps
     z = symbol.grid.points.astype(float) - 1j * shift
-    mult = np.exp(-s * symbol.at(z).reshape(symbol.grid.size))
+    mult = np.exp(-s * symbol.spec.value(z).reshape(symbol.grid.size))
     return TiltedOperator(symbol=symbol, tilt=tilt, s=s, multiplier=mult)
 
 
@@ -479,7 +467,7 @@ def derivative_seminorm(symbol: Symbol, frac_alpha: float, l: int, t: float,
     in the sup-norm bound |P_t (L^alpha)^l f| <= C(t) ||f||_inf."""
     _require_time(t)
     if resolution is None:
-        resolution = max(2048, 2 * symbol.grid.cutoff + 2)
+        resolution = symbol.grid.fft_size(2048)
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}")
     a = symbol.values

@@ -384,7 +384,7 @@ class Perturbed(_Wrapper):
 @dataclass(frozen=True)
 class Rescaled(_Wrapper):
     """prefactor * a_base(freq_scale * xi): the eps-scaled symbol of the
-    Maslov normalization (`ldp.maslov_scaled_symbol`)."""
+    Maslov normalization (`ldp.maslov_scaled_spec`)."""
 
     base: OperatorSpec
     prefactor: float = 1.0
@@ -580,18 +580,12 @@ def _principal_power(w, alpha: float):
 
 @dataclass(eq=False)
 class Symbol:
-    """Fourier multiplier tabulated on a frequency lattice."""
+    """The Fourier multiplier of `spec` tabulated on a frequency lattice;
+    `build_symbol` makes it."""
 
     grid: FrequencyGrid
     values: np.ndarray
-    order: float
-    spec: OperatorSpec | None = None
-
-    def at(self, z):
-        """Continuous/complex evaluation; requires a backing OperatorSpec."""
-        if self.spec is None:
-            raise ValidationError("tabulated-only symbol has no continuous evaluation")
-        return self.spec.value(z)
+    spec: OperatorSpec
 
     def lattice_min_real(self) -> float:
         return float(np.min(self.values.real))
@@ -613,12 +607,7 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
     values = np.asarray(spec.value(points), dtype=complex).reshape(grid.size)
     scale = max(1.0, float(np.max(np.abs(values))))
     spec._check_branch(points, scale)
-    return Symbol(
-        grid=grid,
-        values=values,
-        order=spec.order,
-        spec=spec,
-    )
+    return Symbol(grid=grid, values=values, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +655,10 @@ def auto_cutoff(spec: OperatorSpec, t: float) -> int:
         else:
             lo = mid
     return max(hi, 4)
+
+
+def lattice_symbol(spec: OperatorSpec, t: float, min_cutoff: int = 0) -> Symbol:
+    """The symbol on the lattice a run at time t takes: the `auto_cutoff`
+    lattice, or the `min_cutoff` one where that is larger."""
+    cutoff = max(min_cutoff, auto_cutoff(spec, t))
+    return build_symbol(spec, FrequencyGrid(spec.dimension, cutoff))

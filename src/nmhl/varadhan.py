@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
-from .ldp import (_legendre_full, hamiltonian_for, maslov_scaled_symbol,
-                  straight_rate)
+from .ldp import _legendre_full, maslov_scaled_spec, straight_rate
 from .malliavin import exponent_fit
-from .presets import EXPONENT_TIMES
+from .presets import EXPONENT_TIMES, exponent_symbol
 from .semigroup import (
     TiltSpec,
     _log_image_sum,
@@ -27,7 +26,7 @@ from .semigroup import (
     log_abs_kernel,
     tilted_semigroup,
 )
-from .spectral import Symbol, auto_cutoff, build_symbol
+from .spectral import Symbol, auto_cutoff, build_symbol, lattice_symbol
 
 #: slack(t) = (r_alpha + C_SLACK) t^{1/(2k-1)} log(1/t) in `_judge`; C_SLACK
 #: was calibrated once against the exact second-order wrapped Gaussian and frozen.
@@ -132,8 +131,7 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     limit is <= -l + 2%|l|.  Once the expected log-magnitude passes the
     cancellation floor of the lattice sum, a sample switches to
     `log_abs_kernel`, which raises ValidationError on a sample it cannot
-    resolve, or on a symbol without a spec, rather than return a false
-    verdict.
+    resolve rather than return a false verdict.
 
     By default l is the Legendre (straight-line) rate, which is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the saddle frequencies are complex:
@@ -151,12 +149,12 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     if abs(z) < 1e-12:
         raise ValidationError("endpoints must differ; the diagonal has l = 0")
     if l_value is None:
-        l_value = straight_rate(hamiltonian_for(_require_spec(symbol)), x, y)
+        l_value = straight_rate(symbol.spec.hamiltonian(), x, y)
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
         est = l_value / t**power
         if est > _LATTICE_LOG_FLOOR:
-            vals[i] = t**power * log_abs_kernel(_require_spec(symbol), t, z)
+            vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
         else:
             p = kernel_values(symbol, t, z)
             if p == 0.0:
@@ -164,12 +162,6 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
             else:
                 vals[i] = t**power * math.log(abs(p))
     return _judge(k, ts, vals, -l_value, -l_value + 0.02 * abs(l_value) + 1e-12)
-
-
-def _require_spec(symbol: Symbol):
-    if symbol.spec is None:
-        raise ValidationError("this check needs a symbol with continuous evaluation")
-    return symbol.spec
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
         raise ValidationError("interval must be nonempty")
     if hi - lo >= TWO_PI:
         raise ValidationError("interval must be a proper arc")
-    h = hamiltonian_for(_require_spec(symbol))
+    h = symbol.spec.hamiltonian()
     l_inf = (0.0 if (x - lo) % TWO_PI < hi - lo
              else float(np.min(straight_rate(h, x, np.array([lo, hi])))))
     vals = np.empty(ts.size)
@@ -306,14 +298,11 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
         raise ValidationError("need at least 3 epsilon values")
     if np.any(np.diff(eps) >= 0) or np.any(eps <= 0):
         raise ValidationError("epsilon values must be positive and decreasing")
-    base_spec = _require_spec(symbol)
     log_mass = np.empty(eps.size)
     for i, e in enumerate(eps):
-        scaled = maslov_scaled_symbol(symbol, k, float(e))
-        need = auto_cutoff(scaled.spec, s)
-        if need > scaled.grid.cutoff:
-            scaled = build_symbol(scaled.spec, FrequencyGrid(1, need))
-        res = max(_KERNEL_RESOLUTION, 2 * scaled.grid.cutoff + 2)
+        scaled = lattice_symbol(maslov_scaled_spec(symbol.spec, k, float(e)), s,
+                                symbol.grid.cutoff)
+        res = scaled.grid.fft_size(_KERNEL_RESOLUTION)
         fld = heat_kernel(scaled, s, resolution=res)
         dist = np.abs(wrap_angle(fld.points))
         mask = dist > delta
@@ -327,8 +316,7 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
     slope = float(coef[0])
     if slope >= 0:
         raise FitUnstable("exit mass does not decay with 1/eps")
-    h = hamiltonian_for(base_spec)
-    _, exponent = chernoff_extremize(h, delta, s)
+    _, exponent = chernoff_extremize(symbol.spec.hamiltonian(), delta, s)
     return ExitBoundFit(k=k, eps=eps, log_mass=log_mass, fit_c=-slope,
                         r_squared=r2, chernoff_c=-exponent)
 
@@ -351,26 +339,24 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
     with 5% headroom on the exponent."""
     if s <= 0 or eps <= 0:
         raise ValidationError("s and eps must be > 0")
-    base_spec = _require_spec(symbol)
-    scaled = maslov_scaled_symbol(symbol, k, eps)
+    spec = maslov_scaled_spec(symbol.spec, k, eps)
     # enlarge the lattice until the tilted multiplier is damped at the edge
-    cutoff = max(scaled.grid.cutoff, auto_cutoff(scaled.spec, s))
+    cutoff = max(symbol.grid.cutoff, auto_cutoff(spec, s))
     for _ in range(20):
         edge = min(
-            float(np.real(scaled.spec.value(np.array(sgn * cutoff, dtype=float)
-                                            - 1j * xi_tilt / eps)))
+            float(np.real(spec.value(np.array(sgn * cutoff, dtype=float)
+                                     - 1j * xi_tilt / eps)))
             for sgn in (1.0, -1.0)
         )
         if s * edge > 40.0 + s * abs(
-            float(np.real(scaled.spec.value(np.array(-1j * xi_tilt / eps))))
+            float(np.real(spec.value(np.array(-1j * xi_tilt / eps))))
         ):
             break
         cutoff *= 2
-    if cutoff != scaled.grid.cutoff:
-        scaled = build_symbol(scaled.spec, FrequencyGrid(1, cutoff))
+    scaled = build_symbol(spec, FrequencyGrid(1, cutoff))
     op = tilted_semigroup(scaled, TiltSpec(xi_tilt=xi_tilt, eps=eps), s)
-    measured = op.l1_norm(resolution=max(_KERNEL_RESOLUTION, 2 * cutoff + 2))
-    h = hamiltonian_for(base_spec)
+    measured = op.l1_norm(resolution=scaled.grid.fft_size(_KERNEL_RESOLUTION))
+    h = symbol.spec.hamiltonian()
     predicted = math.exp(s * float(h(np.array(xi_tilt))) / eps)
     bound = math.exp(1.05 * s * float(h(np.array(xi_tilt))) / eps)
     return TiltedBound(measured=measured, predicted=predicted, bound=bound,
@@ -421,7 +407,7 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
     chi_vals = np.asarray(chi(ys), dtype=float)
     if np.all(chi_vals == 0.0):
         return _judge(k, ts, np.full(ts.size, -math.inf), -math.inf, None)
-    h = hamiltonian_for(_require_spec(symbol))
+    h = symbol.spec.hamiltonian()
     l_near = float(np.min(straight_rate(h, x, ys[chi_vals > 1e-300])))
     if l_near <= 0:
         raise ValidationError("bump support must exclude the base point")
@@ -431,13 +417,9 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
     else:
         # the power law needs many active modes: fit deep in the small-t
         # regime on a lattice sized for the weighted multiplier
-        t_fit = np.array(EXPONENT_TIMES)
-        fit_cut = max(symbol.grid.cutoff, 2 * auto_cutoff(symbol.spec, t_fit[-1]))
-        fit_sym = (symbol if fit_cut == symbol.grid.cutoff
-                   else build_symbol(symbol.spec, FrequencyGrid(1, fit_cut)))
-        r_alpha = exponent_fit(
-            fit_sym, 1.0 / (2 * k), alpha_order, t_fit, resolution=2 * fit_cut + 2
-        ).r
+        fit_sym = exponent_symbol(symbol.spec)
+        r_alpha = exponent_fit(fit_sym, 1.0 / (2 * k), alpha_order, EXPONENT_TIMES,
+                               resolution=fit_sym.grid.fft_size(0)).r
     # frequency-side test function (i xi)^alpha chi^(xi)
     chi_hat = np.fft.fft(chi_vals) / _SET_RESOLUTION
     n = symbol.grid.cutoff

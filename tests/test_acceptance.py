@@ -29,7 +29,6 @@ from nmhl import (
     exponent_fit,
     gauge_conjugate,
     growth_fit,
-    hamiltonian_for,
     heat_kernel,
     ibp_check,
     kernel_symmetry_check,
@@ -47,7 +46,7 @@ from nmhl.presets import (
     IBP_PRESETS,
     IBP_RESOLUTION,
     IBP_TIME,
-    duhamel_pair,
+    duhamel_symbol,
     exit_grid,
     exponent_symbol,
 )
@@ -71,7 +70,7 @@ def test_01_gaussian_kernel_and_rate_ground_truth():
         kern = heat_kernel(sym, t, resolution=2048)
         gap = np.max(np.abs(kern.values - oracles.wrapped_gaussian(t, kern.points)))
         err = max(err, float(gap))
-    table = lagrangian_table(hamiltonian_for(PurePower(k=1)), p_max=8.0)
+    table = lagrangian_table(PurePower(k=1).hamiltonian(), p_max=8.0)
     l01 = rate_function(0.0, 1.0, table).l_value
     ok = err < 1e-8 and abs(l01 - 0.25) < 1e-6
     check("01", ok,
@@ -112,7 +111,7 @@ def test_04_first_order_ibp_constant_and_linear_weights():
 
 
 def test_05_legendre_transform_oracles():
-    h1, h2 = hamiltonian_for(PurePower(k=1)), hamiltonian_for(PurePower(k=2))
+    h1, h2 = PurePower(k=1).hamiltonian(), PurePower(k=2).hamiltonian()
     conj_err = max(abs(legendre(h1, p) - p * p / 4.0)
                    for p in (-3.0, -1.0, 0.5, 1.0, 2.0, 4.0))
     quartic_err = abs(legendre(h2, 4.0) - 3.0)
@@ -129,8 +128,8 @@ def test_05_legendre_transform_oracles():
 
 
 def test_06_rate_minimizer_matches_straight_line_oracle():
-    t1 = lagrangian_table(hamiltonian_for(PurePower(k=1)), p_max=16.0)
-    t2 = lagrangian_table(hamiltonian_for(PurePower(k=2)), p_max=16.0)
+    t1 = lagrangian_table(PurePower(k=1).hamiltonian(), p_max=16.0)
+    t2 = lagrangian_table(PurePower(k=2).hamiltonian(), p_max=16.0)
     short = rate_function(0.0, 1.0, t1)
     wound = rate_function(0.0, 5.0, t1)  # displacement beyond half circumference
     quartic = rate_function(0.0, 1.0, t2)
@@ -251,10 +250,10 @@ def test_09_tilted_norm_bound_across_preset_grid():
 def test_10_seminorm_decay_exponents_scale_and_add():
     worst = 0.0
     for k, alpha, l, expected in EXPONENT_PRESETS:
-        fit = exponent_fit(exponent_symbol(k), alpha, l, EXPONENT_TIMES)
+        fit = exponent_fit(exponent_symbol(PurePower(k=k)), alpha, l, EXPONENT_TIMES)
         assert fit.r_squared >= 0.99
         worst = max(worst, abs(fit.r - expected) / expected)
-    sym = exponent_symbol(1)
+    sym = exponent_symbol(PurePower(k=1))
     r1 = exponent_fit(sym, 0.5, 1, EXPONENT_TIMES).r
     r2 = exponent_fit(sym, 0.5, 2, EXPONENT_TIMES).r
     r3 = exponent_fit(sym, 0.5, 3, EXPONENT_TIMES).r
@@ -286,11 +285,11 @@ def test_12_structural_suite():
                kernel_symmetry_check(quartic, 0.05))
     mass_err = max(abs(heat_kernel(gauss, 0.1, resolution=512).mass() - 1.0),
                    abs(heat_kernel(quartic, 0.1, resolution=512).mass() - 1.0))
-    base, q, full = duhamel_pair()
+    full = duhamel_symbol()
     exact = np.exp(-0.5 * full.values)
     duhamel_ok = True
     for l_max in (1, 3, 5, 8):
-        result = duhamel_series(base, q, 0.5, l_max=l_max)
+        result = duhamel_series(full, 0.5, l_max=l_max)
         gap = float(np.max(np.abs(result.multiplier - exact)))
         duhamel_ok = duhamel_ok and gap <= result.remainder_bound
     ok = ck < 1e-8 and symm < 1e-10 and mass_err < 1e-12 and duhamel_ok

@@ -508,6 +508,91 @@ def test_perturbed_refuses_the_kinds_that_need_a_hamiltonian_at_parse_time(
     assert not (tmp_path / "o").exists()
 
 
+def refused_at_parse_time(text, kind, error, message, tmp_path, capsys):
+    """`text` is refused by `parse_config` with `error` and `message`, and
+    `main` exits 2 on it with that message and makes no output directory."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = write_config(tmp_path, text)
+    code = main([kind, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{kind}: {error.__name__}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+KERNEL_EXPERIMENT = '"experiment": {"kind": "kernel", "t": 0.1}'
+
+
+@pytest.mark.parametrize("text, message", [
+    # json.loads kept the last value: this parsed as k = 2
+    ('{"operator": {"variant": "pure_power", "k": 1, "k": 2}, '
+     + KERNEL_EXPERIMENT + "}", "duplicate key 'k' in a JSON object"),
+    ('{"operator": {"variant": "pure_power", "k": 1}, "operator": {"k": 2}, '
+     + KERNEL_EXPERIMENT + "}", "duplicate key 'operator' in a JSON object"),
+    # Perturbed kept the last coefficient, and the metadata echoed both
+    ("[operator]\nvariant = perturbed\nk = 2\nq = 2:0.1,2:0.2\n\n"
+     "[experiment]\nkind = kernel\nt = 0.1\n", "q exponent 2 is repeated"),
+    ('{"operator": {"variant": "perturbed", "k": 2, "q": {"2": 0.1, "02": 0.2}}, '
+     + KERNEL_EXPERIMENT + "}", "q exponent 2 is repeated"),
+], ids=["json_key", "json_section", "q_text", "q_json"])
+def test_repeated_keys_and_q_exponents_are_refused_at_parse_time(
+        text, message, tmp_path, capsys):
+    refused_at_parse_time(text, "kernel", ValidationError, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("operator, error, message", [
+    # these parsed, then exited 2 at run time and left an empty directory
+    ("variant = perturbed\nk = 1\nq = 2:0.1", nmhl.DegreeViolation,
+     "perturbation degree 2 must be < base order 2"),
+    ("variant = quadratic_form\nk = 1\na_matrix = -1", nmhl.NonPositiveDefiniteForm,
+     "a_matrix fails Cholesky"),
+], ids=["degree", "cholesky"])
+def test_the_operator_spec_is_built_at_parse_time(operator, error, message,
+                                                  tmp_path, capsys):
+    text = f"[operator]\n{operator}\n\n[experiment]\nkind = kernel\nt = 0.1\n"
+    refused_at_parse_time(text, "kernel", error, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("operator, experiment, message", [
+    ("variant = perturbed\nk = 1\nq = 2:0.1", "kind = rate",
+     "perturbed does not run rate experiments"),
+    ("variant = quadratic_form\nk = 1\na_matrix = 1,2;3,4", "kind = kernel\nt = 0.1",
+     "a_matrix must be 1x1 for d=1, k=1, got (2, 2)"),
+])
+def test_the_key_kind_and_shape_checks_speak_before_the_spec(operator, experiment,
+                                                             message):
+    text = f"[operator]\n{operator}\n\n[experiment]\n{experiment}\n"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ["varadhan", "exit"])
+@pytest.mark.parametrize("operator, k, degree", [
+    # |xi|^3: varadhan exited 0 with a false PASS
+    ("variant = fractional\nk = 2\nalpha_frac = 0.75", 2, None),
+    ("variant = levy\nl = 1\nalpha_levy = -0.5", 1, None),
+    ("variant = pure_power\nk = 2", 1, 4),
+    ("variant = quadratic_form\nk = 1", 2, 2),
+], ids=["fractional", "levy", "pure_power", "quadratic_form"])
+def test_curve_kinds_refuse_an_operator_of_another_order(operator, k, degree, kind,
+                                                         tmp_path, capsys):
+    variant = operator.split("\n")[0].split(" = ")[1]
+    text = f"[operator]\n{operator}\n\n[experiment]\nkind = {kind}\nk = {k}\n"
+    message = (f"{variant} does not run {kind} experiments with experiment.k = {k}: "
+               f"they need an even polynomial symbol of degree {2 * k} "
+               f"(poly_degree {degree})")
+    refused_at_parse_time(text, kind, ValidationError, message, tmp_path, capsys)
+
+
+def test_curve_kinds_run_on_operators_of_their_order():
+    for operator in ("variant = pure_power\nk = 2",
+                     "variant = quadratic_form\nk = 2\na_matrix = 2"):
+        for kind in ("varadhan", "exit"):
+            cfg = parse_config(f"[operator]\n{operator}\n\n"
+                               f"[experiment]\nkind = {kind}\nk = 2\n")
+            assert cfg.experiment.params["k"] == 2
+
+
 def test_every_variant_row_names_known_kinds_and_perturbed_kernels_still_parse():
     assert ALL_KINDS == EXPERIMENT_KINDS
     for row in VARIANT_TABLE.values():

@@ -23,10 +23,9 @@ from nmhl import (
     biconjugate,
     build_symbol,
     growth_fit,
-    hamiltonian_for,
     lagrangian_table,
     legendre,
-    maslov_scaled_symbol,
+    maslov_scaled_spec,
     rate_function,
     straight_path,
 )
@@ -40,7 +39,7 @@ EPS = float(np.finfo(float).eps)
 
 
 def h_power(k):
-    return hamiltonian_for(PurePower(k=k))
+    return PurePower(k=k).hamiltonian()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_subquadratic_hamiltonian_has_unbounded_conjugate():
 
 def test_sublinear_hamiltonian_has_no_conjugate_maximum():
     # H = |xi|^0.8 is concave: H' = p has a root, but it minimizes p xi - H
-    h = hamiltonian_for(FractionalPower(base=PurePower(k=1), alpha_frac=0.4))
+    h = FractionalPower(base=PurePower(k=1), alpha_frac=0.4).hamiltonian()
     for p in (0.5, 2.0):
         with pytest.raises(SupUnbounded):
             legendre(h, p)
@@ -127,14 +126,14 @@ def test_convexity_check_accepts_powers_and_rejects_wells():
 def test_fractional_hamiltonian_composes_orders():
     from nmhl import FractionalPower
 
-    h = hamiltonian_for(FractionalPower(base=PurePower(k=2), alpha_frac=0.5))
+    h = FractionalPower(base=PurePower(k=2), alpha_frac=0.5).hamiltonian()
     assert h.order == pytest.approx(2.0)
     assert h(np.array([2.0]))[0] == pytest.approx(4.0)
 
 
 def test_jump_hamiltonian_uses_hyperbolic_kernel():
     spec = Levy(l=1, alpha_levy=-0.5, density=flat_density())
-    h = hamiltonian_for(spec)
+    h = spec.hamiltonian()
     assert h(2.0) == pytest.approx(0.5748611643472, abs=1e-10)
     # the hyperbolic version dominates the oscillatory one at matching xi
     sym = build_symbol(spec, FrequencyGrid(1, 4))
@@ -156,7 +155,7 @@ VARIANTS = {
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_hamiltonian_derivatives_match_central_differences(name):
-    h = hamiltonian_for(VARIANTS[name])
+    h = VARIANTS[name].hamiltonian()
     xi = np.array([-4.0, -1.3, -0.2, 0.35, 1.0, 2.7, 6.0])
     step = 1e-5 * (1.0 + np.abs(xi))
     dh = (h(xi + step) - h(xi - step)) / (2.0 * step)
@@ -169,7 +168,7 @@ def test_hamiltonian_derivatives_match_central_differences(name):
 def test_tables_agree_with_the_bounded_search(name):
     # the search is good to about 1e-8 |xi| in the maximizer and 1e-15 in
     # the value (see legendre_search)
-    h = hamiltonian_for(VARIANTS[name])
+    h = VARIANTS[name].hamiltonian()
     table = lagrangian_table(h, p_max=12.0, n=33)
     for p, value, slope in zip(table.p_grid, table.values, table.slopes):
         ref_value, ref_xi = oracles.legendre_search(h, float(p))
@@ -181,7 +180,7 @@ def test_tables_agree_with_the_bounded_search(name):
 
 def test_no_real_phase_hamiltonian_for_drift_perturbations():
     with pytest.raises(ValidationError):
-        hamiltonian_for(Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}))
+        Perturbed(base=PurePower(k=2), q_coeffs={(1,): 0.3}).hamiltonian()
 
 
 def test_jump_hamiltonian_has_two_derivatives():
@@ -191,7 +190,7 @@ def test_jump_hamiltonian_has_two_derivatives():
 
 def test_real_phase_hamiltonian_is_one_dimensional():
     with pytest.raises(ValidationError, match="one-dimensional"):
-        hamiltonian_for(PurePower(k=1, d=2))
+        PurePower(k=1, d=2).hamiltonian()
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def test_rate_agrees_with_wound_quadratic_oracle(y):
 def test_differential_symbol_scales_by_power_of_eps():
     sym = build_symbol(PurePower(k=2), FrequencyGrid(1, 8))
     eps = 0.3
-    scaled = maslov_scaled_symbol(sym, 2, eps)
+    scaled = build_symbol(maslov_scaled_spec(sym.spec, 2, eps), sym.grid)
     assert np.allclose(scaled.values, eps**3 * sym.values, rtol=1e-13)
 
 
@@ -425,7 +424,7 @@ def test_jump_symbol_scales_in_frequency():
     spec = Levy(l=1, alpha_levy=-0.5, density=flat_density())
     sym = build_symbol(spec, FrequencyGrid(1, 4))
     eps = 0.5
-    scaled = maslov_scaled_symbol(sym, 1, eps)
+    scaled = build_symbol(maslov_scaled_spec(spec, 1, eps), sym.grid)
     xi = sym.grid.points[:, 0].astype(float)
     expect = np.array(
         [levy_symbol(spec.density, 1, -0.5, eps * v) / eps for v in xi]
@@ -434,14 +433,6 @@ def test_jump_symbol_scales_in_frequency():
 
 
 def test_scaling_rejects_bad_arguments():
-    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 8))
     with pytest.raises(ValidationError):
-        maslov_scaled_symbol(sym, 1, 0.0)
-    from nmhl import Symbol
-
-    bare = Symbol(
-        grid=sym.grid, values=sym.values.copy(), order=2.0, spec=None,
-    )
-    with pytest.raises(ValidationError):
-        maslov_scaled_symbol(bare, 1, 0.5)
+        maslov_scaled_spec(PurePower(k=1), 1, 0.0)
 

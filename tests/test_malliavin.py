@@ -316,13 +316,13 @@ def test_bounded_moment_requires_single_auxiliary():
 
 @pytest.mark.parametrize("k,alpha,l,expected", EXPONENT_PRESETS)
 def test_decay_exponent_matches_alpha_times_order(k, alpha, l, expected):
-    fit = exponent_fit(exponent_symbol(k), alpha, l, EXPONENT_TIMES)
+    fit = exponent_fit(exponent_symbol(PurePower(k=k)), alpha, l, EXPONENT_TIMES)
     assert fit.r_squared >= 0.99
     assert abs(fit.r - expected) <= 0.05 * expected
 
 
 def test_decay_exponents_add_over_derivative_order():
-    sym = exponent_symbol(1)
+    sym = exponent_symbol(PurePower(k=1))
     r1 = exponent_fit(sym, 0.5, 1, EXPONENT_TIMES).r
     r2 = exponent_fit(sym, 0.5, 2, EXPONENT_TIMES).r
     r3 = exponent_fit(sym, 0.5, 3, EXPONENT_TIMES).r
@@ -330,13 +330,13 @@ def test_decay_exponents_add_over_derivative_order():
 
 
 def test_zero_order_seminorm_is_flat():
-    fit = exponent_fit(exponent_symbol(1), 0.5, 0, EXPONENT_TIMES)
+    fit = exponent_fit(exponent_symbol(PurePower(k=1)), 0.5, 0, EXPONENT_TIMES)
     assert fit.r == 0.0
     assert fit.r_squared == 1.0
 
 
 def test_exponent_fit_validates_time_window():
-    sym = exponent_symbol(1)
+    sym = exponent_symbol(PurePower(k=1))
     with pytest.raises(ValidationError):
         exponent_fit(sym, 0.5, 1, [1e-3, 2e-3])
     with pytest.raises(ValidationError):

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from nmhl import Levy, levy_hamiltonian, levy_symbol
 from nmhl.errors import QuadratureNonConverged, TiltOutOfDomain
-from nmhl.ldp import hamiltonian_for, lagrangian_table, legendre
+from nmhl.ldp import lagrangian_table, legendre
 from nmhl.malliavin import _aux_kernel_table
 from nmhl.presets import flat_density
 
@@ -78,7 +78,7 @@ def test_jump_lagrangian_table_is_quick_and_below_every_tangent():
     spec = Levy(l=1, alpha_levy=-0.5, density=flat_density())
     p_max = 2.0 * (1.0 + 4.0 * math.pi)
     start = time.perf_counter()
-    lag = lagrangian_table(hamiltonian_for(spec), p_max, n=33)
+    lag = lagrangian_table(spec.hamiltonian(), p_max, n=33)
     # the scalar-quadrature table this replaces took 13.6 s
     assert time.perf_counter() - start < 8.0
     # Fenchel: L(p) >= p xi - H(xi) for every p and xi, with equality at the
@@ -99,5 +99,5 @@ def test_jump_hamiltonian_names_the_cosh_overflow():
         with pytest.raises(TiltOutOfDomain, match="overflows"):
             levy_hamiltonian(flat_density(), 1, -0.5, 800.0)
     # a large momentum keeps its maximizer well inside the limit
-    h = hamiltonian_for(Levy(l=1, alpha_levy=-0.5, density=flat_density()))
+    h = Levy(l=1, alpha_levy=-0.5, density=flat_density()).hamiltonian()
     assert legendre(h, 1e6) == pytest.approx(15436992.467835128, rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -12,7 +13,6 @@ from nmhl import (
     Levy,
     Perturbed,
     PurePower,
-    Symbol,
     TiltSpec,
     auto_cutoff,
     build_symbol,
@@ -27,8 +27,9 @@ from nmhl import (
     tilted_semigroup,
 )
 from nmhl import semigroup
-from nmhl.errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
-from nmhl.presets import duhamel_pair, flat_density, varadhan_grid
+from nmhl.errors import (ComplexResidue, CutoffTooSmall, DegreeViolation,
+                         SeriesDiverged, ValidationError)
+from nmhl.presets import duhamel_symbol, flat_density, varadhan_grid
 
 GAUSS_DIAG_T1 = 0.28212397345676224   # (1/2pi) sum exp(-n^2), two oracle routes
 
@@ -164,13 +165,12 @@ def test_symmetry_check_judges_the_tabulated_values():
                              FrequencyGrid(1, 16))
     with pytest.raises(ValidationError, match="real even"):
         kernel_symmetry_check(odd_drift, 0.05)
-    grid = FrequencyGrid(1, 16)
-    xi = grid.points[:, 0].astype(float)
-    uneven = Symbol(grid=grid, values=xi**2 + 0.5 * xi + 0j, order=2,
-                    spec=None)
+    # a real table that is not even is refused whatever its spec says
+    even = build_symbol(PurePower(k=1), FrequencyGrid(1, 16))
+    xi = even.grid.points[:, 0].astype(float)
+    uneven = dataclasses.replace(even, values=xi**2 + 0.5 * xi + 0j)
     with pytest.raises(ValidationError, match="real even"):
         kernel_symmetry_check(uneven, 0.5)
-    even = Symbol(grid=grid, values=xi**2 + 0j, order=2, spec=None)
     assert kernel_symmetry_check(even, 0.5) < 1e-12
 
 
@@ -203,34 +203,50 @@ def test_every_truncated_evaluation_refuses_an_undamped_edge(evaluate, suggests)
 
 
 def test_non_hermitian_multiplier_rejected():
-    grid = FrequencyGrid(1, 4)
-    xi = grid.points[:, 0].astype(float)
-    values = xi**2 + 0.0j                   # dissipative, passes truncation
-    values[grid.points[:, 0] == 1] += 1.0j  # breaks a(-xi) == conj(a(xi))
-    sym = Symbol(grid=grid, values=values, order=2, spec=None)
+    # no spec tabulates such a table: the values are altered after the build
+    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 4))
+    values = sym.values.copy()               # dissipative, passes truncation
+    values[sym.grid.points[:, 0] == 1] += 1.0j  # breaks a(-xi) == conj(a(xi))
+    sym = dataclasses.replace(sym, values=values)
     with pytest.raises(ComplexResidue):
         heat_kernel(sym, 2.5, resolution=64)
 
 
 def test_duhamel_partial_sums_sit_within_their_own_tail_bound():
-    base, q, full = duhamel_pair()
+    full = duhamel_symbol()
     exact = np.exp(-0.5 * full.values)
     for l_max in (1, 3, 5, 8):
-        result = duhamel_series(base, q, 0.5, l_max=l_max)
+        result = duhamel_series(full, 0.5, l_max=l_max)
         gap = float(np.max(np.abs(result.multiplier - exact)))
         assert gap <= result.remainder_bound
         assert np.all(np.diff(result.level_bounds) < 0)
 
 
 def test_duhamel_flags_nondecreasing_tail():
-    # a perturbation large enough that the tail still grows at the cap
-    grid = FrequencyGrid(1, 4)
-    base = build_symbol(PurePower(k=2), grid)
-    q_vals = 3.0 * grid.points[:, 0].astype(float) ** 2
-    q_sym = Symbol(grid=grid, values=q_vals.astype(complex), order=2,
-                   spec=None)
+    # a perturbation q = 3 xi^2 large enough that the tail still grows at
+    # the cap: the coefficient of (i xi)^2 is -3
+    spec = Perturbed(base=PurePower(k=2), q_coeffs={(2,): -3.0})
     with pytest.raises(SeriesDiverged):
-        duhamel_series(base, q_sym, 1.0, l_max=4)
+        duhamel_series(build_symbol(spec, FrequencyGrid(1, 4)), 1.0, l_max=4)
+
+
+def test_duhamel_series_expands_a_perturbed_symbol_only():
+    # the base order bounds the perturbation degree when the spec is made,
+    # so the series needs no degree check of its own
+    with pytest.raises(DegreeViolation):
+        Perturbed(base=PurePower(k=1), q_coeffs={(2,): 0.1})
+    with pytest.raises(ValidationError, match="expands a Perturbed symbol"):
+        duhamel_series(quartic_symbol(), 0.5)
+
+
+def test_duhamel_series_takes_the_difference_of_the_two_tables():
+    full = duhamel_symbol()
+    base = build_symbol(PurePower(k=2), full.grid)
+    q = full.values - base.values
+    result = duhamel_series(full, 0.5, l_max=1)
+    np.testing.assert_allclose(
+        result.multiplier, np.exp(-0.5 * base.values) * (1.0 - 0.5 * q),
+        rtol=1e-14, atol=0)
 
 
 def test_tilted_semigroup_reduces_to_heat_kernel_at_zero_tilt():

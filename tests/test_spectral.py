@@ -47,7 +47,7 @@ def test_pure_power_lattice_values():
     neg = _negation_permutation(sym.grid)
     assert np.all(sym.values.imag == 0) and np.all(sym.values == sym.values[neg])
     assert sym.lattice_min_real() >= 0.0
-    assert sym.order == 4
+    assert sym.spec.order == 4
 
 
 def test_pure_power_2d_sums_axis_powers():
@@ -167,7 +167,7 @@ def test_levy_lattice_symbol_is_dissipative_and_even():
     neg = _negation_permutation(sym.grid)
     assert np.all(sym.values.imag == 0) and np.all(sym.values == sym.values[neg])
     assert sym.lattice_min_real() >= 0.0
-    assert sym.order == pytest.approx(2.5)
+    assert sym.spec.order == pytest.approx(2.5)
 
 
 def test_levy_parameter_ranges():

@@ -1,8 +1,8 @@
 """Small-time upper-bound curves, set estimates, exit fits, tilted norms, and
 localized derivative bounds."""
 
-import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +18,6 @@ from nmhl import (
     build_symbol,
     chernoff_extremize,
     exit_bound_check,
-    hamiltonian_for,
     legendre,
     localized_estimate,
     plateau_bump,
@@ -27,8 +26,11 @@ from nmhl import (
     varadhan_curve,
     wf_set_estimate,
 )
+from nmhl import spectral
+from nmhl.cli import main
 from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
+from nmhl.presets import EXIT_DELTA, EXIT_S, exit_grid
 from nmhl.spectral import auto_cutoff
 from nmhl.varadhan import C_SLACK, ScalingCurve, _judge, _log_interval_mass
 
@@ -47,7 +49,7 @@ def geometric(t0, factor, count):
 
 
 def test_straight_rate_short_and_wound():
-    h = hamiltonian_for(PurePower(k=1))
+    h = PurePower(k=1).hamiltonian()
     assert straight_rate(h, 0.0, 1.0) == pytest.approx(0.25, abs=1e-10)
     assert straight_rate(h, 0.0, 5.0) == pytest.approx(
         (TWO_PI - 5.0) ** 2 / 4.0, abs=1e-9
@@ -57,13 +59,13 @@ def test_straight_rate_short_and_wound():
 @pytest.mark.parametrize("x, y", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)])
 def test_straight_rate_refuses_a_nonfinite_endpoint(x, y):
     with pytest.raises(ValidationError, match="finite"):
-        straight_rate(hamiltonian_for(PurePower(k=1)), x, y)
+        straight_rate(PurePower(k=1).hamiltonian(), x, y)
 
 
 @given(y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_straight_rate_matches_wound_oracle(y):
-    h = hamiltonian_for(PurePower(k=1))
+    h = PurePower(k=1).hamiltonian()
     assert straight_rate(h, 0.0, y) == pytest.approx(
         oracles.quadratic_rate(0.0, y), abs=1e-8
     )
@@ -76,7 +78,7 @@ HAMILTONIANS = {"k1": PurePower(k=1), "k2": PurePower(k=2), "k3": PurePower(k=3)
 @pytest.mark.parametrize("name", HAMILTONIANS)
 def test_straight_rate_on_arrays_equals_the_scalar_calls(name):
     # every endpoint and winding in one Legendre solve, bit for bit
-    h = hamiltonian_for(HAMILTONIANS[name])
+    h = HAMILTONIANS[name].hamiltonian()
     rng = np.random.default_rng(7)
     x, y = rng.uniform(-7.0, 7.0, 64), rng.uniform(-20.0, 20.0, 64)
     many = straight_rate(h, x, y)
@@ -87,7 +89,7 @@ def test_straight_rate_on_arrays_equals_the_scalar_calls(name):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_straight_rate_is_the_conjugate_to_two_ulps(k):
-    h = hamiltonian_for(PurePower(k=k))
+    h = PurePower(k=k).hamiltonian()
     for z in np.linspace(-math.pi, math.pi, 257):
         ref = oracles.power_conjugate(k, float(z))[1]
         assert abs(straight_rate(h, 0.0, float(z)) - ref) <= 2 * np.spacing(ref)
@@ -98,11 +100,11 @@ def test_straight_rate_is_the_conjugate_to_two_ulps(k):
 
 
 def test_chernoff_closed_forms():
-    h1 = hamiltonian_for(PurePower(k=1))
+    h1 = PurePower(k=1).hamiltonian()
     xi, val = chernoff_extremize(h1, 1.0, 1.0)
     assert xi == pytest.approx(0.5, abs=1e-9)
     assert val == pytest.approx(-0.25, abs=1e-10)
-    h2 = hamiltonian_for(PurePower(k=2))
+    h2 = PurePower(k=2).hamiltonian()
     xi, val = chernoff_extremize(h2, 1.0, 1.0)
     assert xi == pytest.approx(0.25 ** (1.0 / 3.0), abs=1e-8)
     assert val == pytest.approx(-3.0 * 0.25 ** (4.0 / 3.0), abs=1e-8)
@@ -116,13 +118,13 @@ def test_chernoff_closed_forms():
 @settings(max_examples=30, deadline=None)
 def test_chernoff_is_dual_to_legendre(delta, s):
     # inf_xi (-delta xi + s H(xi)) = -s L(delta / s) for even convex H
-    h = hamiltonian_for(PurePower(k=2))
+    h = PurePower(k=2).hamiltonian()
     _, val = chernoff_extremize(h, delta, s)
     assert val == pytest.approx(-s * legendre(h, delta / s), abs=1e-8)
 
 
 def test_chernoff_oracle_agreement():
-    h = hamiltonian_for(PurePower(k=2))
+    h = PurePower(k=2).hamiltonian()
     for delta, s in ((0.5, 0.1), (1.0, 0.3), (2.0, 1.0)):
         xi_o, val_o = oracles.chernoff_exponent(2, delta, s)
         xi, val = chernoff_extremize(h, delta, s)
@@ -134,7 +136,7 @@ def test_chernoff_oracle_agreement():
 def test_chernoff_is_the_conjugate_to_rounding(k):
     # xi* = L'(delta / s) and the minimum -s L(delta / s), against the
     # 40-digit closed form
-    h = hamiltonian_for(PurePower(k=k))
+    h = PurePower(k=k).hamiltonian()
     for delta, s in ((0.5, 0.1), (1.0, 0.3), (2.0, 1.0)):
         xi_o, l_o = oracles.power_conjugate(k, delta / s)
         xi, val = chernoff_extremize(h, delta, s)
@@ -145,13 +147,13 @@ def test_chernoff_is_the_conjugate_to_rounding(k):
 def test_chernoff_refuses_a_sublinear_hamiltonian():
     # H = |xi|^0.8 grows sublinearly: -delta xi + s H(xi) falls without
     # bound, so there is no minimizer to return
-    h = hamiltonian_for(FractionalPower(PurePower(k=1), 0.4))
+    h = FractionalPower(PurePower(k=1), 0.4).hamiltonian()
     with pytest.raises(SupUnbounded):
         chernoff_extremize(h, 0.5, 1.0)
 
 
 def test_chernoff_validates_inputs():
-    h = hamiltonian_for(PurePower(k=1))
+    h = PurePower(k=1).hamiltonian()
     with pytest.raises(ValidationError):
         chernoff_extremize(h, -0.1, 1.0)
     with pytest.raises(ValidationError):
@@ -162,7 +164,7 @@ def test_chernoff_validates_inputs():
                                       (math.inf, 1.0), (1.0, math.inf)])
 def test_chernoff_refuses_nonfinite_arguments(delta, s):
     with pytest.raises(ValidationError, match="finite"):
-        chernoff_extremize(hamiltonian_for(PurePower(k=1)), delta, s)
+        chernoff_extremize(PurePower(k=1).hamiltonian(), delta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,44 @@ def test_exit_fit_flags_underflowed_masses():
     sym = power_symbol(1, 0.1)
     with pytest.raises(FitUnstable):
         exit_bound_check(sym, 1, 0.5, 0.1, [0.004, 0.002, 0.001])
+
+
+def count_build_symbol(monkeypatch) -> list:
+    """Count `build_symbol` calls made from any nmhl module: every module
+    name bound to the function is rebound to a counting wrapper."""
+    calls, original = [], spectral.build_symbol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "nmhl" or name.startswith("nmhl.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_exit_fit_builds_each_scaled_symbol_once(monkeypatch):
+    # each eps-scaled spec is built once, on the larger of the base lattice
+    # and its own cutoff rule; it was built on the base lattice and then
+    # again on the larger one (12 builds for these 6 points)
+    sym = power_symbol(1, EXIT_S)
+    start, factor, count = exit_grid(1)
+    calls = count_build_symbol(monkeypatch)
+    exit_bound_check(sym, 1, EXIT_DELTA, EXIT_S, start * factor ** np.arange(count))
+    assert len(calls) == count == 6
+
+
+def test_cli_exit_run_builds_seven_symbols(monkeypatch, tmp_path):
+    # the base symbol and one symbol per eps (13 before)
+    cfg = tmp_path / "exit.cfg"
+    cfg.write_text("[operator]\nvariant = pure_power\nk = 1\n\n"
+                   "[experiment]\nkind = exit\n")
+    calls = count_build_symbol(monkeypatch)
+    assert main(["exit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 7
 
 
 def test_exit_fit_validates_inputs():
@@ -499,16 +539,12 @@ def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
         varadhan_curve(sym, 1, 0.0, 2.5, geometric(0.008, 0.5, 3))
 
 
-def test_varadhan_curve_refuses_deep_samples_of_a_symbol_without_a_spec():
-    # with no spec the deep samples have no contour to take, and the lattice
-    # sum's rounding noise would read as v = -0.241, -0.148, -0.079, -0.039
-    # and a false FAIL
+def test_varadhan_curve_takes_deep_samples_on_the_contour():
+    # the lattice sum's rounding noise would read as v = -0.241, -0.148,
+    # -0.079, -0.039 here, and a false FAIL
     sym = power_symbol(1, 1e-3)
-    ts = geometric(0.008, 0.5, 4)
-    assert varadhan_curve(sym, 1, 0.0, 1.0, ts, l_value=0.25).passed
-    table = dataclasses.replace(sym, spec=None)
-    with pytest.raises(ValidationError, match="continuous evaluation"):
-        varadhan_curve(table, 1, 0.0, 1.0, ts, l_value=0.25)
+    assert varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.008, 0.5, 4),
+                          l_value=0.25).passed
 
 
 def test_varadhan_curve_refuses_a_two_dimensional_symbol():
