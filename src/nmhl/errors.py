@@ -62,7 +62,8 @@ class MomentDiverged(NmhlError):
 
 
 class AuxDomainTooSmall(NmhlError):
-    """Auxiliary kernel mass outside the truncated domain exceeds tolerance."""
+    """Auxiliary kernel mass outside the truncated domain exceeds tolerance,
+    or the domain lies too far out for doubles to resolve the kernel."""
 
 
 # ---- variational machinery ----

@@ -59,10 +59,10 @@ def _ordered_lattice(d: int, n: int) -> np.ndarray:
     axes = [np.arange(-n, n + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    # ascending Euclidean norm, lexicographic tie-break
+    # ascending Euclidean norm, lexicographic tie-break: the "ij" mesh is
+    # already in lexicographic order, so a stable sort on the norm keeps it
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    order = np.lexsort(tuple(pts[:, j] for j in reversed(range(d))) + (norms,))
-    return pts[order]
+    return pts[np.argsort(norms, kind="stable")]
 
 
 def spatial_grid(m: int, d: int = 1) -> np.ndarray:

@@ -137,15 +137,30 @@ def _interp_kernel(z_tab, k_tab, pts):
     return np.interp(pts, z_tab, k_tab, left=0.0, right=0.0)
 
 
+def _require_start(start) -> float:
+    """Refuse a start that is not one finite number."""
+    try:
+        value = np.asarray(start, dtype=float)
+    except (TypeError, ValueError):
+        value = np.array([])
+    if value.ndim != 0 or not math.isfinite(value):
+        raise ValidationError(f"start must be one finite number, got {start!r}")
+    return float(value)
+
+
 def aux_moment(op: AugmentedOperator, t: float, start=0.0,
-               path: str = "analytic") -> np.ndarray:
+               path: str = "analytic", *,
+               kernel_tables: dict | None = None) -> np.ndarray:
     """First moment E[u] of one auxiliary variable per lattice mode.
 
     analytic: start + c(xi) from the eta-derivative of the multiplier at 0.
     quadrature: trapezoid of u * kappa(start + c - u) on the truncated domain,
-    which carries honest truncation/discretization error.
+    which carries honest truncation/discretization error.  A caller taking
+    several moments passes one `kernel_tables` dict to all of them, so the
+    kernel table of each (t, aux_order) is built once; None builds it afresh.
     """
     _require_time(t)
+    start = _require_start(start)
     c = op.coupling_shift(t)
     if path == "analytic":
         return start + c
@@ -155,13 +170,26 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0,
         raise ValidationError("quadrature moments need real coupling shifts")
     c = c.real
     wid = t ** (1.0 / op.aux_order)
-    centers = np.atleast_1d(start + c)
-    u_max = 12.0 * wid + float(np.max(np.abs(centers)))
+    centers = start + c
+    reach = float(np.max(np.abs(centers)))
+    u_max = 12.0 * wid + reach
     # the kernel has width ~wid around each center: integrate per mode over
     # the local window clipped to the truncated domain, which holds every
     # center, so the window is never empty
-    z_tab, k_tab = _aux_kernel_table(t, op.aux_order, 16.0 * wid)
     window = 14.0 * wid
+    # the nodes of every window must be distinct doubles: far enough out,
+    # a window collapses onto a few of them and its moment reads 0
+    step = 2.0 * window / (_MOMENT_POINTS - 1)
+    if not step > np.spacing(reach + window):
+        raise AuxDomainTooSmall(
+            f"moment windows of width {2.0 * window:.3g} at centers up to "
+            f"{reach:.3g} are not resolved in double precision"
+        )
+    key = (np.float64(t).tobytes(), op.aux_order)
+    tables = {} if kernel_tables is None else kernel_tables
+    if key not in tables:
+        tables[key] = _aux_kernel_table(t, op.aux_order, 16.0 * wid)
+    z_tab, k_tab = tables[key]
     # c(xi) is even, so about half the modes share a center: integrate once
     # per distinct center
     distinct, inverse = np.unique(centers, return_inverse=True)
@@ -172,6 +200,29 @@ def aux_moment(op: AugmentedOperator, t: float, start=0.0,
         vals = _interp_kernel(z_tab, k_tab, ci - u)
         out[i] = np.trapezoid(u * vals, u)
     return out[inverse].reshape(centers.shape)
+
+
+class _MomentMemo:
+    """The auxiliary moments of one run of ibp checks.
+
+    A moment depends only on its start, t, aux_order, path and the coupling
+    shifts c(xi), so it is kept under their bits (-0.0 and 0.0 stay apart)
+    and checks whose operators share them share it; the kernel tables are
+    shared the same way.  Nothing is kept beyond the memo's owner.
+    """
+
+    def __init__(self):
+        self.moments = {}
+        self.kernel_tables = {}
+
+    def moment(self, op: AugmentedOperator, t: float, start: float,
+               path: str) -> np.ndarray:
+        key = (np.float64(start).tobytes(), np.float64(t).tobytes(),
+               op.aux_order, path, op.coupling_shift(t).tobytes())
+        if key not in self.moments:
+            self.moments[key] = aux_moment(op, t, start=start, path=path,
+                                           kernel_tables=self.kernel_tables)
+        return self.moments[key]
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +266,13 @@ def ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float = 0.0,
     LHS: P~^{n+1}[f prod_i u_i . u](x, v, 0) via per-mode moment extraction.
     RHS: (int_0^t s^r ds) P~^{n}[L^alpha f prod_i u_i](x, v).
     """
+    return _ibp_check(op, f, t, x, starts, moment_path, _MomentMemo())
+
+
+def _ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float,
+               starts, moment_path: str, memo: _MomentMemo) -> IbpResult:
+    """`ibp_check` taking its moments from `memo`, which a run of checks
+    shares."""
     _require_time(t)
     eps = float(np.finfo(float).eps)
     starts = np.zeros(op.n) if starts is None else np.asarray(starts, dtype=float)
@@ -223,24 +281,13 @@ def ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float = 0.0,
     coeffs = _grid_coefficients(op.base, np.asarray(f, dtype=float))
     xi = op.base.grid.points[:, 0].astype(float)
     damp = np.exp(-t * op.base.values)
-    c = op.coupling_shift(t)
     w = op.weight_integral(t)
     a_alpha = _principal_power(op.base.values, op.alpha_frac)
 
-    # one aux_moment call per distinct start (by bit pattern, so -0.0 and
-    # 0.0 stay apart); nothing is kept beyond this call
-    moments = {}
-
-    def moment(start: float) -> np.ndarray:
-        key = np.float64(start).tobytes()
-        if key not in moments:
-            moments[key] = aux_moment(op, t, start=start, path=moment_path)
-        return moments[key]
-
-    carried = np.ones_like(c)
+    carried = np.ones_like(damp)
     for v in starts:
-        carried = carried * moment(v)
-    new_var = moment(0.0)
+        carried = carried * memo.moment(op, t, v, moment_path)
+    new_var = memo.moment(op, t, 0.0, moment_path)
     phase = np.exp(1j * xi * x)
     lhs = np.sum(coeffs * damp * carried * new_var * phase)
     rhs = w * np.sum(coeffs * a_alpha * damp * carried * phase)

@@ -35,7 +35,7 @@ from .config import RunConfig, _from_mapping, _to_mapping
 from .errors import ValidationError
 from .grids import FrequencyGrid, spatial_grid
 from .ldp import Lagrangian, rate_function
-from .malliavin import AugmentedOperator, ibp_check
+from .malliavin import AugmentedOperator, _ibp_check, _MomentMemo
 from .presets import (
     DEFAULTS_VERSION,
     IBP_CUTOFF,
@@ -393,12 +393,14 @@ def _run_kernel(config: RunConfig, ctx: dict) -> tuple:
 def _ibp_columns(t: float, moment_path: str) -> dict:
     grid = FrequencyGrid(1, IBP_CUTOFF)
     f = np.cos(spatial_grid(IBP_RESOLUTION))
+    # presets with the same coupling shifts share their moments
+    memo = _MomentMemo()
 
     def one(preset):
         k, alpha, r, n = preset
         base = build_symbol(PurePower(k=k), grid)
         op = AugmentedOperator(base=base, n=n, alpha_frac=alpha, r=r)
-        res = ibp_check(op, f, t, moment_path=moment_path)
+        res = _ibp_check(op, f, t, 0.0, None, moment_path, memo)
         tag = f"k{k}_a{alpha}_r{r:g}_n{n}"
         return (tag, res.lhs, res.rhs, res.rel_error)
 

@@ -389,6 +389,55 @@ def aux_kernel_trapezoid(t: float, aux_order: int, z, n_eta: int = 2048):
     return np.trapezoid(damp * np.cos(np.outer(z, eta)), eta, axis=1) / math.pi
 
 
+def ibp_check_unshared(op, f, t: float, starts=None,
+                       moment_path: str = "analytic") -> tuple:
+    """(lhs, rhs, rel_error) of the cascade identity at x = 0, by the
+    check as it ran before moments were shared within a run: one
+    `aux_moment` call per distinct start, each building its own kernel
+    table."""
+    from nmhl.malliavin import _grid_coefficients, aux_moment
+    from nmhl.spectral import _principal_power
+
+    starts = np.zeros(op.n) if starts is None else np.asarray(starts, dtype=float)
+    coeffs = _grid_coefficients(op.base, np.asarray(f, dtype=float))
+    damp = np.exp(-t * op.base.values)
+    c = op.coupling_shift(t)
+    a_alpha = _principal_power(op.base.values, op.alpha_frac)
+    moments = {}
+
+    def moment(start):
+        key = np.float64(start).tobytes()
+        if key not in moments:
+            moments[key] = aux_moment(op, t, start=start, path=moment_path)
+        return moments[key]
+
+    carried = np.ones_like(c)
+    for v in starts:
+        carried = carried * moment(v)
+    new_var = moment(0.0)
+    phase = np.exp(1j * op.base.grid.points[:, 0].astype(float) * 0.0)
+    lhs = float(np.real(np.sum(coeffs * damp * carried * new_var * phase)))
+    rhs = float(np.real(op.weight_integral(t)
+                        * np.sum(coeffs * a_alpha * damp * carried * phase)))
+    eps = float(np.finfo(float).eps)
+    return lhs, rhs, abs(lhs - rhs) / (abs(rhs) + eps)
+
+
+# ---------------------------------------------------------------------------
+# the frequency lattice
+
+
+def ordered_lattice_lexsort(d: int, n: int) -> np.ndarray:
+    """The box [-n, n]^d in ascending Euclidean norm with a lexicographic
+    tie-break, by one `np.lexsort` on (norm, coordinates)."""
+    axes = [np.arange(-n, n + 1)] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
+    order = np.lexsort(tuple(pts[:, j] for j in reversed(range(d))) + (norms,))
+    return pts[order]
+
+
 # ---------------------------------------------------------------------------
 # CSV text: the row-by-row rendering the byte-table writer replaced
 

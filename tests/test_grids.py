@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from nmhl import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
 from nmhl.errors import ValidationError
+from nmhl.grids import _ordered_lattice
 
 
 def test_frequency_grid_orders_by_magnitude_then_lex():
@@ -21,6 +23,13 @@ def test_frequency_grid_2d_size_and_zero_first():
     # every lattice point within the box exactly once
     seen = {tuple(p) for p in g.points}
     assert len(seen) == 81
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 64, 128])
+def test_lattice_order_matches_the_lexsort_order(d, n):
+    assert np.array_equal(_ordered_lattice(d, n),
+                          oracles.ordered_lattice_lexsort(d, n))
 
 
 def test_boundary_shell_is_the_outer_layer():

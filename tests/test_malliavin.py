@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmhl.malliavin
+import oracles
 from nmhl import (
     AugmentedOperator,
     AuxDomainTooSmall,
@@ -35,6 +37,7 @@ from nmhl.presets import (
     IBP_TIME,
     exponent_symbol,
 )
+from nmhl.runner import _ibp_columns
 
 
 def _base(k=1, cutoff=16):
@@ -156,6 +159,52 @@ def test_aux_moment_rejects_unknown_path():
         aux_moment(op, 1.0, path="monte-carlo")
 
 
+@pytest.mark.parametrize("start", NON_FINITE)
+@pytest.mark.parametrize("path", ["analytic", "quadrature"])
+def test_moments_and_ibp_checks_refuse_a_non_finite_start(start, path):
+    # a nan or inf start used to give rel_error = nan without a word
+    base = build_symbol(PurePower(k=1), FrequencyGrid(1, IBP_CUTOFF))
+    op = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=1.0)
+    f = np.cos(spatial_grid(IBP_RESOLUTION))
+    with pytest.raises(ValidationError, match="start must be one finite"):
+        aux_moment(op, IBP_TIME, start=start, path=path)
+    with pytest.raises(ValidationError, match="start must be one finite"):
+        ibp_check(op, f, IBP_TIME, starts=[start], moment_path=path)
+
+
+def test_aux_moment_refuses_a_start_that_is_not_one_number():
+    op = AugmentedOperator(base=_base(cutoff=8), n=1, alpha_frac=0.5)
+    for start in (np.zeros(17), [0.0], np.array([[0.5]]), [0.0, [1.0]], 1j,
+                  "zero"):
+        with pytest.raises(ValidationError, match="start must be one finite"):
+            aux_moment(op, 1.0, start=start, path="quadrature")
+
+
+def test_aux_moment_refuses_a_start_whose_window_doubles_cannot_resolve():
+    # at 1e300 the 4097 window nodes collapse onto a few doubles, the
+    # trapezoid reads 0, and lhs = rhs = 0 would pass vacuously
+    base = build_symbol(PurePower(k=1), FrequencyGrid(1, IBP_CUTOFF))
+    op = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=1.0)
+    with pytest.raises(AuxDomainTooSmall, match="not resolved"):
+        aux_moment(op, IBP_TIME, start=1e300, path="quadrature")
+    f = np.cos(spatial_grid(IBP_RESOLUTION))
+    with pytest.raises(AuxDomainTooSmall, match="not resolved"):
+        ibp_check(op, f, IBP_TIME, starts=[1e300], moment_path="quadrature")
+    analytic = ibp_check(op, f, IBP_TIME, starts=[1e300])
+    assert analytic.lhs > 1e299 and analytic.rel_error < 1e-10
+
+
+def test_aux_moment_quadrature_holds_up_to_the_resolution_limit():
+    # the largest power of ten the windows still resolve keeps the moment
+    # to rounding; the next one is refused
+    op = AugmentedOperator(base=_base(cutoff=8), n=1, alpha_frac=0.5, r=1.0)
+    quad = aux_moment(op, 1.0, start=1e13, path="quadrature")
+    analytic = aux_moment(op, 1.0, start=1e13).real
+    assert np.max(np.abs(quad - analytic) / np.abs(analytic)) < 1e-14
+    with pytest.raises(AuxDomainTooSmall):
+        aux_moment(op, 1.0, start=1e14, path="quadrature")
+
+
 # ---------------------------------------------------------------------------
 # cascade integration by parts
 
@@ -215,6 +264,68 @@ def test_ibp_check_validates_inputs():
         ibp_check(op, np.cos(spatial_grid(16)), 1.0)  # grid too coarse
     with pytest.raises(ValidationError, match="unknown moment path"):
         ibp_check(op, f, 1.0, moment_path="bogus")
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _preset_op(k, alpha, r, n):
+    base = build_symbol(PurePower(k=k), FrequencyGrid(1, IBP_CUTOFF))
+    return AugmentedOperator(base=base, n=n, alpha_frac=alpha, r=r)
+
+
+@pytest.mark.parametrize("path", ["analytic", "quadrature"])
+def test_shared_moments_match_independent_checks_bit_for_bit(path):
+    columns = _ibp_columns(IBP_TIME, path)
+    f = np.cos(spatial_grid(IBP_RESOLUTION))
+    alone = [ibp_check(_preset_op(*p), f, IBP_TIME, moment_path=path)
+             for p in IBP_PRESETS]
+    for name in ("lhs", "rhs", "rel_error"):
+        assert np.array_equal(_bits(columns[name]),
+                              _bits([getattr(res, name) for res in alone]))
+
+
+def test_shared_moments_evaluate_each_distinct_moment_once(monkeypatch):
+    calls, tables = [], []
+    moment, table = nmhl.malliavin.aux_moment, nmhl.malliavin._aux_kernel_table
+
+    def counted_moment(*args, **kwargs):
+        calls.append(args)
+        return moment(*args, **kwargs)
+
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(nmhl.malliavin, "aux_moment", counted_moment)
+    monkeypatch.setattr(nmhl.malliavin, "_aux_kernel_table", counted_table)
+    _ibp_columns(IBP_TIME, "quadrature")
+    keys, table_keys = set(), set()
+    for preset in IBP_PRESETS:
+        op = _preset_op(*preset)
+        shift = op.coupling_shift(IBP_TIME).tobytes()
+        for start in [0.0] * op.n + [0.0]:
+            keys.add((np.float64(start).tobytes(), IBP_TIME, op.aux_order,
+                      shift))
+        table_keys.add((IBP_TIME, op.aux_order))
+    assert len(keys) < len(IBP_PRESETS)
+    assert len(calls) == len(keys)
+    assert len(tables) == len(table_keys)
+
+
+@pytest.mark.parametrize("path", ["analytic", "quadrature"])
+def test_ibp_check_alone_keeps_the_unshared_bits(path):
+    f = np.cos(spatial_grid(IBP_RESOLUTION))
+    cases = [(p, None) for p in IBP_PRESETS]
+    cases += [((1, 0.25, 1.0, 2), [0.3, -0.2]), ((2, 0.5, 1.0, 1), [-0.0])]
+    for preset, starts in cases:
+        op = _preset_op(*preset)
+        res = ibp_check(op, f, IBP_TIME, starts=starts, moment_path=path)
+        want = oracles.ibp_check_unshared(op, f, IBP_TIME, starts=starts,
+                                          moment_path=path)
+        assert np.array_equal(_bits([res.lhs, res.rhs, res.rel_error]),
+                              _bits(want)), (preset, starts)
 
 
 # ---------------------------------------------------------------------------
