@@ -18,7 +18,8 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SupUnbounded, ValidationError
+from .grids import max_cutoff, max_resolution
 from .presets import (
     EXIT_DELTA,
     EXIT_S,
@@ -29,9 +30,7 @@ from .presets import (
     exit_grid,
     make_operator,
     varadhan_grid,
-    variant_row,
 )
-from .spectral import check_form_shape
 
 SECTIONS = ("operator", "grid", "experiment", "output")
 OPERATOR_VARIANTS = tuple(VARIANT_TABLE)
@@ -412,9 +411,6 @@ def _build_experiment(body: dict, operator: OperatorConfig,
         raise ValidationError(
             f"kind must be one of {', '.join(EXPERIMENT_KINDS)} (got {kind!r})"
         )
-    kinds = VARIANT_TABLE[operator.variant].kinds
-    _require(kind in kinds, f"{operator.variant} does not run {kind} experiments "
-             f"(it runs {', '.join(kinds)})")
     _require(grid.d == 1 or kind == "kernel", f"{operator.variant} runs {kind} "
              f"experiments on grid.d = 1 only (got {grid.d})")
     for key in ("cutoff", "resolution"):
@@ -433,6 +429,43 @@ def _build_experiment(body: dict, operator: OperatorConfig,
     return ExperimentConfig(kind=kind, params=params)
 
 
+def _check_grid_size(grid: GridConfig):
+    """Refuse a lattice or an FFT grid past `grids.MAX_LATTICE_POINTS` or
+    `grids.MAX_FFT_POINTS`, and an FFT grid too coarse for its lattice."""
+    d, cutoff, resolution = grid.d, grid.cutoff, grid.resolution
+    for key, v, most in (("cutoff", cutoff, max_cutoff(d)),
+                         ("resolution", resolution, max_resolution(d))):
+        _require(v is None or v <= most,
+                 f"{key} must be <= {most} on grid.d = {d} (got {v})")
+    if None not in (cutoff, resolution):
+        _require(resolution > 2 * cutoff, f"resolution must be >= 2 * cutoff + 1 = "
+                 f"{2 * cutoff + 1} to resolve the lattice (got {resolution})")
+
+
+def _check_runs(variant: str, spec, d: int, experiment: ExperimentConfig):
+    """Refuse a run that the operator's spec cannot carry, from the spec
+    alone: what a variant runs is listed nowhere else."""
+    kind, k = experiment.kind, experiment.params.get("k")
+    _require(spec.dimension == d,
+             f"{variant} runs on grid.d = {spec.dimension} only (got {d})")
+    if kind in ("rate", "varadhan", "exit"):
+        # their targets come from the real-phase Hamiltonian; a spec's own
+        # typed refusal (SupUnbounded for a concave one) speaks as it is
+        try:
+            order = spec.hamiltonian().order
+        except ValidationError as exc:
+            raise ValidationError(
+                f"{variant} does not run {kind} experiments ({exc})") from None
+        if kind == "rate" and order <= 1:
+            raise SupUnbounded(f"{variant} does not run rate experiments: its "
+                               f"real-phase Hamiltonian has order {order:g}, and a "
+                               "finite Legendre transform needs order > 1")
+    if kind in ("varadhan", "exit"):
+        _require(spec.poly_degree == 2 * k, f"{variant} does not run {kind} "
+                 f"experiments with experiment.k = {k}: they need an even polynomial "
+                 f"symbol of degree {2 * k} (poly_degree {spec.poly_degree})")
+
+
 def _from_mapping(raw: dict) -> RunConfig:
     for section in raw:
         if section not in SECTIONS:
@@ -443,21 +476,12 @@ def _from_mapping(raw: dict) -> RunConfig:
         raise ValidationError("missing [experiment] section")
     operator = _build_operator(dict(raw["operator"]))
     grid = _build_section(GridConfig, "grid", dict(raw.get("grid", {})))
-    dims = VARIANT_TABLE[operator.variant].dims
-    _require(grid.d in dims, f"{operator.variant} runs on grid.d = "
-             f"{' or '.join(map(str, dims))} only (got {grid.d})")
-    if operator.a_matrix is not None:
-        check_form_shape(operator.a_matrix, grid.d, operator.k)
-    experiment = _build_experiment(dict(raw["experiment"]), operator, grid)
+    _check_grid_size(grid)
     # the spec refuses what the key checks cannot see: a perturbation degree
-    # at or above the base order, an a_matrix that is not positive definite
+    # at or above the base order, an a_matrix of the wrong shape or not SPD
     spec = make_operator(operator, grid.d)
-    if experiment.kind in ("varadhan", "exit"):
-        k = experiment.params["k"]
-        _require(spec.poly_degree == 2 * k, f"{operator.variant} does not run "
-                 f"{experiment.kind} experiments with experiment.k = {k}: they need "
-                 f"an even polynomial symbol of degree {2 * k} (poly_degree "
-                 f"{spec.poly_degree})")
+    experiment = _build_experiment(dict(raw["experiment"]), operator, grid)
+    _check_runs(operator.variant, spec, grid.d, experiment)
     output = _build_section(OutputConfig, "output", dict(raw.get("output", {})))
     return RunConfig(operator=operator, grid=grid,
                      experiment=experiment, output=output)
@@ -497,7 +521,7 @@ def _echo(cfg, keys) -> dict:
 
 
 def _to_mapping(config: RunConfig) -> dict:
-    row = variant_row(config.operator.variant)
+    row = VARIANT_TABLE[config.operator.variant]
     params = config.experiment.params
     return {
         "operator": _echo(config.operator, ("variant",) + row.needs + row.reads),

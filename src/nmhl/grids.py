@@ -10,6 +10,7 @@ tabulation itself was scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,28 @@ import numpy as np
 from .errors import ValidationError
 
 TWO_PI = 2.0 * np.pi
+
+#: the most points a frequency lattice may hold, (2N + 1)^d: 15x the largest
+#: preset lattice (d = 2, N = 128: 66,049 points); building a full one takes
+#: about 65 MB
+MAX_LATTICE_POINTS = 1 << 20
+#: the most points of an FFT grid, M^d: 31x the largest preset one (d = 2,
+#: M = 258: 66,564 points); 32 MB per complex array
+MAX_FFT_POINTS = 1 << 21
+
+
+def max_cutoff(d: int) -> int:
+    """The largest cutoff N whose lattice on T^d fits MAX_LATTICE_POINTS."""
+    return (_max_side(MAX_LATTICE_POINTS, d) - 1) // 2
+
+
+def max_resolution(d: int) -> int:
+    """The largest FFT size M per axis whose grid on T^d fits MAX_FFT_POINTS."""
+    return _max_side(MAX_FFT_POINTS, d)
+
+
+def _max_side(points: int, d: int) -> int:
+    return points if d == 1 else math.isqrt(points)
 
 
 @dataclass(frozen=True)
@@ -32,6 +55,10 @@ class FrequencyGrid:
             raise ValidationError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.cutoff < 1:
             raise ValidationError(f"cutoff must be >= 1, got {self.cutoff}")
+        if self.cutoff > max_cutoff(self.dimension):
+            raise ValidationError(
+                f"cutoff N={self.cutoff} exceeds {max_cutoff(self.dimension)}, the "
+                f"largest on d = {self.dimension} (MAX_LATTICE_POINTS)")
         object.__setattr__(self, "points", _ordered_lattice(self.dimension, self.cutoff))
 
     @property

@@ -6,6 +6,7 @@ numbers are pinned in exactly one place.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,7 +24,6 @@ from .spectral import (
     Symbol,
     auto_cutoff,
     build_symbol,
-    multi_indices,
 )
 
 #: bumped when any preset constant changes; echoed into CSV headers
@@ -43,62 +43,57 @@ def flat_density(support: float = LEVY_SUPPORT, tol: float = LEVY_TOL) -> LevyDe
     return LevyDensity(h=h, support=support, tol=tol)
 
 
+#: the most monomials an identity form builds its matrix for (a 256 x 256
+#: identity, 0.5 MB): d = 2 with k up to 255
+FORM_SIZE_MAX = 256
+
+
 def _quadratic_form(op, d: int) -> QuadraticForm:
     # no a_matrix: the identity, so the symbol is the sum of squared monomials
-    a = (np.eye(len(multi_indices(d, op.k))) if op.a_matrix is None
-         else np.asarray(op.a_matrix, dtype=float))
+    n = math.comb(d + op.k - 1, op.k)
+    if op.a_matrix is None and n > FORM_SIZE_MAX:
+        raise ValidationError(f"quadratic_form with k = {op.k} on d = {d} has {n} "
+                              f"monomials, above FORM_SIZE_MAX = {FORM_SIZE_MAX}")
+    a = np.eye(n) if op.a_matrix is None else np.asarray(op.a_matrix, dtype=float)
     return QuadraticForm(k=op.k, a_matrix=a, d=d)
 
 
 class Variant(NamedTuple):
     """One CLI operator variant: the [operator] keys it needs (in the order
     the config checks them), the optional keys it also reads (config refuses
-    any other), the torus dimensions it runs on, the experiment kinds it
-    runs, and the constructor of its spec from the parsed [operator] section
-    and d."""
+    any other), and the constructor of its spec from the parsed [operator]
+    section and d.  What the variant runs, and on which dimension, is read
+    off that spec (`config._check_runs`)."""
 
     needs: tuple
     reads: tuple
-    dims: tuple
-    kinds: tuple
     build: Callable
 
 
-#: every experiment kind; `ibp` and `report` run on presets of their own
-ALL_KINDS = ("kernel", "ibp", "rate", "varadhan", "exit", "report")
-
 #: CLI variant name -> its row.  Config-level q exponents are bare ints, so
-#: `perturbed` is one-dimensional; so is the jump density of `levy`.
-#: `Perturbed` has no real-phase Hamiltonian, which `rate`, `varadhan` and
-#: `exit` take their targets from.
+#: `perturbed` is built on d = 1 whatever the grid; so is `levy`, whose jump
+#: density is one-dimensional.
 VARIANT_TABLE = {
-    "pure_power": Variant(("k",), (), (1, 2), ALL_KINDS,
-                          lambda op, d: PurePower(k=op.k, d=d)),
-    "quadratic_form": Variant(("k",), ("a_matrix",), (1, 2), ALL_KINDS,
-                              _quadratic_form),
-    "levy": Variant(("l", "alpha_levy"), ("support", "tol"), (1,), ALL_KINDS,
+    "pure_power": Variant(("k",), (), lambda op, d: PurePower(k=op.k, d=d)),
+    "quadratic_form": Variant(("k",), ("a_matrix",), _quadratic_form),
+    "levy": Variant(("l", "alpha_levy"), ("support", "tol"),
                     lambda op, d: Levy(l=op.l, alpha_levy=op.alpha_levy,
                                        density=flat_density(op.support, op.tol))),
-    "fractional": Variant(("k", "alpha_frac"), (), (1, 2), ALL_KINDS,
+    "fractional": Variant(("k", "alpha_frac"), (),
                           lambda op, d: FractionalPower(
                               base=PurePower(k=op.k, d=d), alpha_frac=op.alpha_frac)),
-    "perturbed": Variant(("k", "q"), (), (1,), ("kernel", "ibp", "report"),
+    "perturbed": Variant(("k", "q"), (),
                          lambda op, d: Perturbed(
-                             base=PurePower(k=op.k, d=d),
+                             base=PurePower(k=op.k),
                              q_coeffs={(e,): c for e, c in op.q})),
 }
 
 
 def make_operator(op, d: int) -> OperatorSpec:
     """The spec of a parsed [operator] section (a `config.OperatorConfig`,
-    whose keys and dimension the config layer has checked) on T^d."""
-    return variant_row(op.variant).build(op, d)
-
-
-def variant_row(name: str) -> Variant:
-    if name not in VARIANT_TABLE:
-        raise ValidationError(f"unknown operator variant {name!r}")
-    return VARIANT_TABLE[name]
+    whose keys the config layer has checked) for a run on T^d; its
+    `dimension` is the one the variant runs on."""
+    return VARIANT_TABLE[op.variant].build(op, d)
 
 
 # ---------------------------------------------------------------------------

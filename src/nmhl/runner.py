@@ -18,7 +18,8 @@ Either way the bytes are those of one `%.{precision}g` per value.
 
 Each file is formatted in full, written to a temp path and renamed into
 place; the temp file is removed if that fails, and on any failure every
-file this run already produced is removed.
+file this run already produced is removed, and every directory it created
+that is left empty.
 """
 
 from __future__ import annotations
@@ -556,10 +557,22 @@ _HANDLERS = {
 }
 
 
+def _missing_dirs(path: str) -> list:
+    """The directories that `os.makedirs(path)` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def run(config: RunConfig, out_dir: str | None = None) -> ReportSummary:
     """Execute the configured experiment, writing CSVs under the output
-    directory.  On failure all files written by this run are removed."""
+    directory.  On failure all files written by this run are removed, and
+    so are the directories it created, where they are left empty."""
     outdir = out_dir if out_dir is not None else config.output.directory
+    made = _missing_dirs(outdir)
     os.makedirs(outdir, exist_ok=True)
     ctx = {
         "outdir": outdir,
@@ -577,6 +590,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> ReportSummary:
         for p in ctx["written"]:
             if os.path.exists(p):
                 os.remove(p)
+        for d in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
         raise
     return ReportSummary(experiment=config.experiment.kind, passed=passed,
                          measured=measured, csv_paths=ctx["written"])

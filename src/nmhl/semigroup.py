@@ -10,14 +10,14 @@ interface wraps this.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexResidue, CutoffTooSmall, SeriesDiverged, ValidationError
-from .grids import TWO_PI, FrequencyGrid, spatial_grid
+from .errors import (ComplexResidue, CutoffTooSmall, QuadratureNonConverged,
+                     SeriesDiverged, ValidationError)
+from .grids import TWO_PI, FrequencyGrid, max_resolution, spatial_grid
 from .spectral import (OperatorSpec, Perturbed, Symbol, _negation_permutation,
                        auto_cutoff, build_symbol, lattice_symbol)
 
@@ -102,6 +102,10 @@ def _fold_multiplier(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndar
         raise ValidationError(
             f"resolution M={m} must be >= 2N+1={2 * grid.cutoff + 1} to resolve the lattice"
         )
+    if m > max_resolution(grid.dimension):
+        raise ValidationError(
+            f"resolution M={m} exceeds {max_resolution(grid.dimension)}, the largest "
+            f"on d = {grid.dimension} (grids.MAX_FFT_POINTS)")
     bins = np.zeros((m,) * grid.dimension, dtype=complex)
     bins[tuple(np.mod(grid.points, m).T)] = coeffs
     return bins
@@ -199,6 +203,9 @@ def kernel_values(symbol: Symbol, t: float, offsets):
 # double-precision cancellation floor of the lattice sum
 
 _IMAGE_EFOLDS = 40.0   # image pairs this far below the largest one are dropped
+#: the most image pairs one sum takes: 372x the 11 the preset curves take at
+#: t = 0.1; k = 1 at t = 1e6 takes 2,014 (0.1 s)
+_IMAGE_PAIRS_MAX = 4096
 
 #: smallest |p| / (sum_n |exp(-t a(n))| / 2 pi) the lattice sum resolves: its
 #: rounding error stays near 3e-17 of that scale, so past this floor fewer
@@ -244,12 +251,13 @@ def _log_image_sum(spec: OperatorSpec, t: float, images) -> tuple[float, int]:
     Poisson summation p_t(z) = sum_w P_t(z + 2 pi w) over the real-line
     kernel P_t.  ``images(w)`` lists the terms (coefficient, x, tail) of
     image w, each a `_image_integral`; w runs 0, then +-1, +-2, ..., until a
-    pair lies `_IMAGE_EFOLDS` below the largest term."""
+    pair lies `_IMAGE_EFOLDS` below the largest term, or raises
+    QuadratureNonConverged past `_IMAGE_PAIRS_MAX` pairs."""
     m = spec.poly_degree
     # a = c xi^m + lower terms: the m-th difference at 0..m is m! c
     c = float(np.diff(spec.value(np.arange(m + 1.0)).real, m)[0]) / math.factorial(m)
     exps, coeffs = [], []
-    for n in itertools.count():
+    for n in range(_IMAGE_PAIRS_MAX + 1):
         batch = [(coef, *_image_integral(spec, t, m, c, x, tail))
                  for w in ((0,) if n == 0 else (n, -n))
                  for coef, x, tail in images(w)]
@@ -257,6 +265,10 @@ def _log_image_sum(spec: OperatorSpec, t: float, images) -> tuple[float, int]:
             break
         exps += [e for _, e, _ in batch]
         coeffs += [coef * s for coef, _, s in batch]
+    else:
+        raise QuadratureNonConverged(
+            f"the image sum at t={t:.3g} is still above its cut after "
+            f"_IMAGE_PAIRS_MAX = {_IMAGE_PAIRS_MAX} image pairs")
     top = max(exps)
     total = math.fsum(s * math.exp(e - top) for e, s in zip(exps, coeffs))
     if total == 0:

@@ -26,7 +26,7 @@ from .errors import (
     TiltOutOfDomain,
     ValidationError,
 )
-from .grids import FrequencyGrid
+from .grids import FrequencyGrid, max_cutoff
 
 # quadrature error above this multiple of the requested tolerance is a failure
 _QUAD_SLACK = 10.0
@@ -38,13 +38,24 @@ _COSH_LIMIT = math.log(np.finfo(float).max)
 # degree 2l that reach double precision for |u| <= 2
 _RULE_NODES = 24
 _TAIL_TERMS = 12
+#: the most nodes of the coarse jump rule (the check rule takes twice as
+#: many): 11x the 88 of the preset levy kernel, and above the 734 of the
+#: widest levy Hamiltonian (support * |xi| up to _COSH_LIMIT).  The check
+#: rule's dense Jacobi matrix is then at most 2048^2 doubles (32 MB)
+_RULE_NODES_MAX = 1024
+#: the largest l of a levy generator: `_compensated` takes Taylor
+#: coefficients up to 1/(2l + 2 _TAIL_TERMS)!, and 170! is the largest
+#: factorial below the double range
+LEVY_L_MAX = (max(n for n in range(200) if math.lgamma(n + 1) < _COSH_LIMIT)
+              - 2 * _TAIL_TERMS) // 2
 # nodes x frequencies evaluated at once by the jump quadrature
 _BLOCK_ELEMENTS = 1 << 20
 # the discrete convexity check of a Hamiltonian: nodes on [-xi_max, xi_max]
 _CONVEX_XI_MAX = 10.0
 _CONVEX_NODES = 2001
 #: `auto_cutoff` sizes the lattice until max |exp(-t Re a)| on its boundary
-#: shell is below this, and gives up past _CUTOFF_MAX
+#: shell is below this, and gives up past _CUTOFF_MAX, or past the largest
+#: lattice `grids.MAX_LATTICE_POINTS` admits (N = 511 on d = 2)
 CUTOFF_DAMPING = 1e-16
 _CUTOFF_MAX = 1 << 16
 
@@ -176,13 +187,6 @@ def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(d), k))
 
 
-def check_form_shape(a, d: int, k: int):
-    """Refuse an a_matrix that is not n x n, n = len(multi_indices(d, k))."""
-    n, shape = math.comb(d + k - 1, k), np.shape(a)
-    if shape != (n, n):
-        raise ValidationError(f"a_matrix must be {n}x{n} for d={d}, k={k}, got {shape}")
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticForm(_Homogeneous):
     """a(xi) = v(xi)^T A v(xi) with v the vector of degree-k monomials.
@@ -198,7 +202,11 @@ class QuadraticForm(_Homogeneous):
     def __post_init__(self):
         super().__post_init__()
         a = np.asarray(self.a_matrix, dtype=float)
-        check_form_shape(a, self.d, self.k)
+        # n = len(multi_indices(d, k)), counted without listing them
+        n = math.comb(self.d + self.k - 1, self.k)
+        if a.shape != (n, n):
+            raise ValidationError(f"a_matrix must be {n}x{n} for d={self.d}, "
+                                  f"k={self.k}, got {a.shape}")
         if not np.allclose(a, a.T, rtol=0, atol=1e-12):
             raise NonPositiveDefiniteForm("a_matrix is not symmetric")
         try:
@@ -483,7 +491,12 @@ def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z,
     if not np.any(flat.imag):
         flat = flat.real
     supp, tol = density.support, density.tol
-    n = _RULE_NODES + int(math.ceil(supp * float(np.max(np.abs(flat), initial=0.0))))
+    reach = supp * float(np.max(np.abs(flat), initial=0.0))
+    n = _RULE_NODES + int(math.ceil(reach))
+    if n > _RULE_NODES_MAX:
+        raise QuadratureNonConverged(
+            f"the jump quadrature at support * max |xi| = {reach:.6g} needs a rule "
+            f"of {n} nodes, above _RULE_NODES_MAX = {_RULE_NODES_MAX}")
     scale = (-1.0) ** (l + 1) * 2.0 * supp ** (2.0 - alpha_levy)
     rules = []
     for m in (n, 2 * n):
@@ -513,6 +526,11 @@ def _check_levy_parameters(l: int, alpha_levy: float):
         raise ValidationError(f"alpha_levy must lie in (-1, 0), got {alpha_levy}")
     if l < 1:
         raise ValidationError(f"l must be >= 1, got {l}")
+    if l > LEVY_L_MAX:
+        raise ValidationError(
+            f"l must be <= LEVY_L_MAX = {LEVY_L_MAX}, got {l}: the series of "
+            f"the compensated kernel needs (2l + {2 * _TAIL_TERMS})!, which "
+            f"overflows double precision past it")
 
 
 def levy_symbol(density: LevyDensity, l: int, alpha_levy: float, xi):
@@ -640,13 +658,12 @@ def auto_cutoff(spec: OperatorSpec, t: float) -> int:
     def ok(n: int) -> bool:
         return t * _shell_min_real(spec, n) > target
 
+    cap = min(_CUTOFF_MAX, max_cutoff(spec.dimension))
     n = 4
     while not ok(n):
-        n *= 2
-        if n > _CUTOFF_MAX:
-            raise ValidationError(
-                f"no admissible cutoff below {_CUTOFF_MAX} for t={t:.3g}"
-            )
+        if n >= cap:
+            raise ValidationError(f"no admissible cutoff below {cap} for t={t:.3g}")
+        n = min(2 * n, cap)
     lo, hi = n // 2, n
     while hi - lo > 1:
         mid = (lo + hi) // 2

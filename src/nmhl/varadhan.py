@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitUnstable, ValidationError
+from .errors import CutoffTooSmall, FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
 from .ldp import _legendre_full, maslov_scaled_spec, straight_rate
 from .malliavin import exponent_fit
@@ -38,6 +38,9 @@ _LATTICE_LOG_FLOOR = 25.0
 # the exit and tilted checks on at least _KERNEL_RESOLUTION points
 _SET_RESOLUTION = 4096
 _KERNEL_RESOLUTION = 2048
+#: the most times `tilted_bound_check` doubles its cutoff: the preset tilts
+#: take none, and xi_tilt = 20 at k = 1, s = 1 takes three
+_TILT_DOUBLINGS = 20
 
 
 def _check_geometric(k: int, t_list) -> tuple:
@@ -342,7 +345,7 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
     spec = maslov_scaled_spec(symbol.spec, k, eps)
     # enlarge the lattice until the tilted multiplier is damped at the edge
     cutoff = max(symbol.grid.cutoff, auto_cutoff(spec, s))
-    for _ in range(20):
+    for _ in range(_TILT_DOUBLINGS + 1):
         edge = min(
             float(np.real(spec.value(np.array(sgn * cutoff, dtype=float)
                                      - 1j * xi_tilt / eps)))
@@ -353,6 +356,10 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
         ):
             break
         cutoff *= 2
+    else:
+        raise CutoffTooSmall(
+            f"the tilted multiplier at xi_tilt={xi_tilt:.3g} is not damped at the "
+            f"edge after _TILT_DOUBLINGS = {_TILT_DOUBLINGS} doublings of the cutoff")
     scaled = build_symbol(spec, FrequencyGrid(1, cutoff))
     op = tilted_semigroup(scaled, TiltSpec(xi_tilt=xi_tilt, eps=eps), s)
     measured = op.l1_norm(resolution=scaled.grid.fft_size(_KERNEL_RESOLUTION))

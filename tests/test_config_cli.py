@@ -26,15 +26,13 @@ from nmhl import (
     serialize_config,
 )
 from nmhl.cli import main
-from nmhl.config import EXPERIMENT_KINDS, _format_scalar
+from nmhl.config import _format_scalar
 from nmhl.presets import (
-    ALL_KINDS,
     EXIT_DELTA,
     EXIT_S,
     IBP_TIME,
     LEVY_SUPPORT,
     LEVY_TOL,
-    VARIANT_TABLE,
     exit_grid,
     varadhan_grid,
 )
@@ -165,6 +163,24 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_config("[]\nx = 1\n")
     assert "empty section" in str(e.value)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("[operator\n", 1, 9, "unterminated section header"),
+    ("  [operator  \n", 1, 11, "unterminated section header"),
+    ("[ ]\n", 1, 2, "empty section name"),
+    ("[operator]\n\n   variant pure_power\n", 3, 4, "expected key = value"),
+    ("\tk 1\n", 1, 2, "expected key = value"),
+    ("x = 1\n", 1, 1, "key outside any section"),
+    ("[operator]\n  = 1\n", 2, 1, "empty key"),
+    ("[operator]\nk = 1\n  k = 2\n", 3, 1, "duplicate key 'k' in [operator]"),
+    ("[grid]\n[grid]\n", 2, 1, "duplicate section [grid]"),
+])
+def test_sectioned_parse_errors_carry_their_exact_column(text, line, col, message):
+    with pytest.raises(ParseError) as e:
+        parse_config(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == f"line {line}, col {col}: {message}"
 
 
 def test_json_parse_errors_carry_positions():
@@ -508,6 +524,39 @@ def test_perturbed_refuses_the_kinds_that_need_a_hamiltonian_at_parse_time(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("operator, kind, error, message", [
+    # these parsed, then exited 2 at run time with SupUnbounded and left an
+    # empty output directory
+    ("variant = levy\nl = 2\nalpha_levy = -0.5", "rate", nmhl.SupUnbounded,
+     "the real-phase Hamiltonian of a levy generator with even l = 2 is concave, "
+     "not convex"),
+    ("variant = fractional\nk = 1\nalpha_frac = 0.5", "rate", nmhl.SupUnbounded,
+     "fractional does not run rate experiments: its real-phase Hamiltonian has "
+     "order 1, and a finite Legendre transform needs order > 1"),
+    ("variant = levy\nl = 4\nalpha_levy = -0.5", "varadhan\nk = 2", nmhl.SupUnbounded,
+     "the real-phase Hamiltonian of a levy generator with even l = 4 is concave, "
+     "not convex"),
+    # this crashed with "internal error: OverflowError"
+    ("variant = levy\nl = 100\nalpha_levy = -0.5", "kernel\nt = 0.1", ValidationError,
+     "l must be <= LEVY_L_MAX = 73, got 100: the series of the compensated kernel "
+     "needs (2l + 24)!, which overflows double precision past it"),
+], ids=["even_l_levy_rate", "linear_fractional_rate", "even_l_levy_varadhan",
+        "levy_l_100"])
+def test_the_spec_decides_what_a_config_runs_at_parse_time(operator, kind, error,
+                                                           message, tmp_path, capsys):
+    text = f"[operator]\n{operator}\n\n[experiment]\nkind = {kind}\n"
+    refused_at_parse_time(text, kind.split("\n")[0], error, message, tmp_path, capsys)
+
+
+def test_rate_runs_a_superlinear_fractional_power(tmp_path, capsys):
+    text = ("[operator]\nvariant = fractional\nk = 1\nalpha_frac = 0.75\n\n"
+            "[experiment]\nkind = rate\n")
+    code = main(["rate", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code == 0 and (tmp_path / "o" / "rate.csv").is_file()
+
+
 def refused_at_parse_time(text, kind, error, message, tmp_path, capsys):
     """`text` is refused by `parse_config` with `error` and `message`, and
     `main` exits 2 on it with that message and makes no output directory."""
@@ -553,16 +602,20 @@ def test_the_operator_spec_is_built_at_parse_time(operator, error, message,
     refused_at_parse_time(text, "kernel", error, message, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("operator, experiment, message", [
-    ("variant = perturbed\nk = 1\nq = 2:0.1", "kind = rate",
-     "perturbed does not run rate experiments"),
+@pytest.mark.parametrize("operator, experiment, error, message", [
+    # the spec is built before the kind is judged against it, so this config
+    # is refused for its degree, not for the Hamiltonian perturbed lacks
+    ("variant = perturbed\nk = 1\nq = 2:0.1", "kind = rate", nmhl.DegreeViolation,
+     "perturbation degree 2 must be < base order 2"),
+    ("variant = perturbed\nk = 1\nq = 2:0.1\nl = 1", "kind = rate", ValidationError,
+     "perturbed does not read operator.l"),
     ("variant = quadratic_form\nk = 1\na_matrix = 1,2;3,4", "kind = kernel\nt = 0.1",
-     "a_matrix must be 1x1 for d=1, k=1, got (2, 2)"),
-])
-def test_the_key_kind_and_shape_checks_speak_before_the_spec(operator, experiment,
-                                                             message):
+     ValidationError, "a_matrix must be 1x1 for d=1, k=1, got (2, 2)"),
+], ids=["degree_before_kind", "key_before_degree", "shape"])
+def test_the_key_checks_speak_before_the_spec_and_the_spec_before_the_kind(
+        operator, experiment, error, message):
     text = f"[operator]\n{operator}\n\n[experiment]\n{experiment}\n"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
         parse_config(text)
 
 
@@ -593,10 +646,7 @@ def test_curve_kinds_run_on_operators_of_their_order():
             assert cfg.experiment.params["k"] == 2
 
 
-def test_every_variant_row_names_known_kinds_and_perturbed_kernels_still_parse():
-    assert ALL_KINDS == EXPERIMENT_KINDS
-    for row in VARIANT_TABLE.values():
-        assert set(row.kinds) <= set(EXPERIMENT_KINDS)
+def test_perturbed_kernel_ibp_and_report_configs_still_parse():
     kernel = EXIT_K1.with_name("kernel_perturbed.cfg")
     cfg = parse_config(kernel.read_text(encoding="utf-8"))
     assert (cfg.operator.variant, cfg.experiment.kind) == ("perturbed", "kernel")
