@@ -6,6 +6,16 @@ the integer lattice Z^d truncated to a box |xi_i| <= N.  All reductions over
 lattice points run in a fixed order (ascending |xi|, ties broken
 lexicographically) so results are bit-reproducible regardless of how the
 tabulation itself was scheduled.
+
+Lattice-sized passes run coordinate by coordinate, as flat elementwise
+operations on one column at a time: numpy reduces a short trailing axis
+(`axis=1` over d = 2) many times slower than it adds two flat columns, and
+the per-coordinate form gives the same integers.  The norm sort runs on the
+smallest unsigned dtype that holds d N^2, which numpy sorts stably by radix
+up to 16 bits; equal keys keep their order, so the permutation is that of
+an int64 stable sort.  Float sums over coordinates (`spectral.PurePower`)
+follow the same rule and start from `0.0 +`, as `np.sum` does, so a -0.0
+part such as the imaginary part of (-1 + 0j)**2 comes out +0.0 as before.
 """
 
 from __future__ import annotations
@@ -71,8 +81,12 @@ class FrequencyGrid:
         return max(floor, 2 * self.cutoff + 2)
 
     def boundary_shell(self) -> np.ndarray:
-        """Mask of lattice points with max coordinate magnitude equal to N."""
-        return np.max(np.abs(self.points), axis=1) == self.cutoff
+        """Mask of lattice points with max coordinate magnitude equal to N:
+        since no coordinate exceeds N, those where some |p_i| == N."""
+        shell = np.abs(self.points[:, 0]) == self.cutoff
+        for i in range(1, self.dimension):
+            shell |= np.abs(self.points[:, i]) == self.cutoff
+        return shell
 
     def box_index(self) -> np.ndarray:
         """Lattice index of every point p of the box [-N, N]^d, at p + N."""
@@ -83,13 +97,15 @@ class FrequencyGrid:
 
 
 def _ordered_lattice(d: int, n: int) -> np.ndarray:
-    axes = [np.arange(-n, n + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    axes = [np.arange(-n, n + 1, dtype=np.int64)] * d
+    coords = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
     # ascending Euclidean norm, lexicographic tie-break: the "ij" mesh is
     # already in lexicographic order, so a stable sort on the norm keeps it
-    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    return pts[np.argsort(norms, kind="stable")]
+    norms = coords[0] ** 2
+    for c in coords[1:]:
+        norms += c ** 2
+    order = np.argsort(norms.astype(np.min_scalar_type(d * n * n)), kind="stable")
+    return np.take(np.stack(coords, axis=1), order, axis=0)
 
 
 def spatial_grid(m: int, d: int = 1) -> np.ndarray:

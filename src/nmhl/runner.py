@@ -8,13 +8,18 @@ then the header row and data rows.  Floats are rendered as
 
 A table of at least _MANY_ROWS rows is written as byte tables: each column
 becomes one NUL-padded uint8 matrix with a row per value, numpy columns
-rendered once per distinct value; the columns are concatenated with ','
-and newline columns and the NULs dropped.  A float column of at least
-_MANY_DISTINCT distinct values gets its text from `_format_floats`, an exact
-vectorized `%.{precision}g` that hands zeros, non-finite values, extreme
-magnitudes and possible ties to `%`; fewer distinct values are formatted one
-`%` at a time, which costs less.  Shorter tables are joined as Python text.
-Either way the bytes are those of one `%.{precision}g` per value.
+rendered once per distinct value and gathered back to their rows with
+`np.take`; the columns are concatenated with ',' and newline columns and
+the NULs dropped.  Integer columns that span fewer integers than they have
+rows find their distinct values by offset and `np.bincount`, wider ones by
+`np.unique`.  A float column of at least _MANY_DISTINCT distinct values
+gets its text from `_format_floats`, an exact vectorized `%.{precision}g`
+that hands zeros, non-finite values, extreme magnitudes and possible ties
+to `%` and counts the trailing zeros it drops from a table over four-digit
+groups; fewer distinct values are formatted one `%` at a time, which costs
+less.  The digit tables are built on first use, in `_tables()`, not at
+import.  Shorter tables are joined as Python text.  Either way the bytes
+are those of one `%.{precision}g` per value.
 
 Each file is formatted in full, written to a temp path and renamed into
 place; the temp file is removed if that fails, and on any failure every
@@ -94,9 +99,10 @@ _POW10_MIN, _POW10_MAX = -300, 300
 
 @functools.cache
 def _tables() -> tuple:
-    """(hi, lo, quads): hi + lo = 10**q to about 2**-106 relative, for q
-    from _POW10_MIN to _POW10_MAX, each word correctly rounded from Python
-    ints, and the four ASCII digits of each of 0..9999 as one uint32.
+    """(hi, lo, quads, tails): hi + lo = 10**q to about 2**-106 relative,
+    for q from _POW10_MIN to _POW10_MAX, each word correctly rounded from
+    Python ints; the four ASCII digits of each of 0..9999 as one uint32; and
+    the trailing zeros of each of those four-digit groups (4 for 0000).
     Built on first use (about 2 ms), not at import."""
     hi, lo = [], []
     for q in range(_POW10_MIN, _POW10_MAX + 1):
@@ -105,9 +111,11 @@ def _tables() -> tuple:
         a, b = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * b - a * den) / (den * b))
-    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    groups = np.arange(10000)
+    quads = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
     quads = (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    return np.array(hi), np.array(lo), quads
+    tails = sum(groups % (10 ** j) == 0 for j in range(1, 5)).astype(np.intp)
+    return np.array(hi), np.array(lo), quads, tails
 
 
 def _split(a):
@@ -120,7 +128,7 @@ def _split(a):
 def _scaled(v, q):
     """v * 10**q as a normalised double-double (hi, lo): Dekker's exact
     product of v and the high word of 10**q, plus v times its low word."""
-    hi_tab, lo_tab, _ = _tables()
+    hi_tab, lo_tab = _tables()[:2]
     h, low = hi_tab[q - _POW10_MIN], lo_tab[q - _POW10_MIN]
     prod = v * h
     v1, v2 = _split(v)
@@ -186,16 +194,20 @@ def _format_floats(x: np.ndarray, p: int) -> np.ndarray:
     where, digits, exp10 = where[order], digits[order], exp10[order]
     group = group[order]
 
-    quads = _tables()[2]
+    quads, tails = _tables()[2:]
     n_quads = -(-p // 4)
     words = np.empty((digits.size, n_quads), dtype=np.uint32)
-    rest = digits
+    # D > 0, so its trailing zeros are those of its last group, plus those
+    # of each group before it while all groups after it are 0000
+    rest, zeros = digits, 0
     for j in reversed(range(n_quads)):
         high = rest // 10000
-        words[:, j] = quads[rest - 10000 * high]
+        quad = rest - 10000 * high
+        words[:, j] = quads[quad]
+        zeros += tails[quad] * (zeros == 4 * (n_quads - 1 - j))
         rest = high
     chars = words.view(np.uint8)[:, 4 * n_quads - p:]
-    kept = p - np.argmax(chars[:, ::-1] != ord("0"), axis=1)
+    kept = p - zeros
     first_frac = np.where(group == p, 1, np.clip(group + 1, 0, None))
     chars = chars * (np.arange(p) < np.maximum(first_frac, kept)[:, None])
     dot = np.where(kept > first_frac, ord("."), 0).astype(np.uint8)
@@ -254,16 +266,39 @@ def _column_bytes(column, precision: int) -> np.ndarray:
         return _texts([_fmt(v, precision) for v in column])
     kind = column.dtype.kind
     if kind == "b":
-        return _BOOL_TEXT[column.astype(np.intp)]
+        return np.take(_BOOL_TEXT, column.astype(np.intp), axis=0)
     if kind == "f":
         bits = np.asarray(column, dtype=np.float64).view(np.int64)
         distinct, where = np.unique(bits, return_inverse=True)
         values = distinct.view(np.float64)
         if values.size >= _MANY_DISTINCT:
-            return _format_floats(values, precision)[where]
-        return _texts([f"%.{precision}g" % v for v in values.tolist()])[where]
-    distinct, where = np.unique(column, return_inverse=True)
-    return _texts([str(v) for v in distinct.tolist()])[where]
+            return np.take(_format_floats(values, precision), where, axis=0)
+        texts = [f"%.{precision}g" % v for v in values.tolist()]
+    else:
+        texts, where = _distinct_ints(column)
+    return np.take(_texts(texts), where, axis=0)
+
+
+def _distinct_ints(column: np.ndarray) -> tuple:
+    """(texts, where): the decimal text of each distinct value of an integer
+    column, ascending, and the index of each row's value among them.
+
+    Where the values span fewer integers than the column has rows, their
+    offsets from the least one are counted by `bincount` and ranked by a
+    running count; a wider span goes through `np.unique`, so no table is
+    larger than the column.
+    """
+    low, high = int(column.min()), int(column.max())
+    if high - low >= column.size:
+        distinct, where = np.unique(column, return_inverse=True)
+        return [str(v) for v in distinct.tolist()], where
+    # the difference in the column's own width, read unsigned: exact for
+    # any offset below 2**bits, whatever the signed wrap-around
+    offset = np.subtract(column, column.dtype.type(low))
+    offset = offset.view(f"u{column.itemsize}").astype(np.intp)
+    present = np.bincount(offset) > 0
+    texts = [str(low + v) for v in np.flatnonzero(present).tolist()]
+    return texts, (np.cumsum(present) - 1)[offset]
 
 
 def _body(columns: list, precision: int):

@@ -179,7 +179,12 @@ class PurePower(_Homogeneous):
     d: int = 1
 
     def _at(self, zz):
-        return np.sum(zz ** (2 * self.k), axis=-1)
+        # coordinate by coordinate from 0.0, as np.sum adds: the start turns
+        # a -0.0 imaginary part, such as that of (-1 + 0j)**2, into +0.0
+        out = 0.0 + zz[..., 0] ** (2 * self.k)
+        for i in range(1, zz.shape[-1]):
+            out += zz[..., i] ** (2 * self.k)
+        return out
 
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
@@ -623,8 +628,12 @@ def build_symbol(spec: OperatorSpec, grid: FrequencyGrid) -> Symbol:
         )
     points = grid.points.astype(float)
     values = np.asarray(spec.value(points), dtype=complex).reshape(grid.size)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    spec._check_branch(points, scale)
+    peak = float(np.max(np.abs(values)))
+    if not math.isfinite(peak):
+        raise ValidationError(
+            f"the {type(spec).__name__} symbol is not finite on the lattice of "
+            f"cutoff N={grid.cutoff} on d = {grid.dimension} (max |a| = {peak})")
+    spec._check_branch(points, max(1.0, peak))
     return Symbol(grid=grid, values=values, spec=spec)
 
 

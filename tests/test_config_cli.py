@@ -794,6 +794,21 @@ def test_cli_pass_run_exits_zero(tmp_path, capsys):
     assert "mass = " in out
 
 
+def test_a_symbol_that_overflows_on_its_lattice_is_refused(tmp_path, capsys):
+    # the degree-255 monomials overflow at the lattice corners: this run
+    # wrote re_a = inf into four rows of symbol.csv and passed
+    text = ("[operator]\nvariant = quadratic_form\nk = 255\n\n[grid]\nd = 2\n\n"
+            "[experiment]\nkind = kernel\nt = 1\n")
+    code = main(["kernel", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("kernel: ValidationError: the QuadraticForm symbol is not finite on "
+            "the lattice of cutoff N=") in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_failing_pass_rule_exits_one(tmp_path, capsys):
     # the CLI tests k=2 against the Legendre rate, which is not sharp for
     # k >= 2 (the complex-saddle constant is half of it): the extrapolation

@@ -32,6 +32,28 @@ def test_lattice_order_matches_the_lexsort_order(d, n):
                           oracles.ordered_lattice_lexsort(d, n))
 
 
+def lattice_by_row_reduction(d: int, n: int) -> np.ndarray:
+    """The lattice as one `axis=1` norm reduction and an int64 stable
+    argsort laid it out before its passes ran coordinate by coordinate."""
+    axes = [np.arange(-n, n + 1)] * d
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
+    return pts[np.argsort(norms, kind="stable")]
+
+
+# N on both sides of the uint8 and uint16 bounds of the sort key d N^2:
+# d = 1 at N = 15/16 and 255/256, d = 2 at N = 11/12 and 181/182
+@pytest.mark.parametrize("d, n", [(1, 15), (1, 16), (1, 255), (1, 256), (1, 4096),
+                                  (2, 11), (2, 12), (2, 181), (2, 182)])
+def test_lattice_and_shell_match_the_row_reduction(d, n):
+    points = _ordered_lattice(d, n)
+    expected = lattice_by_row_reduction(d, n)
+    assert points.dtype == expected.dtype and points.flags.c_contiguous
+    assert np.array_equal(points, expected)
+    shell = FrequencyGrid(d, n).boundary_shell()
+    assert np.array_equal(shell, np.max(np.abs(expected), axis=1) == n)
+
+
 def test_boundary_shell_is_the_outer_layer():
     g = FrequencyGrid(1, 5)
     shell = g.points[g.boundary_shell()][:, 0]

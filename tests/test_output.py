@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from nmhl import parse_config, run
-from nmhl.runner import _MANY_DISTINCT, _MANY_ROWS, _fmt, _format_floats, _write_csv
+from nmhl.runner import (_MANY_DISTINCT, _MANY_ROWS, _column_bytes, _fmt,
+                         _format_floats, _write_csv)
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1]
@@ -139,6 +140,61 @@ def test_vectorized_formatter_equals_percent_g(precision):
 def test_vectorized_formatter_equals_percent_g_on_bit_patterns(bits, precision):
     x = np.array(bits, dtype=np.int64).view(np.float64)
     assert formatted(x, precision) == percent_g(x, precision)
+
+
+def trailing_zero_cases(precision: int) -> np.ndarray:
+    """m * 10**e for mantissas m of 1 to 17 digits ending in a nonzero digit
+    (1, 12, 125, 1251, ...) and with all-zero four-digit groups inside
+    (10001, 100000001, ...), so the p-digit D ends in 0 to 16 zeros, at
+    decimal exponents X in every %g layout and past the fast path's limits,
+    in both signs."""
+    mantissas = [int("12512512512512512"[:k]) for k in range(1, 18)]
+    mantissas += [10 ** j + 1 for j in range(1, 17)]
+    mantissas += [10 ** j + 10 ** (j // 2) for j in range(2, 17)]
+    exps = list(range(-9, precision + 3)) + [-300, -281, -200, 200, 281, 300]
+    x = np.array([float(f"{m}e{e10 - len(str(m)) + 1}")
+                  for m in mantissas for e10 in exps])
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_vectorized_formatter_counts_trailing_zeros_as_percent_g(precision):
+    x = trailing_zero_cases(precision)
+    assert formatted(x, precision) == percent_g(x, precision)
+
+
+def test_vectorized_formatter_sees_every_trailing_zero_count():
+    # the cases reach D with each count of trailing zeros from 0 to p - 1
+    for precision in (4, 16, 17):
+        x = trailing_zero_cases(precision)
+        digits = {f"%.{precision - 1}e" % v for v in np.abs(x).tolist()}
+        counts = {len(d) - len(d.rstrip("0"))
+                  for d in (t.split("e")[0].replace(".", "") for t in digits)}
+        assert counts == set(range(precision))
+
+
+INT_CASES = {
+    "negative": -np.arange(3 * _MANY_ROWS) ** 2 % 97 - 50,
+    "single_valued": np.full(2 * _MANY_ROWS, -7),
+    "uint64_high": np.arange(2 * _MANY_ROWS, dtype=np.uint64) % 5 + np.uint64(2**64 - 9),
+    "uint8": np.arange(4 * _MANY_ROWS, dtype=np.uint8),
+    "int8_full_range": np.arange(-128, 128, dtype=np.int8).repeat(2),
+    "int64_extremes": np.array([-2**63, 2**63 - 1] * _MANY_ROWS),
+    "wider_than_the_rows": np.arange(2 * _MANY_ROWS) * 1000 - 5,
+    "int16_wider_than_the_rows": np.arange(-2**15, 2**15 - 1, 97, dtype=np.int16),
+}
+
+
+@pytest.mark.parametrize("name", INT_CASES)
+def test_integer_column_formatter_equals_str(name):
+    column = INT_CASES[name]
+    rng = np.random.default_rng(len(name))
+    column = column[rng.permutation(column.size)]
+    rows = _column_bytes(column, 17)
+    assert [bytes(r[r != 0]).decode() for r in rows] == [str(v) for v in column.tolist()]
+    meta = {"x": 0.1}
+    columns = {"i": column, "v": np.arange(column.size) * 0.5}
+    assert written(meta, columns, 6) == per_value_csv(meta, columns, 6)
 
 
 def test_signed_zeros_stay_apart_in_a_column():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,33 @@ def test_negation_permutation_maps_each_point_to_its_negative(d, n):
     neg = _negation_permutation(grid)
     np.testing.assert_array_equal(grid.points[neg], -grid.points)
     np.testing.assert_array_equal(np.sort(neg), np.arange(grid.size))
+
+
+def test_pure_power_adds_its_coordinates_from_zero_as_np_sum():
+    # (-1 + 0j)**2 = 1 - 0j: the sum starts from 0.0, as np.sum does, so
+    # the imaginary part is +0.0, which symbol.csv writes as "0"
+    value = PurePower(k=1).value(-1.0)
+    assert value == 1.0 and math.copysign(1.0, value.imag) == 1.0
+    zeros = [complex(a, b) for a in (0.0, -0.0, -1.0) for b in (0.0, -0.0, 1.0)]
+    zz = np.array([[p, q] for p in zeros for q in zeros])
+    for k in (1, 2, 3):
+        got = PurePower(k=k, d=2).value(zz)
+        assert got.tobytes() == np.sum(zz ** (2 * k), axis=-1).tobytes()
+        got = PurePower(k=k).value(zz[:, 0])
+        assert got.tobytes() == np.sum(zz[:, :1] ** (2 * k), axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_build_symbol_refuses_a_symbol_that_is_not_finite(bad):
+    class Broken(PurePower):
+        def _at(self, zz):
+            out = super()._at(zz)
+            out[-1] = bad
+            return out
+
+    with pytest.raises(ValidationError, match="^the Broken symbol is not finite "
+                                              "on the lattice of cutoff N=4 on d = 1"):
+        build_symbol(Broken(k=1), FrequencyGrid(1, 4))
 
 
 def test_quadratic_form_identity_matches_pure_power():
