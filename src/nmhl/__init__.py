@@ -60,7 +60,6 @@ from .malliavin import (
     aux_moment,
     bounded_moment_check,
     default_gauge,
-    elementary_ibp_check,
     exponent_fit,
     gauge_conjugate,
     ibp_check,

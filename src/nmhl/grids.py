@@ -80,6 +80,20 @@ class FrequencyGrid:
         resolves it, or `floor` where that is larger."""
         return max(floor, 2 * self.cutoff + 2)
 
+    def fft_bins(self, m: int) -> tuple:
+        """The FFT bins of the lattice on a grid of m points per axis, one
+        index array per axis: point p goes in bin p mod m, for a grid that
+        resolves the lattice and fits MAX_FFT_POINTS, 2N+1 <= m <= max_resolution(d)."""
+        if m < 2 * self.cutoff + 1:
+            raise ValidationError(
+                f"resolution M={m} must be >= 2N+1={2 * self.cutoff + 1} to resolve the lattice"
+            )
+        if m > max_resolution(self.dimension):
+            raise ValidationError(
+                f"resolution M={m} exceeds {max_resolution(self.dimension)}, the largest "
+                f"on d = {self.dimension} (grids.MAX_FFT_POINTS)")
+        return tuple(np.mod(self.points, m).T)
+
     def boundary_shell(self) -> np.ndarray:
         """Mask of lattice points with max coordinate magnitude equal to N:
         since no coordinate exceeds N, those where some |p_i| == N."""

@@ -23,7 +23,6 @@ from .errors import (
     BranchCut,
     FitUnstable,
     MomentDiverged,
-    QuadratureNonConverged,
     ValidationError,
 )
 from .grids import TWO_PI, line_fit
@@ -241,12 +240,10 @@ class IbpResult:
 
 def _grid_coefficients(symbol: Symbol, f: np.ndarray) -> np.ndarray:
     """Fourier coefficients of a grid function, mapped onto the lattice."""
+    if symbol.grid.dimension != 1:
+        raise ValidationError("integration-by-parts checks are one-dimensional")
     m = f.shape[0]
-    if m < 2 * symbol.grid.cutoff + 1:
-        raise ValidationError("grid function does not resolve the lattice")
-    fhat = np.fft.fft(f) / m
-    xi = symbol.grid.points[:, 0]
-    coeffs = fhat[np.mod(xi, m)]
+    coeffs = (np.fft.fft(f) / m)[symbol.grid.fft_bins(m)]
     # band-limit check: content at the lattice edge means aliased moments
     edge = np.abs(symbol.grid.points[:, 0]) >= symbol.grid.cutoff - 1
     scale = max(float(np.max(np.abs(coeffs))), 1e-300)
@@ -294,56 +291,6 @@ def _ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float,
     lhs_r, rhs_r = float(np.real(lhs)), float(np.real(rhs))
     rel = abs(lhs_r - rhs_r) / (abs(rhs_r) + eps)
     return IbpResult(lhs=lhs_r, rhs=rhs_r, rel_error=rel)
-
-
-def _gauss_legendre(fun, t: float, nodes: int) -> float:
-    """int_0^t fun(s) ds by the Gauss-Legendre rule with `nodes` points."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * t * sum(wj * fun(0.5 * t * (xj + 1.0)) for xj, wj in zip(x, w))
-
-
-def elementary_ibp_check(base: Symbol, direction: int,
-                         weight: Callable[[float], float], h: np.ndarray,
-                         t: float, nodes: int = 32) -> IbpResult:
-    """First-order identity: int_0^t P_{t-s}[alpha_s d_i P_s h] ds equals the
-    first auxiliary moment of the weight-coupled augmented semigroup,
-    (int_0^t alpha_s ds) (i xi_i) e^{-t a(xi)} per mode.
-
-    On the torus the multipliers commute, so P_{t-s} d_i P_s is e^{-t a}
-    (i xi_i) for every s, and the LHS is that multiplier times the
-    `nodes`-point Gauss-Legendre sum of alpha.  The RHS takes the weight
-    integral by the rule of twice the size, so the identity checks the
-    n-node rule against the 2n-node rule, not a semigroup property; a weight
-    on which the two differ beyond 1e-9 raises QuadratureNonConverged.
-    """
-    _require_time(t)
-    if nodes < 32:
-        raise ValidationError("use at least 32 quadrature nodes")
-    d = base.grid.dimension
-    if not (0 <= direction < d):
-        raise ValidationError(f"direction {direction} out of range for d={d}")
-    coeffs = _grid_coefficients(base, np.asarray(h, dtype=float))
-    xi_i = base.grid.points[:, direction].astype(float)
-    lhs_weight = _gauss_legendre(weight, t, nodes)
-    total_weight = _gauss_legendre(weight, t, 2 * nodes)
-    err = abs(total_weight - lhs_weight)
-    if not err <= 1e-9 * (1.0 + abs(total_weight)):
-        raise QuadratureNonConverged(
-            f"weight integral: the {nodes}- and {2 * nodes}-node rules "
-            f"differ by {err:.3e}"
-        )
-    modes = coeffs * (1j * xi_i) * np.exp(-t * base.values)
-    m = np.asarray(h).shape[0]
-    grid_x = TWO_PI * np.arange(m) / m
-    phases = np.exp(1j * np.outer(grid_x, base.grid.points[:, 0].astype(float)))
-    lhs_fun = (phases @ (lhs_weight * modes)).real
-    rhs_fun = (phases @ (total_weight * modes)).real
-    eps = float(np.finfo(float).eps)
-    denom = float(np.max(np.abs(rhs_fun))) + eps
-    rel = float(np.max(np.abs(lhs_fun - rhs_fun))) / denom
-    return IbpResult(
-        lhs=float(lhs_fun[0]), rhs=float(rhs_fun[0]), rel_error=rel
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ rows find their distinct values by offset and `np.bincount`, wider ones by
 `np.unique`.  A float column of at least _MANY_DISTINCT distinct values
 gets its text from `_format_floats`, an exact vectorized `%.{precision}g`
 that hands zeros, non-finite values, extreme magnitudes and possible ties
-to `%` and counts the trailing zeros it drops from a table over four-digit
-groups; fewer distinct values are formatted one `%` at a time, which costs
+to `%`; fewer distinct values are formatted one `%` at a time, which costs
 less.  The digit tables are built on first use, in `_tables()`, not at
 import.  Shorter tables are joined as Python text.  Either way the bytes
 are those of one `%.{precision}g` per value.
@@ -99,10 +98,9 @@ _POW10_MIN, _POW10_MAX = -300, 300
 
 @functools.cache
 def _tables() -> tuple:
-    """(hi, lo, quads, tails): hi + lo = 10**q to about 2**-106 relative,
-    for q from _POW10_MIN to _POW10_MAX, each word correctly rounded from
-    Python ints; the four ASCII digits of each of 0..9999 as one uint32; and
-    the trailing zeros of each of those four-digit groups (4 for 0000).
+    """(hi, lo, quads): hi + lo = 10**q to about 2**-106 relative, for q
+    from _POW10_MIN to _POW10_MAX, each word correctly rounded from Python
+    ints, and the four ASCII digits of each of 0..9999 as one uint32.
     Built on first use (about 2 ms), not at import."""
     hi, lo = [], []
     for q in range(_POW10_MIN, _POW10_MAX + 1):
@@ -111,11 +109,9 @@ def _tables() -> tuple:
         a, b = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * b - a * den) / (den * b))
-    groups = np.arange(10000)
-    quads = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     quads = (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    tails = sum(groups % (10 ** j) == 0 for j in range(1, 5)).astype(np.intp)
-    return np.array(hi), np.array(lo), quads, tails
+    return np.array(hi), np.array(lo), quads
 
 
 def _split(a):
@@ -128,7 +124,7 @@ def _split(a):
 def _scaled(v, q):
     """v * 10**q as a normalised double-double (hi, lo): Dekker's exact
     product of v and the high word of 10**q, plus v times its low word."""
-    hi_tab, lo_tab = _tables()[:2]
+    hi_tab, lo_tab, _ = _tables()
     h, low = hi_tab[q - _POW10_MIN], lo_tab[q - _POW10_MIN]
     prod = v * h
     v1, v2 = _split(v)
@@ -194,20 +190,16 @@ def _format_floats(x: np.ndarray, p: int) -> np.ndarray:
     where, digits, exp10 = where[order], digits[order], exp10[order]
     group = group[order]
 
-    quads, tails = _tables()[2:]
+    quads = _tables()[2]
     n_quads = -(-p // 4)
     words = np.empty((digits.size, n_quads), dtype=np.uint32)
-    # D > 0, so its trailing zeros are those of its last group, plus those
-    # of each group before it while all groups after it are 0000
-    rest, zeros = digits, 0
+    rest = digits
     for j in reversed(range(n_quads)):
         high = rest // 10000
-        quad = rest - 10000 * high
-        words[:, j] = quads[quad]
-        zeros += tails[quad] * (zeros == 4 * (n_quads - 1 - j))
+        words[:, j] = quads[rest - 10000 * high]
         rest = high
     chars = words.view(np.uint8)[:, 4 * n_quads - p:]
-    kept = p - zeros
+    kept = p - np.argmax(chars[:, ::-1] != ord("0"), axis=1)
     first_frac = np.where(group == p, 1, np.clip(group + 1, 0, None))
     chars = chars * (np.arange(p) < np.maximum(first_frac, kept)[:, None])
     dot = np.where(kept > first_frac, ord("."), 0).astype(np.uint8)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ComplexResidue, CutoffTooSmall, QuadratureNonConverged,
                      SeriesDiverged, ValidationError)
-from .grids import TWO_PI, FrequencyGrid, max_resolution, spatial_grid
+from .grids import TWO_PI, FrequencyGrid, spatial_grid
 from .spectral import (OperatorSpec, Perturbed, Symbol, _negation_permutation,
                        auto_cutoff, build_symbol, lattice_symbol)
 
@@ -96,24 +96,11 @@ def _check_truncation(symbol: Symbol, t: float) -> float:
     return _check_edge(shell, t, "boundary-shell", symbol.spec)
 
 
-def _fold_multiplier(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Place per-lattice-point coefficients into the length-m FFT bins."""
-    if m < 2 * grid.cutoff + 1:
-        raise ValidationError(
-            f"resolution M={m} must be >= 2N+1={2 * grid.cutoff + 1} to resolve the lattice"
-        )
-    if m > max_resolution(grid.dimension):
-        raise ValidationError(
-            f"resolution M={m} exceeds {max_resolution(grid.dimension)}, the largest "
-            f"on d = {grid.dimension} (grids.MAX_FFT_POINTS)")
-    bins = np.zeros((m,) * grid.dimension, dtype=complex)
-    bins[tuple(np.mod(grid.points, m).T)] = coeffs
-    return bins
-
-
 def _ifft_field(grid: FrequencyGrid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    d = grid.dimension
-    return np.fft.ifftn(_fold_multiplier(grid, coeffs, m)) * (m**d / TWO_PI**d)
+    d, at = grid.dimension, grid.fft_bins(m)
+    bins = np.zeros((m,) * d, dtype=complex)
+    bins[at] = coeffs
+    return np.fft.ifftn(bins) * (m**d / TWO_PI**d)
 
 
 def _real_part(values: np.ndarray, context: str) -> np.ndarray:

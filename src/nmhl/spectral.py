@@ -487,7 +487,8 @@ def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z,
     The integrand is y^(1-alpha) times an entire function of y, so a
     Gauss-Jacobi rule with that weight converges spectrally; its size follows
     max |z| S (the entire part oscillates or grows at that rate).  A rule of
-    about twice the size checks it.
+    about twice the size checks it.  Weights that overflow, where the power of
+    y underflows at the smallest nodes, raise QuadratureNonConverged.
     """
     z = np.asarray(z)
     flat = z.ravel()
@@ -508,7 +509,14 @@ def _jump_integral(density: LevyDensity, l: int, alpha_levy: float, z,
         s, w = _gauss_jacobi(m, 1.0 - alpha_levy)
         y = supp * s
         h = np.asarray(density.h(y), dtype=float)
-        rules.append((y, scale * w * h / y ** (2 * l + 2 - odd)))
+        power = 2 * l + 2 - odd
+        with np.errstate(all="ignore"):
+            wt = scale * w * h / y ** power
+        if not np.all(np.isfinite(wt)):
+            raise QuadratureNonConverged(
+                f"the jump rule of {m} nodes divides by y**{power}, which "
+                f"overflows its weights at the smallest node y = {y[0]:.3e}")
+        rules.append((y, wt))
 
     out = np.empty(flat.shape, dtype=complex)
     block = max(1, _BLOCK_ELEMENTS // (2 * n))

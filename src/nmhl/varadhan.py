@@ -429,11 +429,8 @@ def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
                                resolution=fit_sym.grid.fft_size(0)).r
     # frequency-side test function (i xi)^alpha chi^(xi)
     chi_hat = np.fft.fft(chi_vals) / _SET_RESOLUTION
-    n = symbol.grid.cutoff
-    if 2 * n + 1 > _SET_RESOLUTION:
-        raise ValidationError("bump resolution must cover the symbol lattice")
     xi = symbol.grid.points[:, 0].astype(float)
-    coeffs = chi_hat[np.mod(symbol.grid.points[:, 0], _SET_RESOLUTION)]
+    coeffs = chi_hat[symbol.grid.fft_bins(_SET_RESOLUTION)]
     weights = (1j * xi) ** alpha_order * coeffs
     vals = np.empty(ts.size)
     damp_phase = np.exp(1j * xi * x)

@@ -338,6 +338,27 @@ def levy_symbol_quad(h, support: float, l: int, alpha: float, xi: complex,
     return (-1.0) ** (l + 1) * complex(re, im)
 
 
+def levy_symbol_mp(h, support: float, l: int, alpha: float, xi: float) -> float:
+    """Compensated jump symbol at a real frequency in mpmath:
+    (-1)^{l+1} 2 int_0^S cos_comp(y xi) h(y) y^{-(2l+1+alpha)} dy, with
+    cos_comp(u) = sum_{j > l} (-1)^j u^{2j} / (2j)! summed termwise, so no
+    cancellation near y = 0.  ``h`` takes an mpf."""
+    with mp.workdps(40):
+        def cos_comp(u):
+            term = (-1) ** (l + 1) * u ** (2 * l + 2) / mp.factorial(2 * l + 2)
+            total, j = mp.mpf(0), l + 1
+            while abs(term) > mp.mpf(10) ** -45 * (1 + abs(total)):
+                total += term
+                term = -term * u * u / ((2 * j + 1) * (2 * j + 2))
+                j += 1
+            return total
+
+        power = 2 * l + 1 + mp.mpf(alpha)
+        z = mp.mpf(float(xi))
+        val = mp.quad(lambda y: cos_comp(y * z) * h(y) * y ** (-power), [0, support])
+        return float((-1) ** (l + 1) * 2 * val)
+
+
 # ---------------------------------------------------------------------------
 # preset grids and tilted multipliers
 

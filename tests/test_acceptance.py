@@ -24,7 +24,6 @@ from nmhl import (
     chapman_kolmogorov_check,
     default_gauge,
     duhamel_series,
-    elementary_ibp_check,
     exit_bound_check,
     exponent_fit,
     gauge_conjugate,
@@ -99,15 +98,6 @@ def test_03_cascade_ibp_identity_across_presets():
     check("03", ok,
           f"{len(IBP_PRESETS)} presets: worst rel err {worst_rel:.2e} (tol 1e-8); "
           f"moment paths differ by {worst_gap:.2e} (tol 1e-6)")
-
-
-def test_04_first_order_ibp_constant_and_linear_weights():
-    base = build_symbol(PurePower(k=2), FrequencyGrid(1, IBP_CUTOFF))
-    x = spatial_grid(IBP_RESOLUTION)
-    h = np.cos(x) + 0.3 * np.sin(3.0 * x)
-    worst = max(elementary_ibp_check(base, 0, lambda s: 1.0, h, 1.0).rel_error,
-                elementary_ibp_check(base, 0, lambda s: s, h, 1.0).rel_error)
-    check("04", worst < 1e-6, f"worst rel err {worst:.2e} (tol 1e-6)")
 
 
 def test_05_legendre_transform_oracles():

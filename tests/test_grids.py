@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from nmhl import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
+from nmhl import (TWO_PI, AugmentedOperator, FrequencyGrid, PurePower, build_symbol,
+                  heat_kernel, ibp_check, localized_estimate, plateau_bump,
+                  spatial_grid, wrap_angle)
 from nmhl.errors import ValidationError
-from nmhl.grids import _ordered_lattice
+from nmhl.grids import _ordered_lattice, max_resolution
 
 
 def test_frequency_grid_orders_by_magnitude_then_lex():
@@ -61,6 +63,48 @@ def test_boundary_shell_is_the_outer_layer():
     g2 = FrequencyGrid(2, 3)
     shell2 = g2.points[g2.boundary_shell()]
     assert np.all(np.max(np.abs(shell2), axis=1) == 3)
+
+
+@pytest.mark.parametrize("d, n, m", [(1, 5, 11), (1, 5, 64), (2, 3, 7), (2, 3, 10)])
+def test_fft_bins_place_each_point_at_its_residue(d, n, m):
+    g = FrequencyGrid(d, n)
+    bins = g.fft_bins(m)
+    assert len(bins) == d
+    for axis, b in enumerate(bins):
+        assert np.array_equal(b, g.points[:, axis] % m)
+    # distinct points land in distinct bins, and each is read back in place
+    field = np.zeros((m,) * d, dtype=np.int64)
+    field[bins] = np.arange(g.size) + 1
+    assert np.count_nonzero(field) == g.size
+    assert np.array_equal(field[bins], np.arange(g.size) + 1)
+
+
+def test_fft_bins_refuse_a_grid_that_misses_the_lattice_or_the_cap():
+    g = FrequencyGrid(1, 5)
+    with pytest.raises(ValidationError, match=r"^resolution M=10 must be >= "
+                       r"2N\+1=11 to resolve the lattice$"):
+        g.fft_bins(10)
+    g2 = FrequencyGrid(2, 3)
+    cap = max_resolution(2)
+    with pytest.raises(ValidationError, match=f"^resolution M={cap + 1} exceeds "
+                       f"{cap}, the largest on d = 2"):
+        g2.fft_bins(cap + 1)
+
+
+def test_every_lattice_gather_refuses_a_coarse_grid_with_one_message():
+    # the heat kernel, the ibp coefficients and the localized estimate place
+    # the lattice by one rule, so they refuse an unresolving grid alike
+    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 8))
+    op = AugmentedOperator(base=sym, n=0, alpha_frac=0.5)
+    wide = build_symbol(PurePower(k=1), FrequencyGrid(1, 2048))
+    calls = [lambda: heat_kernel(sym, 0.5, resolution=16),
+             lambda: ibp_check(op, np.cos(spatial_grid(16)), 0.5),
+             lambda: localized_estimate(wide, 1, 0.0, plateau_bump(2.5, 0.2, 0.4),
+                                        0.1 * 0.5 ** np.arange(4))]
+    for call, m, cutoff in zip(calls, (16, 16, 4096), (8, 8, 2048)):
+        with pytest.raises(ValidationError, match=f"^resolution M={m} must be >= "
+                           f"2N\\+1={2 * cutoff + 1} to resolve the lattice$"):
+            call()
 
 
 def test_grid_validation():

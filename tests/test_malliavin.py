@@ -15,14 +15,12 @@ from nmhl import (
     GaugeFunction,
     MomentDiverged,
     PurePower,
-    QuadratureNonConverged,
     ValidationError,
     aux_moment,
     augmented_multiplier,
     bounded_moment_check,
     build_symbol,
     default_gauge,
-    elementary_ibp_check,
     exponent_fit,
     gauge_conjugate,
     ibp_check,
@@ -99,13 +97,10 @@ NON_FINITE = [np.nan, np.inf, -np.inf]
 def test_every_time_taking_front_end_refuses_a_non_finite_time(t):
     base = _base(k=1, cutoff=8)
     op = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=1.0)
-    h = np.cos(spatial_grid(IBP_RESOLUTION))
     calls = {
         "augmented_multiplier": lambda: augmented_multiplier(op, t, 0, [0.1]),
         "aux_moment": lambda: aux_moment(op, t),
         "ibp_check": lambda: ibp_check(op, np.cos(spatial_grid(64)), t),
-        "elementary_ibp_check":
-            lambda: elementary_ibp_check(base, 0, lambda s: 1.0, h, t),
         "bounded_moment_check":
             lambda: bounded_moment_check(op, np.ones(256), t, resolution=256),
     }
@@ -266,6 +261,15 @@ def test_ibp_check_validates_inputs():
         ibp_check(op, f, 1.0, moment_path="bogus")
 
 
+def test_ibp_check_refuses_a_two_dimensional_base():
+    # the check reads a grid function of one variable; a d = 2 lattice once
+    # took its coefficients by the first coordinate alone and passed
+    base = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 8))
+    op = AugmentedOperator(base=base, n=0, alpha_frac=0.5)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        ibp_check(op, np.cos(spatial_grid(64)), 0.5)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -326,41 +330,6 @@ def test_ibp_check_alone_keeps_the_unshared_bits(path):
                                           moment_path=path)
         assert np.array_equal(_bits([res.lhs, res.rhs, res.rel_error]),
                               _bits(want)), (preset, starts)
-
-
-# ---------------------------------------------------------------------------
-# elementary (first-order) integration by parts
-
-
-@pytest.mark.parametrize("weight", [lambda s: 1.0, lambda s: s])
-def test_first_order_identity(weight):
-    base = build_symbol(PurePower(k=2), FrequencyGrid(1, IBP_CUTOFF))
-    h = np.cos(spatial_grid(IBP_RESOLUTION)) + 0.3 * np.sin(
-        3.0 * spatial_grid(IBP_RESOLUTION)
-    )
-    res = elementary_ibp_check(base, 0, weight, h, 1.0)
-    assert res.rel_error < 1e-6
-
-
-def test_first_order_identity_refuses_a_weight_the_rules_cannot_integrate():
-    # a step at t/3: the 32- and 64-node Gauss-Legendre rules disagree far
-    # above rounding, so the weight integral has no trustworthy value
-    base = build_symbol(PurePower(k=2), FrequencyGrid(1, IBP_CUTOFF))
-    h = np.cos(spatial_grid(IBP_RESOLUTION))
-    t = 1.0
-    with pytest.raises(QuadratureNonConverged, match="32- and 64-node"):
-        elementary_ibp_check(base, 0, lambda s: float(s > t / 3.0), h, t)
-
-
-def test_first_order_identity_validates_inputs():
-    base = build_symbol(PurePower(k=1), FrequencyGrid(1, IBP_CUTOFF))
-    h = np.cos(spatial_grid(IBP_RESOLUTION))
-    with pytest.raises(ValidationError):
-        elementary_ibp_check(base, 0, lambda s: 1.0, h, 0.0)
-    with pytest.raises(ValidationError):
-        elementary_ibp_check(base, 1, lambda s: 1.0, h, 1.0)  # no such direction
-    with pytest.raises(ValidationError):
-        elementary_ibp_check(base, 0, lambda s: 1.0, h, 1.0, nodes=8)
 
 
 # ---------------------------------------------------------------------------

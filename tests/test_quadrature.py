@@ -1,7 +1,8 @@
 """The two array quadratures against independent references: the auxiliary
 kernel table (closed form and FFT) against the trapezoid cosine table it
 replaced, and the Gauss-Jacobi jump symbol against the flat density's power
-series and scipy's adaptive quad."""
+series, scipy's adaptive quad and an mpmath quadrature of a non-flat
+density."""
 
 import math
 import time
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nmhl import Levy, levy_hamiltonian, levy_symbol
+from nmhl import Levy, LevyDensity, levy_hamiltonian, levy_symbol
 from nmhl.errors import QuadratureNonConverged, TiltOutOfDomain
 from nmhl.ldp import lagrangian_table, legendre
 from nmhl.malliavin import _aux_kernel_table
@@ -60,6 +61,31 @@ def test_shifted_jump_symbol_matches_adaptive_quadrature():
     got = levy_symbol(flat_density(tol=1e-12), 1, -0.5, z)
     ref = oracles.levy_symbol_quad(lambda y: 1.0, 1.0, 1, -0.5, z)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_jump_symbol_weighs_a_non_flat_density(l):
+    # h = 1 - (y/S)^2 is not 1 on its support, so the rule must multiply by it
+    support = 1.5
+    density = LevyDensity(h=lambda y: 1.0 - (np.asarray(y) / support) ** 2,
+                          support=support)
+    xi = np.array([0.5, 2.0, 7.0])
+    got = levy_symbol(density, l, -0.5, xi)
+    for v, a in zip(xi, got):
+        ref = oracles.levy_symbol_mp(lambda y: 1 - (y / support) ** 2, support, l, -0.5, v)
+        assert abs(a.imag) == 0.0
+        assert abs(a.real - ref) <= 10.0 * density.tol * (1.0 + abs(ref)), v
+
+
+@pytest.mark.parametrize("l", [60, 73])
+def test_jump_rule_names_the_power_that_overflows_its_weights(l):
+    # y**(2l + 2) underflows at the smallest Gauss-Jacobi nodes: the error
+    # names that power, and no numpy warning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonConverged,
+                           match=rf"divides by y\*\*{2 * l + 2}, which overflows"):
+            levy_symbol(flat_density(), l, -0.5, np.arange(1.0, 8.0))
 
 
 def test_jump_rule_reports_a_tolerance_it_cannot_reach():

@@ -276,6 +276,21 @@ def test_set_estimate_long_arc_interior_point_has_zero_target(k):
     assert curve.target == 0.0
 
 
+def test_set_estimate_deep_gaussian_mass_off_the_origin():
+    # x = 1, arc (2.5, 3): l_inf = 1.5^2 / 4, so l_inf / t > 25 at every t
+    # and each sample takes the contour mass of the arc as seen from x
+    x, lo, hi = 1.0, 2.5, 3.0
+    ts = geometric(0.02, 0.5, 8)
+    curve = wf_set_estimate(power_symbol(1, ts[-1]), 1, x, (lo, hi), ts)
+    assert curve.target == pytest.approx(-0.5625, abs=1e-12)
+    with mp.workdps(40):
+        for t, v in zip(ts, curve.values):
+            s = 2 * mp.sqrt(t)
+            mass = sum(mp.erfc((lo - x + TWO_PI * w) / s) - mp.erfc((hi - x + TWO_PI * w) / s)
+                       for w in range(-4, 5)) / 2
+            assert v == pytest.approx(float(t * mp.log(mass)), rel=1e-10), t
+
+
 @pytest.mark.parametrize("t, lo, hi", [(0.01, 0.5, 1.5), (0.002, 2.0, 3.0),
                                        (0.1 * 0.5**7, -1.1, -0.9),
                                        # arcs over the images of 0 and 2 pi
