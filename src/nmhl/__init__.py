@@ -68,7 +68,6 @@ from .runner import ReportSummary, run
 from .semigroup import (
     DuhamelResult,
     KernelField,
-    TiltSpec,
     TiltedOperator,
     chapman_kolmogorov_check,
     derivative_seminorm,

@@ -139,8 +139,6 @@ def _parse_json(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, col=exc.colno) from None
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object", line=1, col=1)
     raw = {}
     for section, body in data.items():
         if not isinstance(body, dict):

@@ -354,31 +354,16 @@ def _base_meta(config: RunConfig) -> dict:
 def _emit(ctx: dict, name: str, columns: dict, **grid_used):
     """Write one CSV of the run, as the file the context's `rename` gives
     `name` (none if it gives None), under its metadata plus `grid.<key>` for
-    each grid setting the run chose, and record it for cleanup."""
+    each grid setting the run chose (not None), and record it for cleanup."""
     name = ctx["rename"](name)
     if name is None:
         return
     meta = dict(ctx["meta"])
-    meta.update((f"grid.{key}", value) for key, value in grid_used.items())
+    meta.update((f"grid.{key}", value) for key, value in grid_used.items()
+                if value is not None)
     path = os.path.join(ctx["outdir"], name)
     _write_csv(path, meta, columns, ctx["precision"])
     ctx["written"].append(path)
-
-
-# ---------------------------------------------------------------------------
-# shared construction
-
-
-def _symbol_of(config: RunConfig, t_min: float):
-    spec = make_operator(config.operator, config.grid.d)
-    if config.grid.cutoff is None:
-        symbol = lattice_symbol(spec, t_min)
-    else:
-        symbol = build_symbol(spec, FrequencyGrid(config.grid.d, config.grid.cutoff))
-    resolution = config.grid.resolution
-    if resolution is None:
-        resolution = symbol.grid.fft_size(256)
-    return symbol, resolution
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +373,14 @@ def _symbol_of(config: RunConfig, t_min: float):
 def _run_kernel(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     t, x = params["t"], params["x"]
-    symbol, resolution = _symbol_of(config, t)
+    spec = make_operator(config.operator, config.grid.d)
+    if config.grid.cutoff is None:
+        symbol = lattice_symbol(spec, t)
+    else:
+        symbol = build_symbol(spec, FrequencyGrid(config.grid.d, config.grid.cutoff))
+    resolution = config.grid.resolution
+    if resolution is None:
+        resolution = symbol.grid.fft_size(256)
     kernel = heat_kernel(symbol, t, x=x, resolution=resolution)
 
     sym_columns = {f"xi_{i + 1}": symbol.grid.points[:, i]
@@ -421,13 +413,14 @@ def _run_kernel(config: RunConfig, ctx: dict) -> tuple:
 def _ibp_columns(t: float, moment_path: str) -> dict:
     grid = FrequencyGrid(1, IBP_CUTOFF)
     f = np.cos(spatial_grid(IBP_RESOLUTION))
-    # presets with the same coupling shifts share their moments
+    # presets with the same k share their base, and those with the same
+    # coupling shifts their moments
+    base = functools.cache(lambda k: build_symbol(PurePower(k=k), grid))
     memo = _MomentMemo()
 
     def one(preset):
         k, alpha, r, n = preset
-        base = build_symbol(PurePower(k=k), grid)
-        op = AugmentedOperator(base=base, n=n, alpha_frac=alpha, r=r)
+        op = AugmentedOperator(base=base(k), n=n, alpha_frac=alpha, r=r)
         res = _ibp_check(op, f, t, 0.0, None, moment_path, memo)
         tag = f"k{k}_a{alpha}_r{r:g}_n{n}"
         return (tag, res.lhs, res.rhs, res.rel_error)
@@ -481,9 +474,10 @@ def _run_varadhan(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     t_list = [params["t_start"] * params["t_factor"] ** j
               for j in range(params["t_count"])]
-    symbol, _ = _symbol_of(config, min(t_list))
-    curve = varadhan_curve(symbol, params["k"], params["x"], params["y"], t_list)
-    _emit(ctx, "varadhan.csv", curve.columns(), cutoff_used=symbol.grid.cutoff)
+    curve = varadhan_curve(make_operator(config.operator, config.grid.d),
+                           params["k"], params["x"], params["y"], t_list,
+                           cutoff=config.grid.cutoff)
+    _emit(ctx, "varadhan.csv", curve.columns(), cutoff_used=curve.cutoff)
     return curve.passed, {
         "target": curve.target,
         "extrapolated": curve.extrapolated,
@@ -496,10 +490,10 @@ def _run_exit(config: RunConfig, ctx: dict) -> tuple:
     params = config.experiment.params
     eps_list = [params["eps_start"] * params["eps_factor"] ** j
                 for j in range(params["eps_count"])]
-    symbol, _ = _symbol_of(config, params["s"])
-    fit = exit_bound_check(symbol, params["k"], params["delta"], params["s"],
-                           eps_list)
-    _emit(ctx, "exit.csv", fit.columns(), cutoff_used=symbol.grid.cutoff)
+    fit = exit_bound_check(make_operator(config.operator, config.grid.d),
+                           params["k"], params["delta"], params["s"], eps_list,
+                           cutoff=config.grid.cutoff)
+    _emit(ctx, "exit.csv", fit.columns(), cutoff_used=fit.cutoff)
     return fit.passed, {
         "fit_c": fit.fit_c,
         "chernoff_c": fit.chernoff_c,
@@ -532,8 +526,7 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
     change (min < 0), not by the kind's mass rule.  rate (both preset
     endpoints in one table) and tilted (no kind) are report-only rows.
     fast=false adds the k=2 varadhan and exit rows, whose clauses fail
-    because their Legendre and Chernoff targets are not sharp for k >= 2.
-    The tilted row takes its symbols from `lattice_symbol`."""
+    because their Legendre and Chernoff targets are not sharp for k >= 2."""
     row, metric, p_min, _ = _run_row(config, ctx, "kernel", 2, "min_value",
                                      kind="kernel", t=0.01)
     entries = [  # (row, metric, value, passed)
@@ -552,7 +545,7 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
                                 kind="varadhan"))
         entries.append(_run_row(config, ctx, f"exit_k{k}", k, "fit_c", kind="exit"))
 
-    bounds = [tilted_bound_check(lattice_symbol(PurePower(k=k), s), k, tilt, s)
+    bounds = [tilted_bound_check(PurePower(k=k), k, tilt, s)
               for k, tilt, s in TILT_PRESETS]
     k_col, tilt_col, s_col = zip(*TILT_PRESETS)
     _emit(ctx, "report_tilted.csv", {

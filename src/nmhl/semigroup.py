@@ -193,6 +193,9 @@ _IMAGE_EFOLDS = 40.0   # image pairs this far below the largest one are dropped
 #: the most image pairs one sum takes: 372x the 11 the preset curves take at
 #: t = 0.1; k = 1 at t = 1e6 takes 2,014 (0.1 s)
 _IMAGE_PAIRS_MAX = 4096
+#: the most trapezoid nodes a side of one contour: 107x the 611 of k = 2 at
+#: t = 1e-6, 3.8x the 17,169 of the k = 2 curve from t = 1e-30
+_CONTOUR_NODES_MAX = 1 << 16
 
 #: smallest |p| / (sum_n |exp(-t a(n))| / 2 pi) the lattice sum resolves: its
 #: rounding error stays near 3e-17 of that scale, so past this floor fewer
@@ -223,7 +226,12 @@ def _image_integral(spec: OperatorSpec, t: float, m: int, c: float, x: float,
     if tail:
         eta = max(eta, width)
     half = r * math.cos(theta) + 14.0 * width
-    n = int(math.ceil(half / (0.03 * width)))
+    nodes = half / (0.03 * width)
+    if not nodes <= _CONTOUR_NODES_MAX:
+        raise QuadratureNonConverged(
+            f"the contour at t={t:.3g}, x={x:.3g} needs {nodes:.3g} nodes a side, "
+            f"above _CONTOUR_NODES_MAX = {_CONTOUR_NODES_MAX}")
+    n = int(math.ceil(nodes))
     xi = np.linspace(-half, half, 2 * n + 1) + 1j * eta
     expo = -t * spec.value(xi) + 1j * x * xi
     top = float(np.max(expo.real))
@@ -390,23 +398,11 @@ def duhamel_series(perturbed: Symbol, t: float, l_max: int = 8) -> DuhamelResult
 # tilted semigroups
 
 
-@dataclass(frozen=True)
-class TiltSpec:
-    xi_tilt: float | tuple
-    eps: float = 1.0
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
-
-
 @dataclass
 class TiltedOperator:
     """Multiplier operator exp(-s a(xi - i c)) with c = xi_tilt / eps."""
 
     symbol: Symbol
-    tilt: TiltSpec
-    s: float
     multiplier: np.ndarray
 
     def kernel(self, resolution: int = 1024) -> np.ndarray:
@@ -420,14 +416,18 @@ class TiltedOperator:
         return float(np.sum(np.abs(vals)) * (TWO_PI / resolution) ** d)
 
 
-def tilted_semigroup(symbol: Symbol, tilt: TiltSpec, s: float) -> TiltedOperator:
+def tilted_semigroup(symbol: Symbol, xi_tilt, s: float,
+                     eps: float = 1.0) -> TiltedOperator:
     """Conjugation by exp(<x, xi_tilt>/eps), realized as a complex frequency
-    shift of the symbol the caller provides (pre-scale it for small-eps runs)."""
+    shift of the symbol the caller provides (pre-scale it for small-eps runs).
+    `xi_tilt` is a number or, in d > 1, one per axis."""
     _require_time(s)
-    shift = np.asarray(tilt.xi_tilt, dtype=float) / tilt.eps
+    if not eps > 0:
+        raise ValidationError(f"eps must be > 0, got {eps}")
+    shift = np.asarray(xi_tilt, dtype=float) / eps
     z = symbol.grid.points.astype(float) - 1j * shift
     mult = np.exp(-s * symbol.spec.value(z).reshape(symbol.grid.size))
-    return TiltedOperator(symbol=symbol, tilt=tilt, s=s, multiplier=mult)
+    return TiltedOperator(symbol=symbol, multiplier=mult)
 
 
 # ---------------------------------------------------------------------------

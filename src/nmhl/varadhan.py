@@ -19,14 +19,13 @@ from .ldp import _legendre_full, maslov_scaled_spec, straight_rate
 from .malliavin import exponent_fit
 from .presets import EXPONENT_TIMES, exponent_symbol
 from .semigroup import (
-    TiltSpec,
     _log_image_sum,
     heat_kernel,
     kernel_values,
     log_abs_kernel,
     tilted_semigroup,
 )
-from .spectral import Symbol, auto_cutoff, build_symbol, lattice_symbol
+from .spectral import OperatorSpec, Symbol, auto_cutoff, build_symbol, lattice_symbol
 
 #: slack(t) = (r_alpha + C_SLACK) t^{1/(2k-1)} log(1/t) in `_judge`; C_SLACK
 #: was calibrated once against the exact second-order wrapped Gaussian and frozen.
@@ -78,7 +77,8 @@ def _extrapolate(ts: np.ndarray, vals: np.ndarray, power: float) -> float:
 class ScalingCurve:
     """Normalized log-kernel samples v(t) = t^{1/(2k-1)} log|p_t| against an
     upper-bound target, with the slack, the extrapolated limit and the
-    verdict of `_judge`."""
+    verdict of `_judge`; `cutoff` is that of the lattice `varadhan_curve`
+    summed on, None where no sample took the lattice sum."""
 
     k: int
     t: np.ndarray
@@ -89,6 +89,7 @@ class ScalingCurve:
     pointwise_pass: np.ndarray
     extrapolation_pass: bool
     r_alpha: float = 0.0          # derivative cost added to the slack
+    cutoff: int | None = None
 
     @property
     def power(self) -> float:
@@ -126,15 +127,18 @@ def _judge(k: int, ts: np.ndarray, vals: np.ndarray, target: float,
     )
 
 
-def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
-                   l_value: float | None = None) -> ScalingCurve:
+def varadhan_curve(spec: OperatorSpec, k: int, x: float, y: float, t_list,
+                   l_value: float | None = None,
+                   cutoff: int | None = None) -> ScalingCurve:
     """Pointwise small-time curve against the rate-function target.
 
     Passes iff v(t) <= -l + slack(t) at every sample and the extrapolated
     limit is <= -l + 2%|l|.  Once the expected log-magnitude passes the
     cancellation floor of the lattice sum, a sample switches to
     `log_abs_kernel`, which raises ValidationError on a sample it cannot
-    resolve rather than return a false verdict.
+    resolve rather than return a false verdict.  The lattice of the other
+    samples (`cutoff`, else the `lattice_symbol` one at the smallest time) is
+    built only once a sample takes it.
 
     By default l is the Legendre (straight-line) rate, which is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the saddle frequencies are complex:
@@ -152,19 +156,22 @@ def varadhan_curve(symbol: Symbol, k: int, x: float, y: float, t_list,
     if abs(z) < 1e-12:
         raise ValidationError("endpoints must differ; the diagonal has l = 0")
     if l_value is None:
-        l_value = straight_rate(symbol.spec.hamiltonian(), x, y)
+        l_value = straight_rate(spec.hamiltonian(), x, y)
     vals = np.empty(ts.size)
+    symbol = None
     for i, t in enumerate(ts):
         est = l_value / t**power
         if est > _LATTICE_LOG_FLOOR:
-            vals[i] = t**power * log_abs_kernel(symbol.spec, t, z)
-        else:
-            p = kernel_values(symbol, t, z)
-            if p == 0.0:
-                vals[i] = -math.inf
-            else:
-                vals[i] = t**power * math.log(abs(p))
-    return _judge(k, ts, vals, -l_value, -l_value + 0.02 * abs(l_value) + 1e-12)
+            vals[i] = t**power * log_abs_kernel(spec, t, z)
+            continue
+        if symbol is None:
+            symbol = (lattice_symbol(spec, ts[-1]) if cutoff is None else
+                      build_symbol(spec, FrequencyGrid(spec.dimension, cutoff)))
+        p = kernel_values(symbol, t, z)
+        vals[i] = t**power * math.log(abs(p)) if p != 0.0 else -math.inf
+    curve = _judge(k, ts, vals, -l_value, -l_value + 0.02 * abs(l_value) + 1e-12)
+    curve.cutoff = None if symbol is None else symbol.grid.cutoff
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,7 @@ class ExitBoundFit:
     fit_c: float
     r_squared: float
     chernoff_c: float
+    cutoff: int  # the floor of every scaled lattice
 
     @property
     def ratio(self) -> float:
@@ -281,10 +289,12 @@ class ExitBoundFit:
         }
 
 
-def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
-                     eps_list) -> ExitBoundFit:
+def exit_bound_check(spec: OperatorSpec, k: int, delta: float, s: float,
+                     eps_list, cutoff: int | None = None) -> ExitBoundFit:
     """Mass left outside the delta-ball by the eps-scaled semigroup, fitted as
     log mass ~ intercept - C / eps and compared with the Chernoff constant.
+    Each scaled spec takes its `lattice_symbol` lattice at s, floored at
+    `cutoff` (else at `auto_cutoff(spec, s)`).
 
     The Chernoff constant from the real extremization is sharp only for
     k = 1.  For H = xi^{2k} with k >= 2 the extremizer of -delta xi + s H(xi) moves to a
@@ -301,10 +311,10 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
         raise ValidationError("need at least 3 epsilon values")
     if np.any(np.diff(eps) >= 0) or np.any(eps <= 0):
         raise ValidationError("epsilon values must be positive and decreasing")
+    floor = auto_cutoff(spec, s) if cutoff is None else cutoff
     log_mass = np.empty(eps.size)
     for i, e in enumerate(eps):
-        scaled = lattice_symbol(maslov_scaled_spec(symbol.spec, k, float(e)), s,
-                                symbol.grid.cutoff)
+        scaled = lattice_symbol(maslov_scaled_spec(spec, k, float(e)), s, floor)
         res = scaled.grid.fft_size(_KERNEL_RESOLUTION)
         fld = heat_kernel(scaled, s, resolution=res)
         dist = np.abs(wrap_angle(fld.points))
@@ -319,9 +329,9 @@ def exit_bound_check(symbol: Symbol, k: int, delta: float, s: float,
     slope = float(coef[0])
     if slope >= 0:
         raise FitUnstable("exit mass does not decay with 1/eps")
-    _, exponent = chernoff_extremize(symbol.spec.hamiltonian(), delta, s)
+    _, exponent = chernoff_extremize(spec.hamiltonian(), delta, s)
     return ExitBoundFit(k=k, eps=eps, log_mass=log_mass, fit_c=-slope,
-                        r_squared=r2, chernoff_c=-exponent)
+                        r_squared=r2, chernoff_c=-exponent, cutoff=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +346,23 @@ class TiltedBound:
     passed: bool
 
 
-def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
-                       eps: float = 1.0) -> TiltedBound:
+def tilted_bound_check(spec: OperatorSpec, k: int, xi_tilt: float, s: float,
+                       eps: float = 1.0, min_cutoff: int = 0) -> TiltedBound:
     """L1 norm of the eps-scaled tilted kernel against exp(s H(xi_tilt)/eps),
-    with 5% headroom on the exponent."""
+    with 5% headroom on the exponent, on a lattice of at least `min_cutoff`."""
     if s <= 0 or eps <= 0:
         raise ValidationError("s and eps must be > 0")
-    spec = maslov_scaled_spec(symbol.spec, k, eps)
+    scaled_spec = maslov_scaled_spec(spec, k, eps)
     # enlarge the lattice until the tilted multiplier is damped at the edge
-    cutoff = max(symbol.grid.cutoff, auto_cutoff(spec, s))
+    cutoff = max(min_cutoff, auto_cutoff(scaled_spec, s))
     for _ in range(_TILT_DOUBLINGS + 1):
         edge = min(
-            float(np.real(spec.value(np.array(sgn * cutoff, dtype=float)
-                                     - 1j * xi_tilt / eps)))
+            float(np.real(scaled_spec.value(np.array(sgn * cutoff, dtype=float)
+                                            - 1j * xi_tilt / eps)))
             for sgn in (1.0, -1.0)
         )
         if s * edge > 40.0 + s * abs(
-            float(np.real(spec.value(np.array(-1j * xi_tilt / eps))))
+            float(np.real(scaled_spec.value(np.array(-1j * xi_tilt / eps))))
         ):
             break
         cutoff *= 2
@@ -360,10 +370,10 @@ def tilted_bound_check(symbol: Symbol, k: int, xi_tilt: float, s: float,
         raise CutoffTooSmall(
             f"the tilted multiplier at xi_tilt={xi_tilt:.3g} is not damped at the "
             f"edge after _TILT_DOUBLINGS = {_TILT_DOUBLINGS} doublings of the cutoff")
-    scaled = build_symbol(spec, FrequencyGrid(1, cutoff))
-    op = tilted_semigroup(scaled, TiltSpec(xi_tilt=xi_tilt, eps=eps), s)
+    scaled = build_symbol(scaled_spec, FrequencyGrid(1, cutoff))
+    op = tilted_semigroup(scaled, xi_tilt, s, eps)
     measured = op.l1_norm(resolution=scaled.grid.fft_size(_KERNEL_RESOLUTION))
-    h = symbol.spec.hamiltonian()
+    h = spec.hamiltonian()
     predicted = math.exp(s * float(h(np.array(xi_tilt))) / eps)
     bound = math.exp(1.05 * s * float(h(np.array(xi_tilt))) / eps)
     return TiltedBound(measured=measured, predicted=predicted, bound=bound,

@@ -62,6 +62,10 @@ def power_symbol(k: int, t_min: float):
     return build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, t_min)))
 
 
+def power_cutoff(k: int, t_min: float) -> int:
+    return auto_cutoff(PurePower(k=k), t_min)
+
+
 def test_01_gaussian_kernel_and_rate_ground_truth():
     sym = power_symbol(1, 0.01)
     err = 0.0
@@ -133,10 +137,10 @@ def test_06_rate_minimizer_matches_straight_line_oracle():
 
 
 def test_07_small_time_log_kernel_upper_bound():
-    c1 = varadhan_curve(power_symbol(1, 0.1 * 0.5**7), 1, 0.0, 1.0,
-                        0.1 * 0.5 ** np.arange(8))
-    c2 = varadhan_curve(power_symbol(2, 0.2 * 0.5**7), 2, 0.0, 1.0,
-                        0.2 * 0.5 ** np.arange(8))
+    c1 = varadhan_curve(PurePower(k=1), 1, 0.0, 1.0, 0.1 * 0.5 ** np.arange(8),
+                        cutoff=power_cutoff(1, 0.1 * 0.5**7))
+    c2 = varadhan_curve(PurePower(k=2), 2, 0.0, 1.0, 0.2 * 0.5 ** np.arange(8),
+                        cutoff=power_cutoff(2, 0.2 * 0.5**7))
     gauss_dev = abs(c1.extrapolated + 0.25) / 0.25
     ok = (bool(c1.pointwise_pass.all()) and bool(c2.pointwise_pass.all())
           and gauss_dev <= 0.02)
@@ -171,8 +175,8 @@ def test_07_quartic_extrapolated_limit_reaches_the_rate():
     """
     sigma = oracles.power_sharp_rate(2, 1.0)
     ts = np.geomspace(1e-2, 1e-6, 400)
-    curve = varadhan_curve(power_symbol(2, ts[-1]), 2, 0.0, 1.0, ts,
-                           l_value=sigma)
+    curve = varadhan_curve(PurePower(k=2), 2, 0.0, 1.0, ts, l_value=sigma,
+                           cutoff=power_cutoff(2, ts[-1]))
     limit, n_crests = _crest_limit(ts, curve.values, curve.power)
     dev = abs(limit + sigma) / sigma
     held = int(curve.pointwise_pass.sum())
@@ -184,10 +188,12 @@ def test_07_quartic_extrapolated_limit_reaches_the_rate():
 
 
 def test_08_exit_time_constant_positive_and_gaussian_calibrated():
-    f1 = exit_bound_check(power_symbol(1, 0.1), 1, 0.5, 0.1,
-                          oracles.geometric_grid(*exit_grid(1)))
-    f2 = exit_bound_check(power_symbol(2, 0.1 * 0.02**3), 2, 0.5, 0.1,
-                          oracles.geometric_grid(*exit_grid(2)))
+    f1 = exit_bound_check(PurePower(k=1), 1, 0.5, 0.1,
+                          oracles.geometric_grid(*exit_grid(1)),
+                          cutoff=power_cutoff(1, 0.1))
+    f2 = exit_bound_check(PurePower(k=2), 2, 0.5, 0.1,
+                          oracles.geometric_grid(*exit_grid(2)),
+                          cutoff=power_cutoff(2, 0.1 * 0.02**3))
     gauss_dev = abs(f1.ratio - 1.0)
     ok = (f1.fit_c > 0.0 and f2.fit_c > 0.0
           and f1.r_squared >= 0.99 and f2.r_squared >= 0.99
@@ -210,8 +216,9 @@ def test_08_quartic_exit_constant_matches_chernoff():
     precision and the fit degrades (R^2 0.97 for eps in [0.05, 0.005]).
     """
     delta, s = 0.5, 0.1
-    fit = exit_bound_check(power_symbol(2, 0.1 * 0.02**3), 2, delta, s,
-                           oracles.geometric_grid(*exit_grid(2)))
+    fit = exit_bound_check(PurePower(k=2), 2, delta, s,
+                           oracles.geometric_grid(*exit_grid(2)),
+                           cutoff=power_cutoff(2, 0.1 * 0.02**3))
     sharp_c = -oracles.chernoff_exponent(2, delta, s)[1] * oracles.saddle_factor(2)
     dev = abs(fit.fit_c / sharp_c - 1.0)
     check("08", dev <= 0.20,
@@ -222,11 +229,10 @@ def test_08_quartic_exit_constant_matches_chernoff():
 def test_09_tilted_norm_bound_across_preset_grid():
     from nmhl.presets import TILT_PRESETS
 
-    syms = {1: power_symbol(1, 1.0),
-            2: build_symbol(PurePower(k=2), FrequencyGrid(1, 16))}
+    cutoffs = {1: power_cutoff(1, 1.0), 2: 16}
     all_pass, worst_eq = True, 0.0
     for k, tilt, s in TILT_PRESETS:
-        res = tilted_bound_check(syms[k], k, tilt, s)
+        res = tilted_bound_check(PurePower(k=k), k, tilt, s, min_cutoff=cutoffs[k])
         all_pass = all_pass and res.passed
         if k == 1:
             worst_eq = max(worst_eq, abs(res.measured - res.predicted)

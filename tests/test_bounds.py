@@ -5,6 +5,7 @@ module-constant cap, and a config past it exits 2 with a typed message
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,42 @@ def test_a_lowered_image_cap_stops_the_image_sum(tmp_path, capsys, monkeypatch):
     assert "is still above its cut after _IMAGE_PAIRS_MAX = 0 image pairs" in err
 
 
+VARADHAN_K1 = (Path(__file__).resolve().parents[1]
+               / "perfbench" / "configs" / "paths" / "varadhan_k1.cfg")
+
+
+def varadhan_run(k, t_start):
+    return (f"[operator]\nvariant = pure_power\nk = {k}\n\n"
+            f"[experiment]\nkind = varadhan\nt_start = {t_start}\n")
+
+
+@pytest.mark.parametrize("k, nodes", [(1, "1.02e+135"), (2, "1.82e+26")])
+def test_a_contour_past_the_node_cap_is_refused_before_it_is_built(k, nodes, tmp_path,
+                                                                  capsys):
+    # every sample takes the contour, so no lattice build stops this window:
+    # the node cap refuses it before any array is made
+    tracemalloc.start()
+    try:
+        code, err, made = cli(tmp_path, capsys, "varadhan", varadhan_run(k, 1e-300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not made
+    assert (f"varadhan: QuadratureNonConverged: the contour at t=1e-300, x=1 needs "
+            f"{nodes} nodes a side, above _CONTOUR_NODES_MAX = 65536") in err
+    assert peak < 1 << 20
+
+
+def test_a_lowered_node_cap_stops_the_preset_varadhan_curve(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(semigroup, "_CONTOUR_NODES_MAX", 10)
+    text = VARADHAN_K1.read_text(encoding="utf-8")
+    code, err, made = cli(tmp_path, capsys, "varadhan", text)
+    assert code == 2 and not made
+    assert "varadhan: QuadratureNonConverged: the contour at t=" in err
+    assert "nodes a side, above _CONTOUR_NODES_MAX = 10" in err
+
+
 def test_a_lowered_doubling_cap_stops_the_tilted_check(tmp_path, capsys, monkeypatch):
     # a tilt of 5 at k = 1, s = 1 needs one doubling of its cutoff; the loop
     # once fell through its last doubling without an error
@@ -156,12 +193,11 @@ def test_a_lowered_doubling_cap_stops_the_tilted_check(tmp_path, capsys, monkeyp
 
 def test_a_failed_run_removes_the_directories_it_created(tmp_path, capsys):
     # this once exited 2 and left --out behind, empty
-    text = ("[operator]\nvariant = pure_power\nk = 2\n\n"
-            "[experiment]\nkind = varadhan\nt_start = 1e-30\n")
-    code, err, _ = cli(tmp_path, capsys, "varadhan", text, out="a/b/c")
-    assert code == 2 and "no admissible cutoff below 65536" in err
+    text = kernel("d = 2", t=1e-8)
+    code, err, _ = cli(tmp_path, capsys, "kernel", text, out="a/b/c")
+    assert code == 2 and "no admissible cutoff below 511" in err
     assert not (tmp_path / "a").exists()
     # a directory that was there before the run stays
     (tmp_path / "kept").mkdir()
-    code, _, kept = cli(tmp_path, capsys, "varadhan", text, out="kept")
+    code, _, kept = cli(tmp_path, capsys, "kernel", text, out="kept")
     assert code == 2 and kept

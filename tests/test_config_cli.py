@@ -34,9 +34,10 @@ from nmhl.presets import (
     LEVY_SUPPORT,
     LEVY_TOL,
     exit_grid,
+    make_operator,
     varadhan_grid,
 )
-from nmhl.runner import _base_meta, _symbol_of
+from nmhl.runner import _base_meta
 
 KERNEL_TEXT = """\
 [operator]
@@ -191,6 +192,23 @@ def test_json_parse_errors_carry_positions():
         parse_config("[1, 2]")   # not JSON: a '[' line reads as a section header
     with pytest.raises(ValidationError):
         parse_config('{"operator": 3}')
+
+
+@pytest.mark.parametrize("marked, line, col", [
+    ('{"operator": ^}', 1, 14),
+    ('{"operator": 1} ^x', 1, 17),
+    ('{\n  "operator": {"variant": "pure_power", "k": 1},\n  "grid": {"cutoff": 16},\n'
+     '   "experiment": {"kind": "kernel", "t": ^}\n}\n', 4, 42),
+], ids=["missing_value", "trailing_text", "fourth_line"])
+def test_json_parse_errors_point_at_the_offending_character(marked, line, col):
+    # '^' marks the offending character; its 1-based line and column are
+    # counted from the text itself
+    at = marked.index("^")
+    text = marked.replace("^", "", 1)
+    assert (text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)) == (line, col)
+    with pytest.raises(ParseError) as e:
+        parse_config(text)
+    assert (e.value.line, e.value.col) == (line, col)
 
 
 def test_unknown_sections_and_keys_are_rejected():
@@ -960,8 +978,8 @@ def test_the_exit_fit_carries_the_verdict_of_its_cli_run(name, code, tmp_path,
     cfg = parse_config(path.read_text(encoding="utf-8"))
     p = cfg.experiment.params
     eps = [p["eps_start"] * p["eps_factor"] ** j for j in range(p["eps_count"])]
-    symbol, _ = _symbol_of(cfg, p["s"])
-    fit = exit_bound_check(symbol, p["k"], p["delta"], p["s"], eps)
+    fit = exit_bound_check(make_operator(cfg.operator, cfg.grid.d), p["k"],
+                           p["delta"], p["s"], eps, cutoff=cfg.grid.cutoff)
     assert fit.passed is (code == 0)
     assert main(["exit", "--config", str(path), "--out", str(tmp_path)]) == code
     capsys.readouterr()

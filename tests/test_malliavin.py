@@ -365,6 +365,17 @@ def test_bounded_moment_stable_under_domain_doubling():
     assert res.doubling_drift is not None and res.doubling_drift < 0.02
 
 
+@pytest.mark.parametrize("t", [0.5, 0.2])
+def test_bounded_moment_meets_the_decoupled_limit(t):
+    # at r = 50 the coupling weight t^(r+1)/(r+1) is below 1e-17, so the
+    # kernel factors into the base kernel p_t(y), of mass 1, and the
+    # auxiliary kernel of exp(-t eta^2): C = E|u| for u ~ N(0, 2t)
+    op = AugmentedOperator(base=_base(k=1, cutoff=16), n=1, alpha_frac=0.5, r=50.0)
+    assert op.weight_integral(t) < 1e-17
+    res = bounded_moment_check(op, np.ones(256), t, resolution=256)
+    assert res.constant == pytest.approx(2.0 * np.sqrt(t / np.pi), rel=1e-4)
+
+
 def test_bounded_moment_scales_with_test_function():
     base = _base(k=1, cutoff=8)
     op = AugmentedOperator(base=base, n=1, alpha_frac=0.5, r=1.0)

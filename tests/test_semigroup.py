@@ -13,7 +13,6 @@ from nmhl import (
     Levy,
     Perturbed,
     PurePower,
-    TiltSpec,
     auto_cutoff,
     build_symbol,
     chapman_kolmogorov_check,
@@ -251,7 +250,7 @@ def test_duhamel_series_takes_the_difference_of_the_two_tables():
 
 def test_tilted_semigroup_reduces_to_heat_kernel_at_zero_tilt():
     sym = gaussian_symbol()
-    op = tilted_semigroup(sym, TiltSpec(xi_tilt=0.0, eps=1.0), 0.5)
+    op = tilted_semigroup(sym, 0.0, 0.5, eps=1.0)
     np.testing.assert_allclose(
         op.kernel(resolution=512),
         heat_kernel(sym, 0.5, resolution=512).values,
@@ -263,9 +262,9 @@ def test_tilted_semigroup_reduces_to_heat_kernel_at_zero_tilt():
 def test_tilted_2d_gaussian_shifts_both_coordinates():
     s, tau = 0.5, (0.3, -0.2)
     sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 24))
-    op = tilted_semigroup(sym, TiltSpec(xi_tilt=tau, eps=1.0), s)
+    op = tilted_semigroup(sym, tau, s, eps=1.0)
     assert oracles.norm_on_constants(op) == pytest.approx(math.exp(s * 0.13), rel=1e-12)
-    flat = tilted_semigroup(sym, TiltSpec(xi_tilt=(0.0, 0.0)), s)
+    flat = tilted_semigroup(sym, (0.0, 0.0), s)
     np.testing.assert_allclose(flat.kernel(resolution=64),
                                heat_kernel(sym, s, resolution=64).values, atol=1e-13)
 
@@ -273,7 +272,7 @@ def test_tilted_2d_gaussian_shifts_both_coordinates():
 def test_tilted_gaussian_matches_completed_square():
     s, tau = 0.7, 0.3
     sym = gaussian_symbol()
-    op = tilted_semigroup(sym, TiltSpec(xi_tilt=tau, eps=1.0), s)
+    op = tilted_semigroup(sym, tau, s, eps=1.0)
     z = spatial_grid(1024)
     z = np.where(z > np.pi, z - 2 * np.pi, z)
     np.testing.assert_allclose(

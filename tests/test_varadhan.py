@@ -40,6 +40,10 @@ def power_symbol(k, t_min):
     return build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, t_min)))
 
 
+def power_cutoff(k, t_min):
+    return auto_cutoff(PurePower(k=k), t_min)
+
+
 def geometric(t0, factor, count):
     return t0 * factor ** np.arange(count)
 
@@ -172,8 +176,8 @@ def test_chernoff_refuses_nonfinite_arguments(delta, s):
 
 
 def test_gaussian_curve_converges_to_quarter_square():
-    sym = power_symbol(1, 1e-3)
-    curve = varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.1, 0.5, 8))
+    curve = varadhan_curve(PurePower(k=1), 1, 0.0, 1.0, geometric(0.1, 0.5, 8),
+                           cutoff=power_cutoff(1, 1e-3))
     assert curve.passed
     assert curve.pointwise_pass.all()
     assert curve.extrapolated == pytest.approx(-0.24961297289966325, abs=1e-8)
@@ -182,37 +186,37 @@ def test_gaussian_curve_converges_to_quarter_square():
 
 def test_gaussian_curve_value_deep_in_time():
     # by t = 1e-3 the normalized log-kernel sits within 3% of its limit
-    sym = power_symbol(1, 1e-3)
-    curve = varadhan_curve(sym, 1, 0.0, 1.0, np.geomspace(0.1, 1e-3, 5))
+    curve = varadhan_curve(PurePower(k=1), 1, 0.0, 1.0, np.geomspace(0.1, 1e-3, 5),
+                           cutoff=power_cutoff(1, 1e-3))
     assert abs(curve.values[-1] + 0.25) <= 0.03 * 0.25
 
 
 def test_gaussian_curve_monotone_on_coarse_window():
     # before the on-diagonal prefactor turns over, v(t) climbs toward its limit
-    sym = power_symbol(1, 0.04)
-    curve = varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.64, 0.5, 5))
+    curve = varadhan_curve(PurePower(k=1), 1, 0.0, 1.0, geometric(0.64, 0.5, 5),
+                           cutoff=power_cutoff(1, 0.04))
     assert np.all(np.diff(curve.values) > 0)
 
 
 def test_quartic_curve_upper_bound_holds_pointwise():
-    sym = power_symbol(2, 0.2 * 0.5**7)
-    curve = varadhan_curve(sym, 2, 0.0, 1.0, geometric(0.2, 0.5, 8))
+    curve = varadhan_curve(PurePower(k=2), 2, 0.0, 1.0, geometric(0.2, 0.5, 8),
+                           cutoff=power_cutoff(2, 0.2 * 0.5**7))
     assert curve.pointwise_pass.all()
     assert curve.target == pytest.approx(-oracles.power_legendre(2, 1.0), abs=1e-9)
 
 
 def test_curve_validates_inputs():
-    sym = power_symbol(1, 0.05)
+    spec, cutoff = PurePower(k=1), power_cutoff(1, 0.05)
     with pytest.raises(ValidationError):
-        varadhan_curve(sym, 0, 0.0, 1.0, geometric(0.1, 0.5, 4))
+        varadhan_curve(spec, 0, 0.0, 1.0, geometric(0.1, 0.5, 4), cutoff=cutoff)
     with pytest.raises(ValidationError):
-        varadhan_curve(sym, 1, 0.0, 0.0, geometric(0.1, 0.5, 4))
+        varadhan_curve(spec, 1, 0.0, 0.0, geometric(0.1, 0.5, 4), cutoff=cutoff)
     with pytest.raises(ValidationError):
-        varadhan_curve(sym, 1, 0.0, 1.0, [0.1, 0.05])
-    with pytest.raises(ValidationError):
-        varadhan_curve(sym, 1, 0.0, 1.0, [0.1, 0.07, 0.05])  # not geometric
-    with pytest.raises(ValidationError):
-        varadhan_curve(sym, 1, 0.0, 1.0, [0.1, 0.2, 0.4])  # increasing
+        varadhan_curve(spec, 1, 0.0, 1.0, [0.1, 0.05], cutoff=cutoff)
+    with pytest.raises(ValidationError):  # not geometric
+        varadhan_curve(spec, 1, 0.0, 1.0, [0.1, 0.07, 0.05], cutoff=cutoff)
+    with pytest.raises(ValidationError):  # increasing
+        varadhan_curve(spec, 1, 0.0, 1.0, [0.1, 0.2, 0.4], cutoff=cutoff)
 
 
 def test_slack_calibration_constant_is_frozen():
@@ -321,8 +325,8 @@ def test_set_estimate_validates_intervals():
 
 
 def test_exit_fit_matches_gaussian_tail():
-    sym = power_symbol(1, 0.1)
-    fit = exit_bound_check(sym, 1, 0.5, 0.1, np.geomspace(0.25, 0.05, 6))
+    fit = exit_bound_check(PurePower(k=1), 1, 0.5, 0.1, np.geomspace(0.25, 0.05, 6),
+                           cutoff=power_cutoff(1, 0.1))
     assert fit.r_squared >= 0.99
     assert fit.fit_c == pytest.approx(0.6638631685874966, rel=1e-6)
     # Chernoff constant for the Gaussian is delta^2 / 4s
@@ -331,15 +335,15 @@ def test_exit_fit_matches_gaussian_tail():
 
 
 def test_exit_mass_shrinks_even_at_the_largest_epsilon():
-    sym = power_symbol(1, 0.1)
-    fit = exit_bound_check(sym, 1, 0.5, 0.1, np.geomspace(0.25, 0.05, 6))
+    fit = exit_bound_check(PurePower(k=1), 1, 0.5, 0.1, np.geomspace(0.25, 0.05, 6),
+                           cutoff=power_cutoff(1, 0.1))
     assert np.all(fit.log_mass < 0.0)
 
 
 def test_exit_fit_flags_underflowed_masses():
-    sym = power_symbol(1, 0.1)
     with pytest.raises(FitUnstable):
-        exit_bound_check(sym, 1, 0.5, 0.1, [0.004, 0.002, 0.001])
+        exit_bound_check(PurePower(k=1), 1, 0.5, 0.1, [0.004, 0.002, 0.001],
+                         cutoff=power_cutoff(1, 0.1))
 
 
 def count_build_symbol(monkeypatch) -> list:
@@ -360,37 +364,70 @@ def count_build_symbol(monkeypatch) -> list:
 
 
 def test_exit_fit_builds_each_scaled_symbol_once(monkeypatch):
-    # each eps-scaled spec is built once, on the larger of the base lattice
-    # and its own cutoff rule; it was built on the base lattice and then
+    # each eps-scaled spec is built once, on the larger of the floor and its
+    # own cutoff rule; it was built on the base lattice and then
     # again on the larger one (12 builds for these 6 points)
-    sym = power_symbol(1, EXIT_S)
     start, factor, count = exit_grid(1)
     calls = count_build_symbol(monkeypatch)
-    exit_bound_check(sym, 1, EXIT_DELTA, EXIT_S, start * factor ** np.arange(count))
+    exit_bound_check(PurePower(k=1), 1, EXIT_DELTA, EXIT_S,
+                     start * factor ** np.arange(count), cutoff=power_cutoff(1, EXIT_S))
     assert len(calls) == count == 6
 
 
-def test_cli_exit_run_builds_seven_symbols(monkeypatch, tmp_path):
-    # the base symbol and one symbol per eps (13 before)
+def test_cli_exit_run_builds_six_symbols(monkeypatch, tmp_path):
+    # one symbol per eps: the floor of their lattices takes no build
     cfg = tmp_path / "exit.cfg"
     cfg.write_text("[operator]\nvariant = pure_power\nk = 1\n\n"
                    "[experiment]\nkind = exit\n")
     calls = count_build_symbol(monkeypatch)
     assert main(["exit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 7
+    assert len(calls) == 6
+
+
+def test_a_deep_varadhan_window_builds_no_lattice(monkeypatch, tmp_path):
+    # every sample takes the contour, so no lattice is built and the CSV
+    # names no cutoff
+    cfg = tmp_path / "varadhan.cfg"
+    cfg.write_text("[operator]\nvariant = pure_power\nk = 1\n\n"
+                   "[experiment]\nkind = varadhan\nt_start = 1e-30\n")
+    calls = count_build_symbol(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["varadhan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == []
+    assert b"# grid.cutoff_used=" not in (out / "varadhan.csv").read_bytes()
+
+
+def test_a_deep_quartic_window_sits_on_the_sharp_rate():
+    curve = varadhan_curve(PurePower(k=2), 2, 0.0, 1.0, geometric(1e-30, 0.5, 8))
+    assert curve.cutoff is None
+    np.testing.assert_allclose(curve.values, -oracles.power_sharp_rate(2, 1.0),
+                               rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind, text, builds", [
+    ("report", "kind = report\nfast = true\n", 25),
+    ("ibp", "kind = ibp\n", 2),
+])
+def test_cli_run_build_counts(kind, text, builds, monkeypatch, tmp_path):
+    # the exit and tilted floors take no build, and ibp builds one base per k
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[operator]\nvariant = pure_power\nk = 1\n\n[experiment]\n{text}")
+    calls = count_build_symbol(monkeypatch)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == builds
 
 
 def test_exit_fit_validates_inputs():
-    sym = power_symbol(1, 0.1)
+    spec, cutoff = PurePower(k=1), power_cutoff(1, 0.1)
     eps = np.geomspace(0.25, 0.05, 4)
     with pytest.raises(ValidationError):
-        exit_bound_check(sym, 1, 0.0, 0.1, eps)
+        exit_bound_check(spec, 1, 0.0, 0.1, eps, cutoff=cutoff)
+    with pytest.raises(ValidationError):  # past half-circumference
+        exit_bound_check(spec, 1, 4.0, 0.1, eps, cutoff=cutoff)
     with pytest.raises(ValidationError):
-        exit_bound_check(sym, 1, 4.0, 0.1, eps)  # past half-circumference
+        exit_bound_check(spec, 1, 0.5, -1.0, eps, cutoff=cutoff)
     with pytest.raises(ValidationError):
-        exit_bound_check(sym, 1, 0.5, -1.0, eps)
-    with pytest.raises(ValidationError):
-        exit_bound_check(sym, 1, 0.5, 0.1, eps[::-1])
+        exit_bound_check(spec, 1, 0.5, 0.1, eps[::-1], cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -398,35 +435,34 @@ def test_exit_fit_validates_inputs():
 
 
 def test_tilted_norm_without_tilt_is_unit():
-    sym = power_symbol(1, 1.0)
-    res = tilted_bound_check(sym, 1, 0.0, 1.0)
+    res = tilted_bound_check(PurePower(k=1), 1, 0.0, 1.0,
+                             min_cutoff=power_cutoff(1, 1.0))
     assert res.measured == pytest.approx(1.0, abs=1e-12)
     assert res.passed
 
 
 def test_tilted_norm_gaussian_equality():
     # completing the square is exact: the L1 norm equals exp(s xi_tilt^2)
-    sym = power_symbol(1, 1.0)
     for tilt, s in ((0.1, 1.0), (0.3, 1.0), (0.25, 2.0)):
-        res = tilted_bound_check(sym, 1, tilt, s)
+        res = tilted_bound_check(PurePower(k=1), 1, tilt, s,
+                                 min_cutoff=power_cutoff(1, 1.0))
         assert abs(res.measured - res.predicted) <= 1e-10 * res.predicted
         assert res.passed
 
 
 def test_tilted_norm_quartic_stays_under_bound():
-    sym = build_symbol(PurePower(k=2), FrequencyGrid(1, 16))
-    res = tilted_bound_check(sym, 2, 0.2, 1.0)
+    res = tilted_bound_check(PurePower(k=2), 2, 0.2, 1.0, min_cutoff=16)
     assert res.passed
     assert res.measured <= res.bound
     assert abs(res.measured - res.predicted) <= 0.05 * res.predicted
 
 
 def test_tilted_check_validates_inputs():
-    sym = power_symbol(1, 1.0)
+    spec, cutoff = PurePower(k=1), power_cutoff(1, 1.0)
     with pytest.raises(ValidationError):
-        tilted_bound_check(sym, 1, 0.1, 0.0)
+        tilted_bound_check(spec, 1, 0.1, 0.0, min_cutoff=cutoff)
     with pytest.raises(ValidationError):
-        tilted_bound_check(sym, 1, 0.1, 1.0, eps=0.0)
+        tilted_bound_check(spec, 1, 0.1, 1.0, eps=0.0, min_cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +554,8 @@ def test_localized_validates_inputs():
 
 ESTIMATES = {
     "varadhan_curve": lambda: varadhan_curve(
-        power_symbol(1, 0.1 * 0.5**7), 1, 0.0, 1.0, geometric(0.1, 0.5, 8)),
+        PurePower(k=1), 1, 0.0, 1.0, geometric(0.1, 0.5, 8),
+        cutoff=power_cutoff(1, 0.1 * 0.5**7)),
     "wf_set_estimate": lambda: wf_set_estimate(
         power_symbol(2, 0.2 * 0.5**7), 2, 0.0, (0.9, 1.1), geometric(0.2, 0.5, 8)),
     "localized_estimate": lambda: localized_estimate(
@@ -549,22 +586,21 @@ def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
     # the lattice sum, whose rounding noise (log ~ -36) would pass for a
     # kernel far above the true -1.5625 / t
     spec = FractionalPower(PurePower(k=2), 0.5)
-    sym = build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, 0.002)))
     with pytest.raises(ValidationError, match="rounding floor"):
-        varadhan_curve(sym, 1, 0.0, 2.5, geometric(0.008, 0.5, 3))
+        varadhan_curve(spec, 1, 0.0, 2.5, geometric(0.008, 0.5, 3),
+                       cutoff=auto_cutoff(spec, 0.002))
 
 
 def test_varadhan_curve_takes_deep_samples_on_the_contour():
     # the lattice sum's rounding noise would read as v = -0.241, -0.148,
     # -0.079, -0.039 here, and a false FAIL
-    sym = power_symbol(1, 1e-3)
-    assert varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.008, 0.5, 4),
-                          l_value=0.25).passed
+    assert varadhan_curve(PurePower(k=1), 1, 0.0, 1.0, geometric(0.008, 0.5, 4),
+                          l_value=0.25, cutoff=power_cutoff(1, 1e-3)).passed
 
 
 def test_varadhan_curve_refuses_a_two_dimensional_symbol():
     # every sample is past the cancellation floor of the lattice sum, and
     # the image sum is one-dimensional: a 2-D symbol must not reach it
-    sym = build_symbol(PurePower(k=1, d=2), FrequencyGrid(2, 8))
     with pytest.raises(ValidationError):
-        varadhan_curve(sym, 1, 0.0, 1.0, geometric(0.005, 0.5, 3), l_value=0.25)
+        varadhan_curve(PurePower(k=1, d=2), 1, 0.0, 1.0, geometric(0.005, 0.5, 3),
+                       l_value=0.25, cutoff=8)
