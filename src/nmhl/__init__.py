@@ -1,6 +1,6 @@
 """Numerical laboratory for heat semigroups of higher-order elliptic and
 pseudodifferential generators on the torus: Fourier-multiplier symbols,
-sign-changing kernels, perturbation series, integration by parts with
+sign-changing kernels, perturbed generators, integration by parts with
 auxiliary variables, action minimization, and small-time/small-noise
 asymptotics.
 """
@@ -28,7 +28,6 @@ from .errors import (
     OptimizerStalled,
     ParseError,
     QuadratureNonConverged,
-    SeriesDiverged,
     SupUnbounded,
     TiltOutOfDomain,
     ValidationError,
@@ -66,12 +65,10 @@ from .malliavin import (
 )
 from .runner import ReportSummary, run
 from .semigroup import (
-    DuhamelResult,
     KernelField,
     TiltedOperator,
     chapman_kolmogorov_check,
     derivative_seminorm,
-    duhamel_series,
     heat_kernel,
     kernel_symmetry_check,
     kernel_values,
@@ -101,11 +98,8 @@ from .varadhan import (
     TiltedBound,
     chernoff_extremize,
     exit_bound_check,
-    localized_estimate,
-    plateau_bump,
     tilted_bound_check,
     varadhan_curve,
-    wf_set_estimate,
 )
 
 __version__ = "0.1.0"

@@ -46,11 +46,6 @@ class ComplexResidue(NmhlError):
     """Kernel values kept a non-negligible imaginary part."""
 
 
-class SeriesDiverged(NmhlError):
-    """A series failed to converge: the perturbation series remainder bound
-    stopped decreasing."""
-
-
 class TiltOutOfDomain(NmhlError):
     """Complex frequency shift left the symbol's analytic continuation domain."""
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
 from .grids import TWO_PI, line_fit
+from .semigroup import _require_finite
 from .spectral import Hamiltonian, OperatorSpec, Rescaled
 
 # |xi| past which a bracket that still misses |p| means a subquadratic H,
@@ -457,7 +458,6 @@ def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
 def maslov_scaled_spec(spec: OperatorSpec, k: int, eps: float) -> Rescaled:
     """eps^(2k-1) a(xi) for differential symbols; (1/eps) a(eps xi) for jump
     symbols, re-quadratured since eps*xi leaves the lattice."""
-    if eps <= 0:
-        raise ValidationError(f"eps must be > 0, got {eps}")
+    _require_finite("eps", eps, positive=True)
     prefactor, freq_scale = spec.maslov_factors(k, eps)
     return Rescaled(spec, prefactor=prefactor, freq_scale=freq_scale)

@@ -153,17 +153,6 @@ def exponent_symbol(spec: OperatorSpec) -> Symbol:
     return build_symbol(spec, FrequencyGrid(spec.dimension, n))
 
 
-DUHAMEL_Q = {(2,): 0.1}
-DUHAMEL_CUTOFF = 32
-
-
-def duhamel_symbol() -> Symbol:
-    """The quartic symbol plus the second-order DUHAMEL_Q on the
-    DUHAMEL_CUTOFF lattice: what `semigroup.duhamel_series` expands."""
-    spec = Perturbed(base=PurePower(k=2), q_coeffs=dict(DUHAMEL_Q))
-    return build_symbol(spec, FrequencyGrid(1, DUHAMEL_CUTOFF))
-
-
 def rate_endpoints() -> tuple:
     """(x, y) pairs: the unit displacement oracle and a >pi displacement that
     forces the winding search to a nonzero class."""

@@ -1,11 +1,10 @@
 """Heat kernels and semigroup actions evaluated from Fourier symbols.
 
 Everything here is spectral and exact in time: the kernel is a truncated
-Fourier series with multiplier exp(-t a(xi)), perturbations enter through a
-Volterra series whose iterated integrals are polynomial in the inner times
-(hence integrated exactly by Gauss-Legendre rules), and tilts are complex
-frequency shifts.  Kernels are functions of the difference y - x; the (x, y)
-interface wraps this.
+Fourier series with multiplier exp(-t a(xi)), a small-time kernel too deep
+for that sum is an image sum of saddle-shifted contour integrals, and tilts
+are complex frequency shifts.  Kernels are functions of the difference
+y - x; the (x, y) interface wraps this.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ComplexResidue, CutoffTooSmall, QuadratureNonConverged,
-                     SeriesDiverged, ValidationError)
+                     ValidationError)
 from .grids import TWO_PI, FrequencyGrid, spatial_grid
-from .spectral import (OperatorSpec, Perturbed, Symbol, _negation_permutation,
-                       auto_cutoff, build_symbol, lattice_symbol)
+from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
+                       lattice_symbol)
 
 _IMAG_TOL = 1e-10
 #: largest |multiplier| a truncated series may keep on its outermost
@@ -27,8 +26,6 @@ _IMAG_TOL = 1e-10
 EDGE_DAMPING = 1e-12
 # grid size of the Chapman-Kolmogorov and symmetry checks
 _CHECK_RESOLUTION = 512
-# Gauss-Legendre nodes of the Volterra series, at least l_max + 3
-_DUHAMEL_NODES = 16
 # most modes x offsets elements one block of `kernel_values` holds: 256 KB
 # of complex terms, which stay in cache
 _SUM_BLOCK = 1 << 14
@@ -59,6 +56,24 @@ def _require_time(t: float, zero_ok: bool = False):
     if not (math.isfinite(t) and (t > 0 or (zero_ok and t == 0))):
         bound = ">= 0" if zero_ok else "> 0"
         raise ValidationError(f"t must be {bound} and finite, got {t}")
+
+
+def _require_finite(name: str, value, positive: bool = False):
+    """Refuse a number, or an array of them, with an entry that is not finite
+    (or not > 0 with `positive`), naming it `name`."""
+    if type(value) is float:
+        # a Python float, the usual argument, skips the array test: 0.1 us
+        # against 4 us, and the report makes about 100 of these calls
+        ok = math.isfinite(value) and (not positive or value > 0)
+    else:
+        try:
+            v = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            v = np.array(math.nan)
+        ok = bool(np.isfinite(v).all() and (not positive or (v > 0).all()))
+    if not ok:
+        bound = "> 0 and finite" if positive else "finite"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
 def _require_dissipative(symbol: Symbol):
@@ -202,73 +217,75 @@ _CONTOUR_NODES_MAX = 1 << 16
 #: than five digits of p survive
 _LATTICE_FLOOR = 1e-12
 
+#: log of the largest |xi|^m a contour may reach: a factor e below the
+#: largest double, so no power of a node overflows
+_LOG_POWER_MAX = math.log(np.finfo(float).max) - 1.0
 
-def _image_integral(spec: OperatorSpec, t: float, m: int, c: float, x: float,
-                    tail: bool = False) -> tuple[float, float]:
-    """(E, S) with exp(E) S = (1/2 pi) int exp(-t a(xi) + i xi x) w(xi) d xi
-    over the real line for an even polynomial symbol a = c xi^m + ..., with
-    w = 1 (the real-line kernel at x >= 0) or, with `tail`, w = i / xi (its
-    mass beyond x).
+
+def _image_integral(spec: OperatorSpec, t: float, m: int, c: float,
+                    x: float) -> tuple[float, float]:
+    """(E, S) with exp(E) S = (1/2 pi) int exp(-t a(xi) + i xi x) d xi, the
+    real-line kernel at x >= 0, for an even polynomial symbol
+    a = c xi^m + ....
 
     The line moves to Im xi = eta through the dominant saddles
     r exp(i theta) and -r exp(-i theta) of -t c xi^m + i xi x, where
     r = (x / (m c t))^(1/(m-1)) and theta = pi / (2(m-1)) (the saddle behind
-    the sharp constant sigma_k); `tail` keeps the line a kernel width above
-    the pole at 0.  There the integrand is O(1) once its largest exponent E is
-    taken out, and the trapezoid rule converges geometrically
-    (Trefethen-Weideman, SIAM Review 56, 2014).  Nodes come in pairs
-    +-u + i eta with conjugate values, so the sum is real.
+    the sharp constant sigma_k); for m = 2 the two meet at i r.  There the
+    integrand is O(1) once its largest exponent E is taken out, and the
+    trapezoid rule converges geometrically (Trefethen-Weideman, SIAM Review
+    56, 2014).  Nodes come in pairs +-u + i eta with conjugate values, so the
+    sum is real.
     """
     width = (c * t) ** (-1.0 / m)
     theta = math.pi / (2 * (m - 1))
     r = (x / (m * c * t)) ** (1.0 / (m - 1))
     eta = r * math.sin(theta)
-    if tail:
-        eta = max(eta, width)
-    half = r * math.cos(theta) + 14.0 * width
+    # for m = 2 the saddle is i r; r cos(pi / 2), with cos(pi / 2) = 6.1e-17
+    # rather than 0, would widen the line like 1/t
+    half = (0.0 if m == 2 else r * math.cos(theta)) + 14.0 * width
     nodes = half / (0.03 * width)
     if not nodes <= _CONTOUR_NODES_MAX:
         raise QuadratureNonConverged(
             f"the contour at t={t:.3g}, x={x:.3g} needs {nodes:.3g} nodes a side, "
             f"above _CONTOUR_NODES_MAX = {_CONTOUR_NODES_MAX}")
+    reach = math.hypot(half, eta)
+    if not m * math.log(reach) < _LOG_POWER_MAX:
+        raise QuadratureNonConverged(
+            f"the contour at t={t:.3g}, x={x:.3g} reaches |xi| = {reach:.3g}, "
+            f"where |xi|^{m} overflows a double")
     n = int(math.ceil(nodes))
     xi = np.linspace(-half, half, 2 * n + 1) + 1j * eta
     expo = -t * spec.value(xi) + 1j * x * xi
     top = float(np.max(expo.real))
     terms = np.exp(expo - top)
-    if tail:
-        terms *= 1j / xi
     return top, float(np.sum(terms.real)) * (half / n) / TWO_PI
 
 
-def _log_image_sum(spec: OperatorSpec, t: float, images) -> tuple[float, int]:
-    """(log |s|, sign of s) for s = sum over w of the terms of image w, by
-    Poisson summation p_t(z) = sum_w P_t(z + 2 pi w) over the real-line
-    kernel P_t.  ``images(w)`` lists the terms (coefficient, x, tail) of
-    image w, each a `_image_integral`; w runs 0, then +-1, +-2, ..., until a
-    pair lies `_IMAGE_EFOLDS` below the largest term, or raises
+def _log_image_sum(spec: OperatorSpec, t: float, z: float) -> float:
+    """log |p_t(0, z)| for z in [-pi, pi], by Poisson summation
+    p_t(z) = sum_w P_t(z + 2 pi w) over the real-line kernel P_t, each image
+    an `_image_integral` at |z + 2 pi w|.  w runs 0, then +-1, +-2, ...,
+    until a pair lies `_IMAGE_EFOLDS` below the largest image, or raises
     QuadratureNonConverged past `_IMAGE_PAIRS_MAX` pairs."""
     m = spec.poly_degree
     # a = c xi^m + lower terms: the m-th difference at 0..m is m! c
     c = float(np.diff(spec.value(np.arange(m + 1.0)).real, m)[0]) / math.factorial(m)
-    exps, coeffs = [], []
+    exps, sums = [], []
     for n in range(_IMAGE_PAIRS_MAX + 1):
-        batch = [(coef, *_image_integral(spec, t, m, c, x, tail))
-                 for w in ((0,) if n == 0 else (n, -n))
-                 for coef, x, tail in images(w)]
-        if n and max(e for _, e, _ in batch) < max(exps) - _IMAGE_EFOLDS:
+        batch = [_image_integral(spec, t, m, c, abs(z + TWO_PI * w))
+                 for w in ((0,) if n == 0 else (n, -n))]
+        if n and max(e for e, _ in batch) < max(exps) - _IMAGE_EFOLDS:
             break
-        exps += [e for _, e, _ in batch]
-        coeffs += [coef * s for coef, _, s in batch]
+        exps += [e for e, _ in batch]
+        sums += [s for _, s in batch]
     else:
         raise QuadratureNonConverged(
             f"the image sum at t={t:.3g} is still above its cut after "
             f"_IMAGE_PAIRS_MAX = {_IMAGE_PAIRS_MAX} image pairs")
     top = max(exps)
-    total = math.fsum(s * math.exp(e - top) for e, s in zip(exps, coeffs))
-    if total == 0:
-        return -math.inf, 0
-    return top + math.log(abs(total)), (1 if total > 0 else -1)
+    total = math.fsum(s * math.exp(e - top) for e, s in zip(exps, sums))
+    return top + math.log(abs(total)) if total else -math.inf
 
 
 def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
@@ -301,97 +318,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
                 f"{type(spec).__name__} takes no contour (poly_degree None)")
         return math.log(abs(p))
     z -= TWO_PI * round(z / TWO_PI)
-    return _log_image_sum(spec, t, lambda w: [(1.0, abs(z + TWO_PI * w), False)])[0]
-
-
-# ---------------------------------------------------------------------------
-# Volterra series for perturbed generators
-
-
-@dataclass
-class DuhamelResult:
-    multiplier: np.ndarray      # truncated series, per lattice point
-    remainder_bound: float      # sup over the lattice of the tail bound
-    level_bounds: np.ndarray    # tail bound after truncating at each level
-    levels: int
-
-
-def _integration_matrix(nodes: np.ndarray, t: float) -> np.ndarray:
-    """Map values at Gauss-Legendre nodes to values of the antiderivative
-    (from 0) at the same nodes; exact for polynomials of degree < len(nodes).
-
-    Built in the Legendre basis: analysis is the discrete transform (exact by
-    quadrature), synthesis uses int P_k = (P_{k+1} - P_{k-1})/(2k+1), so the
-    matrix stays well conditioned where a monomial Vandermonde would lose
-    six digits at n = 16.
-    """
-    n = len(nodes)
-    u, w = np.polynomial.legendre.leggauss(n)
-    # p[k, i] = P_k(u_i), through degree n (synthesis needs one extra row)
-    p = np.zeros((n + 1, n))
-    p[0] = 1.0
-    p[1] = u
-    for k in range(1, n):
-        p[k + 1] = ((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1)
-    analysis = ((2 * np.arange(n) + 1)[:, None] / 2.0) * p[:n] * w
-    synth = np.zeros((n, n))
-    synth += (p[1] + p[0])[:, None] * analysis[0]          # int P_0 = u + 1
-    for k in range(1, n):
-        synth += ((p[k + 1] - p[k - 1]) / (2 * k + 1))[:, None] * analysis[k]
-    return (t / 2.0) * synth
-
-
-def duhamel_series(perturbed: Symbol, t: float, l_max: int = 8) -> DuhamelResult:
-    """exp(-t(a+q)) for a `Perturbed` symbol a + q, as a truncated Volterra
-    series around exp(-t a) of its base, tabulated on the same lattice;
-    q is the difference of the two tables.
-
-    The level-l iterated integral equals exp(-t a) (-t q)^l / l! analytically;
-    numerically it is built by the nested quadrature, whose integrands are
-    polynomial in the inner time, and the returned tail bound
-    |exp(-t a)| (t|q|)^(L+1)/(L+1)! exp(t|q|) is checked per frequency.
-    """
-    _require_time(t)
-    if l_max < 1:
-        raise ValidationError(f"l_max must be >= 1, got {l_max}")
-    if not isinstance(perturbed.spec, Perturbed):
-        raise ValidationError(f"duhamel_series expands a Perturbed symbol, "
-                              f"got {type(perturbed.spec).__name__}")
-    a = build_symbol(perturbed.spec.base, perturbed.grid).values
-    q = perturbed.values - a
-    n_nodes = max(_DUHAMEL_NODES, l_max + 3)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-    nodes = 0.5 * t * (gl_x + 1.0)
-    weights = 0.5 * t * gl_w
-    k_mat = _integration_matrix(nodes, t)
-
-    # J_l(s) = exp(s a) I_l(s) is a degree-l polynomial: J_l = -q * int_0^s J_{l-1},
-    # so both the node values and the endpoint integral are quadrature-exact.
-    damp = np.exp(-t * a)
-    tq = t * np.abs(q)
-    tail = np.abs(damp) * np.exp(tq)
-    j_nodes = np.ones((len(nodes), a.size), dtype=complex)
-    partial = damp.copy()
-    level_bounds = [float(np.max(tail * tq))]  # tail after keeping level 0
-    for level in range(1, l_max + 1):
-        j_t = -q * (weights @ j_nodes)       # J_level(t)
-        j_nodes = -q * (k_mat @ j_nodes)     # J_level at the nodes
-        partial = partial + damp * j_t
-        level_bounds.append(
-            float(np.max(tail * tq ** (level + 1) / math.factorial(level + 1)))
-        )
-    bounds = np.asarray(level_bounds)
-    if len(bounds) >= 2 and bounds[-1] >= bounds[-2]:
-        raise SeriesDiverged(
-            f"remainder bound is not decreasing at l_max={l_max}; "
-            f"increase l_max or shrink t*|q|"
-        )
-    return DuhamelResult(
-        multiplier=partial,
-        remainder_bound=float(bounds[-1]),
-        level_bounds=bounds,
-        levels=l_max,
-    )
+    return _log_image_sum(spec, t, z)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +349,8 @@ def tilted_semigroup(symbol: Symbol, xi_tilt, s: float,
     shift of the symbol the caller provides (pre-scale it for small-eps runs).
     `xi_tilt` is a number or, in d > 1, one per axis."""
     _require_time(s)
-    if not eps > 0:
-        raise ValidationError(f"eps must be > 0, got {eps}")
+    _require_finite("eps", eps, positive=True)
+    _require_finite("xi_tilt", xi_tilt)
     shift = np.asarray(xi_tilt, dtype=float) / eps
     z = symbol.grid.points.astype(float) - 1j * shift
     mult = np.exp(-s * symbol.spec.value(z).reshape(symbol.grid.size))

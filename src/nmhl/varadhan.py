@@ -1,6 +1,6 @@
 """Upper-bound verification for small-time kernel logarithms: pointwise
-Varadhan curves, set-level estimates, exit-probability fits against the
-Chernoff extremization, tilted-norm bounds, and localized derivative bounds.
+Varadhan curves, exit-probability fits against the Chernoff extremization,
+and tilted-norm bounds.
 
 Every pass rule here is one-sided ("<= with slack"): the semigroups under
 study do not preserve positivity, so only upper bounds are available.
@@ -16,26 +16,17 @@ import numpy as np
 from .errors import CutoffTooSmall, FitUnstable, ValidationError
 from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
 from .ldp import _legendre_full, maslov_scaled_spec, straight_rate
-from .malliavin import exponent_fit
-from .presets import EXPONENT_TIMES, exponent_symbol
-from .semigroup import (
-    _log_image_sum,
-    heat_kernel,
-    kernel_values,
-    log_abs_kernel,
-    tilted_semigroup,
-)
-from .spectral import OperatorSpec, Symbol, auto_cutoff, build_symbol, lattice_symbol
+from .semigroup import (_require_finite, heat_kernel, kernel_values, log_abs_kernel,
+                        tilted_semigroup)
+from .spectral import OperatorSpec, auto_cutoff, build_symbol, lattice_symbol
 
-#: slack(t) = (r_alpha + C_SLACK) t^{1/(2k-1)} log(1/t) in `_judge`; C_SLACK
-#: was calibrated once against the exact second-order wrapped Gaussian and frozen.
+#: slack(t) = C_SLACK t^{1/(2k-1)} log(1/t) in `_judge`; C_SLACK was
+#: calibrated once against the exact second-order wrapped Gaussian and frozen.
 C_SLACK = 0.5
 
 #: |log p| estimate past which the double-precision lattice sum cancels
 _LATTICE_LOG_FLOOR = 25.0
-# the set-level and localized estimates sample the kernel on this grid, and
-# the exit and tilted checks on at least _KERNEL_RESOLUTION points
-_SET_RESOLUTION = 4096
+# the exit and tilted checks sample the kernel on at least this many points
 _KERNEL_RESOLUTION = 2048
 #: the most times `tilted_bound_check` doubles its cutoff: the preset tilts
 #: take none, and xi_tilt = 20 at k = 1, s = 1 takes three
@@ -88,7 +79,6 @@ class ScalingCurve:
     extrapolated: float
     pointwise_pass: np.ndarray
     extrapolation_pass: bool
-    r_alpha: float = 0.0          # derivative cost added to the slack
     cutoff: int | None = None
 
     @property
@@ -110,20 +100,18 @@ class ScalingCurve:
 
 
 def _judge(k: int, ts: np.ndarray, vals: np.ndarray, target: float,
-           limit_bound: float | None, r_alpha: float = 0.0) -> ScalingCurve:
+           limit_bound: float) -> ScalingCurve:
     """The one verdict of every small-time curve: v(t) <= target + slack(t)
-    at each sample, with slack(t) = (r_alpha + C_SLACK) t^p log(1/t) and
-    p = 1/(2k-1), and the extrapolated limit <= `limit_bound` (no limit
-    clause when it is None)."""
+    at each sample, with slack(t) = C_SLACK t^p log(1/t) and p = 1/(2k-1),
+    and the extrapolated limit <= `limit_bound`."""
     power = 1.0 / (2 * k - 1)
-    slack = (r_alpha + C_SLACK) * ts**power * np.log(1.0 / ts)
+    slack = C_SLACK * ts**power * np.log(1.0 / ts)
     pointwise = vals <= target + slack + 1e-12
     extrap = _extrapolate(ts, vals, power)
     return ScalingCurve(
         k=k, t=ts, values=vals, target=target, slack=slack,
         extrapolated=extrap, pointwise_pass=pointwise,
-        extrapolation_pass=bool(limit_bound is None or extrap <= limit_bound),
-        r_alpha=r_alpha,
+        extrapolation_pass=bool(extrap <= limit_bound),
     )
 
 
@@ -172,66 +160,6 @@ def varadhan_curve(spec: OperatorSpec, k: int, x: float, y: float, t_list,
     curve = _judge(k, ts, vals, -l_value, -l_value + 0.02 * abs(l_value) + 1e-12)
     curve.cutoff = None if symbol is None else symbol.grid.cutoff
     return curve
-
-
-# ---------------------------------------------------------------------------
-# set-level estimate
-
-
-def _log_interval_mass(spec, t: float, lo: float, hi: float) -> float:
-    """log of integral_lo^hi p_t(0, y) dy over a proper arc, for an even
-    polynomial symbol, or -inf where that integral is not positive.
-
-    Each image [lo, hi] + 2 pi w contributes G(b_lo) - G(b_hi), with
-    G(b) = int_b^inf P_t the tail mass of the real-line kernel, which
-    `semigroup._image_integral` takes on a saddle-shifted contour for b >= 0;
-    for b < 0, G(b) = 2 G(0) - G(-b) by evenness.
-    """
-    shift = TWO_PI * round(0.5 * (lo + hi) / TWO_PI)
-    lo, hi = lo - shift, hi - shift
-
-    def terms(w):
-        b_lo, b_hi = lo + TWO_PI * w, hi + TWO_PI * w
-        if b_lo >= 0:
-            return [(1.0, b_lo, True), (-1.0, b_hi, True)]
-        if b_hi <= 0:
-            return [(1.0, -b_hi, True), (-1.0, -b_lo, True)]
-        return [(2.0, 0.0, True), (-1.0, -b_lo, True), (-1.0, b_hi, True)]
-
-    logm, sign = _log_image_sum(spec, t, terms)
-    return logm if sign > 0 else -math.inf
-
-
-def wf_set_estimate(symbol: Symbol, k: int, x: float, interval,
-                    t_list) -> ScalingCurve:
-    """u(t) = t^{1/(2k-1)} log of the absolute mass |P_t|[1_O](x) for an open
-    arc O = {y : 0 < (y - lo) mod 2 pi < hi - lo}, against -inf_O l, which is
-    0 on the closure of O and the smaller rate at lo or hi off it."""
-    ts, power = _check_geometric(k, t_list)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValidationError("interval must be nonempty")
-    if hi - lo >= TWO_PI:
-        raise ValidationError("interval must be a proper arc")
-    h = symbol.spec.hamiltonian()
-    l_inf = (0.0 if (x - lo) % TWO_PI < hi - lo
-             else float(np.min(straight_rate(h, x, np.array([lo, hi])))))
-    vals = np.empty(ts.size)
-    # a degree-2 symbol has a positive (Gaussian) kernel, so its absolute
-    # mass is the signed one
-    gaussian = symbol.spec.poly_degree == 2
-    for i, t in enumerate(ts):
-        if gaussian and l_inf / t**power > _LATTICE_LOG_FLOOR:
-            vals[i] = t**power * _log_interval_mass(symbol.spec, t, lo - x, hi - x)
-            continue
-        fld = heat_kernel(symbol, t, x=x, resolution=_SET_RESOLUTION)
-        offset = (fld.points - lo) % TWO_PI
-        mask = (offset > 0) & (offset < hi - lo)
-        mass = float(np.sum(np.abs(fld.values[mask]))) * (TWO_PI / _SET_RESOLUTION)
-        vals[i] = t**power * math.log(mass) if mass > 0 else -math.inf
-    # absolute floor covers the interior case, where the target vanishes and
-    # the relative band collapses to a point
-    return _judge(k, ts, vals, -l_inf, -l_inf + max(0.02 * abs(l_inf), 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +232,13 @@ def exit_bound_check(spec: OperatorSpec, k: int, delta: float, s: float,
     """
     if not 0 < delta < math.pi:
         raise ValidationError("delta must lie in (0, pi)")
-    if s <= 0:
-        raise ValidationError("s must be > 0")
+    _require_finite("s", s, positive=True)
+    _require_finite("eps_list", eps_list, positive=True)
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim != 1 or eps.size < 3:
         raise ValidationError("need at least 3 epsilon values")
-    if np.any(np.diff(eps) >= 0) or np.any(eps <= 0):
-        raise ValidationError("epsilon values must be positive and decreasing")
+    if np.any(np.diff(eps) >= 0):
+        raise ValidationError("epsilon values must be decreasing")
     floor = auto_cutoff(spec, s) if cutoff is None else cutoff
     log_mass = np.empty(eps.size)
     for i, e in enumerate(eps):
@@ -350,8 +278,8 @@ def tilted_bound_check(spec: OperatorSpec, k: int, xi_tilt: float, s: float,
                        eps: float = 1.0, min_cutoff: int = 0) -> TiltedBound:
     """L1 norm of the eps-scaled tilted kernel against exp(s H(xi_tilt)/eps),
     with 5% headroom on the exponent, on a lattice of at least `min_cutoff`."""
-    if s <= 0 or eps <= 0:
-        raise ValidationError("s and eps must be > 0")
+    _require_finite("xi_tilt", xi_tilt)
+    _require_finite("s", s, positive=True)
     scaled_spec = maslov_scaled_spec(spec, k, eps)
     # enlarge the lattice until the tilted multiplier is damped at the edge
     cutoff = max(min_cutoff, auto_cutoff(scaled_spec, s))
@@ -378,73 +306,3 @@ def tilted_bound_check(spec: OperatorSpec, k: int, xi_tilt: float, s: float,
     bound = math.exp(1.05 * s * float(h(np.array(xi_tilt))) / eps)
     return TiltedBound(measured=measured, predicted=predicted, bound=bound,
                        passed=measured <= bound)
-
-
-# ---------------------------------------------------------------------------
-# localized estimate with frequency-side derivatives
-
-
-def plateau_bump(center: float, r_inner: float, r_outer: float):
-    """Smooth cutoff equal to 1 within r_inner of center and 0 beyond
-    r_outer, built from the standard exponential transition."""
-    if not 0 < r_inner < r_outer < math.pi:
-        raise ValidationError("need 0 < r_inner < r_outer < pi")
-
-    def sigma(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    def chi(y):
-        dist = np.abs(wrap_angle(np.asarray(y, dtype=float) - center))
-        u = (r_outer - dist) / (r_outer - r_inner)
-        num = sigma(np.asarray(u))
-        den = num + sigma(np.asarray(1.0 - u))
-        return num / den
-
-    return chi
-
-
-def localized_estimate(symbol: Symbol, k: int, x: float, chi, t_list,
-                       alpha_order: int = 0) -> ScalingCurve:
-    """t^{1/(2k-1)} log |P_t[D^alpha chi](x)| against -l(x, supp chi) + delta.
-
-    The derivative is applied on the frequency side; its polynomial-in-1/t
-    cost enters the slack through the measured decay exponent r_alpha, and
-    delta = 0.05 * l_near absorbs the support localization.  Judged on the
-    pointwise clause alone; a bump that vanishes everywhere gives v = -inf.
-    """
-    if alpha_order < 0 or alpha_order > 2:
-        raise ValidationError("derivative order must be 0, 1, or 2")
-    if symbol.grid.dimension != 1:
-        raise ValidationError("localized estimates are one-dimensional")
-    ts, power = _check_geometric(k, t_list)
-    ys = np.arange(_SET_RESOLUTION) * (TWO_PI / _SET_RESOLUTION)
-    chi_vals = np.asarray(chi(ys), dtype=float)
-    if np.all(chi_vals == 0.0):
-        return _judge(k, ts, np.full(ts.size, -math.inf), -math.inf, None)
-    h = symbol.spec.hamiltonian()
-    l_near = float(np.min(straight_rate(h, x, ys[chi_vals > 1e-300])))
-    if l_near <= 0:
-        raise ValidationError("bump support must exclude the base point")
-    delta = 0.05 * l_near
-    if alpha_order == 0:
-        r_alpha = 0.0
-    else:
-        # the power law needs many active modes: fit deep in the small-t
-        # regime on a lattice sized for the weighted multiplier
-        fit_sym = exponent_symbol(symbol.spec)
-        r_alpha = exponent_fit(fit_sym, 1.0 / (2 * k), alpha_order, EXPONENT_TIMES,
-                               resolution=fit_sym.grid.fft_size(0)).r
-    # frequency-side test function (i xi)^alpha chi^(xi)
-    chi_hat = np.fft.fft(chi_vals) / _SET_RESOLUTION
-    xi = symbol.grid.points[:, 0].astype(float)
-    coeffs = chi_hat[symbol.grid.fft_bins(_SET_RESOLUTION)]
-    weights = (1j * xi) ** alpha_order * coeffs
-    vals = np.empty(ts.size)
-    damp_phase = np.exp(1j * xi * x)
-    for i, t in enumerate(ts):
-        m = np.abs(np.sum(np.exp(-t * symbol.values) * weights * damp_phase))
-        vals[i] = t**power * math.log(m) if m > 0 else -math.inf
-    return _judge(k, ts, vals, -l_near + delta, None, r_alpha)

@@ -23,7 +23,6 @@ from nmhl import (
     biconjugate,
     chapman_kolmogorov_check,
     default_gauge,
-    duhamel_series,
     exit_bound_check,
     exponent_fit,
     gauge_conjugate,
@@ -45,7 +44,6 @@ from nmhl.presets import (
     IBP_PRESETS,
     IBP_RESOLUTION,
     IBP_TIME,
-    duhamel_symbol,
     exit_grid,
     exponent_symbol,
 )
@@ -281,15 +279,7 @@ def test_12_structural_suite():
                kernel_symmetry_check(quartic, 0.05))
     mass_err = max(abs(heat_kernel(gauss, 0.1, resolution=512).mass() - 1.0),
                    abs(heat_kernel(quartic, 0.1, resolution=512).mass() - 1.0))
-    full = duhamel_symbol()
-    exact = np.exp(-0.5 * full.values)
-    duhamel_ok = True
-    for l_max in (1, 3, 5, 8):
-        result = duhamel_series(full, 0.5, l_max=l_max)
-        gap = float(np.max(np.abs(result.multiplier - exact)))
-        duhamel_ok = duhamel_ok and gap <= result.remainder_bound
-    ok = ck < 1e-8 and symm < 1e-10 and mass_err < 1e-12 and duhamel_ok
+    ok = ck < 1e-8 and symm < 1e-10 and mass_err < 1e-12
     check("12", ok,
           f"chapman-kolmogorov {ck:.2e} (tol 1e-8); symmetry {symm:.2e} "
-          f"(tol 1e-10); mass err {mass_err:.2e}; every truncation level "
-          f"sits inside its own factorial tail bound")
+          f"(tol 1e-10); mass err {mass_err:.2e}")

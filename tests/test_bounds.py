@@ -151,11 +151,16 @@ def varadhan_run(k, t_start):
             f"[experiment]\nkind = varadhan\nt_start = {t_start}\n")
 
 
-@pytest.mark.parametrize("k, nodes", [(1, "1.02e+135"), (2, "1.82e+26")])
-def test_a_contour_past_the_node_cap_is_refused_before_it_is_built(k, nodes, tmp_path,
+@pytest.mark.parametrize("k, refusal", [
+    # k = 1 needs only 467 nodes a side, but its saddle i r sits at
+    # r = 5e299, where xi^2 overflows
+    (1, "reaches |xi| = 5e+299, where |xi|^2 overflows a double"),
+    (2, "needs 1.82e+26 nodes a side, above _CONTOUR_NODES_MAX = 65536"),
+], ids=["1-overflow", "2-1.82e+26"])
+def test_a_contour_past_the_node_cap_is_refused_before_it_is_built(k, refusal, tmp_path,
                                                                   capsys):
     # every sample takes the contour, so no lattice build stops this window:
-    # the node cap refuses it before any array is made
+    # the node cap or the overflow test refuses it before any array is made
     tracemalloc.start()
     try:
         code, err, made = cli(tmp_path, capsys, "varadhan", varadhan_run(k, 1e-300))
@@ -163,9 +168,24 @@ def test_a_contour_past_the_node_cap_is_refused_before_it_is_built(k, nodes, tmp
     finally:
         tracemalloc.stop()
     assert code == 2 and not made
-    assert (f"varadhan: QuadratureNonConverged: the contour at t=1e-300, x=1 needs "
-            f"{nodes} nodes a side, above _CONTOUR_NODES_MAX = 65536") in err
+    assert (f"varadhan: QuadratureNonConverged: the contour at t=1e-300, x=1 "
+            f"{refusal}") in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("t_start", [1e-60, 1e-100, 1e-150])
+def test_a_gaussian_window_runs_at_any_depth_a_double_holds(t_start, tmp_path, capsys):
+    # the xi^2 contour once widened like 1/t, since cos(pi / 2) = 6.1e-17,
+    # and the node cap refused every window from t_start = 1e-36 down
+    code, err, made = cli(tmp_path, capsys, "varadhan", varadhan_run(1, t_start))
+    assert code == 0 and made, err
+
+
+def test_a_gaussian_window_past_the_double_range_is_refused(tmp_path, capsys):
+    code, err, made = cli(tmp_path, capsys, "varadhan", varadhan_run(1, 1e-160))
+    assert code == 2 and not made
+    assert ("varadhan: QuadratureNonConverged: the contour at t=1e-160, x=1 reaches "
+            "|xi| = 5e+159, where |xi|^2 overflows a double") in err
 
 
 def test_a_lowered_node_cap_stops_the_preset_varadhan_curve(tmp_path, capsys,

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from nmhl import (TWO_PI, AugmentedOperator, FrequencyGrid, PurePower, build_symbol,
-                  heat_kernel, ibp_check, localized_estimate, plateau_bump,
-                  spatial_grid, wrap_angle)
+                  heat_kernel, ibp_check, spatial_grid, wrap_angle)
 from nmhl.errors import ValidationError
 from nmhl.grids import _ordered_lattice, max_resolution
 
@@ -92,18 +91,15 @@ def test_fft_bins_refuse_a_grid_that_misses_the_lattice_or_the_cap():
 
 
 def test_every_lattice_gather_refuses_a_coarse_grid_with_one_message():
-    # the heat kernel, the ibp coefficients and the localized estimate place
-    # the lattice by one rule, so they refuse an unresolving grid alike
+    # the heat kernel and the ibp coefficients place the lattice by one rule,
+    # so they refuse an unresolving grid alike
     sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 8))
     op = AugmentedOperator(base=sym, n=0, alpha_frac=0.5)
-    wide = build_symbol(PurePower(k=1), FrequencyGrid(1, 2048))
     calls = [lambda: heat_kernel(sym, 0.5, resolution=16),
-             lambda: ibp_check(op, np.cos(spatial_grid(16)), 0.5),
-             lambda: localized_estimate(wide, 1, 0.0, plateau_bump(2.5, 0.2, 0.4),
-                                        0.1 * 0.5 ** np.arange(4))]
-    for call, m, cutoff in zip(calls, (16, 16, 4096), (8, 8, 2048)):
-        with pytest.raises(ValidationError, match=f"^resolution M={m} must be >= "
-                           f"2N\\+1={2 * cutoff + 1} to resolve the lattice$"):
+             lambda: ibp_check(op, np.cos(spatial_grid(16)), 0.5)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^resolution M=16 must be >= "
+                           "2N\\+1=17 to resolve the lattice$"):
             call()
 
 

@@ -436,3 +436,10 @@ def test_scaling_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         maslov_scaled_spec(PurePower(k=1), 1, 0.0)
 
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_scaling_names_an_eps_that_is_not_finite_and_positive(eps):
+    # nan and inf once gave a Rescaled spec with a nan or inf prefactor
+    with pytest.raises(ValidationError, match="^eps must be > 0 and finite, got "):
+        maslov_scaled_spec(PurePower(k=1), 1, eps)
+

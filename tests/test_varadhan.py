@@ -1,10 +1,8 @@
-"""Small-time upper-bound curves, set estimates, exit fits, tilted norms, and
-localized derivative bounds."""
+"""Small-time upper-bound curves, exit fits, and tilted norms."""
 
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,18 +11,13 @@ from hypothesis import strategies as st
 import oracles
 from nmhl import (
     FractionalPower,
-    FrequencyGrid,
     PurePower,
-    build_symbol,
     chernoff_extremize,
     exit_bound_check,
     legendre,
-    localized_estimate,
-    plateau_bump,
     straight_rate,
     tilted_bound_check,
     varadhan_curve,
-    wf_set_estimate,
 )
 from nmhl import spectral
 from nmhl.cli import main
@@ -32,12 +25,7 @@ from nmhl.errors import FitUnstable, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.presets import EXIT_DELTA, EXIT_S, exit_grid
 from nmhl.spectral import auto_cutoff
-from nmhl.varadhan import C_SLACK, ScalingCurve, _judge, _log_interval_mass
-
-
-def power_symbol(k, t_min):
-    spec = PurePower(k=k)
-    return build_symbol(spec, FrequencyGrid(1, auto_cutoff(spec, t_min)))
+from nmhl.varadhan import C_SLACK, ScalingCurve, _judge
 
 
 def power_cutoff(k, t_min):
@@ -224,103 +212,6 @@ def test_slack_calibration_constant_is_frozen():
 
 
 # ---------------------------------------------------------------------------
-# set-level estimates
-
-
-def test_set_estimate_exterior_interval():
-    sym = power_symbol(1, 0.1 * 0.5**7)
-    curve = wf_set_estimate(sym, 1, 0.0, (2.0, 3.0), geometric(0.1, 0.5, 8))
-    assert curve.passed
-    assert curve.target == pytest.approx(-1.0, abs=1e-9)
-    assert abs(curve.extrapolated + 1.0) <= 0.02
-
-
-def test_set_estimate_near_edge_controls_the_rate():
-    sym = power_symbol(1, 0.1 * 0.5**7)
-    curve = wf_set_estimate(sym, 1, 0.0, (0.9, 1.1), geometric(0.1, 0.5, 8))
-    assert curve.passed
-    assert curve.target == pytest.approx(-0.2025, abs=1e-9)
-    assert curve.extrapolated == pytest.approx(-0.2025, abs=2e-3)
-
-
-def test_set_estimate_quartic_bound_holds_pointwise():
-    sym = power_symbol(2, 0.2 * 0.5**7)
-    curve = wf_set_estimate(sym, 2, 0.0, (0.9, 1.1), geometric(0.2, 0.5, 8))
-    assert curve.pointwise_pass.all()
-
-
-def test_set_estimate_interior_point_has_zero_target():
-    sym = power_symbol(1, 0.1 * 0.5**7)
-    curve = wf_set_estimate(sym, 1, 2.5, (2.0, 3.0), geometric(0.1, 0.5, 8))
-    assert curve.passed
-    assert curve.target == 0.0
-    assert abs(curve.extrapolated) <= 1e-3
-
-
-@pytest.mark.parametrize("turns", [2, -2])
-def test_set_estimate_is_the_same_on_every_turn_of_the_arc(turns):
-    # (2 + 4 pi, 3 + 4 pi) is the arc (2, 3); sampling it on [0, 2 pi) once
-    # found no mass at all, so v = -inf passed every bound
-    sym = power_symbol(1, 0.1 * 0.5**7)
-    ts = geometric(0.1, 0.5, 8)
-    base = wf_set_estimate(sym, 1, 0.0, (2.0, 3.0), ts)
-    shift = turns * TWO_PI
-    curve = wf_set_estimate(sym, 1, 0.0, (2.0 + shift, 3.0 + shift), ts)
-    assert curve.target == base.target == -1.0
-    assert curve.values.tolist() == base.values.tolist()
-    assert np.all(np.isfinite(curve.values))
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_set_estimate_long_arc_interior_point_has_zero_target(k):
-    # x = 4.06 lies in (0.5, 4.5), but more than pi from lo; a 33-point
-    # sample of the arc once gave the target -0.0009 (k = 1), -0.0111 (k = 2)
-    sym = power_symbol(k, 0.2 * 0.5**7)
-    curve = wf_set_estimate(sym, k, 4.06, (0.5, 4.5), geometric(0.2, 0.5, 8))
-    assert curve.target == 0.0
-
-
-def test_set_estimate_deep_gaussian_mass_off_the_origin():
-    # x = 1, arc (2.5, 3): l_inf = 1.5^2 / 4, so l_inf / t > 25 at every t
-    # and each sample takes the contour mass of the arc as seen from x
-    x, lo, hi = 1.0, 2.5, 3.0
-    ts = geometric(0.02, 0.5, 8)
-    curve = wf_set_estimate(power_symbol(1, ts[-1]), 1, x, (lo, hi), ts)
-    assert curve.target == pytest.approx(-0.5625, abs=1e-12)
-    with mp.workdps(40):
-        for t, v in zip(ts, curve.values):
-            s = 2 * mp.sqrt(t)
-            mass = sum(mp.erfc((lo - x + TWO_PI * w) / s) - mp.erfc((hi - x + TWO_PI * w) / s)
-                       for w in range(-4, 5)) / 2
-            assert v == pytest.approx(float(t * mp.log(mass)), rel=1e-10), t
-
-
-@pytest.mark.parametrize("t, lo, hi", [(0.01, 0.5, 1.5), (0.002, 2.0, 3.0),
-                                       (0.1 * 0.5**7, -1.1, -0.9),
-                                       # arcs over the images of 0 and 2 pi
-                                       (1e-3, -0.1, 0.2), (0.05, 5.0, 7.0)])
-def test_mp_interval_mass_matches_termwise_sum(t, lo, hi):
-    l_floor = min(lo * lo, hi * hi) / 4.0      # nearest endpoint, k = 1
-    need = l_floor / t + 100.0                 # |log mass| with room to spare
-    ref = oracles.mp_fourier_log(
-        lambda n: n**2,
-        lambda n: (mp.sin(n * hi) - mp.sin(n * lo)) / n if n else mp.mpf(hi - lo),
-        t, n_cut=int(math.sqrt(need / t)), dps=30 + int(need / math.log(10.0)),
-    )
-    got = _log_interval_mass(PurePower(k=1), t, lo, hi)
-    assert got == pytest.approx(ref, rel=1e-12)
-
-
-def test_set_estimate_validates_intervals():
-    sym = power_symbol(1, 0.05)
-    ts = geometric(0.1, 0.5, 4)
-    with pytest.raises(ValidationError):
-        wf_set_estimate(sym, 1, 0.0, (2.0, 2.0), ts)
-    with pytest.raises(ValidationError):
-        wf_set_estimate(sym, 1, 0.0, (0.0, TWO_PI), ts)
-
-
-# ---------------------------------------------------------------------------
 # exit bounds
 
 
@@ -430,6 +321,19 @@ def test_exit_fit_validates_inputs():
         exit_bound_check(spec, 1, 0.5, 0.1, eps[::-1], cutoff=cutoff)
 
 
+@pytest.mark.parametrize("s, eps, name", [
+    (math.nan, (0.25, 0.2, 0.1), "s"),
+    (math.inf, (0.25, 0.2, 0.1), "s"),
+    (0.1, (0.25, math.nan, 0.1), "eps_list"),
+    (0.1, (math.inf, 0.2, 0.1), "eps_list"),
+    (0.1, (0.25, 0.2, -math.inf), "eps_list"),
+])
+def test_exit_fit_names_a_nonfinite_argument(s, eps, name):
+    # s = nan and a nan epsilon once ran on to "no admissible cutoff"
+    with pytest.raises(ValidationError, match=f"^{name} must be > 0 and finite, got "):
+        exit_bound_check(PurePower(k=1), 1, 0.5, s, eps)
+
+
 # ---------------------------------------------------------------------------
 # tilted norms
 
@@ -465,65 +369,22 @@ def test_tilted_check_validates_inputs():
         tilted_bound_check(spec, 1, 0.1, 1.0, eps=0.0, min_cutoff=cutoff)
 
 
+@pytest.mark.parametrize("xi_tilt, s, eps, name", [
+    (math.nan, 1.0, 1.0, "xi_tilt"),
+    (math.inf, 1.0, 1.0, "xi_tilt"),
+    (0.1, math.nan, 1.0, "s"),
+    (0.1, math.inf, 1.0, "s"),
+    (0.1, 1.0, math.nan, "eps"),
+    (0.1, 1.0, math.inf, "eps"),
+])
+def test_tilted_check_names_a_nonfinite_argument(xi_tilt, s, eps, name):
+    # a nan tilt once doubled the cutoff 20 times and raised CutoffTooSmall
+    with pytest.raises(ValidationError, match=f"^{name} must be (> 0 and )?finite, got "):
+        tilted_bound_check(PurePower(k=1), 1, xi_tilt, s, eps=eps)
+
+
 # ---------------------------------------------------------------------------
-# localized derivative estimates
-
-
-BUMP = plateau_bump(math.pi, 0.5, 1.0)
-
-
-def test_plateau_bump_shape():
-    ys = np.linspace(0.0, TWO_PI, 2049)
-    vals = BUMP(ys)
-    dist = np.abs((ys - math.pi + math.pi) % TWO_PI - math.pi)
-    assert np.all(vals[dist <= 0.5] == pytest.approx(1.0, abs=1e-12))
-    assert np.all(vals[dist >= 1.0] == 0.0)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-    with pytest.raises(ValidationError):
-        plateau_bump(0.0, 1.0, 0.5)
-    with pytest.raises(ValidationError):
-        plateau_bump(0.0, 0.5, 4.0)
-
-
-def test_localized_limit_reaches_nearest_support_rate():
-    sym = power_symbol(1, 0.5 * 0.7**6)
-    curve = localized_estimate(sym, 1, 0.0, BUMP, geometric(0.5, 0.7, 7))
-    assert curve.passed
-    assert curve.r_alpha == 0.0
-    l_near = oracles.quadratic_rate(0.0, math.pi - 1.0)
-    # the support edge is located on the quadrature grid, one step inside
-    assert curve.target == pytest.approx(-0.95 * l_near, rel=3e-3)
-    assert abs(curve.extrapolated + l_near) <= 0.25 * l_near
-
-
-def test_localized_first_derivative_costs_half_an_exponent():
-    sym = power_symbol(1, 0.5 * 0.7**6)
-    curve = localized_estimate(
-        sym, 1, 0.0, BUMP, geometric(0.5, 0.7, 7), alpha_order=1
-    )
-    assert curve.passed
-    assert curve.r_alpha == pytest.approx(0.5, abs=0.01)
-
-
-def test_localized_second_derivative_quartic():
-    sym = power_symbol(2, 0.1 * 0.5**5)
-    curve = localized_estimate(
-        sym, 2, 0.0, BUMP, geometric(0.1, 0.5, 6), alpha_order=2
-    )
-    assert curve.passed
-    assert curve.r_alpha == pytest.approx(0.5, abs=0.01)
-
-
-def test_localized_empty_bump_is_a_sentinel():
-    sym = power_symbol(1, 0.1)
-    curve = localized_estimate(
-        sym, 1, 0.0, lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        geometric(0.1, 0.5, 4),
-    )
-    assert curve.passed
-    assert curve.target == -math.inf
-    assert np.all(np.isneginf(curve.values))
-    assert curve.extrapolated == -math.inf
+# the shared verdict
 
 
 def test_a_curve_ending_in_minus_inf_passes_its_limit_clause():
@@ -539,28 +400,10 @@ def test_a_curve_ending_in_minus_inf_passes_its_limit_clause():
     assert one.extrapolated == -math.inf and one.passed
 
 
-def test_localized_validates_inputs():
-    sym = power_symbol(1, 0.1)
-    ts = geometric(0.1, 0.5, 4)
-    with pytest.raises(ValidationError):
-        localized_estimate(sym, 1, 0.0, BUMP, ts, alpha_order=3)
-    with pytest.raises(ValidationError, match="k must be >= 1"):
-        # no order-0 curve: its power 1/(2k - 1) would be -1
-        localized_estimate(sym, 0, 0.0, BUMP, ts)
-    with pytest.raises(ValidationError):
-        # bump support contains the base point: the rate target degenerates
-        localized_estimate(sym, 1, 0.0, plateau_bump(0.0, 0.5, 1.0), ts)
-
-
 ESTIMATES = {
     "varadhan_curve": lambda: varadhan_curve(
         PurePower(k=1), 1, 0.0, 1.0, geometric(0.1, 0.5, 8),
         cutoff=power_cutoff(1, 0.1 * 0.5**7)),
-    "wf_set_estimate": lambda: wf_set_estimate(
-        power_symbol(2, 0.2 * 0.5**7), 2, 0.0, (0.9, 1.1), geometric(0.2, 0.5, 8)),
-    "localized_estimate": lambda: localized_estimate(
-        power_symbol(1, 0.5 * 0.7**6), 1, 0.0, BUMP, geometric(0.5, 0.7, 7),
-        alpha_order=1),
 }
 
 
@@ -569,16 +412,10 @@ def test_every_small_time_estimate_is_one_curve_under_one_verdict(name):
     curve = ESTIMATES[name]()
     assert type(curve) is ScalingCurve
     ts, p = curve.t, 1.0 / (2 * curve.k - 1)
-    slack = (curve.r_alpha + C_SLACK) * ts**p * np.log(1.0 / ts)
+    slack = C_SLACK * ts**p * np.log(1.0 / ts)
     assert curve.slack.tolist() == slack.tolist()
     assert curve.passed == (bool(np.all(curve.pointwise_pass))
                             and curve.extrapolation_pass)
-    if name == "localized_estimate":
-        # judged on the pointwise clause alone
-        assert curve.r_alpha > 0.0
-        assert curve.extrapolation_pass is True
-        pointwise = curve.values <= curve.target + curve.slack + 1e-12
-        assert curve.passed == bool(np.all(pointwise))
 
 
 def test_varadhan_curve_refuses_deep_samples_the_lattice_sum_cannot_resolve():
