@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FitUnstable, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,6 +48,13 @@ def max_resolution(d: int) -> int:
     return _max_side(MAX_FFT_POINTS, d)
 
 
+def _require_int(name: str, value):
+    """Refuse a value that is not an integer, a bool included, naming it
+    `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _max_side(points: int, d: int) -> int:
     return points if d == 1 else math.isqrt(points)
 
@@ -61,6 +68,8 @@ class FrequencyGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_int("dimension", self.dimension)
+        _require_int("cutoff", self.cutoff)
         if self.dimension not in (1, 2):
             raise ValidationError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.cutoff < 1:
@@ -143,8 +152,13 @@ def wrap_angle(z):
 
 def line_fit(x, y) -> tuple:
     """Least-squares line through (x, y): the `np.polyfit` coefficients
-    (slope, intercept) and R^2, which is 1 when y is constant."""
+    (slope, intercept) and R^2.  A y without spread (constant, or so close
+    to it that its squared deviations underflow) raises FitUnstable: the
+    slope would be rounding noise, which no R^2 can judge."""
+    y = np.asarray(y, dtype=float)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if np.ptp(y) == 0 or not ss_tot > 0:
+        raise FitUnstable(f"a line fit needs finite y values that vary, got {y!r}")
     coef = np.polyfit(x, y, 1)
     ss_res = float(np.sum((y - np.polyval(coef, x)) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return coef, (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
+    return coef, 1.0 - ss_res / ss_tot

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import TWO_PI, line_fit
-from .semigroup import _ifft_field, _require_time, derivative_seminorm
+from .semigroup import _ifft_field, _require_finite, _require_time, derivative_seminorm
 from .spectral import Symbol, _principal_power
 
 # points of the auxiliary kernel table, and of each per-mode trapezoid rule
@@ -62,6 +62,7 @@ class AugmentedOperator:
             raise ValidationError(
                 f"alpha_frac must lie in (0, 1), got {self.alpha_frac}"
             )
+        _require_finite("r", self.r)
         if self.r < 0:
             raise ValidationError(f"r must be >= 0, got {self.r}")
         if self.aux_order < 2 or self.aux_order % 2:
@@ -138,13 +139,8 @@ def _interp_kernel(z_tab, k_tab, pts):
 
 def _require_start(start) -> float:
     """Refuse a start that is not one finite number."""
-    try:
-        value = np.asarray(start, dtype=float)
-    except (TypeError, ValueError):
-        value = np.array([])
-    if value.ndim != 0 or not math.isfinite(value):
-        raise ValidationError(f"start must be one finite number, got {start!r}")
-    return float(value)
+    _require_finite("start", start, scalar=True)
+    return float(start)
 
 
 def aux_moment(op: AugmentedOperator, t: float, start=0.0,

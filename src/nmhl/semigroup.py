@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ComplexResidue, CutoffTooSmall, QuadratureNonConverged,
                      ValidationError)
-from .grids import TWO_PI, FrequencyGrid, spatial_grid
+from .grids import TWO_PI, FrequencyGrid, _require_int, spatial_grid
 from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
                        lattice_symbol)
 
@@ -58,9 +58,10 @@ def _require_time(t: float, zero_ok: bool = False):
         raise ValidationError(f"t must be {bound} and finite, got {t}")
 
 
-def _require_finite(name: str, value, positive: bool = False):
+def _require_finite(name: str, value, positive: bool = False, scalar: bool = False):
     """Refuse a number, or an array of them, with an entry that is not finite
-    (or not > 0 with `positive`), naming it `name`."""
+    (or not > 0 with `positive`), naming it `name`; with `scalar`, refuse
+    anything but one number too."""
     if type(value) is float:
         # a Python float, the usual argument, skips the array test: 0.1 us
         # against 4 us, and the report makes about 100 of these calls
@@ -70,9 +71,12 @@ def _require_finite(name: str, value, positive: bool = False):
             v = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             v = np.array(math.nan)
-        ok = bool(np.isfinite(v).all() and (not positive or (v > 0).all()))
+        ok = bool(np.isfinite(v).all() and (not positive or (v > 0).all())
+                  and (not scalar or v.ndim == 0))
     if not ok:
         bound = "> 0 and finite" if positive else "finite"
+        if scalar:
+            bound = f"one {bound} number"
         raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
@@ -131,17 +135,13 @@ def _real_part(values: np.ndarray, context: str) -> np.ndarray:
 
 def _source_point(x, d: int) -> np.ndarray:
     """x as a finite point of T^d; a scalar is broadcast to every axis."""
-    try:
-        xv = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"source point must be numeric, got {x!r}") from None
+    _require_finite("source point", x)
+    xv = np.asarray(x, dtype=float)
     if xv.ndim == 0:
         xv = np.full(d, xv)
     if xv.shape != (d,):
         raise ValidationError(
             f"source point must be a scalar or have shape ({d},), got shape {xv.shape}")
-    if not np.all(np.isfinite(xv)):
-        raise ValidationError(f"source point must be finite, got {x!r}")
     return xv
 
 
@@ -180,9 +180,8 @@ def kernel_values(symbol: Symbol, t: float, offsets):
     if symbol.grid.dimension != 1:
         raise ValidationError("direct evaluation is one-dimensional")
     _check_truncation(symbol, t)
+    _require_finite("offsets", offsets)
     z = np.asarray(offsets, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValidationError(f"offsets must be finite, got {offsets!r}")
     flat = z.ravel()
     mult = np.exp(-t * symbol.values)[:, None]
     phase = 1j * symbol.grid.points[:, :1].astype(float)
@@ -302,8 +301,7 @@ def log_abs_kernel(spec: OperatorSpec, t: float, z: float) -> float:
     ValidationError instead of returning the log of that noise.
     """
     _require_time(t)
-    if not math.isfinite(z):
-        raise ValidationError(f"offset z must be finite, got {z}")
+    _require_finite("offset z", z, scalar=True)
     if spec.dimension != 1:
         raise ValidationError(
             f"log_abs_kernel is one-dimensional, got d = {spec.dimension}")
@@ -392,6 +390,8 @@ def derivative_seminorm(symbol: Symbol, frac_alpha: float, l: int, t: float,
     """L1 norm in y of the kernel of (L^alpha)^l exp(-t L) — the sharp constant
     in the sup-norm bound |P_t (L^alpha)^l f| <= C(t) ||f||_inf."""
     _require_time(t)
+    _require_finite("frac_alpha", frac_alpha)
+    _require_int("l", l)
     if resolution is None:
         resolution = symbol.grid.fft_size(2048)
     if l < 0:

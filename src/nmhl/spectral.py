@@ -26,7 +26,7 @@ from .errors import (
     TiltOutOfDomain,
     ValidationError,
 )
-from .grids import FrequencyGrid, max_cutoff
+from .grids import FrequencyGrid, _require_int, max_cutoff
 
 # quadrature error above this multiple of the requested tolerance is a failure
 _QUAD_SLACK = 10.0
@@ -142,6 +142,8 @@ class _Homogeneous(OperatorSpec):
     """A homogeneous polynomial symbol of degree 2k in d variables."""
 
     def __post_init__(self):
+        _require_int("k", self.k)
+        _require_int("d", self.d)
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.d not in (1, 2):

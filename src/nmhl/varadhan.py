@@ -174,8 +174,8 @@ def chernoff_extremize(h, delta: float, s: float):
     For H = xi^{2k} the minimizer is (delta/(2ks))^{1/(2k-1)}.  An H that
     grows sublinearly has no minimum: the solve raises SupUnbounded.
     """
-    if not (math.isfinite(delta) and math.isfinite(s)):
-        raise ValidationError("delta and s must be finite")
+    _require_finite("delta", delta, scalar=True)
+    _require_finite("s", s, scalar=True)
     if delta < 0 or s <= 0:
         raise ValidationError(f"need delta >= 0 and s > 0, got {delta} and {s}")
     if delta == 0.0:
@@ -251,7 +251,12 @@ def exit_bound_check(spec: OperatorSpec, k: int, delta: float, s: float,
         if mass <= 0:
             raise FitUnstable("exit mass underflowed; shrink the epsilon range")
         log_mass[i] = math.log(mass)
-    coef, r2 = line_fit(1.0 / eps, log_mass)
+    try:
+        coef, r2 = line_fit(1.0 / eps, log_mass)
+    except FitUnstable:
+        raise FitUnstable(
+            f"exit mass is flat over the window eps in [{eps[-1]:.6g}, {eps[0]:.6g}] "
+            f"(log mass {log_mass[0]:.6g} throughout): it shows no decay to fit") from None
     if r2 < 0.99:
         raise FitUnstable(f"exit-mass fit has R^2 = {r2:.4f} < 0.99")
     slope = float(coef[0])

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 import oracles
 from nmhl import (TWO_PI, AugmentedOperator, FrequencyGrid, PurePower, build_symbol,
                   heat_kernel, ibp_check, spatial_grid, wrap_angle)
-from nmhl.errors import ValidationError
-from nmhl.grids import _ordered_lattice, max_resolution
+from nmhl.errors import FitUnstable, ValidationError
+from nmhl.grids import _ordered_lattice, line_fit, max_resolution
 
 
 def test_frequency_grid_orders_by_magnitude_then_lex():
@@ -132,3 +132,26 @@ def test_wrap_angle_lands_in_fundamental_domain(z):
 def test_wrap_angle_idempotent(z):
     w = float(wrap_angle(z))
     assert float(wrap_angle(w)) == pytest.approx(w, abs=1e-12)
+
+
+@pytest.mark.parametrize("dimension, cutoff, name", [(1, 4.5, "cutoff"), (1, True, "cutoff"),
+                                                     (1, np.nan, "cutoff"), (1.0, 4, "dimension"),
+                                                     (True, 4, "dimension")])
+def test_frequency_grid_refuses_a_dimension_or_cutoff_that_is_not_an_integer(dimension, cutoff,
+                                                                             name):
+    # FrequencyGrid(1, 4.5) once built a lattice
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        FrequencyGrid(dimension, cutoff)
+
+
+@pytest.mark.parametrize("y", [[-0.17279674963146904] * 6, [1e-170, 2e-170, 3e-170],
+                               [0.0, np.nan, 1.0]])
+def test_line_fit_refuses_a_y_without_spread(y):
+    # a constant y once gave R^2 = 1 and a slope of rounding noise
+    with pytest.raises(FitUnstable, match="^a line fit needs finite y values that vary"):
+        line_fit(np.arange(len(y), dtype=float), np.array(y))
+
+
+def test_line_fit_returns_the_line_through_a_varying_y():
+    coef, r2 = line_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0]))
+    assert coef == pytest.approx([2.0, 1.0]) and r2 == pytest.approx(1.0)

@@ -29,6 +29,7 @@ from nmhl import (
     rate_function,
     straight_path,
 )
+from nmhl import ldp
 from nmhl.errors import OptimizerStalled, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
 from nmhl.ldp import _legendre_full, _solve_tridiagonal
@@ -407,6 +408,127 @@ def test_rate_agrees_with_wound_quadratic_oracle(y):
     table = lagrangian_table(h_power(1), p_max=16.0)
     res = rate_function(0.0, y, table, m=32)
     assert res.l_value == pytest.approx(oracles.quadratic_rate(0.0, y), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# winding classes pruned by their Jensen bound
+
+
+def _descend_class(x, y, w, lagrangian, m, perturb):
+    base = straight_path(x, y, w, m=m).nodes
+    if perturb:
+        tgrid = np.linspace(0.0, 1.0, m + 1)
+        base = base + perturb * np.sin(np.pi * tgrid) * np.cos(2.0 * np.pi * tgrid)
+        base[0], base[-1] = x, y + TWO_PI * w
+    return (w,) + ldp._descend(base, lagrangian)
+
+
+def _fold(descents):
+    """The classes' descents folded in w order with the 1e-12 tie-break."""
+    best = None
+    for w, nodes, s_val, iters, res in descents:
+        if (best is None or s_val < best[0] - 1e-12
+                or (abs(s_val - best[0]) <= 1e-12 and (abs(w), w) < (abs(best[1]), best[1]))):
+            best = (s_val, w, nodes, iters, res)
+    s_val, w, nodes, iters, res = best
+    return (float(max(s_val, 0.0)), w, [d[0] for d in descents], iters, res,
+            nodes.tobytes())
+
+
+def _rate_by_every_class(x, y, lagrangian, m=64, winding_max=2, perturb=0.0):
+    """The search without pruning: every class descended through
+    `ldp._descend`."""
+    return _fold([_descend_class(x, y, w, lagrangian, m, perturb)
+                  for w in range(-winding_max, winding_max + 1)])
+
+
+def _as_tuple(res):
+    return (res.l_value, res.winding, res.windings_searched, res.iterations,
+            res.residual, res.path.nodes.tobytes())
+
+
+def _levy_h():
+    return Levy(l=1, alpha_levy=-0.5, density=flat_density()).hamiltonian()
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+@pytest.mark.parametrize("h", [h_power(1), h_power(2), h_power(3), _levy_h()],
+                         ids=["k1", "k2", "k3", "levy"])
+def test_pruned_search_returns_what_descending_every_class_returns(h, perturb):
+    # displacements of pi and pi +- 1e-13 put two classes within the tie
+    # window, where the bound prunes neither; the others it prunes
+    lagrangian = Lagrangian(h)
+    for x in (0.0, -1.3):
+        for y in sorted({np.pi, x + np.pi, x + np.pi + 1e-13, x + np.pi - 1e-13}):
+            # a class's descent does not depend on the range searched
+            descents = [_descend_class(x, y, w, lagrangian, 8, perturb)
+                        for w in range(-3, 4)]
+            for winding_max in range(4):
+                got = rate_function(x, y, lagrangian, m=8, winding_max=winding_max,
+                                    perturb=perturb)
+                ref = _fold(descents[3 - winding_max:4 + winding_max])
+                assert _as_tuple(got) == ref, (x, y, winding_max)
+
+
+def _counting_descend(monkeypatch, fail_at=None):
+    """Count the descents of `rate_function`; a descent whose path ends at
+    `fail_at` raises OptimizerStalled instead."""
+    ends = []
+    descend = ldp._descend
+
+    def counted(nodes, lagrangian):
+        ends.append(float(nodes[-1]))
+        if fail_at is not None and nodes[-1] == fail_at:
+            raise OptimizerStalled("a stalled descent")
+        return descend(nodes, lagrangian)
+
+    monkeypatch.setattr(ldp, "_descend", counted)
+    return ends
+
+
+def test_the_perturbed_quartic_preset_descends_one_class(monkeypatch):
+    ends = _counting_descend(monkeypatch)
+    res = rate_function(0.0, 5.0, Lagrangian(h_power(2)), perturb=0.3)
+    assert ends == [5.0 - TWO_PI]
+    assert res.winding == -1 and res.iterations > 0
+    assert res.windings_searched == [-2, -1, 0, 1, 2]
+
+
+def test_a_class_its_bound_rules_out_cannot_stall_the_run(monkeypatch):
+    # contract change: the w = 2 class is judged by its bound alone, so a
+    # descent that would stall there no longer fails the run
+    lagrangian = Lagrangian(h_power(2))
+    expected = _as_tuple(rate_function(0.0, 5.0, lagrangian, perturb=0.3))
+    _counting_descend(monkeypatch, fail_at=5.0 + 2 * TWO_PI)
+    with pytest.raises(OptimizerStalled):
+        _rate_by_every_class(0.0, 5.0, lagrangian, perturb=0.3)
+    assert _as_tuple(rate_function(0.0, 5.0, lagrangian, perturb=0.3)) == expected
+
+
+def test_a_nan_bound_prunes_nothing(monkeypatch):
+    lagrangian = Lagrangian(h_power(1))
+    expected = _as_tuple(rate_function(0.7, 5.0, lagrangian, winding_max=3))
+    legendre_full, calls = ldp._legendre_full, []
+
+    def nan_bounds(h, p):
+        # the first solve of a call is that of the bounds
+        values, xi = legendre_full(h, p)
+        calls.append(p.size)
+        return (np.full_like(values, np.nan) if len(calls) == 1 else values), xi
+
+    monkeypatch.setattr(ldp, "_legendre_full", nan_bounds)
+    ends = _counting_descend(monkeypatch)
+    assert _as_tuple(rate_function(0.7, 5.0, lagrangian, winding_max=3)) == expected
+    assert calls[0] == 7
+    assert sorted(ends) == [5.0 + TWO_PI * w for w in range(-3, 4)]
+
+
+@pytest.mark.parametrize("name, bad", [("m", 2.5), ("m", True), ("m", np.float64(64.0)),
+                                       ("winding_max", 1.5), ("winding_max", True),
+                                       ("winding_max", None)])
+def test_rate_function_refuses_counts_that_are_not_integers(name, bad):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        rate_function(0.0, 1.0, Lagrangian(h_power(1)), **{name: bad})
 
 
 # ---------------------------------------------------------------------------

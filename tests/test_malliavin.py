@@ -432,3 +432,10 @@ def test_exponent_fit_validates_time_window():
         exponent_fit(sym, 0.5, 1, [1e-3, 2e-3])
     with pytest.raises(ValidationError):
         exponent_fit(sym, 0.5, 1, [1e-3, 2e-3, 4e-3])  # spans less than a decade
+
+
+@pytest.mark.parametrize("r", NON_FINITE)
+def test_augmented_operator_refuses_a_non_finite_cascade_exponent(r):
+    # r = nan once gave an IbpResult of nans
+    with pytest.raises(ValidationError, match="^r must be finite, got "):
+        AugmentedOperator(base=_base(cutoff=8), n=1, alpha_frac=0.5, r=r)

@@ -382,3 +382,16 @@ def test_derivative_seminorm_grows_as_t_shrinks():
     c_small = derivative_seminorm(sym, 0.5, 1, 0.01)
     c_large = derivative_seminorm(sym, 0.5, 1, 0.1)
     assert c_small > c_large > 0.0
+
+
+def test_one_dimensional_evaluations_name_a_bad_argument():
+    sym = build_symbol(PurePower(k=1), FrequencyGrid(1, 32))
+    # derivative_seminorm(sym, nan, 1, 0.1) once returned nan
+    with pytest.raises(ValidationError, match="^frac_alpha must be finite, got nan"):
+        derivative_seminorm(sym, math.nan, 1, 0.1)
+    with pytest.raises(ValidationError, match="^l must be an integer, got 1.5"):
+        derivative_seminorm(sym, 0.5, 1.5, 0.1)
+    with pytest.raises(ValidationError, match="^offset z must be one finite number, got "):
+        log_abs_kernel(PurePower(k=1), 0.01, np.array([0.5, 1.0]))
+    with pytest.raises(ValidationError, match="^offsets must be finite, got 'one'"):
+        kernel_values(sym, 0.1, "one")

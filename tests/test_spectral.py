@@ -261,3 +261,15 @@ def test_polynomial_hamiltonian_is_the_symbol_at_real_frequencies(spec):
     xi = np.linspace(-3.0, 3.0, 41)
     np.testing.assert_allclose(spec.hamiltonian()(xi), spec.value(xi).real,
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: PurePower(k=1.5), "k"), (lambda: PurePower(k=True), "k"),
+    (lambda: PurePower(k=math.nan), "k"), (lambda: PurePower(k=1, d=1.0), "d"),
+    (lambda: QuadraticForm(k=1.5, a_matrix=np.eye(1)), "k"),
+], ids=["k=1.5", "k=True", "k=nan", "d=1.0", "form k=1.5"])
+def test_homogeneous_symbols_refuse_an_order_that_is_not_an_integer(make, name):
+    # PurePower(k=1.5) and PurePower(k=True) were accepted, and the first
+    # raised TypeError later from math.factorial(3.0)
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        make()

@@ -441,3 +441,22 @@ def test_varadhan_curve_refuses_a_two_dimensional_symbol():
     with pytest.raises(ValidationError):
         varadhan_curve(PurePower(k=1, d=2), 1, 0.0, 1.0, geometric(0.005, 0.5, 3),
                        l_value=0.25, cutoff=8)
+
+
+@pytest.mark.parametrize("delta, s, name", [(math.nan, 1.0, "delta"), (0.5, math.inf, "s"),
+                                            (np.array([0.5, 0.6]), 1.0, "delta")])
+def test_chernoff_extremize_names_an_argument_that_is_not_one_finite_number(delta, s, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be one finite number, got "):
+        chernoff_extremize(PurePower(k=1).hamiltonian(), delta, s)
+
+
+def test_cli_exit_on_a_flat_window_exits_two_naming_it(tmp_path, capsys):
+    # at eps_start = 1e10 the scaled kernel is flat, every log mass is the
+    # arc's share of the circle, and the run once exited 1 with fit_C = 9.3e-8
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("[operator]\nvariant = pure_power\nk = 1\n\n"
+                   "[experiment]\nkind = exit\neps_start = 1e10\n")
+    out = tmp_path / "o"
+    assert main(["exit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "FitUnstable: exit mass is flat over the window eps in [" in capsys.readouterr().err
+    assert not out.exists()
