@@ -36,7 +36,6 @@ from .grids import TWO_PI, FrequencyGrid, spatial_grid, wrap_angle
 from .ldp import (
     Hamiltonian,
     Lagrangian,
-    PathPL,
     RateResult,
     action,
     biconjugate,

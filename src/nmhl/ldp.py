@@ -1,9 +1,10 @@
 """Hamiltonians in real phase, Legendre transforms, action functionals, and
-the control function l(x, y) by path optimization on the circle.
+the control function l(x, y) on the circle.
 
 For the x-independent Lagrangians all presets use, the constant-speed
-straight line is the exact minimizer (Jensen); the optimizer exists to verify
-that from perturbed starts.
+straight line is the exact minimizer in each winding class (Jensen), so
+l(x, y) is the action of the cheapest class's line; a bent competitor path
+checks Jensen's inequality on the way.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OptimizerStalled, SupUnbounded, ValidationError
-from .grids import TWO_PI, _require_int, line_fit
-from .semigroup import _require_finite
+from .grids import TWO_PI, _require_finite, _require_int, line_fit
 from .spectral import Hamiltonian, OperatorSpec, Rescaled
 
 # |xi| past which a bracket that still misses |p| means a subquadratic H,
@@ -24,12 +24,6 @@ _BRACKET_CAP = 1e9
 _NEWTON_STEPS = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-#: the path descent stops once its first-order residual meets DESCENT_TARGET
-#: or after DESCENT_MAX_ITER steps, and raises OptimizerStalled if the
-#: residual is then above DESCENT_STALL_TOL
-DESCENT_TARGET = 1e-8
-DESCENT_STALL_TOL = 1e-6
-DESCENT_MAX_ITER = 20000
 # |p| from which `growth_fit` fits the sandwich exponent
 _GROWTH_P_MIN = 1.0
 
@@ -241,233 +235,111 @@ def growth_fit(lagrangian: Lagrangian) -> GrowthFit:
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear paths and the action
+# straight lines, the action and the rate function
+
+#: the largest central-difference residual of the winning line that passes
+RESIDUAL_TOL = 1e-8
+#: the Jensen check lets the bent competitor undercut the line by
+#: JENSEN_SLACK max(1, l, |xi| (|x| + |y + 2 pi w| + |perturb|)), xi = L' on
+#: the line: each action's sum of m L values loses a few ulps of l, and the
+#: node differences move a path's mean velocity by a few ulps of the node size
+JENSEN_SLACK = 1e-9
 
 
-@dataclass
-class PathPL:
-    """Piecewise-linear path on [0, 1]; nodes are lifted reals with
-    nodes[-1] = y + 2 pi w encoding the winding class."""
-
-    x: float
-    y: float
-    winding: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValidationError("a path needs at least 3 nodes")
-        if abs(nodes[0] - self.x) > 1e-12:
-            raise ValidationError("path must start at x")
-        if abs(nodes[-1] - (self.y + TWO_PI * self.winding)) > 1e-9:
-            raise ValidationError("path must end at y + 2 pi w")
-        self.nodes = nodes
-
-    @property
-    def segments(self) -> int:
-        return self.nodes.size - 1
+def straight_path(x: float, y: float, winding: int, m: int = 64) -> np.ndarray:
+    """The m + 1 nodes of the constant-speed line on [0, 1] from x to the
+    lift y + 2 pi w of winding class w = `winding`."""
+    return np.linspace(x, y + TWO_PI * winding, m + 1)
 
 
-def straight_path(x: float, y: float, winding: int, m: int = 64) -> PathPL:
-    lift = y + TWO_PI * winding
-    return PathPL(x=x, y=y, winding=winding, nodes=np.linspace(x, lift, m + 1))
-
-
-def action(path: PathPL, lagrangian) -> float:
-    """Midpoint-rule action; exact for x-independent L on PL paths since the
-    velocity is constant per segment."""
-    m = path.segments
-    return float(np.sum(np.asarray(lagrangian(np.diff(path.nodes) * m))) / m)
+def action(nodes: np.ndarray, lagrangian) -> float:
+    """Action of the piecewise-linear path on [0, 1] through `nodes`, by the
+    midpoint rule: exact for x-independent L, since the velocity is constant
+    per segment."""
+    m = nodes.size - 1
+    return float(np.sum(np.asarray(lagrangian(np.diff(nodes) * m))) / m)
 
 
 @dataclass
 class RateResult:
     l_value: float
-    path: PathPL
     winding: int
-    windings_searched: list
-    iterations: int
     residual: float
+    jensen_gap: float
+    passed: bool
+    # always 0: no descent runs; read only by the benchmark tracer's
+    # `ldp.descent_iterations`
+    iterations: int = 0
 
 
-def _path_terms(nodes: np.ndarray, lagrangian: Lagrangian):
-    """The action S of a path, L' and L'' at its segment velocities v, and
-    its first-order residual, from one Legendre solve over
-    [v, v[:-1] + dv, v[:-1] - dv, v[1:] + dv, v[1:] - dv].
-
-    The residual is the largest central difference of S in an interior node:
-    moving node j by +d changes v_{j-1} by +d m and v_j by -d m, so it needs
-    L only at the four shifted velocity sets.  The descent stops on it and
-    reports it, as a check independent of the exact L' its Newton steps use.
-    """
+def _line_residual(nodes: np.ndarray, h: Hamiltonian) -> float:
+    """The largest central difference of the action in an interior node of
+    the path through `nodes`: moving node j by +d changes v_{j-1} by +d m
+    and v_j by -d m, so it needs L only at four shifted velocity sets, which
+    one Legendre solve gives."""
     m = nodes.size - 1
     v = np.diff(nodes) * m
     dv = 1e-6 * (1.0 + np.abs(nodes[1:-1])) * m
-    h = lagrangian.hamiltonian
-    values, xi = _legendre_full(
-        h, np.concatenate([v, v[:-1] + dv, v[:-1] - dv, v[1:] + dv, v[1:] - dv]))
-    left_up, left_dn, right_up, right_dn = values[m:].reshape(4, m - 1)
-    fd_grad = (left_up - left_dn + right_dn - right_up) / (2.0 * dv)
-    return (float(np.sum(values[:m]) / m), xi[:m], _curvature(h, xi[:m]),
-            float(np.max(np.abs(fd_grad))))
-
-
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system with diagonal `diag` and
-    off-diagonal `off` by elimination; the system is positive definite, so
-    no pivoting is needed."""
-    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
-    n = len(diag)
-    ratio = [0.0] * n
-    x = [0.0] * n
-    pivot = diag[0]
-    x[0] = rhs[0] / pivot
-    for i in range(1, n):
-        ratio[i - 1] = off[i - 1] / pivot
-        pivot = diag[i] - off[i - 1] * ratio[i - 1]
-        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        x[i] -= ratio[i] * x[i + 1]
-    return np.array(x)
-
-
-def _search_directions(d1: np.ndarray, d2: np.ndarray):
-    """Exact gradient of the action in the interior nodes and the descent
-    directions to try, Newton's first when the Hessian is positive definite.
-
-    With v_j = m (x_{j+1} - x_j), dS/dx_j = L'(v_{j-1}) - L'(v_j) and the
-    Hessian is tridiagonal, m (L''(v_{j-1}) + L''(v_j)) on the diagonal and
-    -m L''(v_j) off it.  It equals m B^T diag(L''(v)) B for the full-rank
-    difference matrix B, so L'' > 0 on every segment makes it positive
-    definite.  `d1` and `d2` are L' and L'' at the m segment velocities.
-    """
-    m = d1.size
-    grad = d1[:-1] - d1[1:]
-    if not np.all(np.isfinite(grad)):
-        raise OptimizerStalled("the action gradient is not finite")
-    steepest = (-grad, 0.1 / (1.0 + float(np.max(np.abs(grad)))))
-    if not np.all(d2 > 0):   # no Newton step without positive curvature
-        return grad, [steepest]
-    newton = -_solve_tridiagonal(m * (d2[:-1] + d2[1:]), -m * d2[1:-1], grad)
-    if not np.all(np.isfinite(newton)):
-        raise OptimizerStalled("the Newton step is not finite")
-    return grad, [(newton, 1.0), steepest]
-
-
-def _line_search(phi: np.ndarray, s_val: float, lagrangian: Lagrangian,
-                 grad: np.ndarray, direction: np.ndarray, alpha: float):
-    """Armijo backtracking; an increase within a few ulps of S counts as
-    no increase, since near the minimum the decrease is below rounding.
-    Returns the accepted path with its `_path_terms`, or None."""
-    slope = float(grad @ direction)
-    slack = 4.0 * np.finfo(float).eps * abs(s_val)
-    for _ in range(60):
-        trial = phi.copy()
-        trial[1:-1] = phi[1:-1] + alpha * direction
-        terms = _path_terms(trial, lagrangian)
-        if not math.isfinite(terms[0]):
-            raise OptimizerStalled(f"the action is not finite ({terms[0]})")
-        if terms[0] <= s_val + 1e-4 * alpha * slope + slack:
-            return trial, terms
-        alpha *= 0.5
-    return None
-
-
-def _descend(nodes: np.ndarray, lagrangian: Lagrangian):
-    """Safeguarded Newton descent on the interior nodes.
-
-    Stops once the central-difference residual meets the target; a start
-    that already meets it (the straight line) returns at iteration 0.  A
-    step that no direction can make, or one that leaves the path unchanged,
-    ends the descent early: later iterations would repeat it.
-    """
-    phi = nodes.copy()
-    s_val, d1, d2, res = _path_terms(phi, lagrangian)
-    it = 0
-    while it < DESCENT_MAX_ITER and not res <= DESCENT_TARGET:
-        if not math.isfinite(s_val):
-            raise OptimizerStalled(f"the action is not finite ({s_val})")
-        grad, directions = _search_directions(d1, d2)
-        step = None
-        for direction, alpha in directions:
-            step = _line_search(phi, s_val, lagrangian, grad, direction, alpha)
-            if step is not None:
-                break
-        if step is None or np.array_equal(step[0], phi):
-            break
-        phi, (s_val, d1, d2, res) = step
-        it += 1
-    if res > DESCENT_STALL_TOL or not math.isfinite(res):
-        raise OptimizerStalled(
-            f"first-order residual {res:.3e} above {DESCENT_STALL_TOL:.1e} "
-            f"after {it} iterations"
-        )
-    return phi, s_val, it, res
+    values = _legendre_full(
+        h, np.concatenate([v[:-1] + dv, v[:-1] - dv, v[1:] + dv, v[1:] - dv]))[0]
+    left_up, left_dn, right_up, right_dn = values.reshape(4, m - 1)
+    return float(np.max(np.abs((left_up - left_dn + right_dn - right_up) / (2.0 * dv))))
 
 
 def rate_function(x: float, y: float, lagrangian: Lagrangian, m: int = 64,
                   winding_max: int = 2, perturb: float = 0.0) -> RateResult:
-    """l(x, y) = inf over paths of the action, searched per winding class
-    w in [-winding_max, winding_max].
+    """l(x, y) = inf over paths of the action: the action of the m-segment
+    straight line of the cheapest winding class w in [-winding_max,
+    winding_max].
 
-    L does not depend on position, so by Jensen no path of class w costs
-    less than its bound b_w = L(y + 2 pi w - x), which one Legendre solve
-    gives for every class.  The classes are descended in increasing-bound
-    order (a stable sort; a nan bound sorts last), and a class is skipped,
-    as one whose action can neither win nor tie, once
-    b_w - slack_w > (smallest action descended so far) + 1e-12.  The slack
-    is 1e-9 max(1, |b_w|, |xi_w| (|x| + |y + 2 pi w|)) with
-    xi_w = L'(y + 2 pi w - x): rounding can take the descended action below
-    b_w by the m ulps its sum of L values loses, plus xi_w times the shift
-    of its mean velocity, which the m node differences move by about m ulps
-    of the node size.  A nan bound never prunes.
+    L does not depend on position, so by Jensen the straight line to the
+    lift y + 2 pi w costs least in class w.  One Legendre solve gives the
+    line's action in every class; a non-finite one raises OptimizerStalled.
+    The smallest action wins; among the classes within 1e-12 of it, the
+    smallest (|w|, w).
 
-    The winner has the smallest action; among the classes within 1e-12 of
-    it, the smallest (|w|, w).  A class skipped by its bound takes no
-    descent, so a descent that would stall there does not fail the run.
-    `windings_searched` lists every class of the range: each is judged by
-    its bound or by its descent.
-
-    `perturb` bends the straight initial path by a deterministic sinusoid so
-    tests can exercise the descent; the production default starts straight.
+    Two checks make `passed`: the winning line's largest central difference
+    of the action in an interior node (`residual`) is at most RESIDUAL_TOL,
+    and a competitor in its class, the line bent by
+    perturb sin(pi t) cos(2 pi t), costs no less than l up to JENSEN_SLACK
+    (`jensen_gap` = S(bent) - l).  A convex L passes both; with perturb = 0
+    the competitor is the line itself.
     """
     for name, value in (("x", x), ("y", y), ("perturb", perturb)):
         _require_finite(name, value)
+        if np.ndim(value):
+            raise ValidationError(f"{name} must be one number, got {value!r}")
     for name, value in (("m", m), ("winding_max", winding_max)):
         _require_int(name, value)
     if m < 2:
         raise ValidationError(f"need at least 2 segments, got {m}")
     if winding_max < 0:
         raise ValidationError("winding_max must be >= 0")
-    searched = list(range(-winding_max, winding_max + 1))
-    lifts = y + TWO_PI * np.array(searched, dtype=float)
-    bounds, xi = _legendre_full(lagrangian.hamiltonian, lifts - x)
-    slack = 1e-9 * np.maximum(np.maximum(1.0, np.abs(bounds)),
-                              np.abs(xi) * (abs(x) + np.abs(lifts)))
-    descended = []
-    least = math.inf
-    for i in np.argsort(bounds, kind="stable").tolist():
-        if bounds[i] - slack[i] > least + 1e-12:
-            continue
-        w = searched[i]
-        base = straight_path(x, y, w, m=m).nodes
-        if perturb:
-            tgrid = np.linspace(0.0, 1.0, m + 1)
-            base = base + perturb * np.sin(np.pi * tgrid) * np.cos(
-                2.0 * np.pi * tgrid
-            )
-            base[0], base[-1] = x, y + TWO_PI * w
-        nodes, s_val, iters, res = _descend(base, lagrangian)
-        descended.append((s_val, w, nodes, iters, res))
-        least = min(least, s_val)
-    # the smallest action wins; within 1e-12 of it, the smallest (|w|, w)
-    s_val, w, nodes, iters, res = min(
-        descended, key=lambda c: (not c[0] - least <= 1e-12, abs(c[1]), c[1]))
-    path = PathPL(x=x, y=y, winding=w, nodes=nodes)
+    classes = range(-winding_max, winding_max + 1)
+    lines = np.array([straight_path(x, y, w, m) for w in classes])
+    values, xi = _legendre_full(lagrangian.hamiltonian, np.diff(lines) * m)
+    actions = np.sum(values, axis=1) / m
+    if not np.all(np.isfinite(actions)):
+        bad = int(np.flatnonzero(~np.isfinite(actions))[0])
+        raise OptimizerStalled(
+            f"the action of the class w = {classes[bad]} line is not finite "
+            f"({actions[bad]})")
+    least = float(np.min(actions))
+    i = min(range(len(classes)), key=lambda i: (
+        not actions[i] - least <= 1e-12, abs(classes[i]), classes[i]))
+    line = lines[i]
+    l_value = float(max(actions[i], 0.0))
+    residual = _line_residual(line, lagrangian.hamiltonian)
+
+    t = np.linspace(0.0, 1.0, m + 1)
+    bent = line + perturb * np.sin(np.pi * t) * np.cos(2.0 * np.pi * t)
+    bent[0], bent[-1] = line[0], line[-1]
+    gap = action(bent, lagrangian) - l_value
+    slack = JENSEN_SLACK * max(1.0, l_value, float(np.max(np.abs(xi[i])))
+                               * (abs(x) + abs(line[-1]) + abs(perturb)))
     return RateResult(
-        l_value=float(max(s_val, 0.0)), path=path, winding=w,
-        windings_searched=searched, iterations=iters, residual=res,
+        l_value=l_value, winding=classes[i], residual=residual, jensen_gap=gap,
+        passed=bool(residual <= RESIDUAL_TOL and gap >= -slack),
     )
 
 

@@ -25,8 +25,8 @@ from .errors import (
     MomentDiverged,
     ValidationError,
 )
-from .grids import TWO_PI, line_fit
-from .semigroup import _ifft_field, _require_finite, _require_time, derivative_seminorm
+from .grids import TWO_PI, _require_finite, _require_int, line_fit
+from .semigroup import _ifft_field, _require_time, derivative_seminorm
 from .spectral import Symbol, _principal_power
 
 # points of the auxiliary kernel table, and of each per-mode trapezoid rule
@@ -56,6 +56,8 @@ class AugmentedOperator:
     aux_order: int = 2
 
     def __post_init__(self):
+        _require_int("n", self.n)
+        _require_int("aux_order", self.aux_order)
         if self.n < 0:
             raise ValidationError(f"n must be >= 0, got {self.n}")
         if not (0.0 < self.alpha_frac < 1.0):
@@ -267,6 +269,7 @@ def _ibp_check(op: AugmentedOperator, f: np.ndarray, t: float, x: float,
     """`ibp_check` taking its moments from `memo`, which a run of checks
     shares."""
     _require_time(t)
+    _require_finite("x", x, scalar=True)
     eps = float(np.finfo(float).eps)
     starts = np.zeros(op.n) if starts is None else np.asarray(starts, dtype=float)
     if starts.size != op.n:

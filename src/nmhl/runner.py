@@ -57,7 +57,6 @@ from .varadhan import exit_bound_check, tilted_bound_check, varadhan_curve
 #: pass thresholds, fixed once here so every front-end agrees
 MASS_TOL = 1e-8
 IBP_TOL = 1e-8
-RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -462,11 +461,11 @@ def _run_rate(config: RunConfig, ctx: dict) -> tuple:
         perturb=params["perturb"],
     )
     _emit(ctx, "rate.csv", columns)
-    return result.residual <= RESIDUAL_TOL, {
+    return result.passed, {
         "l_value": result.l_value,
         "winding": result.winding,
         "residual": result.residual,
-        "iterations": result.iterations,
+        "jensen_gap": result.jensen_gap,
     }
 
 
@@ -534,11 +533,10 @@ def _run_report(config: RunConfig, ctx: dict) -> tuple:
         _run_row(config, ctx, "ibp", 1, "max_rel_error", kind="ibp"),
     ]
 
-    _, columns = _rate_columns(PurePower(k=1), rate_endpoints())
-    residuals = columns["residual"]
+    results, columns = _rate_columns(PurePower(k=1), rate_endpoints())
     _emit(ctx, "report_rate.csv", columns)
-    entries.append(("rate", "max_residual", max(residuals),
-                    all(r <= RESIDUAL_TOL for r in residuals)))
+    entries.append(("rate", "max_residual", max(columns["residual"]),
+                    all(r.passed for r in results)))
 
     for k in (1,) if config.experiment.params["fast"] else (1, 2):
         entries.append(_run_row(config, ctx, f"varadhan_k{k}", k, "extrapolated",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ComplexResidue, CutoffTooSmall, QuadratureNonConverged,
                      ValidationError)
-from .grids import TWO_PI, FrequencyGrid, _require_int, spatial_grid
+from .grids import TWO_PI, FrequencyGrid, _require_finite, _require_int, spatial_grid
 from .spectral import (OperatorSpec, Symbol, _negation_permutation, auto_cutoff,
                        lattice_symbol)
 
@@ -56,28 +56,6 @@ def _require_time(t: float, zero_ok: bool = False):
     if not (math.isfinite(t) and (t > 0 or (zero_ok and t == 0))):
         bound = ">= 0" if zero_ok else "> 0"
         raise ValidationError(f"t must be {bound} and finite, got {t}")
-
-
-def _require_finite(name: str, value, positive: bool = False, scalar: bool = False):
-    """Refuse a number, or an array of them, with an entry that is not finite
-    (or not > 0 with `positive`), naming it `name`; with `scalar`, refuse
-    anything but one number too."""
-    if type(value) is float:
-        # a Python float, the usual argument, skips the array test: 0.1 us
-        # against 4 us, and the report makes about 100 of these calls
-        ok = math.isfinite(value) and (not positive or value > 0)
-    else:
-        try:
-            v = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            v = np.array(math.nan)
-        ok = bool(np.isfinite(v).all() and (not positive or (v > 0).all())
-                  and (not scalar or v.ndim == 0))
-    if not ok:
-        bound = "> 0 and finite" if positive else "finite"
-        if scalar:
-            bound = f"one {bound} number"
-        raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
 def _require_dissipative(symbol: Symbol):

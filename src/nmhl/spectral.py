@@ -26,7 +26,7 @@ from .errors import (
     TiltOutOfDomain,
     ValidationError,
 )
-from .grids import FrequencyGrid, _require_int, max_cutoff
+from .grids import FrequencyGrid, _require_finite, _require_int, max_cutoff
 
 # quadrature error above this multiple of the requested tolerance is a failure
 _QUAD_SLACK = 10.0
@@ -406,8 +406,8 @@ class Rescaled(_Wrapper):
     freq_scale: float = 1.0
 
     def __post_init__(self):
-        if self.prefactor <= 0 or self.freq_scale <= 0:
-            raise ValidationError("prefactor and freq_scale must be > 0")
+        _require_finite("prefactor", self.prefactor, positive=True)
+        _require_finite("freq_scale", self.freq_scale, positive=True)
 
     def _at(self, zz):
         return self.prefactor * self.base._at(zz * self.freq_scale)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmall, FitUnstable, ValidationError
-from .grids import TWO_PI, FrequencyGrid, line_fit, wrap_angle
+from .grids import TWO_PI, FrequencyGrid, _require_finite, line_fit, wrap_angle
 from .ldp import _legendre_full, maslov_scaled_spec, straight_rate
-from .semigroup import (_require_finite, heat_kernel, kernel_values, log_abs_kernel,
-                        tilted_semigroup)
+from .semigroup import heat_kernel, kernel_values, log_abs_kernel, tilted_semigroup
 from .spectral import OperatorSpec, auto_cutoff, build_symbol, lattice_symbol
 
 #: slack(t) = C_SLACK t^{1/(2k-1)} log(1/t) in `_judge`; C_SLACK was

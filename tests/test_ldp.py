@@ -1,4 +1,4 @@
-"""Legendre transforms, Lagrangian tables, action minimization on the circle,
+"""Legendre transforms, Lagrangian tables, the rate function on the circle,
 and the small-parameter scaling identities."""
 
 import math
@@ -15,7 +15,6 @@ from nmhl import (
     Hamiltonian,
     Lagrangian,
     Levy,
-    PathPL,
     Perturbed,
     PurePower,
     QuadraticForm,
@@ -26,13 +25,16 @@ from nmhl import (
     lagrangian_table,
     legendre,
     maslov_scaled_spec,
+    parse_config,
     rate_function,
+    run,
     straight_path,
 )
 from nmhl import ldp
 from nmhl.errors import OptimizerStalled, SupUnbounded, ValidationError
 from nmhl.grids import TWO_PI
-from nmhl.ldp import _legendre_full, _solve_tridiagonal
+from nmhl.cli import main
+from nmhl.ldp import RESIDUAL_TOL, _legendre_full
 from nmhl.presets import flat_density
 from nmhl.spectral import Rescaled, levy_hamiltonian, levy_symbol
 
@@ -223,19 +225,6 @@ def test_off_table_derivatives_are_the_exact_maximizer_and_curvature():
     np.testing.assert_allclose(d2, 1.0 / (12.0 * xi ** 2), rtol=1e-14)
 
 
-def test_tridiagonal_solve_matches_a_dense_solve():
-    rng = np.random.default_rng(5)
-    curv = rng.uniform(0.1, 3.0, 40)
-    diag, off = curv[:-1] + curv[1:], -curv[1:-1]
-    rhs = rng.normal(size=39)
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    x = _solve_tridiagonal(diag, off, rhs)
-    scale = float(np.max(np.abs(x)))
-    np.testing.assert_allclose(dense @ x, rhs, rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0,
-                               atol=1e-12 * scale)
-
-
 def test_biconjugate_recovers_convex_hamiltonian():
     table = lagrangian_table(h_power(2), p_max=12.0)
     for xi in (0.5, 1.0, 1.5):
@@ -293,17 +282,8 @@ def test_straight_path_action_equals_conjugate_of_mean_velocity():
     )
 
 
-def test_path_endpoint_constraints_are_enforced():
-    with pytest.raises(ValidationError):
-        PathPL(x=0.0, y=1.0, winding=0, nodes=np.array([0.1, 0.5, 1.0]))
-    with pytest.raises(ValidationError):
-        PathPL(x=0.0, y=1.0, winding=1, nodes=np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValidationError):
-        PathPL(x=0.0, y=1.0, winding=0, nodes=np.array([0.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
-# rate function by descent
+# rate function: the straight line of the cheapest winding class
 
 
 def test_rate_matches_straight_line_oracle_short_hop():
@@ -333,7 +313,6 @@ def test_rate_prefers_winding_for_long_displacement():
     assert res.winding == -1
     assert res.l_value == pytest.approx((TWO_PI - 5.0) ** 2 / 4.0, abs=1e-6)
     assert res.l_value == pytest.approx(0.4116411331403923, abs=1e-6)
-    assert sorted(res.windings_searched) == [-2, -1, 0, 1, 2]
 
 
 def test_rate_tie_break_picks_smallest_winding():
@@ -344,36 +323,12 @@ def test_rate_tie_break_picks_smallest_winding():
     assert res.l_value == pytest.approx(np.pi**2 / 4.0, abs=1e-6)
 
 
-def test_descent_recovers_straight_line_from_bent_start():
-    table = lagrangian_table(h_power(2), p_max=16.0)
-    bent = rate_function(0.0, 1.0, table, perturb=0.5, winding_max=0)
-    straight = rate_function(0.0, 1.0, table, winding_max=0)
-    assert bent.l_value == pytest.approx(straight.l_value, abs=1e-6)
-    assert bent.iterations > 0
-    # the minimizer itself straightens out, not just its value
-    line = straight_path(0.0, 1.0, 0).nodes
-    assert np.max(np.abs(bent.path.nodes - line)) < 1e-3
-
-
 def test_rate_function_validates_inputs():
     table = lagrangian_table(h_power(1), p_max=4.0)
     with pytest.raises(ValidationError):
         rate_function(0.0, 1.0, table, m=1)
     with pytest.raises(ValidationError):
         rate_function(0.0, 1.0, table, winding_max=-1)
-
-
-def test_newton_descent_converges_in_a_few_steps():
-    # the perturbed quartic run of the benchmark: five winding classes, a
-    # table out to p = 2 (5 + 4 pi)
-    table = lagrangian_table(h_power(2), p_max=2.0 * (5.0 + 2.0 * TWO_PI))
-    bent = rate_function(0.0, 5.0, table, perturb=0.3)
-    straight = rate_function(0.0, 5.0, table)
-    assert straight.iterations == 0
-    assert 0 < bent.iterations <= 25
-    assert bent.winding == straight.winding == -1
-    assert abs(bent.l_value - straight.l_value) <= 1e-10
-    assert bent.residual <= 1e-8
 
 
 def test_non_finite_action_stalls_at_once():
@@ -410,117 +365,98 @@ def test_rate_agrees_with_wound_quadratic_oracle(y):
     assert res.l_value == pytest.approx(oracles.quadratic_rate(0.0, y), abs=1e-6)
 
 
-# ---------------------------------------------------------------------------
-# winding classes pruned by their Jensen bound
-
-
-def _descend_class(x, y, w, lagrangian, m, perturb):
-    base = straight_path(x, y, w, m=m).nodes
-    if perturb:
-        tgrid = np.linspace(0.0, 1.0, m + 1)
-        base = base + perturb * np.sin(np.pi * tgrid) * np.cos(2.0 * np.pi * tgrid)
-        base[0], base[-1] = x, y + TWO_PI * w
-    return (w,) + ldp._descend(base, lagrangian)
-
-
-def _fold(descents):
-    """The classes' descents folded in w order with the 1e-12 tie-break."""
-    best = None
-    for w, nodes, s_val, iters, res in descents:
-        if (best is None or s_val < best[0] - 1e-12
-                or (abs(s_val - best[0]) <= 1e-12 and (abs(w), w) < (abs(best[1]), best[1]))):
-            best = (s_val, w, nodes, iters, res)
-    s_val, w, nodes, iters, res = best
-    return (float(max(s_val, 0.0)), w, [d[0] for d in descents], iters, res,
-            nodes.tobytes())
-
-
-def _rate_by_every_class(x, y, lagrangian, m=64, winding_max=2, perturb=0.0):
-    """The search without pruning: every class descended through
-    `ldp._descend`."""
-    return _fold([_descend_class(x, y, w, lagrangian, m, perturb)
-                  for w in range(-winding_max, winding_max + 1)])
-
-
-def _as_tuple(res):
-    return (res.l_value, res.winding, res.windings_searched, res.iterations,
-            res.residual, res.path.nodes.tobytes())
+@pytest.mark.parametrize("name", ["x", "y", "perturb"])
+def test_rate_function_refuses_an_array_argument(name):
+    # an array x once ended in numpy's untyped broadcast ValueError
+    args = {"x": 0.0, "y": 1.0, "perturb": 0.0, name: np.array([0.0, 1.0])}
+    with pytest.raises(ValidationError, match=f"^{name} must be one number, got "):
+        rate_function(args["x"], args["y"], Lagrangian(h_power(1)),
+                      perturb=args["perturb"])
 
 
 def _levy_h():
     return Levy(l=1, alpha_levy=-0.5, density=flat_density()).hamiltonian()
 
 
-@pytest.mark.parametrize("perturb", [0.0, 0.3])
-@pytest.mark.parametrize("h", [h_power(1), h_power(2), h_power(3), _levy_h()],
-                         ids=["k1", "k2", "k3", "levy"])
-def test_pruned_search_returns_what_descending_every_class_returns(h, perturb):
+def _fold(actions):
+    """The (w, action) pairs folded in w order: the least action wins, and
+    within 1e-12 of it the smallest (|w|, w)."""
+    best = None
+    for w, s_val in actions:
+        if (best is None or s_val < best[1] - 1e-12
+                or (abs(s_val - best[1]) <= 1e-12 and (abs(w), w) < (abs(best[0]), best[0]))):
+            best = (w, s_val)
+    return best[0], max(best[1], 0.0)
+
+
+# the levy H takes a quadrature rule that grows with the largest momentum of
+# a solve, so a class's action solved alone moves by a few ulps
+@pytest.mark.parametrize("h, ulps", [(h_power(1), 0), (h_power(2), 0), (h_power(3), 0),
+                                     (_levy_h(), 16)], ids=["k1", "k2", "k3", "levy"])
+def test_rate_is_the_fold_of_the_per_class_straight_actions(h, ulps):
     # displacements of pi and pi +- 1e-13 put two classes within the tie
-    # window, where the bound prunes neither; the others it prunes
+    # window; the bent competitor changes no part of the answer
     lagrangian = Lagrangian(h)
     for x in (0.0, -1.3):
         for y in sorted({np.pi, x + np.pi, x + np.pi + 1e-13, x + np.pi - 1e-13}):
-            # a class's descent does not depend on the range searched
-            descents = [_descend_class(x, y, w, lagrangian, 8, perturb)
-                        for w in range(-3, 4)]
+            actions = [(w, action(straight_path(x, y, w, 8), lagrangian))
+                       for w in range(-3, 4)]
             for winding_max in range(4):
-                got = rate_function(x, y, lagrangian, m=8, winding_max=winding_max,
-                                    perturb=perturb)
-                ref = _fold(descents[3 - winding_max:4 + winding_max])
-                assert _as_tuple(got) == ref, (x, y, winding_max)
+                w, l_value = _fold(actions[3 - winding_max:4 + winding_max])
+                got = rate_function(x, y, lagrangian, m=8, winding_max=winding_max)
+                bent = rate_function(x, y, lagrangian, m=8, winding_max=winding_max,
+                                     perturb=0.3)
+                assert got.winding == w, (x, y, winding_max)
+                assert abs(got.l_value - l_value) <= ulps * EPS * l_value
+                assert ((bent.l_value, bent.winding, bent.residual)
+                        == (got.l_value, got.winding, got.residual))
+                assert got.passed and bent.passed and bent.jensen_gap > 0
+                assert got.iterations == bent.iterations == 0
 
 
-def _counting_descend(monkeypatch, fail_at=None):
-    """Count the descents of `rate_function`; a descent whose path ends at
-    `fail_at` raises OptimizerStalled instead."""
-    ends = []
-    descend = ldp._descend
-
-    def counted(nodes, lagrangian):
-        ends.append(float(nodes[-1]))
-        if fail_at is not None and nodes[-1] == fail_at:
-            raise OptimizerStalled("a stalled descent")
-        return descend(nodes, lagrangian)
-
-    monkeypatch.setattr(ldp, "_descend", counted)
-    return ends
-
-
-def test_the_perturbed_quartic_preset_descends_one_class(monkeypatch):
-    ends = _counting_descend(monkeypatch)
+def test_the_bent_quartic_preset_costs_more_than_its_line():
+    # the paths/rate_k2_perturbed preset: Jensen's inequality with room to spare
     res = rate_function(0.0, 5.0, Lagrangian(h_power(2)), perturb=0.3)
-    assert ends == [5.0 - TWO_PI]
-    assert res.winding == -1 and res.iterations > 0
-    assert res.windings_searched == [-2, -1, 0, 1, 2]
+    assert res.winding == -1 and res.passed
+    assert res.residual <= RESIDUAL_TOL
+    assert res.jensen_gap == pytest.approx(0.1347, abs=1e-4)
 
 
-def test_a_class_its_bound_rules_out_cannot_stall_the_run(monkeypatch):
-    # contract change: the w = 2 class is judged by its bound alone, so a
-    # descent that would stall there no longer fails the run
-    lagrangian = Lagrangian(h_power(2))
-    expected = _as_tuple(rate_function(0.0, 5.0, lagrangian, perturb=0.3))
-    _counting_descend(monkeypatch, fail_at=5.0 + 2 * TWO_PI)
-    with pytest.raises(OptimizerStalled):
-        _rate_by_every_class(0.0, 5.0, lagrangian, perturb=0.3)
-    assert _as_tuple(rate_function(0.0, 5.0, lagrangian, perturb=0.3)) == expected
+def _rate_rows(tmp_path, operator, perturb):
+    """The rows below the # lines of the rate.csv of a y = 5 run."""
+    text = f"[operator]\n{operator}\n[experiment]\nkind = rate\ny = 5.0\nperturb = {perturb}\n"
+    out = tmp_path / f"perturb_{perturb}"
+    run(parse_config(text), out_dir=str(out))
+    lines = (out / "rate.csv").read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if not line.startswith("#")]
 
 
-def test_a_nan_bound_prunes_nothing(monkeypatch):
-    lagrangian = Lagrangian(h_power(1))
-    expected = _as_tuple(rate_function(0.7, 5.0, lagrangian, winding_max=3))
-    legendre_full, calls = ldp._legendre_full, []
+@pytest.mark.parametrize("operator", [
+    "variant = pure_power\nk = 1", "variant = pure_power\nk = 2",
+    "variant = pure_power\nk = 3", "variant = levy\nl = 1\nalpha_levy = -0.5"])
+def test_the_rate_table_does_not_depend_on_perturb(tmp_path, operator):
+    assert _rate_rows(tmp_path, operator, 0.3) == _rate_rows(tmp_path, operator, 0.0)
 
-    def nan_bounds(h, p):
-        # the first solve of a call is that of the bounds
+
+def test_a_non_convex_lagrangian_fails_the_run_by_the_jensen_check(
+        tmp_path, monkeypatch, capsys):
+    # L^(1/4) of the quadratic is concave on each side of 0: the bent
+    # competitor undercuts the line, though the line is still stationary
+    legendre_full = ldp._legendre_full
+
+    def concave(h, p):
         values, xi = legendre_full(h, p)
-        calls.append(p.size)
-        return (np.full_like(values, np.nan) if len(calls) == 1 else values), xi
+        return values ** 0.25, xi
 
-    monkeypatch.setattr(ldp, "_legendre_full", nan_bounds)
-    ends = _counting_descend(monkeypatch)
-    assert _as_tuple(rate_function(0.7, 5.0, lagrangian, winding_max=3)) == expected
-    assert calls[0] == 7
-    assert sorted(ends) == [5.0 + TWO_PI * w for w in range(-3, 4)]
+    monkeypatch.setattr(ldp, "_legendre_full", concave)
+    res = rate_function(0.0, 5.0, Lagrangian(h_power(1)), perturb=0.3)
+    assert res.residual <= RESIDUAL_TOL and res.jensen_gap < -1e-3
+    assert not res.passed
+    config = tmp_path / "rate.cfg"
+    config.write_text("[operator]\nvariant = pure_power\nk = 1\n"
+                      "[experiment]\nkind = rate\ny = 5.0\nperturb = 0.3\n")
+    assert main(["rate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "rate: FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name, bad", [("m", 2.5), ("m", True), ("m", np.float64(64.0)),

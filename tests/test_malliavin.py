@@ -90,6 +90,14 @@ def test_augmented_operator_rejects_bad_parameters():
         augmented_multiplier(op, -1.0, 0, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("name", ["n", "aux_order"])
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)])
+def test_augmented_operator_refuses_counts_that_are_not_integers(name, bad):
+    args = {"n": 1, "aux_order": 2, name: bad}
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        AugmentedOperator(base=_base(cutoff=8), alpha_frac=0.5, **args)
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
@@ -259,6 +267,14 @@ def test_ibp_check_validates_inputs():
         ibp_check(op, np.cos(spatial_grid(16)), 1.0)  # grid too coarse
     with pytest.raises(ValidationError, match="unknown moment path"):
         ibp_check(op, f, 1.0, moment_path="bogus")
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+def test_ibp_check_refuses_a_non_finite_point(x):
+    # a nan x once gave IbpResult(nan, nan, nan)
+    op = AugmentedOperator(base=_base(cutoff=8), n=1, alpha_frac=0.5)
+    with pytest.raises(ValidationError, match="^x must be one finite number, got "):
+        ibp_check(op, np.cos(spatial_grid(64)), 0.5, x=x)
 
 
 def test_ibp_check_refuses_a_two_dimensional_base():

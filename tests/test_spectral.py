@@ -169,6 +169,14 @@ def test_rescaled_composes_prefactor_and_frequency_scale():
     np.testing.assert_allclose(sym.values.real, 3.0 * (0.5 * xi) ** 2)
 
 
+@pytest.mark.parametrize("name", ["prefactor", "freq_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_rescaled_names_a_factor_that_is_not_finite_and_positive(name, bad):
+    # a nan prefactor once passed the `<= 0` test and evaluated to nan+nanj
+    with pytest.raises(ValidationError, match=f"^{name} must be > 0 and finite, got "):
+        Rescaled(PurePower(k=1), **{name: bad})
+
+
 def test_operator_value_accepts_complex_argument():
     z = 1.0 + 1.0j
     assert PurePower(k=2).value(z) == pytest.approx(z**4)
